@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,23 +145,35 @@ def _recipe_features(records, recipe: str) -> tuple[FeatureMatrix, object]:
     return matrix, notes
 
 
-def _selected_features(args, matrix: FeatureMatrix, multivariate: bool):
+@dataclass(frozen=True)
+class FeatureSelection:
+    """Which feature columns the detectors read: the recipe that builds the
+    table, the --feature override (comma-separated) and the --log switch."""
+
+    recipe: str
+    feature: str | None = None
+    log: bool = False
+
+
+def _selected_features(
+    selection: FeatureSelection, matrix: FeatureMatrix, multivariate: bool
+):
     """Resolve --feature/--log against the recipe defaults.
 
     Returns (column names, column arrays) after any log transform. Stat
     detectors take the first column; distance/ML detectors take all.
     """
     requested = None
-    if args.feature:
-        requested = [f.strip() for f in args.feature.split(",") if f.strip()]
+    if selection.feature:
+        requested = [f.strip() for f in selection.feature.split(",") if f.strip()]
         if not requested:
             raise UsageError("--feature was given but names no columns")
     if requested is None:
-        if args.recipe == "custom":
+        if selection.recipe == "custom":
             raise UsageError(
                 "--recipe custom needs an explicit --feature list"
             )
-        stat_col, multi_cols = RECIPE_FEATURES[args.recipe]
+        stat_col, multi_cols = RECIPE_FEATURES[selection.recipe]
         requested = list(multi_cols) if multivariate else [stat_col]
     names = []
     cols = []
@@ -170,12 +182,18 @@ def _selected_features(args, matrix: FeatureMatrix, multivariate: bool):
             col = matrix.column(name)
         except KeyError as err:
             raise UsageError(str(err)) from None
-        if args.log:
+        if selection.log:
             col, _clamped = log_feature(col)
             name = f"log({name})"
         names.append(name)
         cols.append(col)
     return names, cols
+
+
+def _feature_X(selection: FeatureSelection, matrix: FeatureMatrix):
+    """Column names and the (n, k) matrix the multivariate detectors read."""
+    names, cols = _selected_features(selection, matrix, multivariate=True)
+    return names, np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +252,7 @@ class _DetectJob:
     records: tuple
     models: tuple
     out_dir: str
-    recipe: str
-    feature: str | None
-    log: bool
+    selection: FeatureSelection
     threshold: float
     mad_factor: float
     mad_threshold: float
@@ -247,31 +263,30 @@ class _DetectJob:
     config_seed: int | None = None
 
 
-class _ArgsView:
-    """Minimal attribute bag standing in for parsed args inside workers."""
-
-    def __init__(self, recipe, feature, log):
-        self.recipe = recipe
-        self.feature = feature
-        self.log = log
-
-
 def _run_detect_cell(job: _DetectJob) -> str:
-    matrix, notes = _recipe_features(list(job.records), job.recipe)
-    view = _ArgsView(job.recipe, job.feature, job.log)
+    matrix, notes = _recipe_features(list(job.records), job.selection.recipe)
     cell_dir = f"{job.out_dir}/{_safe_name(job.cell_id)}"
     cycles = matrix.cycle_index
+    # each family's columns are resolved once, when its first model runs
+    stat_pick = multi_pick = None
 
     for model in job.models:
         model_dir = f"{cell_dir}/{model}"
         path = f"{model_dir}/verdict.csv"
         if model in STAT_MODELS:
-            names, cols = _selected_features(view, matrix, multivariate=False)
-            verdict = detect_stat(cols[0], model, mad_factor=job.mad_factor)
-            _verdict_stat(cycles, verdict, names[0], path)
-        elif model in DIST_MODELS:
-            names, cols = _selected_features(view, matrix, multivariate=True)
-            X = np.column_stack(cols)
+            if stat_pick is None:
+                names, cols = _selected_features(
+                    job.selection, matrix, multivariate=False
+                )
+                stat_pick = names[0], cols[0]
+            name, col = stat_pick
+            verdict = detect_stat(col, model, mad_factor=job.mad_factor)
+            _verdict_stat(cycles, verdict, name, path)
+            continue
+        if multi_pick is None:
+            multi_pick = _feature_X(job.selection, matrix)
+        names, X = multi_pick
+        if model in DIST_MODELS:
             spec = dist_detect.MetricSpec(
                 kind=model,
                 p=job.minkowski_p if model == "minkowski" else None,
@@ -282,8 +297,6 @@ def _run_detect_cell(job: _DetectJob) -> str:
             )
             _verdict_dist(cycles, verdict, model, names, path)
         else:
-            names, cols = _selected_features(view, matrix, multivariate=True)
-            X = np.column_stack(cols)
             base_seed = (
                 job.config_seed if job.config_seed is not None else job.seed
             )
@@ -329,49 +342,34 @@ class _GridJob:
     records: tuple
     model: str
     out_dir: str
-    recipe: str
-    feature: str | None
-    log: bool
+    selection: FeatureSelection
     resolution: int
     minkowski_p: float
     seed: int
 
 
 def _run_grid_cell(job: _GridJob) -> str:
-    matrix, _notes = _recipe_features(list(job.records), job.recipe)
-    view = _ArgsView(job.recipe, job.feature, job.log)
-    names, cols = _selected_features(view, matrix, multivariate=True)
-    if len(cols) != 2:
+    matrix, _notes = _recipe_features(list(job.records), job.selection.recipe)
+    names, X = _feature_X(job.selection, matrix)
+    if X.shape[1] != 2:
         raise UsageError(
-            f"scoremap needs exactly 2 features, got {len(cols)}"
+            f"scoremap needs exactly 2 features, got {X.shape[1]}"
         )
-    X = np.column_stack(cols)
     if job.model in DIST_MODELS:
         spec = dist_detect.MetricSpec(
             kind=job.model,
             p=job.minkowski_p if job.model == "minkowski" else None,
         )
         grid = dist_detect.score_grid(X, spec, resolution=job.resolution)
-        axes, values = grid.axes, grid.values
-        bounds = grid.bounds
+        bounds, axes, values = grid.bounds, grid.axes, grid.values
         data_min, data_max = grid.data_min, grid.data_max
     else:
+        bounds, axes, nodes = dist_detect.grid_nodes(X, job.resolution)
         config = make_config(
             job.model, None, seed=derive_seed(job.seed, job.cell_id, job.model)
         )
         fitted = ml_detect.fit(config, X, columns=names)
         data_raw = ml_detect.score(fitted, X)
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        pad = np.where(hi - lo == 0.0, 0.5, 0.1 * (hi - lo))
-        bounds = tuple(
-            (float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad)
-        )
-        axes = tuple(
-            np.linspace(low, high, job.resolution) for low, high in bounds
-        )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.column_stack([m.ravel() for m in mesh])
         node_raw = ml_detect.score(fitted, nodes)
         values = ml_detect.normalize_scores(node_raw, reference=data_raw)
         values = values.reshape(job.resolution, job.resolution)
@@ -452,6 +450,28 @@ def _resolve_models(token: str) -> tuple[str, ...]:
     return (token,)
 
 
+def _read_config(path: str, model: str) -> tuple[dict, object]:
+    """(params, seed) from a config file as written by tune."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as err:
+            raise UsageError(f"{path}: not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise UsageError(
+            f"{path}: expected a JSON object, got {type(payload).__name__}"
+        )
+    if payload.get("model") != model:
+        raise UsageError(
+            f"{path}: config is for model '{payload.get('model')}', "
+            f"not '{model}'"
+        )
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError(f"{path}: 'params' must be a JSON object")
+    return params, payload.get("seed")
+
+
 def _cmd_detect(args) -> int:
     store = _load_store(args)
     models = _resolve_models(args.model)
@@ -462,24 +482,14 @@ def _cmd_detect(args) -> int:
             raise UsageError(
                 "--config applies to a single learned model"
             )
-        with open(args.config, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("model") != models[0]:
-            raise UsageError(
-                f"--config is for model '{payload.get('model')}', "
-                f"not '{models[0]}'"
-            )
-        config_params = payload.get("params", {})
-        config_seed = payload.get("seed")
+        config_params, config_seed = _read_config(args.config, models[0])
     jobs = [
         _DetectJob(
             cell_id=cell,
             records=tuple(store.by_cell(cell)),
             models=models,
             out_dir=args.out,
-            recipe=args.recipe,
-            feature=args.feature,
-            log=args.log,
+            selection=FeatureSelection(args.recipe, args.feature, args.log),
             threshold=args.threshold,
             mad_factor=args.mad_factor,
             mad_threshold=args.mad_threshold,
@@ -498,32 +508,30 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _trial_rows(trials, space, cell_id=""):
-    param_names = sorted(space.params)
-    rows = []
-    for t in trials:
-        row = [cell_id, str(t.trial_id)]
-        for name in param_names:
-            value = t.config.params[name]
-            if isinstance(value, (tuple, list)):
-                value = "x".join(str(v) for v in value)
-            row.append(str(value))
-        row.extend(
-            [
-                _fmt(t.objectives[0]),
-                _fmt(t.objectives[1]),
-                t.objective_kind,
-            ]
-        )
-        rows.append(",".join(row))
-    return param_names, rows
-
-
-def _write_trials(path, header_params, rows):
-    header = ",".join(
-        ["cell_id", "trial_id"] + header_params + ["objective_1", "objective_2", "kind"]
+def _trial_row(cell_id, trial, param_names) -> str:
+    row = [cell_id, str(trial.trial_id)]
+    for name in param_names:
+        value = trial.config.params[name]
+        if isinstance(value, (tuple, list)):
+            value = "x".join(str(v) for v in value)
+        row.append(str(value))
+    row.extend(
+        [_fmt(trial.objectives[0]), _fmt(trial.objectives[1]), trial.objective_kind]
     )
-    atomic_write_text(path, "\n".join([header] + rows) + "\n")
+    return ",".join(row)
+
+
+def _write_trials(tuning_dir, space, outcomes) -> None:
+    """trials.csv and pareto.csv from (cell_id, trials, front) triples."""
+    param_names = sorted(space.params)
+    header = ",".join(
+        ["cell_id", "trial_id"] + param_names + ["objective_1", "objective_2", "kind"]
+    )
+    for name, part in (("trials", 1), ("pareto", 2)):
+        lines = [header] + [
+            _trial_row(o[0], t, param_names) for o in outcomes for t in o[part]
+        ]
+        atomic_write_text(f"{tuning_dir}/{name}.csv", "\n".join(lines) + "\n")
 
 
 def _config_json(config) -> str:
@@ -546,6 +554,7 @@ def _cmd_tune(args) -> int:
     store = _load_store(args)
     manifest = read_manifest(args.manifest) if args.manifest else None
     space = tune.default_search_space(args.model)
+    selection = FeatureSelection(args.recipe, args.feature, args.log)
     tuning_dir = f"{args.out}/tuning/{args.model}"
 
     if args.strategy == "transfer":
@@ -563,9 +572,7 @@ def _cmd_tune(args) -> int:
             if not records:
                 raise UsageError(f"labeled cell '{cell}' not present in input")
             matrix, _notes = _recipe_features(records, args.recipe)
-            view = _ArgsView(args.recipe, args.feature, args.log)
-            names, cols = _selected_features(view, matrix, multivariate=True)
-            X = np.column_stack(cols)
+            _names, X = _feature_X(selection, matrix)
             labels = np.asarray(
                 [
                     1 if int(c) in label_map[cell] else 0
@@ -582,17 +589,10 @@ def _cmd_tune(args) -> int:
             seed=args.seed,
             threshold=args.threshold,
         )
-        all_rows = []
-        front_rows = []
-        param_names = sorted(space.params)
-        for cell in sorted(result.per_cell):
-            ct = result.per_cell[cell]
-            _, rows = _trial_rows(ct.trials, space, cell_id=cell)
-            all_rows.extend(rows)
-            _, rows = _trial_rows(ct.front, space, cell_id=cell)
-            front_rows.extend(rows)
-        _write_trials(f"{tuning_dir}/trials.csv", param_names, all_rows)
-        _write_trials(f"{tuning_dir}/pareto.csv", param_names, front_rows)
+        outcomes = [
+            (cell, ct.trials, ct.front) for cell, ct in sorted(result.per_cell.items())
+        ]
+        _write_trials(tuning_dir, space, outcomes)
         atomic_write_text(
             f"{tuning_dir}/config.json", _config_json(result.aggregated)
         )
@@ -612,15 +612,11 @@ def _cmd_tune(args) -> int:
         cell_ids = [c for c in cell_ids if c in manifest.test_cells]
     if not cell_ids:
         raise UsageError("no cells to tune on")
-    all_rows = []
-    front_rows = []
-    param_names = sorted(space.params)
+    outcomes = []
     for cell in cell_ids:
         records = store.by_cell(cell)
         matrix, _notes = _recipe_features(records, args.recipe)
-        view = _ArgsView(args.recipe, args.feature, args.log)
-        names, cols = _selected_features(view, matrix, multivariate=True)
-        X = np.column_stack(cols)
+        _names, X = _feature_X(selection, matrix)
         result = tune.optimize_proxy(
             matrix.cycle_index,
             X,
@@ -630,16 +626,12 @@ def _cmd_tune(args) -> int:
             seed=derive_seed(args.seed, cell),
             threshold=args.threshold,
         )
-        _, rows = _trial_rows(result.trials, space, cell_id=cell)
-        all_rows.extend(rows)
-        _, rows = _trial_rows(result.front, space, cell_id=cell)
-        front_rows.extend(rows)
+        outcomes.append((cell, result.trials, result.front))
         atomic_write_text(
             f"{tuning_dir}/compromise_{_safe_name(cell)}.json",
             _config_json(result.compromise),
         )
-    _write_trials(f"{tuning_dir}/trials.csv", param_names, all_rows)
-    _write_trials(f"{tuning_dir}/pareto.csv", param_names, front_rows)
+    _write_trials(tuning_dir, space, outcomes)
     sys.stdout.write(
         f"proxy tuning of {args.model} done for {len(cell_ids)} cells\n"
     )
@@ -741,9 +733,7 @@ def _cmd_scoremap(args) -> int:
                     records=tuple(store.by_cell(cell)),
                     model=model,
                     out_dir=args.out,
-                    recipe=args.recipe,
-                    feature=args.feature,
-                    log=args.log,
+                    selection=FeatureSelection(args.recipe, args.feature, args.log),
                     resolution=args.resolution,
                     minkowski_p=args.p,
                     seed=args.seed,
@@ -880,6 +870,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "evaluate" and not args.labels:
             raise UsageError("evaluate requires --labels")
+        for count in ("jobs", "trials"):
+            if getattr(args, count, 1) < 1:
+                raise UsageError(
+                    f"--{count} must be at least 1, got {getattr(args, count)}"
+                )
         return _COMMANDS[args.command](args)
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -170,14 +170,8 @@ def _parse_float(token: str, what: str, row: int, path: str) -> float:
 
 
 def _parse_int(token: str, what: str, row: int, path: str) -> int:
-    try:
-        value = float(token)
-    except ValueError:
-        raise RowParseError(
-            f"{path}: row {row}: could not parse {what} value '{token}'",
-            row=row,
-        ) from None
-    if value != int(value):
+    value = _parse_float(token, what, row, path)
+    if not value.is_integer():
         raise RowParseError(
             f"{path}: row {row}: {what} value '{token}' is not an integer",
             row=row,
@@ -185,25 +179,40 @@ def _parse_int(token: str, what: str, row: int, path: str) -> int:
     return int(value)
 
 
-def _parse_rows(reader, colmap, source: str) -> CycleStore:
+def _table(reader, columns: dict[str, str], source: str):
+    """Read the header row and resolve each role's column position.
+
+    Returns the {role: index} map and an iterator over (row number, row) for
+    the data rows. Blank rows are skipped; a row too short to hold every
+    resolved column raises RowParseError naming the file and the row.
+    """
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise EmptyInputError(f"{source}: file is empty") from None
-    header = [h.strip() for h in header]
-    idx = _resolve_columns(header, colmap, source)
+    idx = _resolve_columns(header, columns, source)
     width = max(idx.values()) + 1
+
+    def rows():
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not tok.strip() for tok in row):
+                continue
+            if len(row) < width:
+                raise RowParseError(
+                    f"{source}: row {row_no}: expected at least {width} "
+                    f"fields, got {len(row)}",
+                    row=row_no,
+                )
+            yield row_no, row
+
+    return idx, rows()
+
+
+def _parse_rows(reader, colmap, source: str) -> CycleStore:
+    idx, rows = _table(reader, colmap, source)
     n_rows = 0
     groups: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not tok.strip() for tok in row):
-            continue
-        if len(row) < width:
-            raise RowParseError(
-                f"{source}: row {row_no}: expected at least {width} fields, "
-                f"got {len(row)}",
-                row=row_no,
-            )
+    for row_no, row in rows:
         cell = row[idx["cell_id"]].strip()
         if not cell:
             raise RowParseError(
@@ -362,18 +371,10 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     labels: dict[str, set[int]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        idx = _resolve_columns(
-            header,
-            {"cell_id": "cell_id", "cycle_index": "cycle_index"},
-            path,
+        idx, rows = _table(
+            reader, {"cell_id": "cell_id", "cycle_index": "cycle_index"}, path
         )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not tok.strip() for tok in row):
-                continue
+        for row_no, row in rows:
             cell = row[idx["cell_id"]].strip()
             cyc = _parse_int(
                 row[idx["cycle_index"]].strip(), "cycle_index", row_no, path
@@ -403,16 +404,8 @@ def read_manifest(path: str, delimiter: str = ",") -> SplitManifest:
     test: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        idx = _resolve_columns(
-            header, {"cell_id": "cell_id", "role": "role"}, path
-        )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not tok.strip() for tok in row):
-                continue
+        idx, rows = _table(reader, {"cell_id": "cell_id", "role": "role"}, path)
+        for row_no, row in rows:
             cell = row[idx["cell_id"]].strip()
             role = row[idx["role"]].strip().lower()
             if role not in ("train", "test"):

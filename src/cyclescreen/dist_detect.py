@@ -193,26 +193,19 @@ class GridScores:
     data_max: float
 
 
-def score_grid(
+def grid_nodes(
     X,
-    metric: MetricSpec,
     resolution: int | tuple[int, ...] = 50,
     bounds: tuple[tuple[float, float], ...] | None = None,
-) -> GridScores:
-    """Evaluate the normalized centroid distance on a regular grid.
+) -> tuple[tuple[tuple[float, float], ...], tuple[np.ndarray, ...], np.ndarray]:
+    """Bounds, axes and nodes of a regular grid over the columns of X.
 
     Default bounds are the data bounding box expanded 10% per side (constant
-    axes are padded by 0.5 to keep the box non-empty).
+    axes are padded by 0.5 to keep the box non-empty). nodes holds one grid
+    point per row in row-major order, so the last axis varies fastest.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
-    if n < 3:
-        raise EmptyInputError("need at least 3 rows to build a score grid")
-    if d != 2:
-        raise ShapeMismatchError(
-            f"score grids are 2-D maps; got {d} feature columns"
-        )
-    metric = resolve_metric(metric, X)
+    d = X.shape[1]
     if isinstance(resolution, int):
         resolution = (resolution,) * d
     if len(resolution) != d:
@@ -234,6 +227,32 @@ def score_grid(
     for low, high in bounds:
         if not (np.isfinite(low) and np.isfinite(high)) or low >= high:
             raise BoundsError(f"bad axis bounds ({low!r}, {high!r})")
+    axes = tuple(
+        np.linspace(low, high, r) for (low, high), r in zip(bounds, resolution)
+    )
+    mesh = np.meshgrid(*axes, indexing="ij")
+    nodes = np.column_stack([m.ravel() for m in mesh])
+    return tuple(bounds), axes, nodes
+
+
+def score_grid(
+    X,
+    metric: MetricSpec,
+    resolution: int | tuple[int, ...] = 50,
+    bounds: tuple[tuple[float, float], ...] | None = None,
+) -> GridScores:
+    """Evaluate the normalized centroid distance on a regular grid whose
+    bounds default as in `grid_nodes`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, d = X.shape
+    if n < 3:
+        raise EmptyInputError("need at least 3 rows to build a score grid")
+    if d != 2:
+        raise ShapeMismatchError(
+            f"score grids are 2-D maps; got {d} feature columns"
+        )
+    metric = resolve_metric(metric, X)
+    bounds, axes, nodes = grid_nodes(X, resolution, bounds)
 
     centroid = X.mean(axis=0)
     data_dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
@@ -243,17 +262,14 @@ def score_grid(
             "all centroid distances are equal; nothing to rank"
         )
 
-    axes = tuple(
-        np.linspace(low, high, r) for (low, high), r in zip(bounds, resolution)
-    )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
     node_dist = pairwise(nodes, centroid.reshape(1, -1), metric)[:, 0]
-    values = ((node_dist - dmin) / (dmax - dmin)).reshape(resolution)
+    values = ((node_dist - dmin) / (dmax - dmin)).reshape(
+        tuple(a.size for a in axes)
+    )
     return GridScores(
         axes=axes,
         values=values,
-        bounds=tuple(bounds),
+        bounds=bounds,
         data_min=dmin,
         data_max=dmax,
     )

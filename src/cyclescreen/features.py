@@ -8,8 +8,8 @@ series from different cycles land on a comparable footing.
 
 Per-cycle point-anomaly features are maxima of consecutive differences of the
 scaled voltage and capacity, plus the maximum ratio of those differences.
-Natural-log variants, a power-transform normality toolkit, and a normalized
-distance feature over (cycle_index, capacity_max) round out the module.
+Natural-log variants and a normalized distance feature over
+(cycle_index, capacity_max) round out the module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import CycleRecord
 from .errors import (
@@ -109,10 +108,6 @@ class FeatureMatrix:
             )
         return self.columns[name]
 
-    def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Stack named columns into an (n, k) array, in the given order."""
-        return np.column_stack([self.column(n) for n in names])
-
     def add_column(self, name: str, values) -> None:
         values = np.asarray(values, dtype=float)
         if values.shape != self.cycle_index.shape:
@@ -167,10 +162,6 @@ class FeatureNotes:
                     f"  cycle {cyc}: {column} input {value!r} floored to {EPS:g}"
                 )
         return "\n".join(lines) + "\n"
-
-
-def _max_diff(values: np.ndarray) -> float:
-    return float(np.max(np.diff(values)))
 
 
 def _dvdq_max(dv: np.ndarray, dq: np.ndarray) -> tuple[float, bool]:
@@ -319,122 +310,6 @@ def build_feature_matrix(
             mahalanobis_feature(matrix.cycle_index, matrix.column("capacity_max")),
         )
     return matrix, notes
-
-
-def yeo_johnson(values, lam: float) -> np.ndarray:
-    """Power transform defined piecewise over sign(y) and lambda.
-
-    Negative branch uses exponent 2 - lambda; the lambda = 0 and lambda = 2
-    limits are the matching logs. Stable near the limits via expm1/log1p.
-    """
-    y = np.asarray(values, dtype=float)
-    out = np.empty_like(y)
-    pos = y >= 0
-    if lam == 0.0:
-        out[pos] = np.log1p(y[pos])
-    else:
-        out[pos] = np.expm1(lam * np.log1p(y[pos])) / lam
-    if lam == 2.0:
-        out[~pos] = -np.log1p(-y[~pos])
-    else:
-        out[~pos] = -np.expm1((2.0 - lam) * np.log1p(-y[~pos])) / (2.0 - lam)
-    return out
-
-
-def _yj_log_likelihood(y: np.ndarray, lam: float) -> float:
-    psi = yeo_johnson(y, lam)
-    var = float(np.var(psi))
-    if var <= 0.0 or not np.isfinite(var):
-        return -np.inf
-    n = y.shape[0]
-    jacobian = float(np.sum(np.sign(y) * np.log1p(np.abs(y))))
-    return -0.5 * n * np.log(var) + (lam - 1.0) * jacobian
-
-
-def fit_yeo_johnson_lambda(
-    values, low: float = -2.0, high: float = 3.0
-) -> float:
-    """Pick the exponent that maximizes the Gaussian log-likelihood of the
-    transformed sample, Jacobian term included.
-
-    A coarse grid over [low, high] brackets the optimum, then golden-section
-    search refines it inside the winning cell.
-    """
-    y = np.asarray(values, dtype=float)
-    if y.size < 3:
-        raise EmptyInputError("need at least 3 values to fit the exponent")
-    grid = np.arange(low, high + 1e-12, 0.05)
-    lls = np.asarray([_yj_log_likelihood(y, float(l)) for l in grid])
-    if not np.any(np.isfinite(lls)):
-        raise DegenerateSpreadError(
-            "transformed sample degenerate at every exponent"
-        )
-    best = int(np.argmax(lls))
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid.size - 1)])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _yj_log_likelihood(y, c)
-    fd = _yj_log_likelihood(y, d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _yj_log_likelihood(y, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _yj_log_likelihood(y, d)
-        if abs(b - a) < 1e-7:
-            break
-    return float((a + b) / 2.0)
-
-
-@dataclass(frozen=True)
-class NormalityDiagnostics:
-    """Probability-plot summary: (theoretical, ordered) pairs, the squared
-    correlation of the plot, and moment skewness of the sample."""
-
-    ordered_pairs: np.ndarray
-    r_squared: float
-    skewness: float
-
-
-def _plotting_positions(n: int) -> np.ndarray:
-    # order-statistic medians: interior (i - 0.3175)/(n + 0.365),
-    # endpoints 1 - 0.5**(1/n) and 0.5**(1/n)
-    i = np.arange(1, n + 1, dtype=float)
-    m = (i - 0.3175) / (n + 0.365)
-    m[0] = 1.0 - 0.5 ** (1.0 / n)
-    m[-1] = 0.5 ** (1.0 / n)
-    return m
-
-
-def probability_plot_stats(values) -> NormalityDiagnostics:
-    """Normal probability plot of a sample.
-
-    Pairs the sorted sample with standard normal quantiles at the usual
-    order-statistic median positions; r_squared is the squared correlation
-    of that scatter, so 1.0 means perfectly normal-looking.
-    """
-    y = np.sort(np.asarray(values, dtype=float))
-    n = y.shape[0]
-    if n < 3:
-        raise EmptyInputError("need at least 3 values for a probability plot")
-    if np.all(y == y[0]):
-        raise DegenerateSpreadError("all values equal, plot undefined")
-    theo = norm.ppf(_plotting_positions(n))
-    corr = np.corrcoef(theo, y)[0, 1]
-    centered = y - np.mean(y)
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    skew = m3 / m2**1.5
-    return NormalityDiagnostics(
-        ordered_pairs=np.column_stack([theo, y]),
-        r_squared=float(corr**2),
-        skewness=float(skew),
-    )
 
 
 def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:

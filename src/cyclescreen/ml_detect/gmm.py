@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import EmptyInputError, SingularComponentError
 
@@ -28,11 +27,32 @@ class GmmState:
     means: np.ndarray
     covariances: np.ndarray
     covariance_type: str
-    contamination: float
     reg: float
     ll_trace: list = field(default_factory=list)
     converged: bool = False
     n_iter: int = 0
+
+
+def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along an axis as SciPy 1.17 computes it: the log1p
+    form of Blanchard, Higham & Higham (IMA J. Numer. Anal., 2021). The m
+    elements tied at the maximum leave the sum, giving log1p(sum(exp(a -
+    max)) / m) + log(m) + max; where that is not finite (say a row of -inf)
+    the direct log(sum(exp(a))) is used."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+        s = np.sum(
+            np.exp(np.where(at_max, -np.inf, a) - a_max),
+            axis=axis,
+            keepdims=True,
+        )
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        out = np.where(np.isfinite(out), out, direct)
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _kmeans_labels(X: np.ndarray, k: int, rng) -> np.ndarray:
@@ -165,18 +185,17 @@ def fit_gmm(params: dict, X: np.ndarray, rng) -> GmmState:
         means=means,
         covariances=covs,
         covariance_type=cov_type,
-        contamination=params["contamination"],
         reg=reg,
     )
     for it in range(1, MAX_ITER + 1):
         weighted = _log_gaussian(X, means, covs, cov_type) + np.log(weights)
-        ll = float(np.mean(logsumexp(weighted, axis=1)))
+        ll = float(np.mean(_logsumexp(weighted, axis=1)))
         state.ll_trace.append(ll)
         state.n_iter = it
         if it > 1 and abs(state.ll_trace[-1] - state.ll_trace[-2]) < TOL:
             state.converged = True
             break
-        log_resp = weighted - logsumexp(weighted, axis=1, keepdims=True)
+        log_resp = weighted - _logsumexp(weighted, axis=1, keepdims=True)
         weights, means, covs = _m_step(X, np.exp(log_resp), cov_type, reg)
         state.weights, state.means, state.covariances = weights, means, covs
     return state
@@ -186,4 +205,4 @@ def score_gmm(state: GmmState, X: np.ndarray) -> np.ndarray:
     weighted = _log_gaussian(
         X, state.means, state.covariances, state.covariance_type
     ) + np.log(state.weights)
-    return -logsumexp(weighted, axis=1)
+    return -_logsumexp(weighted, axis=1)

@@ -20,7 +20,7 @@ instead of sampled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     InsufficientInlierError,
     NoPositiveLabelError,
 )
+from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config
 from .ml_detect.params import PARAM_SPECS, CatParam, IntParam, LayerListParam, RealParam
 from .util import derive_seed, round_half_up, round_sig
@@ -127,12 +128,15 @@ class SearchSpace:
 
 
 def default_search_space(model: str, n_features: int = 2) -> SearchSpace:
-    """Reasonable tuning ranges around the registry defaults."""
+    """Reasonable tuning ranges around the registry defaults.
+
+    Trials flag by probability threshold, so the contamination fraction of
+    iforest and gmm cannot move an objective and is not searched.
+    """
     spaces = {
         "iforest": {
             "n_estimators": IntDomain(50, 200),
             "max_samples": RealDomain(0.2, 1.0),
-            "contamination": RealDomain(0.01, 0.5),
             "max_features": RealDomain(0.2, 1.0),
         },
         "knn": {
@@ -144,7 +148,6 @@ def default_search_space(model: str, n_features: int = 2) -> SearchSpace:
         "gmm": {
             "n_components": IntDomain(1, 4),
             "covariance_type": CatDomain(("full", "tied", "diag", "spherical")),
-            "contamination": RealDomain(0.01, 0.5),
             "init_params": CatDomain(("kmeans", "random")),
         },
         "lof": {
@@ -244,7 +247,11 @@ def aggregate_configs(configs) -> DetectorConfig:
     for name, p in spec.items():
         values = [c.params[name] for c in configs]
         if isinstance(p, RealParam):
-            merged[name] = p.clamp(float(np.mean([float(v) for v in values])))
+            # equal values pass through: their float mean can be an ulp off
+            if len(set(values)) == 1:
+                merged[name] = p.clamp(values[0])
+            else:
+                merged[name] = p.clamp(float(np.mean([float(v) for v in values])))
         elif isinstance(p, IntParam):
             if any(v is None for v in values):
                 merged[name] = None
@@ -428,14 +435,8 @@ def _flags_for_config(config, X, threshold):
 
 
 def recall_precision(flags: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    labels = np.asarray(labels, dtype=bool)
-    flags = np.asarray(flags, dtype=bool)
-    tp = int(np.sum(flags & labels))
-    fp = int(np.sum(flags & ~labels))
-    fn = int(np.sum(~flags & labels))
-    recall = tp / (tp + fn) if tp > 0 else 0.0
-    precision = tp / (tp + fp) if tp > 0 else 0.0
-    return recall, precision
+    scores = metrics(confusion(labels, flags))
+    return scores.recall, scores.precision
 
 
 def regression_proxy_objectives(

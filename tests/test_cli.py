@@ -285,3 +285,77 @@ def test_module_entry_point(dataset, tmp_path):
     )
     assert result.returncode == 0
     assert "ingested" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{not json", "not valid JSON"),
+        ('[{"model": "iforest"}]', "expected a JSON object, got list"),
+        ('{"model": "iforest", "params": [1]}', "'params' must be a JSON object"),
+    ],
+)
+def test_detect_bad_config_is_a_usage_error(dataset, tmp_path, capsys, text, reason):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc = run(
+        "detect", "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", FEATURES,
+        "--model", "iforest", "--config", str(config),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect", "--jobs", "-3"),
+        ("features", "--jobs", "0"),
+        ("tune", "--model", "knn", "--strategy", "proxy", "--trials", "0"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(dataset, tmp_path, capsys, argv):
+    rc = run(
+        *argv, "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", FEATURES,
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{argv[-2]} must be at least 1, got {argv[-1]}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("resolution", ["1", "-3"])
+def test_scoremap_resolution_checked_for_every_model(
+    dataset, tmp_path, capsys, resolution
+):
+    messages = []
+    for model in ("euclidean", "knn"):
+        rc = run(
+            "scoremap", "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+            "--recipe", "custom", "--feature", FEATURES,
+            "--model", model, "--resolution", resolution,
+        )
+        assert rc == 1
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert "grid resolution must be at least 2" in messages[0]
+
+
+def test_cli_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, cyclescreen.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

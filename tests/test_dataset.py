@@ -210,6 +210,30 @@ def test_read_manifest(tmp_path):
         read_manifest(dup)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_labels, "cell_id,cycle_index\nA,1\nA\n"),
+        (read_manifest, "cell_id,role\nA,train\nB\n"),
+        (ingest_cycles, HEADER + "\nA,0,0.0,4.0,0.0\nA,0,0.1\n"),
+    ],
+)
+def test_short_row_cites_file_and_row(tmp_path, reader, text):
+    path = write(tmp_path, "short.csv", text)
+    with pytest.raises(RowParseError) as exc:
+        reader(path)
+    assert exc.value.row == 3
+    assert str(exc.value).startswith(f"{path}: row 3: expected at least")
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "2.5"])
+def test_non_integer_cycle_index_cites_row(tmp_path, token):
+    path = write(tmp_path, "labels.csv", f"cell_id,cycle_index\nA,1\nA,{token}\n")
+    with pytest.raises(RowParseError) as exc:
+        read_labels(path)
+    assert exc.value.row == 3
+
+
 def test_labels_round_trip(tmp_path):
     # the format lists anomalous cycles only, so a cell with none drops out
     labels = {"A": {3, 1}, "B": set()}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from cyclescreen.errors import (
     DegenerateSpreadError,
@@ -18,13 +17,10 @@ from cyclescreen.features import (
     FeatureMatrix,
     build_feature_matrix,
     extract_cycle_features,
-    fit_yeo_johnson_lambda,
     log_feature,
     mahalanobis_feature,
     median_iqr_transform,
-    probability_plot_stats,
     transform_cell,
-    yeo_johnson,
 )
 
 from conftest import make_cycle
@@ -203,82 +199,6 @@ def test_feature_matrix_round_trip_text(simple_cycles):
         assert int(row[0]) == cyc
         for j, name in enumerate(header[1:], start=1):
             assert float(row[j]) == matrix.column(name)[int(row[0])]
-
-
-# --- power transform ------------------------------------------------------
-
-
-def test_yeo_johnson_identity_at_lambda_one():
-    x = np.asarray([-2.0, -0.5, 0.0, 1.0, 7.0])
-    np.testing.assert_allclose(yeo_johnson(x, 1.0), x, atol=1e-12)
-
-
-def test_yeo_johnson_matches_scipy_forward():
-    x = np.linspace(-4, 5, 41)
-    for lam in (-1.5, -0.5, 0.0, 0.5, 1.3, 2.0, 2.7):
-        np.testing.assert_allclose(
-            yeo_johnson(x, lam),
-            stats.yeojohnson(x, lmbda=lam),
-            atol=1e-10,
-            rtol=1e-10,
-        )
-
-
-def test_yeo_johnson_monotone():
-    x = np.linspace(-5, 5, 101)
-    for lam in (-2.0, -0.3, 0.0, 0.8, 2.0, 3.0):
-        y = yeo_johnson(x, lam)
-        assert np.all(np.diff(y) > 0)
-
-
-def test_fitted_lambda_close_to_scipy(rng):
-    for _ in range(5):
-        x = rng.gamma(2.0, 2.0, size=200) - 1.0
-        lam_mine = fit_yeo_johnson_lambda(x)
-        _, lam_scipy = stats.yeojohnson(x)
-        # both maximize the same likelihood; optima agree to grid tolerance
-        assert abs(lam_mine - lam_scipy) < 0.02
-
-
-def test_fitted_lambda_improves_normality(rng):
-    x = rng.lognormal(0.0, 0.6, size=300)
-    before = probability_plot_stats(x).r_squared
-    lam = fit_yeo_johnson_lambda(x)
-    after = probability_plot_stats(yeo_johnson(x, lam)).r_squared
-    assert after > before
-
-
-# --- probability plot -----------------------------------------------------
-
-
-def test_plot_positions_match_references():
-    diag = probability_plot_stats(np.asarray([1.0, 2.0, 4.0]))
-    n = 3
-    first = 1 - 0.5 ** (1 / n)
-    last = 0.5 ** (1 / n)
-    mid = (2 - 0.3175) / (n + 0.365)
-    expect = stats.norm.ppf([first, mid, last])
-    np.testing.assert_allclose(diag.ordered_pairs[:, 0], expect, atol=1e-12)
-
-
-def test_plot_r2_matches_scipy_probplot(rng):
-    x = rng.normal(size=80)
-    diag = probability_plot_stats(x)
-    (_, _), (_, _, r) = stats.probplot(x, dist="norm")
-    assert diag.r_squared == pytest.approx(r**2, abs=1e-12)
-
-
-def test_plot_needs_three_and_spread():
-    with pytest.raises(Exception):
-        probability_plot_stats([1.0, 2.0])
-    with pytest.raises(DegenerateSpreadError):
-        probability_plot_stats([2.0, 2.0, 2.0])
-
-
-def test_skewness_sign():
-    right_skewed = np.asarray([1.0, 1.1, 1.2, 1.3, 9.0])
-    assert probability_plot_stats(right_skewed).skewness > 0
-    assert probability_plot_stats(-right_skewed).skewness < 0
 
 
 # --- trend-distance feature ----------------------------------------------

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from cyclescreen.errors import EmptyInputError
 from cyclescreen.ml_detect import fit, make_config, score
-from cyclescreen.ml_detect.gmm import fit_gmm, score_gmm
+from cyclescreen.ml_detect.gmm import _logsumexp, fit_gmm, score_gmm
 
 COV_TYPES = ("full", "tied", "diag", "spherical")
 
@@ -131,3 +132,23 @@ def test_kmeans_init_deterministic(rng):
     b = fit_gmm(params, X, np.random.default_rng(5))
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.ll_trace, b.ll_trace)
+
+
+def test_logsumexp_bitwise_equal_to_scipy():
+    rng = np.random.default_rng(7)
+    for i in range(600):
+        n, k = int(rng.integers(1, 20)), int(rng.integers(1, 6))
+        a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, k))
+        if i % 3 == 0:  # ties at the row maximum
+            a = np.round(a, 1)
+            a[:, rng.integers(k)] = a.max(axis=1)
+        if i % 5 == 0:  # a row with no mass at all
+            a[rng.integers(n)] = -np.inf
+        if i % 7 == 0:
+            a[rng.integers(n), rng.integers(k)] = -np.inf
+        for axis in (0, 1):
+            for keepdims in (False, True):
+                got = _logsumexp(a, axis=axis, keepdims=keepdims)
+                want = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

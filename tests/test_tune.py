@@ -214,6 +214,9 @@ def test_aggregate_real_params_average():
         make_config("iforest", {"contamination": c}) for c in (0.1, 0.3)
     ]
     assert aggregate_configs(configs).params["contamination"] == pytest.approx(0.2)
+    # equal values come back exactly, not as a mean an ulp away
+    same = [make_config("iforest", {"contamination": 0.1})] * 3
+    assert aggregate_configs(same).params["contamination"] == 0.1
 
 
 def test_aggregate_layer_lists_take_mode():
