@@ -24,7 +24,6 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .dataset import (
     ingest_cycles,
     read_labels,
     read_manifest,
+    split_train_test,
 )
 from .errors import CycleScreenError
 from .evaluation import METRIC_NAMES, benchmark_report, confusion
@@ -145,35 +145,23 @@ def _recipe_features(records, recipe: str) -> tuple[FeatureMatrix, object]:
     return matrix, notes
 
 
-@dataclass(frozen=True)
-class FeatureSelection:
-    """Which feature columns the detectors read: the recipe that builds the
-    table, the --feature override (comma-separated) and the --log switch."""
-
-    recipe: str
-    feature: str | None = None
-    log: bool = False
-
-
-def _selected_features(
-    selection: FeatureSelection, matrix: FeatureMatrix, multivariate: bool
-):
+def _selected_features(args, matrix: FeatureMatrix, multivariate: bool):
     """Resolve --feature/--log against the recipe defaults.
 
     Returns (column names, column arrays) after any log transform. Stat
     detectors take the first column; distance/ML detectors take all.
     """
     requested = None
-    if selection.feature:
-        requested = [f.strip() for f in selection.feature.split(",") if f.strip()]
+    if args.feature:
+        requested = [f.strip() for f in args.feature.split(",") if f.strip()]
         if not requested:
             raise UsageError("--feature was given but names no columns")
     if requested is None:
-        if selection.recipe == "custom":
+        if args.recipe == "custom":
             raise UsageError(
                 "--recipe custom needs an explicit --feature list"
             )
-        stat_col, multi_cols = RECIPE_FEATURES[selection.recipe]
+        stat_col, multi_cols = RECIPE_FEATURES[args.recipe]
         requested = list(multi_cols) if multivariate else [stat_col]
     names = []
     cols = []
@@ -182,7 +170,7 @@ def _selected_features(
             col = matrix.column(name)
         except KeyError as err:
             raise UsageError(str(err)) from None
-        if selection.log:
+        if args.log:
             col, _clamped = log_feature(col)
             name = f"log({name})"
         names.append(name)
@@ -190,223 +178,177 @@ def _selected_features(
     return names, cols
 
 
-def _feature_X(selection: FeatureSelection, matrix: FeatureMatrix):
+def _feature_X(args, matrix: FeatureMatrix):
     """Column names and the (n, k) matrix the multivariate detectors read."""
-    names, cols = _selected_features(selection, matrix, multivariate=True)
+    names, cols = _selected_features(args, matrix, multivariate=True)
     return names, np.column_stack(cols)
 
 
-# ---------------------------------------------------------------------------
-# verdict rendering
-
-
-def _verdict_stat(cycles, verdict, feature_name, out_path):
-    lim = verdict.limits
-    extra = (
-        f" mad_factor={_fmt(lim.mad_factor)}" if lim.mad_factor is not None else ""
+def _metric_spec(args, model: str) -> dist_detect.MetricSpec:
+    return dist_detect.MetricSpec(
+        kind=model, p=args.p if model == "minkowski" else None
     )
-    lines = [
-        f"# method={lim.method.value} feature={feature_name}"
-        f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
-        f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
-        "cycle_index,score,flagged",
-    ]
-    for cyc, score, flag in zip(cycles, verdict.scores, verdict.flags):
-        lines.append(f"{int(cyc)},{_fmt(score)},{int(flag)}")
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
-
-
-def _verdict_dist(cycles, verdict, metric_name, feature_names, out_path):
-    centroid = "|".join(_fmt(c) for c in verdict.centroid)
-    lines = [
-        f"# metric={metric_name} features={'|'.join(feature_names)}"
-        f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
-        f" mad_threshold={_fmt(verdict.mad_threshold)}",
-        "cycle_index,distance,normalized,flagged",
-    ]
-    for cyc, dist, norm, flag in zip(
-        cycles, verdict.distances, verdict.normalized, verdict.flags
-    ):
-        lines.append(f"{int(cyc)},{_fmt(dist)},{_fmt(norm)},{int(flag)}")
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
-
-
-def _verdict_ml(cycles, raw, probs, flags, config, feature_names, mode, out_path):
-    lines = [
-        f"# model={config.model} features={'|'.join(feature_names)}"
-        f" flags={mode} seed={config.seed}",
-        "cycle_index,raw_score,probability,flagged",
-    ]
-    for cyc, r, p, flag in zip(cycles, raw, probs, flags):
-        lines.append(f"{int(cyc)},{_fmt(r)},{_fmt(p)},{int(flag)}")
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# per-cell workers (top level so a process pool can pickle them)
+# table rendering
 
 
-@dataclass(frozen=True)
-class _DetectJob:
-    cell_id: str
-    records: tuple
-    models: tuple
-    out_dir: str
-    selection: FeatureSelection
-    threshold: float
-    mad_factor: float
-    mad_threshold: float
-    minkowski_p: float
-    seed: int
-    contamination_mode: bool
-    config_params: dict | None = None
-    config_seed: int | None = None
+def _write_table(path: str, comment: str, header: str, *columns) -> None:
+    """Write '# comment', a CSV header and one row per entry of the columns,
+    atomically. Float columns are written with repr, all others as ints."""
+    texts = []
+    for col in map(np.asarray, columns):
+        if col.dtype.kind == "f":
+            texts.append([_fmt(x) for x in col.tolist()])
+        else:
+            texts.append([str(int(x)) for x in col.tolist()])
+    lines = [f"# {comment}", header] + [",".join(row) for row in zip(*texts)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _run_detect_cell(job: _DetectJob) -> str:
-    matrix, notes = _recipe_features(list(job.records), job.selection.recipe)
-    cell_dir = f"{job.out_dir}/{_safe_name(job.cell_id)}"
+# ---------------------------------------------------------------------------
+# per-cell workers: worker(args, cell_id, records), top level so a process
+# pool can pickle them; each builds the cell's feature table once
+
+
+def _features_cell(args, cell_id, records) -> None:
+    matrix, notes = _recipe_features(records, args.recipe)
+    cell_dir = f"{args.out}/{_safe_name(cell_id)}"
+    atomic_write_text(f"{cell_dir}/features.csv", matrix.to_delimited())
+    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
+
+
+def _detect_cell(args, cell_id, records) -> None:
+    matrix, _notes = _recipe_features(records, args.recipe)
+    cell_dir = f"{args.out}/{_safe_name(cell_id)}"
     cycles = matrix.cycle_index
     # each family's columns are resolved once, when its first model runs
     stat_pick = multi_pick = None
 
-    for model in job.models:
-        model_dir = f"{cell_dir}/{model}"
-        path = f"{model_dir}/verdict.csv"
+    for model in args.models:
+        path = f"{cell_dir}/{model}/verdict.csv"
         if model in STAT_MODELS:
             if stat_pick is None:
-                names, cols = _selected_features(
-                    job.selection, matrix, multivariate=False
-                )
+                names, cols = _selected_features(args, matrix, multivariate=False)
                 stat_pick = names[0], cols[0]
             name, col = stat_pick
-            verdict = detect_stat(col, model, mad_factor=job.mad_factor)
-            _verdict_stat(cycles, verdict, name, path)
+            verdict = detect_stat(col, model, mad_factor=args.mad_factor)
+            lim = verdict.limits
+            extra = (
+                f" mad_factor={_fmt(lim.mad_factor)}"
+                if lim.mad_factor is not None else ""
+            )
+            _write_table(
+                path,
+                f"method={lim.method.value} feature={name}"
+                f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
+                f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
+                "cycle_index,score,flagged",
+                cycles, verdict.scores, verdict.flags,
+            )
             continue
         if multi_pick is None:
-            multi_pick = _feature_X(job.selection, matrix)
+            multi_pick = _feature_X(args, matrix)
         names, X = multi_pick
         if model in DIST_MODELS:
-            spec = dist_detect.MetricSpec(
-                kind=model,
-                p=job.minkowski_p if model == "minkowski" else None,
-            )
             verdict = dist_detect.centroid_detect(
-                X, spec, mad_threshold=job.mad_threshold,
-                mad_factor=job.mad_factor,
+                X, _metric_spec(args, model), mad_threshold=args.mad_threshold,
+                mad_factor=args.mad_factor,
             )
-            _verdict_dist(cycles, verdict, model, names, path)
+            centroid = "|".join(_fmt(c) for c in verdict.centroid)
+            _write_table(
+                path,
+                f"metric={model} features={'|'.join(names)}"
+                f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
+                f" mad_threshold={_fmt(verdict.mad_threshold)}",
+                "cycle_index,distance,normalized,flagged",
+                cycles, verdict.distances, verdict.normalized, verdict.flags,
+            )
+            continue
+        config = make_config(
+            model, args.params, seed=derive_seed(args.seed, cell_id, model)
+        )
+        fitted = ml_detect.fit(config, X)
+        raw = ml_detect.score(fitted, X)
+        probs = ml_detect.normalize_scores(raw)
+        if args.contamination_threshold and "contamination" in config.params:
+            flags = ml_detect.predict_top_fraction(
+                raw, config.params["contamination"]
+            )
+            mode = f"top_fraction={_fmt(config.params['contamination'])}"
         else:
-            base_seed = (
-                job.config_seed if job.config_seed is not None else job.seed
-            )
-            config = make_config(
-                model,
-                job.config_params,
-                seed=derive_seed(base_seed, job.cell_id, model),
-            )
-            fitted = ml_detect.fit(config, X, columns=names)
-            raw = ml_detect.score(fitted, X)
-            probs = ml_detect.normalize_scores(raw)
-            if job.contamination_mode and "contamination" in config.params:
-                flags = ml_detect.predict_top_fraction(
-                    raw, config.params["contamination"]
-                )
-                mode = f"top_fraction={_fmt(config.params['contamination'])}"
-            else:
-                flags = ml_detect.predict_outliers(probs, job.threshold)
-                mode = f"threshold={_fmt(job.threshold)}"
-            _verdict_ml(cycles, raw, probs, flags, config, names, mode, path)
-    return job.cell_id
+            flags = ml_detect.predict_outliers(probs, args.threshold)
+            mode = f"threshold={_fmt(args.threshold)}"
+        _write_table(
+            path,
+            f"model={model} features={'|'.join(names)}"
+            f" flags={mode} seed={config.seed}",
+            "cycle_index,raw_score,probability,flagged",
+            cycles, raw, probs, flags,
+        )
 
 
-@dataclass(frozen=True)
-class _FeatureJob:
-    cell_id: str
-    records: tuple
-    out_dir: str
-    recipe: str
-
-
-def _run_feature_cell(job: _FeatureJob) -> str:
-    matrix, notes = _recipe_features(list(job.records), job.recipe)
-    cell_dir = f"{job.out_dir}/{_safe_name(job.cell_id)}"
-    atomic_write_text(f"{cell_dir}/features.csv", matrix.to_delimited())
-    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
-    return job.cell_id
-
-
-@dataclass(frozen=True)
-class _GridJob:
-    cell_id: str
-    records: tuple
-    model: str
-    out_dir: str
-    selection: FeatureSelection
-    resolution: int
-    minkowski_p: float
-    seed: int
-
-
-def _run_grid_cell(job: _GridJob) -> str:
-    matrix, _notes = _recipe_features(list(job.records), job.selection.recipe)
-    names, X = _feature_X(job.selection, matrix)
+def _scoremap_cell(args, cell_id, records) -> None:
+    matrix, _notes = _recipe_features(records, args.recipe)
+    names, X = _feature_X(args, matrix)
     if X.shape[1] != 2:
         raise UsageError(
             f"scoremap needs exactly 2 features, got {X.shape[1]}"
         )
-    if job.model in DIST_MODELS:
-        spec = dist_detect.MetricSpec(
-            kind=job.model,
-            p=job.minkowski_p if job.model == "minkowski" else None,
-        )
-        grid = dist_detect.score_grid(X, spec, resolution=job.resolution)
-        bounds, axes, values = grid.bounds, grid.axes, grid.values
-        data_min, data_max = grid.data_min, grid.data_max
-    else:
-        bounds, axes, nodes = dist_detect.grid_nodes(X, job.resolution)
-        config = make_config(
-            job.model, None, seed=derive_seed(job.seed, job.cell_id, job.model)
-        )
-        fitted = ml_detect.fit(config, X, columns=names)
-        data_raw = ml_detect.score(fitted, X)
-        node_raw = ml_detect.score(fitted, nodes)
-        values = ml_detect.normalize_scores(node_raw, reference=data_raw)
-        values = values.reshape(job.resolution, job.resolution)
-        data_min, data_max = float(data_raw.min()), float(data_raw.max())
-
-    cell_dir = f"{job.out_dir}/{_safe_name(job.cell_id)}/{job.model}"
-    lines = [
-        f"# model={job.model} features={'|'.join(names)}"
-        f" resolution={job.resolution}",
-        f"{names[0]},{names[1]},score",
-    ]
-    for i in range(values.shape[0]):
-        for j in range(values.shape[1]):
-            lines.append(
-                f"{_fmt(axes[0][i])},{_fmt(axes[1][j])},{_fmt(values[i, j])}"
+    res = args.resolution
+    for model in args.models:
+        if model in DIST_MODELS:
+            grid = dist_detect.score_grid(
+                X, _metric_spec(args, model), resolution=res
             )
-    atomic_write_text(f"{cell_dir}/grid.csv", "\n".join(lines) + "\n")
-    sidecar = {
-        "model": job.model,
-        "features": list(names),
-        "bounds": [list(b) for b in bounds],
-        "resolution": [job.resolution, job.resolution],
-        "data_min": data_min,
-        "data_max": data_max,
-    }
-    atomic_write_text(
-        f"{cell_dir}/grid.json",
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
-    )
-    return job.cell_id
+            bounds, axes, values = grid.bounds, grid.axes, grid.values
+            data_min, data_max = grid.data_min, grid.data_max
+        else:
+            bounds, axes, nodes = dist_detect.grid_nodes(X, res)
+            config = make_config(
+                model, None, seed=derive_seed(args.seed, cell_id, model)
+            )
+            fitted = ml_detect.fit(config, X)
+            data_raw = ml_detect.score(fitted, X)
+            node_raw = ml_detect.score(fitted, nodes)
+            values = ml_detect.normalize_scores(node_raw, reference=data_raw)
+            values = values.reshape(res, res)
+            data_min, data_max = float(data_raw.min()), float(data_raw.max())
+
+        model_dir = f"{args.out}/{_safe_name(cell_id)}/{model}"
+        _write_table(
+            f"{model_dir}/grid.csv",
+            f"model={model} features={'|'.join(names)} resolution={res}",
+            f"{names[0]},{names[1]},score",
+            np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
+        )
+        sidecar = {
+            "model": model,
+            "features": list(names),
+            "bounds": [list(b) for b in bounds],
+            "resolution": [res, res],
+            "data_min": data_min,
+            "data_max": data_max,
+        }
+        atomic_write_text(
+            f"{model_dir}/grid.json",
+            json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+        )
 
 
-def _map_cells(worker, jobs_list, n_jobs: int):
-    if n_jobs <= 1 or len(jobs_list) <= 1:
-        return [worker(j) for j in jobs_list]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(worker, jobs_list))
+def _map_cells(worker, args, store: CycleStore) -> list[str]:
+    """Run worker(args, cell_id, records) on every cell of the store, over
+    --jobs processes when there is more than one cell; returns the cells."""
+    cells = store.cells()
+    if args.jobs <= 1 or len(cells) <= 1:
+        for cell in cells:
+            worker(args, cell, store.by_cell(cell))
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            records = [store.by_cell(cell) for cell in cells]
+            list(pool.map(worker, [args] * len(cells), cells, records))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +367,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    store = _load_store(args)
-    jobs = [
-        _FeatureJob(
-            cell_id=cell,
-            records=tuple(store.by_cell(cell)),
-            out_dir=args.out,
-            recipe=args.recipe,
-        )
-        for cell in store.cells()
-    ]
-    _map_cells(_run_feature_cell, jobs, args.jobs)
-    sys.stdout.write(f"wrote features for {len(jobs)} cells under {args.out}\n")
+    cells = _map_cells(_features_cell, args, _load_store(args))
+    sys.stdout.write(f"wrote features for {len(cells)} cells under {args.out}\n")
     return 0
 
 
@@ -450,7 +382,7 @@ def _resolve_models(token: str) -> tuple[str, ...]:
     return (token,)
 
 
-def _read_config(path: str, model: str) -> tuple[dict, object]:
+def _read_config(path: str, model: str) -> tuple[dict, int | None]:
     """(params, seed) from a config file as written by tune."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -469,41 +401,32 @@ def _read_config(path: str, model: str) -> tuple[dict, object]:
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise UsageError(f"{path}: 'params' must be a JSON object")
-    return params, payload.get("seed")
+    seed = payload.get("seed")
+    if seed is not None and (
+        not isinstance(seed, int) or isinstance(seed, bool) or seed < 0
+    ):
+        raise UsageError(
+            f"{path}: 'seed' must be a non-negative integer, got {seed!r}"
+        )
+    return params, seed
 
 
 def _cmd_detect(args) -> int:
     store = _load_store(args)
-    models = _resolve_models(args.model)
-    config_params = None
-    config_seed = None
+    args.models = _resolve_models(args.model)
+    args.params = None
     if args.config:
-        if len(models) != 1 or models[0] not in ml_detect.ML_MODELS:
+        if len(args.models) != 1 or args.models[0] not in ml_detect.ML_MODELS:
             raise UsageError(
                 "--config applies to a single learned model"
             )
-        config_params, config_seed = _read_config(args.config, models[0])
-    jobs = [
-        _DetectJob(
-            cell_id=cell,
-            records=tuple(store.by_cell(cell)),
-            models=models,
-            out_dir=args.out,
-            selection=FeatureSelection(args.recipe, args.feature, args.log),
-            threshold=args.threshold,
-            mad_factor=args.mad_factor,
-            mad_threshold=args.mad_threshold,
-            minkowski_p=args.p,
-            seed=args.seed,
-            contamination_mode=args.contamination_threshold,
-            config_params=config_params,
-            config_seed=config_seed,
-        )
-        for cell in store.cells()
-    ]
-    _map_cells(_run_detect_cell, jobs, args.jobs)
+        args.params, seed = _read_config(args.config, args.models[0])
+        if seed is not None:  # a replayed config's seed replaces --seed
+            args.seed = seed
+    cells = _map_cells(_detect_cell, args, store)
     sys.stdout.write(
-        f"wrote {len(models)} verdict(s) for {len(jobs)} cells under {args.out}\n"
+        f"wrote {len(args.models)} verdict(s) for {len(cells)} cells "
+        f"under {args.out}\n"
     )
     return 0
 
@@ -552,9 +475,11 @@ def _cmd_tune(args) -> int:
             f"tuning applies to learned models {list(ml_detect.ML_MODELS)}"
         )
     store = _load_store(args)
-    manifest = read_manifest(args.manifest) if args.manifest else None
+    if args.manifest:
+        # transfer fits on the manifest's train cells, proxy on its test cells
+        train, test = split_train_test(store, read_manifest(args.manifest))
+        store = train if args.strategy == "transfer" else test
     space = tune.default_search_space(args.model)
-    selection = FeatureSelection(args.recipe, args.feature, args.log)
     tuning_dir = f"{args.out}/tuning/{args.model}"
 
     if args.strategy == "transfer":
@@ -562,8 +487,8 @@ def _cmd_tune(args) -> int:
             raise UsageError("--strategy transfer requires --labels")
         label_map = read_labels(args.labels)
         cell_ids = sorted(label_map)
-        if manifest is not None:
-            cell_ids = [c for c in cell_ids if c in manifest.train_cells]
+        if args.manifest:
+            cell_ids = [c for c in store.cells() if c in label_map]
         if not cell_ids:
             raise UsageError("no labeled train cells to tune on")
         cells = {}
@@ -572,7 +497,7 @@ def _cmd_tune(args) -> int:
             if not records:
                 raise UsageError(f"labeled cell '{cell}' not present in input")
             matrix, _notes = _recipe_features(records, args.recipe)
-            _names, X = _feature_X(selection, matrix)
+            _names, X = _feature_X(args, matrix)
             labels = np.asarray(
                 [
                     1 if int(c) in label_map[cell] else 0
@@ -608,15 +533,13 @@ def _cmd_tune(args) -> int:
 
     # proxy strategy: per cell, no labels needed
     cell_ids = store.cells()
-    if manifest is not None:
-        cell_ids = [c for c in cell_ids if c in manifest.test_cells]
     if not cell_ids:
         raise UsageError("no cells to tune on")
     outcomes = []
     for cell in cell_ids:
         records = store.by_cell(cell)
         matrix, _notes = _recipe_features(records, args.recipe)
-        _names, X = _feature_X(selection, matrix)
+        _names, X = _feature_X(args, matrix)
         result = tune.optimize_proxy(
             matrix.cycle_index,
             X,
@@ -714,33 +637,20 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_scoremap(args) -> int:
     store = _load_store(args)
-    models = (
+    args.models = (
         DIST_MODELS + ml_detect.ML_MODELS
         if args.model == "all"
         else _resolve_models(args.model)
     )
-    for model in models:
+    for model in args.models:
         if model in STAT_MODELS:
             raise UsageError(
                 f"scoremap needs a distance or learned model, not '{model}'"
             )
-    jobs = []
-    for cell in store.cells():
-        for model in models:
-            jobs.append(
-                _GridJob(
-                    cell_id=cell,
-                    records=tuple(store.by_cell(cell)),
-                    model=model,
-                    out_dir=args.out,
-                    selection=FeatureSelection(args.recipe, args.feature, args.log),
-                    resolution=args.resolution,
-                    minkowski_p=args.p,
-                    seed=args.seed,
-                )
-            )
-    _map_cells(_run_grid_cell, jobs, args.jobs)
-    sys.stdout.write(f"wrote {len(jobs)} score grid(s) under {args.out}\n")
+    cells = _map_cells(_scoremap_cell, args, store)
+    sys.stdout.write(
+        f"wrote {len(cells) * len(args.models)} score grid(s) under {args.out}\n"
+    )
     return 0
 
 
@@ -767,7 +677,8 @@ def _add_common(sub, input_required=True):
     )
     sub.add_argument("--seed", type=int, default=0, help="base random seed")
     sub.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers across cells"
+        "--jobs", type=int, default=1,
+        help="worker processes across cells (features, detect and scoremap)",
     )
     sub.add_argument("--delimiter", default=",", help="input field delimiter")
     sub.add_argument(

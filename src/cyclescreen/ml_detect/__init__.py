@@ -52,20 +52,12 @@ _REGISTRY = {
 
 @dataclass
 class FittedDetector:
-    """A trained detector plus the feature envelope it was fitted on.
-
-    feature_bounds rows are the per-column min and max seen at fit time;
-    columns records the feature names when the caller supplied them.
-    """
+    """A trained detector plus the number of feature columns it was fitted
+    on, which every scored matrix must match."""
 
     config: DetectorConfig
     state: object
-    feature_bounds: np.ndarray
-    columns: tuple[str, ...] | None = None
-
-    @property
-    def n_features(self) -> int:
-        return int(self.feature_bounds.shape[1])
+    n_features: int
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -79,7 +71,7 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def fit(config: DetectorConfig, X, columns=None) -> FittedDetector:
+def fit(config: DetectorConfig, X) -> FittedDetector:
     """Train the configured model on a feature matrix.
 
     Every source of randomness (subsampling, initialization, batching,
@@ -90,13 +82,7 @@ def fit(config: DetectorConfig, X, columns=None) -> FittedDetector:
     rng = np.random.default_rng(config.seed)
     fit_fn, _ = _REGISTRY[config.model]
     state = fit_fn(config.params, X, rng)
-    bounds = np.vstack([X.min(axis=0), X.max(axis=0)])
-    return FittedDetector(
-        config=config,
-        state=state,
-        feature_bounds=bounds,
-        columns=tuple(columns) if columns is not None else None,
-    )
+    return FittedDetector(config=config, state=state, n_features=X.shape[1])
 
 
 def score(fitted: FittedDetector, X) -> np.ndarray:

@@ -24,6 +24,14 @@ from .errors import (
 #: median absolute deviation a consistent sigma estimate on Gaussian data
 GAUSSIAN_MAD_FACTOR = 1.4826022185056018
 
+#: band widths: sigmas for sd, scaled MADs for mad, IQRs beyond the
+#: quartiles for iqr, and score limits for zscore and mod_zscore
+SD_MULTIPLIER = 3.0
+MAD_MULTIPLIER = 3.0
+IQR_MULTIPLIER = 1.5
+Z_LIMIT = 3.0
+MOD_Z_LIMIT = 3.5
+
 
 class StatMethod(str, Enum):
     SD = "sd"
@@ -89,10 +97,6 @@ def detect_stat(
     values,
     method: StatMethod | str,
     mad_factor: float = GAUSSIAN_MAD_FACTOR,
-    sd_multiplier: float = 3.0,
-    iqr_multiplier: float = 1.5,
-    z_limit: float = 3.0,
-    mod_z_limit: float = 3.5,
 ) -> StatVerdict:
     """Run one univariate rule over a column.
 
@@ -104,8 +108,6 @@ def detect_stat(
         Which rule to apply.
     mad_factor : float
         Consistency factor for the MAD-based methods (default Gaussian).
-    sd_multiplier, iqr_multiplier, z_limit, mod_z_limit : float
-        Width parameters of the respective bands.
 
     Notes
     -----
@@ -128,30 +130,30 @@ def detect_stat(
                 f"{method.value}: standard deviation is zero"
             )
         if method is StatMethod.SD:
-            lower = mean - sd_multiplier * sigma
-            upper = mean + sd_multiplier * sigma
+            lower = mean - SD_MULTIPLIER * sigma
+            upper = mean + SD_MULTIPLIER * sigma
             flags = (x < lower) | (x > upper)
             limits = StatLimits(method, lower, upper, mean, sigma)
             return StatVerdict(flags=flags, scores=x.copy(), limits=limits)
         z = (x - mean) / sigma
-        flags = np.abs(z) > z_limit
-        limits = StatLimits(method, -z_limit, z_limit, 0.0, 1.0)
+        flags = np.abs(z) > Z_LIMIT
+        limits = StatLimits(method, -Z_LIMIT, Z_LIMIT, 0.0, 1.0)
         return StatVerdict(flags=flags, scores=z, limits=limits)
 
     if method in (StatMethod.MAD, StatMethod.MOD_ZSCORE):
         med, mad = scaled_mad(x, mad_factor)
         if method is StatMethod.MAD:
-            lower = med - 3.0 * mad
-            upper = med + 3.0 * mad
+            lower = med - MAD_MULTIPLIER * mad
+            upper = med + MAD_MULTIPLIER * mad
             flags = (x < lower) | (x > upper)
             limits = StatLimits(
                 method, lower, upper, med, mad, mad_factor=mad_factor
             )
             return StatVerdict(flags=flags, scores=x.copy(), limits=limits)
         z = (x - med) / mad
-        flags = np.abs(z) > mod_z_limit
+        flags = np.abs(z) > MOD_Z_LIMIT
         limits = StatLimits(
-            method, -mod_z_limit, mod_z_limit, 0.0, 1.0, mad_factor=mad_factor
+            method, -MOD_Z_LIMIT, MOD_Z_LIMIT, 0.0, 1.0, mad_factor=mad_factor
         )
         return StatVerdict(flags=flags, scores=z, limits=limits)
 
@@ -160,8 +162,8 @@ def detect_stat(
     iqr = float(q3 - q1)
     if iqr == 0.0:
         raise DegenerateSpreadError("iqr: interquartile range is zero")
-    lower = float(q1) - iqr_multiplier * iqr
-    upper = float(q3) + iqr_multiplier * iqr
+    lower = float(q1) - IQR_MULTIPLIER * iqr
+    upper = float(q3) + IQR_MULTIPLIER * iqr
     flags = (x < lower) | (x > upper)
     limits = StatLimits(method, lower, upper, float(np.median(x)), iqr)
     return StatVerdict(flags=flags, scores=x.copy(), limits=limits)

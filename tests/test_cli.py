@@ -149,6 +149,51 @@ def test_parallel_jobs_match_serial(dataset, tmp_path):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("features",),
+        ("scoremap", "--feature", FEATURES, "--model", "all", "--resolution", "6"),
+    ],
+)
+def test_parallel_jobs_match_serial_for_features_and_scoremap(
+    dataset, tmp_path, argv
+):
+    results = []
+    for jobs, name in (("1", "serial"), ("2", "parallel")):
+        out = tmp_path / name
+        rc = run(
+            *argv, "--input", dataset["meas"], "--out", str(out),
+            "--recipe", "custom", "--jobs", jobs,
+        )
+        assert rc == 0
+        results.append(tree_bytes(out))
+    assert results[0] == results[1]
+    assert len(results[0]) > 2
+
+
+def test_scoremap_builds_each_cell_feature_table_once(
+    dataset, tmp_path, monkeypatch
+):
+    import cyclescreen.cli as cli
+
+    calls = []
+    original = cli.build_feature_matrix
+
+    def counting(records, *args, **kwargs):
+        calls.append(records[0].cell_id)
+        return original(records, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_feature_matrix", counting)
+    rc = run(
+        "scoremap", "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", FEATURES,
+        "--model", "all", "--resolution", "4",
+    )
+    assert rc == 0
+    assert sorted(calls) == ["cellA", "cellB"]
+
+
 def test_tune_transfer_writes_artifacts(dataset, tmp_path, capsys):
     out = tmp_path / "out"
     rc = run(
@@ -202,6 +247,24 @@ def test_tune_proxy_writes_per_cell_compromise(dataset, tmp_path):
     assert not (tdir / "compromise_cellA.json").exists()
     rows = (tdir / "trials.csv").read_text().splitlines()
     assert all(row.endswith("loss_inliers") for row in rows[1:])
+
+
+def test_tune_manifest_cell_missing_from_input_is_an_error(
+    dataset, tmp_path, capsys
+):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("cell_id,role\ncellB,test\ncellZ,test\n")
+    rc = run(
+        "tune", "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+        "--manifest", str(manifest), "--strategy", "proxy",
+        "--recipe", "custom", "--feature", FEATURES,
+        "--model", "knn", "--trials", "2",
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cellZ" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_report(dataset, tmp_path):
@@ -293,6 +356,9 @@ def test_module_entry_point(dataset, tmp_path):
         ("{not json", "not valid JSON"),
         ('[{"model": "iforest"}]', "expected a JSON object, got list"),
         ('{"model": "iforest", "params": [1]}', "'params' must be a JSON object"),
+        ('{"model": "iforest", "params": {}, "seed": "abc"}', "'seed' must be"),
+        ('{"model": "iforest", "params": {}, "seed": true}', "'seed' must be"),
+        ('{"model": "iforest", "params": {}, "seed": -1}', "'seed' must be"),
     ],
 )
 def test_detect_bad_config_is_a_usage_error(dataset, tmp_path, capsys, text, reason):
