@@ -21,9 +21,7 @@ from cyclescreen.tune import default_search_space, optimize_proxy, optimize_tran
 
 
 def feature_table(records):
-    matrix, _ = build_feature_matrix(
-        records, with_logs=False, with_capacity=False, with_mahalanobis=False
-    )
+    matrix, _ = build_feature_matrix(records, "custom")
     cycles = np.asarray(matrix.cycle_index, dtype=int)
     X = np.column_stack([matrix.column("dv_max"), matrix.column("dq_max")])
     return cycles, X

@@ -7,8 +7,9 @@ rerun with the same inputs and seed is byte-identical.
 
 Output layout under --out (default ./out):
 
-    <cell>/features.csv            feature table per cell
-    <cell>/feature_notes.txt       guard side channel per cell
+    <cell>/features.csv            feature table per cell (features)
+    <cell>/feature_notes.txt       guard side channel per cell, including
+                                   --log clamps (features, detect)
     <cell>/<model>/verdict.csv     one verdict file per cell and detector
     <cell>/<model>/grid.csv|.json  score surfaces (scoremap)
     tuning/<model>/trials.csv      trial history
@@ -37,9 +38,13 @@ from .dataset import (
     read_manifest,
     split_train_test,
 )
-from .errors import CycleScreenError
+from .errors import CycleScreenError, ManifestError
 from .evaluation import METRIC_NAMES, benchmark_report, confusion
-from .features import FeatureMatrix, build_feature_matrix, log_feature, mahalanobis_feature
+from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
+# the traced benchmark run (perfbench/spans.py) wraps the three names below
+# where cli looks them up, so mahalanobis_feature stays imported here though
+# cli never calls it
+from .features import build_feature_matrix, log_feature, mahalanobis_feature  # noqa: F401
 from .ml_detect import make_config
 from .stat_detect import GAUSSIAN_MAD_FACTOR, StatMethod, detect_stat
 from .util import atomic_write_text, derive_seed
@@ -47,14 +52,6 @@ from .util import atomic_write_text, derive_seed
 STAT_MODELS = tuple(m.value for m in StatMethod)
 DIST_MODELS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 ALL_MODELS = STAT_MODELS + DIST_MODELS + ml_detect.ML_MODELS
-
-RECIPES = ("severson", "tohoku", "custom")
-
-#: default feature choices per recipe: (stat column, multivariate columns)
-RECIPE_FEATURES = {
-    "severson": ("log_dvdq_max", ("log_dq_max", "log_dv_max")),
-    "tohoku": ("mahalanobis_norm", ("capacity_max", "mahalanobis_norm")),
-}
 
 
 class UsageError(Exception):
@@ -102,54 +99,15 @@ def _load_store(args) -> CycleStore:
 
 
 # ---------------------------------------------------------------------------
-# recipe feature construction
+# feature selection
 
 
-def _recipe_features(records, recipe: str) -> tuple[FeatureMatrix, object]:
-    """Build the feature table a recipe promises.
-
-    severson: difference features plus their logs. tohoku: capacity maximum
-    plus the normalized trend-distance feature. custom: difference features
-    and capacity, with logs and the distance feature added when computable.
-    """
-    if recipe == "severson":
-        return build_feature_matrix(
-            records, with_logs=True, with_capacity=True, with_mahalanobis=False
-        )
-    if recipe == "tohoku":
-        return build_feature_matrix(
-            records, with_logs=False, with_capacity=True, with_mahalanobis=True
-        )
-    matrix, notes = build_feature_matrix(
-        records, with_logs=False, with_capacity=True, with_mahalanobis=False
-    )
-    for name in ("dv_max", "dq_max", "dvdq_max"):
-        col = matrix.column(name)
-        if np.any(col > 0):
-            logged, clamped = log_feature(col)
-            matrix.add_column(f"log_{name}", logged)
-            notes.merge_log(
-                f"log_{name}",
-                [(int(matrix.cycle_index[i]), float(col[i])) for i in clamped],
-            )
-    if len(matrix) >= 3:
-        try:
-            matrix.add_column(
-                "mahalanobis_norm",
-                mahalanobis_feature(
-                    matrix.cycle_index, matrix.column("capacity_max")
-                ),
-            )
-        except CycleScreenError:
-            pass  # singular trend cloud: feature simply unavailable
-    return matrix, notes
-
-
-def _selected_features(args, matrix: FeatureMatrix, multivariate: bool):
+def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
     """Resolve --feature/--log against the recipe defaults.
 
-    Returns (column names, column arrays) after any log transform. Stat
-    detectors take the first column; distance/ML detectors take all.
+    Returns (column names, column arrays) after any log transform, whose
+    clamps go into notes. Stat detectors take the first column;
+    distance/ML detectors take all.
     """
     requested = None
     if args.feature:
@@ -161,7 +119,7 @@ def _selected_features(args, matrix: FeatureMatrix, multivariate: bool):
             raise UsageError(
                 "--recipe custom needs an explicit --feature list"
             )
-        stat_col, multi_cols = RECIPE_FEATURES[args.recipe]
+        stat_col, multi_cols = RECIPE_DEFAULTS[args.recipe]
         requested = list(multi_cols) if multivariate else [stat_col]
     names = []
     cols = []
@@ -169,18 +127,20 @@ def _selected_features(args, matrix: FeatureMatrix, multivariate: bool):
         try:
             col = matrix.column(name)
         except KeyError as err:
-            raise UsageError(str(err)) from None
+            raise UsageError(err.args[0]) from None
         if args.log:
-            col, _clamped = log_feature(col)
+            raw = col
+            col, clamped = log_feature(raw)
             name = f"log({name})"
+            notes.record_log(name, matrix.cycle_index, raw, clamped)
         names.append(name)
         cols.append(col)
     return names, cols
 
 
-def _feature_X(args, matrix: FeatureMatrix):
+def _feature_X(args, matrix: FeatureMatrix, notes):
     """Column names and the (n, k) matrix the multivariate detectors read."""
-    names, cols = _selected_features(args, matrix, multivariate=True)
+    names, cols = _selected_features(args, matrix, notes, multivariate=True)
     return names, np.column_stack(cols)
 
 
@@ -213,85 +173,93 @@ def _write_table(path: str, comment: str, header: str, *columns) -> None:
 
 
 def _features_cell(args, cell_id, records) -> None:
-    matrix, notes = _recipe_features(records, args.recipe)
+    matrix, notes = build_feature_matrix(records, args.recipe)
     cell_dir = f"{args.out}/{_safe_name(cell_id)}"
     atomic_write_text(f"{cell_dir}/features.csv", matrix.to_delimited())
     atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
 
 
 def _detect_cell(args, cell_id, records) -> None:
-    matrix, _notes = _recipe_features(records, args.recipe)
+    matrix, notes = build_feature_matrix(records, args.recipe)
     cell_dir = f"{args.out}/{_safe_name(cell_id)}"
     cycles = matrix.cycle_index
     # each family's columns are resolved once, when its first model runs
-    stat_pick = multi_pick = None
-
-    for model in args.models:
-        path = f"{cell_dir}/{model}/verdict.csv"
-        if model in STAT_MODELS:
-            if stat_pick is None:
-                names, cols = _selected_features(args, matrix, multivariate=False)
-                stat_pick = names[0], cols[0]
-            name, col = stat_pick
-            verdict = detect_stat(col, model, mad_factor=args.mad_factor)
-            lim = verdict.limits
-            extra = (
-                f" mad_factor={_fmt(lim.mad_factor)}"
-                if lim.mad_factor is not None else ""
+    stat_pick = multi_pick = failure = None
+    try:
+        for model in args.models:
+            path = f"{cell_dir}/{model}/verdict.csv"
+            if model in STAT_MODELS:
+                if stat_pick is None:
+                    names, cols = _selected_features(
+                        args, matrix, notes, multivariate=False
+                    )
+                    stat_pick = names[0], cols[0]
+                name, col = stat_pick
+                verdict = detect_stat(col, model, mad_factor=args.mad_factor)
+                lim = verdict.limits
+                extra = (
+                    f" mad_factor={_fmt(lim.mad_factor)}"
+                    if lim.mad_factor is not None else ""
+                )
+                _write_table(
+                    path,
+                    f"method={lim.method.value} feature={name}"
+                    f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
+                    f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
+                    "cycle_index,score,flagged",
+                    cycles, verdict.scores, verdict.flags,
+                )
+                continue
+            if multi_pick is None:
+                multi_pick = _feature_X(args, matrix, notes)
+            names, X = multi_pick
+            if model in DIST_MODELS:
+                verdict = dist_detect.centroid_detect(
+                    X, _metric_spec(args, model), mad_threshold=args.mad_threshold,
+                    mad_factor=args.mad_factor,
+                )
+                centroid = "|".join(_fmt(c) for c in verdict.centroid)
+                _write_table(
+                    path,
+                    f"metric={model} features={'|'.join(names)}"
+                    f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
+                    f" mad_threshold={_fmt(verdict.mad_threshold)}",
+                    "cycle_index,distance,normalized,flagged",
+                    cycles, verdict.distances, verdict.normalized, verdict.flags,
+                )
+                continue
+            config = make_config(
+                model, args.params, seed=derive_seed(args.seed, cell_id, model)
             )
+            fitted = ml_detect.fit(config, X)
+            raw = ml_detect.score(fitted, X)
+            probs = ml_detect.normalize_scores(raw)
+            if args.contamination_threshold and "contamination" in config.params:
+                flags = ml_detect.predict_top_fraction(
+                    raw, config.params["contamination"]
+                )
+                mode = f"top_fraction={_fmt(config.params['contamination'])}"
+            else:
+                flags = ml_detect.predict_outliers(probs, args.threshold)
+                mode = f"threshold={_fmt(args.threshold)}"
             _write_table(
                 path,
-                f"method={lim.method.value} feature={name}"
-                f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
-                f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
-                "cycle_index,score,flagged",
-                cycles, verdict.scores, verdict.flags,
+                f"model={model} features={'|'.join(names)}"
+                f" flags={mode} seed={config.seed}",
+                "cycle_index,raw_score,probability,flagged",
+                cycles, raw, probs, flags,
             )
-            continue
-        if multi_pick is None:
-            multi_pick = _feature_X(args, matrix)
-        names, X = multi_pick
-        if model in DIST_MODELS:
-            verdict = dist_detect.centroid_detect(
-                X, _metric_spec(args, model), mad_threshold=args.mad_threshold,
-                mad_factor=args.mad_factor,
-            )
-            centroid = "|".join(_fmt(c) for c in verdict.centroid)
-            _write_table(
-                path,
-                f"metric={model} features={'|'.join(names)}"
-                f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
-                f" mad_threshold={_fmt(verdict.mad_threshold)}",
-                "cycle_index,distance,normalized,flagged",
-                cycles, verdict.distances, verdict.normalized, verdict.flags,
-            )
-            continue
-        config = make_config(
-            model, args.params, seed=derive_seed(args.seed, cell_id, model)
-        )
-        fitted = ml_detect.fit(config, X)
-        raw = ml_detect.score(fitted, X)
-        probs = ml_detect.normalize_scores(raw)
-        if args.contamination_threshold and "contamination" in config.params:
-            flags = ml_detect.predict_top_fraction(
-                raw, config.params["contamination"]
-            )
-            mode = f"top_fraction={_fmt(config.params['contamination'])}"
-        else:
-            flags = ml_detect.predict_outliers(probs, args.threshold)
-            mode = f"threshold={_fmt(args.threshold)}"
-        _write_table(
-            path,
-            f"model={model} features={'|'.join(names)}"
-            f" flags={mode} seed={config.seed}",
-            "cycle_index,raw_score,probability,flagged",
-            cycles, raw, probs, flags,
-        )
+    except CycleScreenError as err:
+        failure = CycleScreenError(f"cell {cell_id}, model {model}: {err}")
+    # written even when a detector fails, so the clamps behind it show
+    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
+    if failure is not None:
+        raise failure
 
 
 def _scoremap_cell(args, cell_id, records) -> None:
-    matrix, _notes = _recipe_features(records, args.recipe)
-    names, X = _feature_X(args, matrix)
+    matrix, notes = build_feature_matrix(records, args.recipe)
+    names, X = _feature_X(args, matrix, notes)
     if X.shape[1] != 2:
         raise UsageError(
             f"scoremap needs exactly 2 features, got {X.shape[1]}"
@@ -477,9 +445,12 @@ def _cmd_tune(args) -> int:
     store = _load_store(args)
     if args.manifest:
         # transfer fits on the manifest's train cells, proxy on its test cells
-        train, test = split_train_test(store, read_manifest(args.manifest))
+        manifest = read_manifest(args.manifest)
+        try:
+            train, test = split_train_test(store, manifest)
+        except ManifestError as err:
+            raise ManifestError(f"{args.manifest}: {err}") from None
         store = train if args.strategy == "transfer" else test
-    space = tune.default_search_space(args.model)
     tuning_dir = f"{args.out}/tuning/{args.model}"
 
     if args.strategy == "transfer":
@@ -496,8 +467,8 @@ def _cmd_tune(args) -> int:
             records = store.by_cell(cell)
             if not records:
                 raise UsageError(f"labeled cell '{cell}' not present in input")
-            matrix, _notes = _recipe_features(records, args.recipe)
-            _names, X = _feature_X(args, matrix)
+            matrix, notes = build_feature_matrix(records, args.recipe)
+            _names, X = _feature_X(args, matrix, notes)
             labels = np.asarray(
                 [
                     1 if int(c) in label_map[cell] else 0
@@ -506,6 +477,7 @@ def _cmd_tune(args) -> int:
                 dtype=int,
             )
             cells[cell] = (X, labels)
+        space = tune.default_search_space(args.model, n_features=X.shape[1])
         result = tune.optimize_transfer(
             cells,
             args.model,
@@ -538,8 +510,9 @@ def _cmd_tune(args) -> int:
     outcomes = []
     for cell in cell_ids:
         records = store.by_cell(cell)
-        matrix, _notes = _recipe_features(records, args.recipe)
-        _names, X = _feature_X(args, matrix)
+        matrix, notes = build_feature_matrix(records, args.recipe)
+        _names, X = _feature_X(args, matrix, notes)
+        space = tune.default_search_space(args.model, n_features=X.shape[1])
         result = tune.optimize_proxy(
             matrix.cycle_index,
             X,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,12 +94,9 @@ class CycleStore:
     """An ordered collection of cycles spanning one or more cells.
 
     Records are kept sorted by (cell_id, cycle_index) and unique on that key.
-    provenance carries the source path and column mapping for reporting; it
-    does not participate in equality of the records themselves.
     """
 
     records: tuple[CycleRecord, ...]
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ordered = tuple(
@@ -239,10 +236,7 @@ def _parse_rows(reader, colmap, source: str) -> CycleStore:
         samples = np.asarray(rows, dtype=float)
         order = np.argsort(samples[:, TIME], kind="stable")
         records.append(CycleRecord(cell, cyc, samples[order]))
-    return CycleStore(
-        records=tuple(records),
-        provenance={"source": source, "columns": colmap},
-    )
+    return CycleStore(records=tuple(records))
 
 
 def _build_colmap(columns: dict[str, str] | None) -> dict[str, str]:
@@ -305,7 +299,7 @@ def attach_labels(
             out.append(replace(rec, label=flag))
         else:
             out.append(replace(rec, label=None))
-    return CycleStore(records=tuple(out), provenance=dict(store.provenance))
+    return CycleStore(records=tuple(out))
 
 
 def split_train_test(
@@ -322,11 +316,7 @@ def split_train_test(
         raise ManifestError(f"manifest cells not in store: {sorted(missing)}")
     train = tuple(r for r in store.records if r.cell_id in manifest.train_cells)
     test = tuple(r for r in store.records if r.cell_id in manifest.test_cells)
-    prov = dict(store.provenance)
-    return (
-        CycleStore(records=train, provenance=prov),
-        CycleStore(records=test, provenance=prov),
-    )
+    return CycleStore(records=train), CycleStore(records=test)
 
 
 def format_cycles(store: CycleStore, delimiter: str = ",") -> str:

@@ -9,7 +9,8 @@ series from different cycles land on a comparable footing.
 Per-cycle point-anomaly features are maxima of consecutive differences of the
 scaled voltage and capacity, plus the maximum ratio of those differences.
 Natural-log variants and a normalized distance feature over
-(cycle_index, capacity_max) round out the module.
+(cycle_index, capacity_max) round out the module; build_feature_matrix
+assembles a cell's table under one of the named recipes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 
 from .dataset import CycleRecord
 from .errors import (
+    ConfigError,
+    CycleScreenError,
     DegenerateSpreadError,
     EmptyFeatureError,
     EmptyInputError,
@@ -140,9 +143,13 @@ class FeatureNotes:
     dvdq_clamped: list[int] = field(default_factory=list)
     log_clamped: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
 
-    def merge_log(self, column: str, entries: list[tuple[int, float]]) -> None:
-        if entries:
-            self.log_clamped.setdefault(column, []).extend(entries)
+    def record_log(self, column: str, cycle_index, values, clamped) -> None:
+        """Record the (cycle, input) pairs log_feature floored in values;
+        logging the same column again replaces its entry, not repeats it."""
+        if clamped:
+            self.log_clamped[column] = [
+                (int(cycle_index[i]), float(values[i])) for i in clamped
+            ]
 
     def is_empty(self) -> bool:
         return not self.dvdq_clamped and not self.log_clamped
@@ -273,42 +280,70 @@ def log_feature(
     return np.log(np.maximum(arr, floor)), clamped
 
 
+#: the feature recipes build_feature_matrix knows
+RECIPES = ("severson", "tohoku", "custom")
+
+#: default columns per named recipe: (stat column, multivariate columns);
+#: custom has none and needs an explicit column choice
+RECIPE_DEFAULTS = {
+    "severson": ("log_dvdq_max", ("log_dq_max", "log_dv_max")),
+    "tohoku": ("mahalanobis_norm", ("capacity_max", "mahalanobis_norm")),
+}
+
+
+def _add_logs(matrix: FeatureMatrix, notes: FeatureNotes, required: bool) -> None:
+    """Add log_<name> for each difference feature, recording its clamps.
+
+    A column with no positive entry raises when required, else is skipped.
+    """
+    for name in ("dv_max", "dq_max", "dvdq_max"):
+        col = matrix.column(name)
+        try:
+            logged, clamped = log_feature(col)
+        except EmptyFeatureError:
+            if not required:
+                continue
+            raise EmptyFeatureError(
+                f"log({name}): no positive entries for cell {notes.cell_id}"
+            ) from None
+        matrix.add_column(f"log_{name}", logged)
+        notes.record_log(f"log_{name}", matrix.cycle_index, col, clamped)
+
+
 def build_feature_matrix(
-    cycles: Sequence[CycleRecord],
-    with_logs: bool = True,
-    with_capacity: bool = True,
-    with_mahalanobis: bool = False,
+    cycles: Sequence[CycleRecord], recipe: str = "severson"
 ) -> tuple[FeatureMatrix, FeatureNotes]:
-    """One-stop feature table for a cell: per-cycle scaling, difference
-    features, optional log variants, raw capacity maximum, and the
-    normalized distance feature over (cycle_index, capacity_max)."""
-    scaled = transform_cell(cycles)
-    matrix, notes = extract_cycle_features(cycles, scaled)
-    if with_logs:
-        for name in ("dv_max", "dq_max", "dvdq_max"):
-            col = matrix.column(name)
-            try:
-                logged, clamped = log_feature(col)
-            except EmptyFeatureError:
-                raise EmptyFeatureError(
-                    f"log({name}): no positive entries for cell "
-                    f"{notes.cell_id}"
-                ) from None
-            matrix.add_column(f"log_{name}", logged)
-            notes.merge_log(
-                f"log_{name}",
-                [(int(matrix.cycle_index[i]), float(col[i])) for i in clamped],
+    """One-stop feature table for a cell under a named recipe.
+
+    Every recipe starts from the per-cycle scaling and the difference
+    features dv_max, dq_max, dvdq_max, then adds:
+
+    - severson: their logs, then capacity_max;
+    - tohoku: capacity_max and the normalized trend distance
+      mahalanobis_norm over (cycle_index, capacity_max);
+    - custom: capacity_max, then each log and the trend distance where
+      they can be computed; the others are left out.
+    """
+    if recipe not in RECIPES:
+        raise ConfigError(
+            f"unknown recipe '{recipe}'; expected one of {list(RECIPES)}"
+        )
+    matrix, notes = extract_cycle_features(cycles, transform_cell(cycles))
+    if recipe == "severson":
+        _add_logs(matrix, notes, required=True)
+    cap_max = np.asarray([float(np.max(rec.capacity)) for rec in cycles])
+    matrix.add_column("capacity_max", cap_max)
+    if recipe == "custom":
+        _add_logs(matrix, notes, required=False)
+    if recipe != "severson":
+        try:
+            matrix.add_column(
+                "mahalanobis_norm",
+                mahalanobis_feature(matrix.cycle_index, cap_max),
             )
-    if with_capacity or with_mahalanobis:
-        cap_max = np.asarray(
-            [float(np.max(rec.capacity)) for rec in cycles], dtype=float
-        )
-        matrix.add_column("capacity_max", cap_max)
-    if with_mahalanobis:
-        matrix.add_column(
-            "mahalanobis_norm",
-            mahalanobis_feature(matrix.cycle_index, matrix.column("capacity_max")),
-        )
+        except CycleScreenError:
+            if recipe == "tohoku":
+                raise
     return matrix, notes
 
 

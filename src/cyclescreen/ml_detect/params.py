@@ -2,8 +2,8 @@
 
 Each model declares its tunable params with defaults and hard ranges; config
 construction fills defaults and rejects out-of-range or unknown entries. The
-registry also records each param's kind, which drives config aggregation
-(numeric params average, categorical params take the mode).
+param's class drives config aggregation (numeric params average, categorical
+params take the mode).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class RealParam:
     low: float
     high: float
     exclusive_low: bool = False
-    kind: str = "real"
 
     def validate(self, name: str, value) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -45,7 +44,6 @@ class IntParam:
     default: int | None
     low: int
     high: int
-    kind: str = "int"
 
     def validate(self, name: str, value) -> int:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -67,7 +65,6 @@ class IntParam:
 class CatParam:
     default: str
     choices: tuple[str, ...]
-    kind: str = "cat"
 
     def validate(self, name: str, value) -> str:
         if value not in self.choices:
@@ -82,7 +79,6 @@ class LayerListParam:
     """Hidden layer widths; treated as categorical during aggregation."""
 
     default: tuple[int, ...]
-    kind: str = "cat"
 
     def validate(self, name: str, value) -> tuple[int, ...]:
         if isinstance(value, (list, tuple)) and value:

@@ -419,9 +419,7 @@ def test_criterion_07_tuning():
             anomalies=(AnomalySpec("point", (12, 40, 70), 0.4),),
             seed=seed, cell_id="P",
         )
-        matrix, _notes = build_feature_matrix(
-            records, with_logs=False, with_capacity=False, with_mahalanobis=False
-        )
+        matrix, _notes = build_feature_matrix(records, "custom")
         X = np.column_stack([matrix.column("dv_max"), matrix.column("dq_max")])
         result = optimize_proxy(
             matrix.cycle_index, X, "knn", n_trials=20, seed=seed
@@ -487,9 +485,7 @@ def test_criterion_09_reference_cell():
     label_map = read_labels(CH17_LABELS)
     cell = store.cells()[0]
     records = store.by_cell(cell)
-    matrix, _notes = build_feature_matrix(
-        records, with_logs=True, with_capacity=True, with_mahalanobis=False
-    )
+    matrix, _notes = build_feature_matrix(records, "severson")
     col = matrix.column("log_dvdq_max")
     cycles = matrix.cycle_index
 

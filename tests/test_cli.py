@@ -67,6 +67,61 @@ def test_features(dataset, tmp_path):
         assert (out / cell / "feature_notes.txt").is_file()
 
 
+RECIPE_HEADERS = {
+    "severson": "cycle_index,dv_max,dq_max,dvdq_max,"
+                "log_dv_max,log_dq_max,log_dvdq_max,capacity_max",
+    "tohoku": "cycle_index,dv_max,dq_max,dvdq_max,capacity_max,mahalanobis_norm",
+    "custom": "cycle_index,dv_max,dq_max,dvdq_max,capacity_max,"
+              "log_dv_max,log_dq_max,log_dvdq_max,mahalanobis_norm",
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_HEADERS))
+def test_features_header_per_recipe(dataset, tmp_path, recipe):
+    out = tmp_path / "out"
+    rc = run(
+        "features", "--input", dataset["meas"], "--out", str(out),
+        "--recipe", recipe,
+    )
+    assert rc == 0
+    for cell in ("cellA", "cellB"):
+        header = (out / cell / "features.csv").read_text().splitlines()[0]
+        assert header == RECIPE_HEADERS[recipe]
+
+
+def test_detect_records_log_clamps_when_a_detector_fails(
+    dataset, tmp_path, capsys
+):
+    # log(dv_max) floors most of cellA's cycles, so mad sees a zero spread
+    out = tmp_path / "out"
+    rc = run(
+        "detect", "--input", dataset["meas"], "--out", str(out),
+        "--recipe", "custom", "--feature", FEATURES, "--log", "--model", "all",
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell cellA, model mad: ")
+    assert "Traceback" not in err
+    notes = (out / "cellA" / "feature_notes.txt").read_text().splitlines()
+    assert notes[0] == "cell cellA"
+    logged = [line.split()[1] for line in notes if " log(dv_max) " in line]
+    assert len(logged) > 25
+    assert len(logged) == len(set(logged))  # stat and multivariate share one entry
+
+
+def test_detect_writes_the_same_feature_notes_as_features(dataset, tmp_path):
+    for command, argv in (("features", ()), ("detect", ("--model", "sd"))):
+        rc = run(
+            command, "--input", dataset["meas"], "--out", str(tmp_path / command),
+            "--recipe", "custom", "--feature", FEATURES, *argv,
+        )
+        assert rc == 0
+    for cell in ("cellA", "cellB"):
+        notes = (tmp_path / "detect" / cell / "feature_notes.txt").read_text()
+        assert notes.startswith(f"cell {cell}\n")
+        assert notes == (tmp_path / "features" / cell / "feature_notes.txt").read_text()
+
+
 def test_detect_all_models_and_flags(dataset, tmp_path):
     out = tmp_path / "out"
     rc = run(
@@ -118,6 +173,10 @@ def test_exit_codes(dataset, tmp_path, capsys):
     assert run("detect", "--input", dataset["meas"], "--out", out,
                "--recipe", "custom") == 1
     assert "--feature" in capsys.readouterr().err
+    assert run("detect", "--input", dataset["meas"], "--out", out,
+               "--recipe", "custom", "--feature", "nosuch") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown feature column 'nosuch'; have [")
 
 
 def test_detect_rerun_is_byte_identical(dataset, tmp_path):
@@ -262,9 +321,32 @@ def test_tune_manifest_cell_missing_from_input_is_an_error(
     )
     assert rc == 1
     err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ")
     assert "cellZ" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "features, components",
+    [("dv_max", {"1"}), ("dv_max,dq_max,dvdq_max", {"1", "2", "3"})],
+)
+def test_tune_pca_searches_the_selected_column_count(
+    dataset, tmp_path, features, components
+):
+    out = tmp_path / "out"
+    rc = run(
+        "tune", "--input", dataset["meas"], "--out", str(out),
+        "--strategy", "proxy", "--recipe", "custom", "--feature", features,
+        "--model", "pca", "--trials", "4",
+    )
+    assert rc == 0
+    rows = (out / "tuning" / "pca" / "trials.csv").read_text().splitlines()
+    assert rows[0] == "cell_id,trial_id,n_components,objective_1,objective_2,kind"
+    for cell in ("cellA", "cellB"):
+        mine = [row.split(",") for row in rows[1:] if row.startswith(f"{cell},")]
+        assert {row[2] for row in mine} == components
+        assert all(row[3] != "inf" for row in mine)
 
 
 def test_evaluate_report(dataset, tmp_path):

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclescreen.errors import (
+    ConfigError,
     DegenerateSpreadError,
     EmptyFeatureError,
+    EmptyInputError,
     ShapeMismatchError,
     ShortCycleError,
     SingularCovarianceError,
 )
 from cyclescreen.features import (
+    RECIPE_DEFAULTS,
+    RECIPES,
     FeatureMatrix,
     build_feature_matrix,
     extract_cycle_features,
@@ -186,6 +190,36 @@ def test_build_feature_matrix_columns(simple_cycles):
         "log_dq_max",
     } <= names
     assert matrix.column("capacity_max").tolist() == [1.0, 1.1, 0.9]
+
+
+def test_build_feature_matrix_rejects_unknown_recipe(simple_cycles):
+    with pytest.raises(ConfigError, match="unknown recipe 'nosuch'"):
+        build_feature_matrix(simple_cycles, "nosuch")
+
+
+def test_recipe_defaults_name_built_columns(simple_cycles):
+    for recipe, (stat_col, multi_cols) in RECIPE_DEFAULTS.items():
+        matrix, _ = build_feature_matrix(simple_cycles, recipe)
+        assert {stat_col, *multi_cols} <= set(matrix.columns)
+    assert set(RECIPE_DEFAULTS) < set(RECIPES)
+
+
+def test_custom_skips_what_severson_and_tohoku_require():
+    # voltage only falls while capacity rises, so neither dv_max nor
+    # dvdq_max has a positive entry to take a log of
+    falling = [
+        make_cycle("F", i, [0, 1, 2], [4.0, 3.8, 3.5 - 0.1 * i], [0.0, 0.5, 1.0 + i])
+        for i in range(2)
+    ]
+    with pytest.raises(EmptyFeatureError, match=r"log\(dv_max\).*cell F"):
+        build_feature_matrix(falling, "severson")
+    # two cycles are too few for the trend distance
+    with pytest.raises(EmptyInputError):
+        build_feature_matrix(falling, "tohoku")
+    matrix, _ = build_feature_matrix(falling, "custom")
+    assert list(matrix.columns) == [
+        "dv_max", "dq_max", "dvdq_max", "capacity_max", "log_dq_max",
+    ]
 
 
 def test_feature_matrix_round_trip_text(simple_cycles):
