@@ -9,7 +9,7 @@ Output layout under --out (default ./out):
 
     <cell>/features.csv            feature table per cell (features)
     <cell>/feature_notes.txt       guard side channel per cell, including
-                                   --log clamps (features, detect)
+                                   --log clamps (features, detect, scoremap)
     <cell>/<model>/verdict.csv     one verdict file per cell and detector
     <cell>/<model>/grid.csv|.json  score surfaces (scoremap)
     tuning/<model>/trials.csv      trial history
@@ -264,6 +264,11 @@ def _scoremap_cell(args, cell_id, records) -> None:
         raise UsageError(
             f"scoremap needs exactly 2 features, got {X.shape[1]}"
         )
+    # written before any model runs, so the clamps behind a grid show even
+    # when a later model fails
+    atomic_write_text(
+        f"{args.out}/{_safe_name(cell_id)}/feature_notes.txt", notes.render()
+    )
     res = args.resolution
     for model in args.models:
         if model in DIST_MODELS:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -176,6 +177,17 @@ def _parse_int(token: str, what: str, row: int, path: str) -> int:
     return int(value)
 
 
+def _require_finite(row, idx, values, row_no: int, source: str) -> None:
+    """Raise RowParseError naming the first non-finite measurement."""
+    for what, value in zip(("time", "voltage", "capacity"), values):
+        if not math.isfinite(value):
+            raise RowParseError(
+                f"{source}: row {row_no}: {what} value "
+                f"'{row[idx[what]].strip()}' is not finite",
+                row=row_no,
+            )
+
+
 def _table(reader, columns: dict[str, str], source: str):
     """Read the header row and resolve each role's column position.
 
@@ -225,6 +237,10 @@ def _parse_rows(reader, colmap, source: str) -> CycleStore:
         q = _parse_float(
             row[idx["capacity"]].strip(), "capacity", row_no, source
         )
+        # one test per row: a NaN or infinity in any of the three makes the
+        # sum non-finite (so can overflow, hence the per-value recheck)
+        if not math.isfinite(t + v + q):
+            _require_finite(row, idx, (t, v, q), row_no, source)
         groups.setdefault((cell, cyc), []).append((t, v, q))
         n_rows += 1
 

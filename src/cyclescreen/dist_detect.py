@@ -70,31 +70,58 @@ def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
     return chol
 
 
+#: elements one block of the neighbour search holds (512 KB of float64,
+#: cache-sized): the difference tensor in `pairwise` and the argsort in LOF.
+#: A block takes as many rows as fit, at least one in LOF and two in
+#: `pairwise`.
+BLOCK_ELEMENTS = 1 << 16
+
+
 def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
-    """Distance matrix between rows of X (n, d) and rows of Y (m, d)."""
+    """Distance matrix between rows of X (n, d) and rows of Y (m, d).
+
+    The (n, m) result is filled a block of X rows at a time, so the
+    difference tensor holds about BLOCK_ELEMENTS values at once; each
+    entry is the same elementwise formula over the same d differences as
+    an unblocked computation. Mahalanobis whitens all rows once, up front,
+    and is Euclidean from there.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ShapeMismatchError(
             f"operands differ in dimension: {X.shape[1]} vs {Y.shape[1]}"
         )
-    if metric.kind == "mahalanobis":
+    kind = metric.kind
+    if kind == "mahalanobis":
         if metric.covariance is None:
             raise SingularCovarianceError(
                 "mahalanobis metric needs a covariance; none was resolved"
             )
         chol = _cholesky_or_raise(metric.covariance)
-        Xw = np.linalg.solve(chol, X.T).T
-        Yw = np.linalg.solve(chol, Y.T).T
-        diff = Xw[:, None, :] - Yw[None, :, :]
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    diff = X[:, None, :] - Y[None, :, :]
-    if metric.kind == "euclidean":
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    if metric.kind == "manhattan":
-        return np.sum(np.abs(diff), axis=-1)
-    p = float(metric.p)
-    return np.sum(np.abs(diff) ** p, axis=-1) ** (1.0 / p)
+        X = np.linalg.solve(chol, X.T).T
+        Y = np.linalg.solve(chol, Y.T).T
+        kind = "euclidean"
+    n = X.shape[0]
+    out = np.empty((n, Y.shape[0]))
+    # no one-row block out of several rows: for a one-row slice of a
+    # column-major X (whitened rows are), NumPy lays the difference tensor
+    # out differently and sums the d terms in another order
+    step = max(2, BLOCK_ELEMENTS // max(1, Y.size))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        diff = X[start:stop, None, :] - Y[None, :, :]
+        if kind == "euclidean":
+            block = np.sqrt(np.sum(np.square(diff, out=diff), axis=-1))
+        elif kind == "manhattan":
+            block = np.sum(np.abs(diff, out=diff), axis=-1)
+        else:
+            p = float(metric.p)
+            block = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
+        out[start:stop] = block
+    return out
 
 
 def distance(a, b, metric: MetricSpec) -> float:

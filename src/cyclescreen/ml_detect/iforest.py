@@ -4,6 +4,15 @@ Trees are grown on row subsamples with uniform random axis splits; a point's
 anomaly score is 2 ** (-E[h] / c(psi)) where E[h] averages path lengths over
 trees and c(psi) is the expected path length of an unsuccessful BST search
 over the subsample size. Scores near 1 mean "isolated almost immediately".
+
+Each tree is five flat node arrays (feature, threshold, left, right, value),
+grown depth first from an explicit stack, left child first, by partitioning
+an index array of subsample rows (a Python list once a node is small). The
+random draws happen in the order of the recursive textbook growth, so a
+seed gives the same trees. Scoring moves
+every row down a tree together, one level per step, and adds each tree's
+path lengths into a per-row total in tree order, so the sums are the same
+floats a row-at-a-time walk would give.
 """
 
 from __future__ import annotations
@@ -27,33 +36,104 @@ def average_path_length(n: int) -> float:
 
 
 @dataclass
+class IsolationTree:
+    """One tree as flat node arrays, root at index 0.
+
+    A row at split node i moves to left[i] when x[feature[i]] < threshold[i]
+    and to right[i] otherwise. A leaf points to itself on both sides with a
+    NaN threshold, so a row that reaches it stays there, and value[i] is its
+    path length, depth + c(leaf size). depth is the deepest leaf's depth,
+    the number of steps that take every row to its leaf.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int
+
+
+@dataclass
 class IsolationForestState:
-    trees: list
-    tree_features: list  # feature index array per tree
+    trees: list[IsolationTree]
     subsample_size: int
     normalizer: float
 
 
-def _grow(X: np.ndarray, features: np.ndarray, depth: int, limit: int, rng):
-    n = X.shape[0]
-    if n <= 1 or depth >= limit:
-        return ("leaf", n)
-    usable = [f for f in features if X[:, f].min() < X[:, f].max()]
-    if not usable:
-        return ("leaf", n)
-    feat = int(usable[rng.integers(len(usable))])
-    lo = X[:, feat].min()
-    hi = X[:, feat].max()
-    thr = float(rng.uniform(lo, hi))
-    mask = X[:, feat] < thr
-    if not mask.any() or mask.all():
-        return ("leaf", n)
-    return (
-        "split",
-        feat,
-        thr,
-        _grow(X[mask], features, depth + 1, limit, rng),
-        _grow(X[~mask], features, depth + 1, limit, rng),
+#: nodes of at most this many rows work on Python lists, where NumPy's
+#: per-call cost outweighs its per-row speed
+_SMALL_NODE = 32
+
+
+def _grow(columns, lists, rows: np.ndarray, features, limit: int, rng) -> IsolationTree:
+    """Grow one tree over X[rows], X given as its 1-D columns.
+
+    A node is a leaf when it holds one row, sits at the depth limit, has no
+    selected feature with spread, or draws a threshold that sends every row
+    one way. Otherwise it picks a feature with spread uniformly and a
+    threshold uniformly in that feature's range over the node's rows.
+    lists holds the same columns as Python lists for the small nodes, or is
+    None when X has a NaN: Python's min and max are not NaN-aware.
+    """
+    feature, threshold, left, right, value = [0], [math.nan], [0], [0], [0.0]
+    deepest = 0
+    stack = [(0, rows, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        n = len(idx)
+        split = None
+        if n > 1 and depth < limit:
+            small = lists is not None and n <= _SMALL_NODE
+            if small and isinstance(idx, np.ndarray):
+                idx = idx.tolist()
+            usable = []
+            for f in features:
+                if small:
+                    c = [lists[f][i] for i in idx]
+                    lo, hi = min(c), max(c)
+                else:
+                    c = columns[f].take(idx)
+                    lo, hi = c.min(), c.max()
+                if lo < hi:
+                    usable.append((f, c, lo, hi))
+            if usable:
+                # integers(1) draws nothing from the generator
+                pick = rng.integers(len(usable)) if len(usable) > 1 else 0
+                f, c, lo, hi = usable[pick]
+                thr = float(rng.uniform(lo, hi))
+                if small:
+                    below = [i for i, v in zip(idx, c) if v < thr]
+                    above = [i for i, v in zip(idx, c) if v >= thr]
+                else:
+                    mask = c < thr
+                    below, above = idx[mask], idx[~mask]
+                if 0 < len(below) < n:
+                    split = f, thr, below, above
+        if split is None:
+            left[node] = right[node] = node
+            value[node] = depth + average_path_length(n)
+            deepest = max(deepest, depth)
+            continue
+        f, thr, below, above = split
+        left_child, right_child = len(feature), len(feature) + 1
+        feature[node], threshold[node] = int(f), thr
+        left[node], right[node] = left_child, right_child
+        # the children's entries are filled in when they are popped
+        feature += [0, 0]
+        threshold += [math.nan, math.nan]
+        left += [0, 0]
+        right += [0, 0]
+        value += [0.0, 0.0]
+        stack.append((right_child, above, depth + 1))
+        stack.append((left_child, below, depth + 1))
+    return IsolationTree(
+        feature=np.asarray(feature, dtype=np.intp),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.intp),
+        right=np.asarray(right, dtype=np.intp),
+        value=np.asarray(value, dtype=float),
+        depth=deepest,
     )
 
 
@@ -64,36 +144,38 @@ def fit_iforest(params: dict, X: np.ndarray, rng) -> IsolationForestState:
     m = max(1, int(round(params["max_features"] * d)))
     m = min(m, d)
     limit = int(math.ceil(math.log2(psi)))
+    columns = [np.ascontiguousarray(X[:, f]) for f in range(d)]
+    lists = None if np.isnan(X).any() else [c.tolist() for c in columns]
     trees = []
-    tree_features = []
     for _ in range(params["n_estimators"]):
         rows = rng.choice(n, size=psi, replace=False)
         feats = np.sort(rng.choice(d, size=m, replace=False))
-        trees.append(_grow(X[rows], feats, 0, limit, rng))
-        tree_features.append(feats)
+        trees.append(_grow(columns, lists, rows, feats, limit, rng))
     return IsolationForestState(
         trees=trees,
-        tree_features=tree_features,
         subsample_size=psi,
         normalizer=average_path_length(psi),
     )
 
 
-def _path_length(tree, x: np.ndarray, depth: int = 0) -> float:
-    if tree[0] == "leaf":
-        return depth + average_path_length(tree[1])
-    _, feat, thr, left, right = tree
-    if x[feat] < thr:
-        return _path_length(left, x, depth + 1)
-    return _path_length(right, x, depth + 1)
+def _path_lengths(tree: IsolationTree, X: np.ndarray) -> np.ndarray:
+    """Path length of every row of X through one tree."""
+    flat = X.ravel()
+    base = np.arange(X.shape[0]) * X.shape[1]
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(tree.depth):
+        go_left = flat.take(base + tree.feature.take(node)) < tree.threshold.take(node)
+        node = np.where(go_left, tree.left.take(node), tree.right.take(node))
+    return tree.value.take(node)
 
 
 def score_iforest(state: IsolationForestState, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i, x in enumerate(X):
-        total = 0.0
-        for tree in state.trees:
-            total += _path_length(tree, x)
-        mean_path = total / len(state.trees)
-        out[i] = 2.0 ** (-mean_path / state.normalizer)
-    return out
+    X = np.ascontiguousarray(X)
+    total = np.zeros(X.shape[0])
+    for tree in state.trees:
+        total += _path_lengths(tree, X)
+    exponent = -(total / len(state.trees)) / state.normalizer
+    # a Python float power per row, not np.power: NumPy's SIMD power can
+    # differ from the C library's pow in the last bit, which would move
+    # fixed-seed scores
+    return np.asarray([2.0 ** e for e in exponent.tolist()])

@@ -4,6 +4,9 @@ The raw score of a query is the distance to its k-th nearest fitted row
 ("largest"), or the mean/median over its k nearest. Queries that coincide
 exactly with a fitted row drop that one zero-distance match, so scoring the
 training set reproduces k-th-neighbor semantics instead of returning zeros.
+
+Distances come from `dist_detect.pairwise`, which builds them a block of
+query rows at a time; each query then sorts only its k + 1 nearest.
 """
 
 from __future__ import annotations
@@ -44,17 +47,16 @@ def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
 
 def neighbor_distances(state: KnnState, Q: np.ndarray) -> np.ndarray:
     """(m, k) sorted distances to the k nearest fitted rows, self-matches
-    dropped one per query."""
+    dropped one per query.
+
+    Only the k + 1 smallest distances of a row are sorted: a query keeps
+    the first k of them, or the last k when the nearest is an exact match.
+    """
     D = pairwise(Q, state.X, state.metric)
-    D.sort(axis=1)
     k = state.k
-    out = np.empty((Q.shape[0], k))
-    for i, row in enumerate(D):
-        if row[0] == 0.0:
-            out[i] = row[1 : k + 1]
-        else:
-            out[i] = row[:k]
-    return out
+    D.partition(k, axis=1)
+    nearest = np.sort(D[:, : k + 1], axis=1)
+    return np.where(nearest[:, :1] == 0.0, nearest[:, 1:], nearest[:, :k])
 
 
 def score_knn(state: KnnState, Q: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ density is the reciprocal mean reachability distance over a point's k
 neighbors, and the factor is the mean neighbor density over the point's own.
 Scores near 1 mean "as dense as the neighbors"; larger means more isolated.
 
+Distances come from `dist_detect.pairwise`, which builds them a block of
+rows at a time; neighbors are then picked by a stable sort of each row,
+also a block of rows at a time, and an exact self-match is cleared for all
+queries at once.
+
 Distinct points always have positive reachability distance, so densities
 stay finite unless more than n_neighbors rows coincide exactly; that case is
 rejected rather than scored.
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dist_detect import MetricSpec, pairwise
+from ..dist_detect import BLOCK_ELEMENTS, MetricSpec, pairwise
 from ..errors import DegenerateSpreadError, NeighborCountError
 from .knn import metric_from_params
 
@@ -31,8 +36,17 @@ class LofState:
 
 
 def _knn_rows(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor indices (m, k) and distances, smallest first, per row."""
-    order = np.argsort(D, axis=1, kind="stable")[:, :k]
+    """Neighbor indices (m, k) and distances, smallest first, per row.
+
+    Ties keep the lower index (a stable sort), because the indices pick
+    whose k-distance and density a row borrows. Rows are sorted a block at
+    a time, so the sort never holds an index for every entry of D.
+    """
+    order = np.empty((D.shape[0], k), dtype=np.intp)
+    step = max(1, BLOCK_ELEMENTS // max(1, D.shape[1]))
+    for start in range(0, D.shape[0], step):
+        rows = slice(start, start + step)
+        order[rows] = np.argsort(D[rows], axis=1, kind="stable")[:, :k]
     dists = np.take_along_axis(D, order, axis=1)
     return order, dists
 
@@ -63,10 +77,9 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
 def score_lof(state: LofState, Q: np.ndarray) -> np.ndarray:
     D = pairwise(Q, state.X, state.metric)
     # one exact self-match per query is treated as membership, not a neighbor
-    for i in range(D.shape[0]):
-        zeros = np.nonzero(D[i] == 0.0)[0]
-        if zeros.size:
-            D[i, zeros[0]] = np.inf
+    zero = D == 0.0
+    rows = np.nonzero(zero.any(axis=1))[0]
+    D[rows, zero[rows].argmax(axis=1)] = np.inf
     neigh, ndist = _knn_rows(D, state.k)
     reach = np.maximum(state.k_distance[neigh], ndist)
     mean_reach = reach.mean(axis=1)

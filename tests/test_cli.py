@@ -122,6 +122,34 @@ def test_detect_writes_the_same_feature_notes_as_features(dataset, tmp_path):
         assert notes == (tmp_path / "features" / cell / "feature_notes.txt").read_text()
 
 
+def test_scoremap_writes_the_same_feature_notes_as_detect(dataset, tmp_path):
+    common = (
+        "--input", dataset["meas"], "--recipe", "custom", "--feature", FEATURES,
+        "--log", "--model", "euclidean",
+    )
+    assert run("detect", *common, "--out", str(tmp_path / "detect")) == 0
+    assert run(
+        "scoremap", *common, "--out", str(tmp_path / "scoremap"), "--resolution", "5"
+    ) == 0
+    for cell in ("cellA", "cellB"):
+        notes = (tmp_path / "scoremap" / cell / "feature_notes.txt").read_text()
+        assert " log(dv_max) " in notes
+        assert notes == (tmp_path / "detect" / cell / "feature_notes.txt").read_text()
+
+
+def test_non_finite_measurement_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "cell_id,cycle_index,time_s,voltage_v,capacity_ah\n"
+        "A,0,0.0,4.0,0.0\nA,0,0.1,nan,0.1\n"
+    )
+    rc = run("detect", "--input", str(path), "--out", str(tmp_path / "out"),
+             "--model", "mad")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: row 3: voltage value 'nan' is not finite\n"
+
+
 def test_detect_all_models_and_flags(dataset, tmp_path):
     out = tmp_path / "out"
     rc = run(

@@ -234,6 +234,19 @@ def test_non_integer_cycle_index_cites_row(tmp_path, token):
     assert exc.value.row == 3
 
 
+@pytest.mark.parametrize("column", ["time", "voltage", "capacity"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_measurement_cites_row(tmp_path, column, token):
+    values = {"time": "0.1", "voltage": "3.9", "capacity": "0.1"}
+    values[column] = token
+    row = "A,0,{time},{voltage},{capacity}".format(**values)
+    path = write(tmp_path, "m.csv", f"{HEADER}\nA,0,0.0,4.0,0.0\n{row}\n")
+    with pytest.raises(RowParseError) as exc:
+        ingest_cycles(path)
+    assert exc.value.row == 3
+    assert str(exc.value) == f"{path}: row 3: {column} value '{token}' is not finite"
+
+
 def test_labels_round_trip(tmp_path):
     # the format lists anomalous cycles only, so a cell with none drops out
     labels = {"A": {3, 1}, "B": set()}

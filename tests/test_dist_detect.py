@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclescreen import dist_detect
 from cyclescreen.dist_detect import (
     METRIC_KINDS,
     MetricSpec,
@@ -71,6 +72,52 @@ def test_mahalanobis_whitening_oracle(rng):
     Yw = np.linalg.solve(L, Y.T).T
     expect = pairwise(Xw, Yw, MetricSpec("euclidean"))
     np.testing.assert_allclose(got, expect, atol=1e-9)
+
+
+def unblocked_pairwise(X, Y, metric):
+    """The whole (n, m, d) difference tensor at once, as before blocking."""
+    if metric.kind == "mahalanobis":
+        chol = np.linalg.cholesky(metric.covariance)
+        X = np.linalg.solve(chol, X.T).T
+        Y = np.linalg.solve(chol, Y.T).T
+    diff = X[:, None, :] - Y[None, :, :]
+    if metric.kind in ("euclidean", "mahalanobis"):
+        return np.sqrt(np.sum(diff**2, axis=-1))
+    if metric.kind == "manhattan":
+        return np.sum(np.abs(diff), axis=-1)
+    return np.sum(np.abs(diff) ** metric.p, axis=-1) ** (1.0 / metric.p)
+
+
+@pytest.mark.parametrize(
+    "n, m, d, block_elements",
+    [
+        (1000, 150, 3, None),  # 145-row blocks, a ragged last one
+        (70001, 1, 1, None),  # m = 1, as centroid distances call it
+        (300, 40, 12, None),  # d >= 9: NumPy sums the d terms pairwise
+        (129, 7, 9, 1),  # two-row blocks; the odd row joins the last
+        (50, 1, 4, 1),
+    ],
+)
+def test_pairwise_blocks_match_unblocked_bytes(n, m, d, block_elements, monkeypatch):
+    if block_elements is not None:
+        monkeypatch.setattr(dist_detect, "BLOCK_ELEMENTS", block_elements)
+    local = np.random.default_rng(n + d)
+    X = local.normal(size=(n, d)) * local.uniform(0.1, 50.0, size=d)
+    Y = local.normal(size=(m, d))
+    A = local.normal(size=(d, d))
+    specs = [
+        MetricSpec("euclidean"),
+        MetricSpec("manhattan"),
+        MetricSpec("minkowski", p=3.5),
+        MetricSpec("minkowski", p=0.5),
+        MetricSpec("mahalanobis", covariance=A @ A.T + d * np.eye(d)),
+    ]
+    # a column-major X changes the order in which NumPy sums the d terms
+    for X in (X, np.asfortranarray(X)):
+        for spec in specs:
+            got = pairwise(X, Y, spec)
+            assert got.shape == (n, m)
+            assert got.tobytes() == unblocked_pairwise(X, Y, spec).tobytes(), spec.kind
 
 
 @settings(max_examples=80, deadline=None)

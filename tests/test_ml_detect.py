@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclescreen import ml_detect
+from cyclescreen.dist_detect import MetricSpec, pairwise
 from cyclescreen.errors import (
     ConfigError,
     DegenerateSpreadError,
@@ -14,6 +16,7 @@ from cyclescreen.errors import (
     ShapeMismatchError,
     ThresholdRangeError,
 )
+from cyclescreen.features import build_feature_matrix
 from cyclescreen.ml_detect import (
     ML_MODELS,
     fit,
@@ -24,6 +27,7 @@ from cyclescreen.ml_detect import (
     score,
 )
 from cyclescreen.ml_detect.iforest import average_path_length
+from cyclescreen.synth import generate_cell
 
 
 def fit_score(model, X, params=None, seed=0):
@@ -104,6 +108,130 @@ def test_iforest_deterministic_given_seed(rng):
     np.testing.assert_array_equal(a, b)
     c = fit_score("iforest", X, seed=124)
     assert not np.array_equal(a, c)
+
+
+# A reference forest: the recursive, row-at-a-time textbook growth and walk,
+# with trees as nested tuples. The array-backed forest must make the same
+# random draws in the same order and give the same score bytes.
+
+
+def _reference_grow(X, features, depth, limit, rng):
+    n = X.shape[0]
+    if n <= 1 or depth >= limit:
+        return ("leaf", n)
+    usable = [f for f in features if X[:, f].min() < X[:, f].max()]
+    if not usable:
+        return ("leaf", n)
+    feat = int(usable[rng.integers(len(usable))])
+    lo = X[:, feat].min()
+    hi = X[:, feat].max()
+    thr = float(rng.uniform(lo, hi))
+    mask = X[:, feat] < thr
+    if not mask.any() or mask.all():
+        return ("leaf", n)
+    return (
+        "split",
+        feat,
+        thr,
+        _reference_grow(X[mask], features, depth + 1, limit, rng),
+        _reference_grow(X[~mask], features, depth + 1, limit, rng),
+    )
+
+
+def _reference_path_length(tree, x, depth=0):
+    if tree[0] == "leaf":
+        return depth + average_path_length(tree[1])
+    _, feat, thr, left, right = tree
+    if x[feat] < thr:
+        return _reference_path_length(left, x, depth + 1)
+    return _reference_path_length(right, x, depth + 1)
+
+
+def reference_iforest(params, X, Q, seed):
+    """(scores of Q, mean path lengths of Q, generator state after the fit)."""
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    psi = max(2, min(int(math.ceil(params["max_samples"] * n)), n))
+    m = min(max(1, int(round(params["max_features"] * d))), d)
+    limit = int(math.ceil(math.log2(psi)))
+    trees = []
+    for _ in range(params["n_estimators"]):
+        rows = rng.choice(n, size=psi, replace=False)
+        feats = np.sort(rng.choice(d, size=m, replace=False))
+        trees.append(_reference_grow(X[rows], feats, 0, limit, rng))
+    mean_paths = []
+    for x in Q:
+        total = 0.0
+        for tree in trees:
+            total += _reference_path_length(tree, x)
+        mean_paths.append(total / len(trees))
+    scores = [2.0 ** (-h / average_path_length(psi)) for h in mean_paths]
+    return np.asarray(scores), np.asarray(mean_paths), rng.bit_generator.state
+
+
+def _iforest_inputs(name):
+    local = np.random.default_rng(77)
+    if name == "gaussian":
+        X = local.normal(size=(60, 3))
+    elif name == "constant_column":
+        X = local.normal(size=(60, 3))
+        X[:, 1] = 2.5
+    elif name == "duplicate_rows":
+        X = np.round(local.normal(size=(60, 2)))
+        X[10:40] = X[0]
+    elif name == "nan_entries":  # NaN keeps every node on NumPy's min/max
+        X = local.normal(size=(60, 2))
+        X[[3, 17, 40], [0, 1, 1]] = np.nan
+    elif name == "one_dimensional":
+        X = local.normal(size=60)
+        X[3] = 9.0
+    else:  # one 40-cycle cell's default multivariate features
+        records, _ = generate_cell(40, samples_per_cycle=16, seed=5, cell_id="c40")
+        matrix, _ = build_feature_matrix(records, "custom")
+        X = np.column_stack([matrix.column("dv_max"), matrix.column("dq_max")])
+    X2 = X.reshape(len(X), -1)
+    Q = np.vstack([X2, local.normal(size=(20, X2.shape[1])) * 3.0])
+    return X, Q.reshape(-1) if X.ndim == 1 else Q
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "gaussian",
+        "constant_column",
+        "duplicate_rows",
+        "nan_entries",
+        "one_dimensional",
+        "cell_40",
+    ],
+)
+def test_iforest_matches_recursive_reference_bytes(data):
+    X, Q = _iforest_inputs(data)
+    X2, Q2 = X.reshape(len(X), -1), Q.reshape(len(Q), -1)
+    d = X2.shape[1]
+    # max_features 1/d gives one feature per tree; 1.0 gives all d
+    for n_estimators in (1, 50, 150):
+        for max_samples in (0.2, 1.0):
+            for max_features in sorted({1.0 / d, 1.0}):
+                params = {
+                    "n_estimators": n_estimators,
+                    "max_samples": max_samples,
+                    "max_features": max_features,
+                }
+                seed = 11 * n_estimators + int(10 * max_samples)
+                expect, mean_paths, state = reference_iforest(params, X2, Q2, seed)
+                config = make_config("iforest", params, seed=seed)
+                fitted = fit(config, X)
+                got = score(fitted, Q)
+                assert got.tobytes() == expect.tobytes(), params
+                rng = np.random.default_rng(seed)
+                ml_detect.iforest.fit_iforest(config.params, X2, rng)
+                assert rng.bit_generator.state == state, params
+    # the final power stays a Python float power per row: NumPy's SIMD
+    # np.power / 2.0 ** ndarray can differ from the C library's pow in the
+    # last bit (10,459 of 200,000 exponents on one AVX-512 host)
+    exponent = -mean_paths / average_path_length(fitted.state.subsample_size)
+    assert got.tobytes() == np.asarray([2.0 ** e for e in exponent.tolist()]).tobytes()
 
 
 def test_iforest_max_samples_fraction(rng):
@@ -216,6 +344,85 @@ def test_lof_many_identical_rows_degenerate():
     X = np.vstack([np.zeros((5, 2)), np.ones((2, 2))])
     with pytest.raises(DegenerateSpreadError):
         fit(make_config("lof", {"n_neighbors": 3}), X)
+
+
+# The neighbour selection before partial sorts and blocks: a full sort per
+# row with a per-row self-match drop (knn), and a per-row self-match clear
+# then a full stable argsort (LOF). Both read the same distance matrix.
+
+
+def reference_knn_distances(D, k):
+    D = np.sort(D, axis=1)
+    out = np.empty((D.shape[0], k))
+    for i, row in enumerate(D):
+        out[i] = row[1 : k + 1] if row[0] == 0.0 else row[:k]
+    return out
+
+
+def reference_lof(X, Q, k, metric):
+    def knn_rows(D):
+        order = np.argsort(D, axis=1, kind="stable")[:, :k]
+        return order, np.take_along_axis(D, order, axis=1)
+
+    D = pairwise(X, X, metric)
+    np.fill_diagonal(D, np.inf)
+    neigh, ndist = knn_rows(D)
+    k_distance = ndist[:, -1]
+    lrd = 1.0 / np.maximum(k_distance[neigh], ndist).mean(axis=1)
+    D = pairwise(Q, X, metric)
+    for i in range(D.shape[0]):
+        zeros = np.nonzero(D[i] == 0.0)[0]
+        if zeros.size:
+            D[i, zeros[0]] = np.inf
+    neigh, ndist = knn_rows(D)
+    lrd_q = 1.0 / np.maximum(k_distance[neigh], ndist).mean(axis=1)
+    return lrd[neigh].mean(axis=1) / lrd_q
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_knn_and_lof_match_full_sort_references_on_ties(metric):
+    # points on a small integer lattice: many equal distances, 20 exact
+    # duplicate pairs among the fitted rows, and queries that hit fitted rows
+    local = np.random.default_rng(9)
+    lattice = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1).reshape(-1, 2)
+    picked = lattice[local.permutation(64)[:60]]
+    X = local.permutation(np.vstack([picked, picked[:20]]))
+    Q = np.vstack([X, local.integers(-1, 9, size=(40, 2)).astype(float)])
+    spec = MetricSpec(metric)
+    for k in (2, 5, 9):
+        params = {"n_neighbors": k, "metric": metric}
+        fitted = fit(make_config("knn", params), X)
+        expect = reference_knn_distances(pairwise(Q, X, spec), k)
+        got = ml_detect.knn.neighbor_distances(fitted.state, Q)
+        assert got.tobytes() == expect.tobytes()
+        for method, reduce in (
+            ("largest", lambda a: a[:, -1].copy()),
+            ("mean", lambda a: a.mean(axis=1)),
+            ("median", lambda a: np.median(a, axis=1)),
+        ):
+            config = make_config("knn", params | {"method": method})
+            got = score(fit(config, X), Q)
+            assert got.tobytes() == reduce(expect).tobytes()
+        got = score(fit(make_config("lof", params), X), Q)
+        assert got.tobytes() == reference_lof(X, Q, k, spec).tobytes()
+
+
+def test_neighbor_scoring_memory_is_not_an_n_m_d_tensor():
+    n, m, d = 3000, 500, 2
+    local = np.random.default_rng(4)
+    X = local.normal(size=(m, d))
+    Q = local.normal(size=(n, d))
+    for model in ("knn", "lof"):
+        fitted = fit(make_config(model), X)
+        tracemalloc.start()
+        try:
+            score(fitted, Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (n, m) distances plus blocks; building the (n, m, d)
+        # difference tensor at once peaked at 2.5 * n * m * d * 8 bytes
+        assert peak < 0.7 * n * m * d * 8, (model, peak)
 
 
 # --- principal components -------------------------------------------------
