@@ -282,17 +282,6 @@ def ingest_cycles(
         return _parse_rows(reader, colmap, path)
 
 
-def parse_cycles(
-    text: str,
-    columns: dict[str, str] | None = None,
-    delimiter: str = ",",
-) -> CycleStore:
-    """ingest_cycles for in-memory text; same grouping and error rules."""
-    colmap = _build_colmap(columns)
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    return _parse_rows(reader, colmap, "<text>")
-
-
 def attach_labels(
     store: CycleStore, labels: dict[str, set[int]]
 ) -> CycleStore:

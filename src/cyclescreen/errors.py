@@ -48,10 +48,6 @@ class EmptyFeatureError(CycleScreenError):
     """A derived feature column has no usable entries at all."""
 
 
-class InvalidQuantileError(CycleScreenError):
-    """A reference quantile used to derive a scale factor is not positive."""
-
-
 class SingularCovarianceError(CycleScreenError):
     """A covariance matrix required by a distance is not invertible."""
 

@@ -1,24 +1,29 @@
 """Hyperparameter registry for the six learned detectors.
 
-Each model declares its tunable params with defaults and hard ranges; config
-construction fills defaults and rejects out-of-range or unknown entries. The
-param's class drives config aggregation (numeric params average, categorical
-params take the mode).
+Each model declares its tunable params as Param(default, hard, search): the
+default fills configs, the hard range rejects out-of-range values,
+and the search range, when set, is what tuning explores. The hard range's type
+drives config aggregation (numeric params average, categorical params take the
+mode); the search range's type drives how TPE models a dimension.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
-class RealParam:
-    default: float
+class RealDomain:
     low: float
     high: float
     exclusive_low: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)) or self.low >= self.high:
+            raise ConfigError(f"bad real domain [{self.low}, {self.high}]")
 
     def validate(self, name: str, value) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -40,15 +45,17 @@ class RealParam:
 
 
 @dataclass(frozen=True)
-class IntParam:
-    default: int | None
+class IntDomain:
     low: int
     high: int
 
+    def __post_init__(self):
+        if self.low > self.high:
+            raise ConfigError(f"bad int domain [{self.low}, {self.high}]")
+
     def validate(self, name: str, value) -> int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if float(value) != int(value):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (isinstance(value, float) and not value.is_integer())):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = int(value)
         if value < self.low or value > self.high:
@@ -62,11 +69,20 @@ class IntParam:
 
 
 @dataclass(frozen=True)
-class CatParam:
-    default: str
-    choices: tuple[str, ...]
+class CatDomain:
+    choices: tuple
 
-    def validate(self, name: str, value) -> str:
+    def __post_init__(self):
+        if len(self.choices) == 0:
+            raise ConfigError("categorical domain needs at least one choice")
+        try:
+            hash(tuple(self.choices))
+        except TypeError:
+            raise ConfigError(
+                f"categorical choices must be hashable, got {self.choices!r}"
+            ) from None
+
+    def validate(self, name: str, value):
         if value not in self.choices:
             raise ConfigError(
                 f"{name}={value!r} not in {list(self.choices)}"
@@ -74,11 +90,8 @@ class CatParam:
         return value
 
 
-@dataclass(frozen=True)
-class LayerListParam:
-    """Hidden layer widths; treated as categorical during aggregation."""
-
-    default: tuple[int, ...]
+class LayerList:
+    """Hidden layer widths; categorical during aggregation."""
 
     def validate(self, name: str, value) -> tuple[int, ...]:
         if isinstance(value, (list, tuple)) and value:
@@ -91,54 +104,71 @@ class LayerListParam:
         )
 
 
-PARAM_SPECS: dict[str, dict] = {
+@dataclass(frozen=True)
+class Param:
+    default: object
+    hard: RealDomain | IntDomain | CatDomain | LayerList
+    search: RealDomain | IntDomain | CatDomain | None = None  # None: not tuned
+
+
+def _choice(default: str, *choices: str) -> Param:
+    """A categorical param searched over all of its choices."""
+    domain = CatDomain(choices)
+    return Param(default, domain, domain)
+
+
+# trials flag by probability threshold, so a contamination fraction cannot
+# move a tuning objective and is not searched
+CONTAMINATION = Param(0.1, RealDomain(0.0, 0.5))
+POSITIVE_FRACTION = RealDomain(0.0, 1.0, exclusive_low=True)
+METRIC = Param(
+    "euclidean",
+    CatDomain(("euclidean", "manhattan", "minkowski", "mahalanobis")),
+    CatDomain(("euclidean", "manhattan", "minkowski")),
+)
+MINKOWSKI_P = Param(
+    2.0, RealDomain(0.0, 10.0, exclusive_low=True), RealDomain(1.0, 4.0)
+)
+
+PARAM_SPECS: dict[str, dict[str, Param]] = {
     "iforest": {
-        "n_estimators": IntParam(default=100, low=1, high=5000),
-        "max_samples": RealParam(default=1.0, low=0.0, high=1.0, exclusive_low=True),
-        "contamination": RealParam(default=0.1, low=0.0, high=0.5),
-        "max_features": RealParam(default=1.0, low=0.0, high=1.0, exclusive_low=True),
+        "n_estimators": Param(100, IntDomain(1, 5000), IntDomain(50, 200)),
+        "max_samples": Param(1.0, POSITIVE_FRACTION, RealDomain(0.2, 1.0)),
+        "contamination": CONTAMINATION,
+        "max_features": Param(1.0, POSITIVE_FRACTION, RealDomain(0.2, 1.0)),
     },
     "knn": {
-        "n_neighbors": IntParam(default=5, low=1, high=100000),
-        "method": CatParam(default="largest", choices=("largest", "mean", "median")),
-        "metric": CatParam(
-            default="euclidean",
-            choices=("euclidean", "manhattan", "minkowski", "mahalanobis"),
-        ),
-        "minkowski_p": RealParam(default=2.0, low=0.0, high=10.0, exclusive_low=True),
+        "n_neighbors": Param(5, IntDomain(1, 100000), IntDomain(1, 20)),
+        "method": _choice("largest", "largest", "mean", "median"),
+        "metric": METRIC,
+        "minkowski_p": MINKOWSKI_P,
     },
     "gmm": {
-        "n_components": IntParam(default=1, low=1, high=1000),
-        "covariance_type": CatParam(
-            default="full", choices=("full", "tied", "diag", "spherical")
-        ),
-        "contamination": RealParam(default=0.1, low=0.0, high=0.5),
-        "init_params": CatParam(default="kmeans", choices=("kmeans", "random")),
+        "n_components": Param(1, IntDomain(1, 1000), IntDomain(1, 4)),
+        "covariance_type": _choice("full", "full", "tied", "diag", "spherical"),
+        "contamination": CONTAMINATION,
+        "init_params": _choice("kmeans", "kmeans", "random"),
     },
     "lof": {
-        "n_neighbors": IntParam(default=20, low=1, high=100000),
-        "metric": CatParam(
-            default="euclidean",
-            choices=("euclidean", "manhattan", "minkowski", "mahalanobis"),
-        ),
-        "minkowski_p": RealParam(default=2.0, low=0.0, high=10.0, exclusive_low=True),
+        "n_neighbors": Param(20, IntDomain(1, 100000), IntDomain(2, 30)),
+        "metric": METRIC,
+        "minkowski_p": MINKOWSKI_P,
     },
     "pca": {
-        # None resolves to max(1, dim - 1) at fit time
-        "n_components": IntParam(default=None, low=1, high=100000),
+        # None resolves to max(1, dim - 1) at fit time; the search's upper
+        # bound becomes the selected column count in tune.default_search_space
+        "n_components": Param(None, IntDomain(1, 100000), IntDomain(1, 2)),
     },
     "autoencoder": {
-        "epoch_num": IntParam(default=50, low=1, high=100000),
-        "batch_size": IntParam(default=16, low=1, high=1000000),
-        "dropout_rate": RealParam(default=0.0, low=0.0, high=0.9),
-        "hidden_neuron_list": LayerListParam(default=(4, 2)),
-        "hidden_activation_name": CatParam(
-            default="tanh", choices=("relu", "tanh", "sigmoid")
+        "epoch_num": Param(50, IntDomain(1, 100000), IntDomain(20, 100)),
+        "batch_size": Param(16, IntDomain(1, 1000000), IntDomain(8, 32)),
+        "dropout_rate": Param(0.0, RealDomain(0.0, 0.9), RealDomain(0.0, 0.3)),
+        "hidden_neuron_list": Param(
+            (4, 2), LayerList(), CatDomain(((4, 2), (8, 4), (8, 2), (16, 8)))
         ),
-        "optimizer_name": CatParam(
-            default="adam", choices=("sgd", "momentum", "adam")
-        ),
-        "learning_rate": RealParam(default=0.01, low=0.0, high=1.0, exclusive_low=True),
+        "hidden_activation_name": _choice("tanh", "relu", "tanh", "sigmoid"),
+        "optimizer_name": _choice("adam", "sgd", "momentum", "adam"),
+        "learning_rate": Param(0.01, POSITIVE_FRACTION, RealDomain(0.001, 0.05)),
     },
 }
 
@@ -173,7 +203,7 @@ def make_config(model: str, params: dict | None = None, seed: int = 0) -> Detect
     for name, p in spec.items():
         # None always means "use the registry default"
         if name in given and given[name] is not None:
-            resolved[name] = p.validate(name, given[name])
+            resolved[name] = p.hard.validate(name, given[name])
         else:
             resolved[name] = p.default
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

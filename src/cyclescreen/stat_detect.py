@@ -14,11 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpreadError,
-    EmptyInputError,
-    InvalidQuantileError,
-)
+from .errors import DegenerateSpreadError, EmptyInputError
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
 #: median absolute deviation a consistent sigma estimate on Gaussian data
@@ -66,16 +62,6 @@ class StatVerdict:
 
     def flagged_indices(self) -> set[int]:
         return {int(i) for i in np.nonzero(self.flags)[0]}
-
-
-def compute_mad_factor(ref_quantile_75: float) -> float:
-    """Scale factor 1/q for a reference distribution whose 0.75 quantile is
-    q; with the standard normal value this reproduces 1.4826..."""
-    if not np.isfinite(ref_quantile_75) or ref_quantile_75 <= 0:
-        raise InvalidQuantileError(
-            f"reference 0.75 quantile must be positive, got {ref_quantile_75!r}"
-        )
-    return 1.0 / ref_quantile_75
 
 
 def scaled_mad(values: np.ndarray, mad_factor: float) -> tuple[float, float]:

@@ -33,8 +33,8 @@ from .errors import (
     NoPositiveLabelError,
 )
 from .evaluation import confusion, metrics
-from .ml_detect import DetectorConfig, make_config
-from .ml_detect.params import PARAM_SPECS, CatParam, IntParam, LayerListParam, RealParam
+from .ml_detect import DetectorConfig, make_config, validate_config
+from .ml_detect.params import PARAM_SPECS, CatDomain, IntDomain, RealDomain
 from .util import derive_seed, round_half_up, round_sig
 
 GAMMA = 0.25
@@ -46,35 +46,6 @@ LOSS_SENTINEL = float("inf")
 
 # ---------------------------------------------------------------------------
 # search space
-
-
-@dataclass(frozen=True)
-class RealDomain:
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.low) and np.isfinite(self.high)) or self.low >= self.high:
-            raise ConfigError(f"bad real domain [{self.low}, {self.high}]")
-
-
-@dataclass(frozen=True)
-class IntDomain:
-    low: int
-    high: int
-
-    def __post_init__(self):
-        if self.low > self.high:
-            raise ConfigError(f"bad int domain [{self.low}, {self.high}]")
-
-
-@dataclass(frozen=True)
-class CatDomain:
-    choices: tuple
-
-    def __post_init__(self):
-        if len(self.choices) == 0:
-            raise ConfigError("categorical domain needs at least one choice")
 
 
 @dataclass
@@ -128,49 +99,21 @@ class SearchSpace:
 
 
 def default_search_space(model: str, n_features: int = 2) -> SearchSpace:
-    """Reasonable tuning ranges around the registry defaults.
+    """The search ranges declared in PARAM_SPECS, in registry order.
 
-    Trials flag by probability threshold, so the contamination fraction of
-    iforest and gmm cannot move an objective and is not searched.
+    pca cannot keep more components than there are selected columns, so its
+    n_components range follows n_features.
     """
-    spaces = {
-        "iforest": {
-            "n_estimators": IntDomain(50, 200),
-            "max_samples": RealDomain(0.2, 1.0),
-            "max_features": RealDomain(0.2, 1.0),
-        },
-        "knn": {
-            "n_neighbors": IntDomain(1, 20),
-            "method": CatDomain(("largest", "mean", "median")),
-            "metric": CatDomain(("euclidean", "manhattan", "minkowski")),
-            "minkowski_p": RealDomain(1.0, 4.0),
-        },
-        "gmm": {
-            "n_components": IntDomain(1, 4),
-            "covariance_type": CatDomain(("full", "tied", "diag", "spherical")),
-            "init_params": CatDomain(("kmeans", "random")),
-        },
-        "lof": {
-            "n_neighbors": IntDomain(2, 30),
-            "metric": CatDomain(("euclidean", "manhattan", "minkowski")),
-            "minkowski_p": RealDomain(1.0, 4.0),
-        },
-        "pca": {
-            "n_components": IntDomain(1, max(1, n_features)),
-        },
-        "autoencoder": {
-            "epoch_num": IntDomain(20, 100),
-            "batch_size": IntDomain(8, 32),
-            "dropout_rate": RealDomain(0.0, 0.3),
-            "hidden_neuron_list": CatDomain(((4, 2), (8, 4), (8, 2), (16, 8))),
-            "hidden_activation_name": CatDomain(("relu", "tanh", "sigmoid")),
-            "optimizer_name": CatDomain(("sgd", "momentum", "adam")),
-            "learning_rate": RealDomain(0.001, 0.05),
-        },
-    }
-    if model not in spaces:
+    if model not in PARAM_SPECS:
         raise ConfigError(f"unknown model '{model}'")
-    return SearchSpace(model=model, params=spaces[model])
+    params = {
+        name: p.search
+        for name, p in PARAM_SPECS[model].items()
+        if p.search is not None
+    }
+    if model == "pca":
+        params["n_components"] = IntDomain(1, max(1, n_features))
+    return SearchSpace(model=model, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +174,9 @@ def aggregate_configs(configs) -> DetectorConfig:
 
     Numeric params average (integers round half up), clamped back into the
     registry range; categorical params take the most frequent value with
-    lexicographic tie-breaking. The seed is not a tuned quantity and resets
-    to zero.
+    lexicographic tie-breaking. Inputs are re-validated first, which also
+    turns layer lists into tuples. The seed is not a tuned quantity and
+    resets to zero.
     """
     configs = list(configs)
     if not configs:
@@ -242,31 +186,28 @@ def aggregate_configs(configs) -> DetectorConfig:
         raise AggregationError(
             f"cannot aggregate across models: {sorted({c.model for c in configs})}"
         )
-    spec = PARAM_SPECS[model]
+    configs = [validate_config(c) for c in configs]
     merged = {}
-    for name, p in spec.items():
+    for name, p in PARAM_SPECS[model].items():
         values = [c.params[name] for c in configs]
-        if isinstance(p, RealParam):
+        hard = p.hard
+        if isinstance(hard, RealDomain):
             # equal values pass through: their float mean can be an ulp off
             if len(set(values)) == 1:
-                merged[name] = p.clamp(values[0])
+                merged[name] = hard.clamp(values[0])
             else:
-                merged[name] = p.clamp(float(np.mean([float(v) for v in values])))
-        elif isinstance(p, IntParam):
+                merged[name] = hard.clamp(float(np.mean(values)))
+        elif isinstance(hard, IntDomain):
             if any(v is None for v in values):
                 merged[name] = None
             else:
-                merged[name] = p.clamp(round_half_up(float(np.mean(values))))
-        elif isinstance(p, (CatParam, LayerListParam)):
+                merged[name] = hard.clamp(round_half_up(float(np.mean(values))))
+        else:
             counts = {}
             for v in values:
-                key = tuple(v) if isinstance(v, (list, tuple)) else v
-                counts[key] = counts.get(key, 0) + 1
+                counts[v] = counts.get(v, 0) + 1
             top = max(counts.values())
-            winner = sorted(k for k, c in counts.items() if c == top)[0]
-            merged[name] = winner
-        else:
-            raise AggregationError(f"param '{name}' has unknown kind")
+            merged[name] = sorted(k for k, c in counts.items() if c == top)[0]
     return make_config(model, merged, seed=0)
 
 
@@ -341,8 +282,7 @@ def _cat_probs(values, choices) -> np.ndarray:
     counts = np.ones(len(choices))  # +1 smoothing
     index = {c: i for i, c in enumerate(choices)}
     for v in values:
-        key = tuple(v) if isinstance(v, (list, tuple)) else v
-        counts[index[key]] += 1.0
+        counts[index[v]] += 1.0
     return counts / counts.sum()
 
 
@@ -367,17 +307,11 @@ def tpe_propose(history, space: SearchSpace, seed: int, directions) -> dict:
         bad = good
 
     choices_cache = {}
-    norm_choices = {}
     for name, dom in space.params.items():
         if isinstance(dom, CatDomain):
-            norm = tuple(
-                tuple(c) if isinstance(c, (list, tuple)) else c
-                for c in dom.choices
-            )
-            norm_choices[name] = norm
             choices_cache[name] = (
-                _cat_probs([t.config.params[name] for t in good], norm),
-                _cat_probs([t.config.params[name] for t in bad], norm),
+                _cat_probs([t.config.params[name] for t in good], dom.choices),
+                _cat_probs([t.config.params[name] for t in bad], dom.choices),
             )
 
     candidates = []

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from cyclescreen.dataset import (
     export_labels,
     format_cycles,
     ingest_cycles,
-    parse_cycles,
     read_labels,
     read_manifest,
     split_train_test,
@@ -281,5 +283,11 @@ def test_format_parse_round_trip_property(samples):
     voltage = np.asarray([s[0] for s in samples])
     capacity = np.asarray([s[1] for s in samples])
     store = CycleStore([make_cycle("C", 0, time, voltage, capacity)])
-    back = parse_cycles(format_cycles(store))
+    # a fresh directory per example: Hypothesis reruns the body, while a
+    # tmp_path fixture would be shared across examples
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(format_cycles(store))
+        back = ingest_cycles(path)
     assert back.records == store.records

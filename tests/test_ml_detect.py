@@ -19,6 +19,7 @@ from cyclescreen.errors import (
 from cyclescreen.features import build_feature_matrix
 from cyclescreen.ml_detect import (
     ML_MODELS,
+    PARAM_SPECS,
     fit,
     make_config,
     normalize_scores,
@@ -27,6 +28,7 @@ from cyclescreen.ml_detect import (
     score,
 )
 from cyclescreen.ml_detect.iforest import average_path_length
+from cyclescreen.ml_detect.params import CatDomain
 from cyclescreen.synth import generate_cell
 
 
@@ -71,6 +73,57 @@ def test_make_config_rejects_unknown():
         make_config("knn", {"method": "furthest"})
     with pytest.raises(ConfigError):
         make_config("iforest", {"contamination": 0.9})
+
+
+@pytest.mark.parametrize(
+    "model, name", [(m, n) for m, spec in PARAM_SPECS.items() for n in spec]
+)
+def test_registry_defaults_and_search_ranges_fit_hard_ranges(model, name):
+    param = PARAM_SPECS[model][name]
+    if param.default is not None:  # pca's None resolves at fit time
+        assert param.hard.validate(name, param.default) == param.default
+    # every search point must pass make_config, so TPE cannot propose an
+    # invalid config; checking the ends covers numeric ranges
+    if isinstance(param.search, CatDomain):
+        points = param.search.choices
+    elif param.search is not None:
+        points = (param.search.low, param.search.high)
+    else:
+        points = ()
+    for value in points:
+        assert param.hard.validate(name, value) == value
+
+
+@pytest.mark.parametrize(
+    "model, params, message",
+    [
+        ("iforest", {"max_samples": 0.0}, "max_samples=0.0 outside (0.0, 1.0]"),
+        ("iforest", {"contamination": 0.9}, "contamination=0.9 outside [0.0, 0.5]"),
+        ("autoencoder", {"dropout_rate": math.nan}, "dropout_rate must not be NaN"),
+        ("gmm", {"contamination": "x"}, "contamination must be a number, got 'x'"),
+        ("knn", {"n_neighbors": True}, "n_neighbors must be an integer, got True"),
+        ("knn", {"n_neighbors": 2.5}, "n_neighbors must be an integer, got 2.5"),
+        ("knn", {"n_neighbors": math.nan}, "n_neighbors must be an integer, got nan"),
+        ("knn", {"n_neighbors": math.inf}, "n_neighbors must be an integer, got inf"),
+        ("knn", {"n_neighbors": 0}, "n_neighbors=0 outside [1, 100000]"),
+        (
+            "knn",
+            {"method": "mode"},
+            "method='mode' not in ['largest', 'mean', 'median']",
+        ),
+        (
+            "autoencoder",
+            {"hidden_neuron_list": []},
+            "hidden_neuron_list must be a non-empty sequence of positive ints, "
+            "got []",
+        ),
+        ("knn", {"bogus": 1}, "knn: unknown params ['bogus']"),
+    ],
+)
+def test_make_config_error_messages(model, params, message):
+    with pytest.raises(ConfigError) as err:
+        make_config(model, params)
+    assert str(err.value) == message
 
 
 # --- isolation forest -----------------------------------------------------

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cyclescreen.errors import DegenerateSpreadError, InvalidQuantileError
+from cyclescreen.errors import DegenerateSpreadError
 from cyclescreen.stat_detect import (
     GAUSSIAN_MAD_FACTOR,
     StatMethod,
-    compute_mad_factor,
     detect_stat,
     scaled_mad,
 )
@@ -53,18 +52,6 @@ def test_mad_factor_constant():
     assert GAUSSIAN_MAD_FACTOR == pytest.approx(
         1.0 / stats.norm.ppf(0.75), abs=1e-15
     )
-
-
-def test_compute_mad_factor_from_reference():
-    assert compute_mad_factor(stats.norm.ppf(0.75)) == pytest.approx(
-        GAUSSIAN_MAD_FACTOR
-    )
-    # heavier-tailed reference: larger q75, smaller factor
-    assert compute_mad_factor(2.0) == 0.5
-    with pytest.raises(InvalidQuantileError):
-        compute_mad_factor(0.0)
-    with pytest.raises(InvalidQuantileError):
-        compute_mad_factor(float("nan"))
 
 
 def test_mad_limits_small_example():

@@ -10,7 +10,7 @@ from cyclescreen.errors import (
     InsufficientInlierError,
     NoPositiveLabelError,
 )
-from cyclescreen.ml_detect import make_config
+from cyclescreen.ml_detect import DetectorConfig, make_config
 from cyclescreen.tune import (
     CatDomain,
     CellTuning,
@@ -53,6 +53,9 @@ def test_domain_validation():
         IntDomain(5, 3)
     with pytest.raises(ConfigError):
         CatDomain(())
+    # choices are dictionary keys in TPE: layer lists must be tuples
+    with pytest.raises(ConfigError):
+        CatDomain(([4, 2], [8, 4]))
 
 
 def test_search_space_rejects_unknown_names():
@@ -104,6 +107,56 @@ def test_default_search_spaces_cover_all_models():
         assert space.params
     with pytest.raises(ConfigError):
         default_search_space("dbscan")
+
+
+METRICS = CatDomain(("euclidean", "manhattan", "minkowski"))
+SEARCH_TABLE = {
+    "iforest": {
+        "n_estimators": IntDomain(50, 200),
+        "max_samples": RealDomain(0.2, 1.0),
+        "max_features": RealDomain(0.2, 1.0),
+    },
+    "knn": {
+        "n_neighbors": IntDomain(1, 20),
+        "method": CatDomain(("largest", "mean", "median")),
+        "metric": METRICS,
+        "minkowski_p": RealDomain(1.0, 4.0),
+    },
+    "gmm": {
+        "n_components": IntDomain(1, 4),
+        "covariance_type": CatDomain(("full", "tied", "diag", "spherical")),
+        "init_params": CatDomain(("kmeans", "random")),
+    },
+    "lof": {
+        "n_neighbors": IntDomain(2, 30),
+        "metric": METRICS,
+        "minkowski_p": RealDomain(1.0, 4.0),
+    },
+    "pca": {"n_components": IntDomain(1, 2)},
+    "autoencoder": {
+        "epoch_num": IntDomain(20, 100),
+        "batch_size": IntDomain(8, 32),
+        "dropout_rate": RealDomain(0.0, 0.3),
+        "hidden_neuron_list": CatDomain(((4, 2), (8, 4), (8, 2), (16, 8))),
+        "hidden_activation_name": CatDomain(("relu", "tanh", "sigmoid")),
+        "optimizer_name": CatDomain(("sgd", "momentum", "adam")),
+        "learning_rate": RealDomain(0.001, 0.05),
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(SEARCH_TABLE))
+def test_default_search_space_pinned(model):
+    # TPE draws dimensions in key order and choices by index, so the
+    # order of both is part of every seeded tuning trajectory
+    got = default_search_space(model).params
+    assert list(got.items()) == list(SEARCH_TABLE[model].items())
+
+
+@pytest.mark.parametrize("n_features, high", [(1, 1), (2, 2), (3, 3), (0, 1)])
+def test_pca_search_follows_column_count(n_features, high):
+    got = default_search_space("pca", n_features=n_features).params
+    assert list(got.items()) == [("n_components", IntDomain(1, high))]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +279,18 @@ def test_aggregate_layer_lists_take_mode():
         make_config("autoencoder", {"hidden_neuron_list": (4, 2)}),
     ]
     assert aggregate_configs(configs).params["hidden_neuron_list"] == (4, 2)
+
+
+def test_aggregate_validates_external_configs():
+    cfg = make_config("autoencoder")
+    lists = [
+        DetectorConfig("autoencoder", cfg.params | {"hidden_neuron_list": [8, 4]})
+        for _ in range(2)
+    ]
+    assert aggregate_configs(lists).params["hidden_neuron_list"] == (8, 4)
+    bad = DetectorConfig("autoencoder", cfg.params | {"batch_size": 0})
+    with pytest.raises(ConfigError):
+        aggregate_configs([bad])
 
 
 def test_aggregate_rejects_empty_and_mixed_models():
