@@ -9,6 +9,14 @@ Column names can be remapped at ingest time. Label files carry only the
 anomalous cycles (``cell_id,cycle_index``); every other cycle of a labeled
 cell is implicitly normal. Manifest files assign whole cells to the train or
 test role (``cell_id,role``).
+
+Ingest reads the file with csv, CHUNK_ROWS rows at a time, and converts a
+chunk a column at a time with Python's float, so the accepted syntax and
+the bits are those of a row-by-row parse. One array test per chunk checks
+that the numbers are finite and the cycle indices integral; a chunk that
+fails any check is parsed again row by row, where the per-row parsers name
+the first bad row and its number. One stable lexsort then groups the
+samples by (cell, cycle) and orders each cycle by time.
 """
 
 from __future__ import annotations
@@ -17,7 +25,10 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from itertools import chain, groupby, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,6 +50,16 @@ DEFAULT_COLUMNS = {
 }
 
 TIME, VOLTAGE, CAPACITY = 0, 1, 2
+
+#: the roles parsed as numbers, in the order of the parsed value rows
+_NUMERIC_ROLES = ("cycle_index", "time", "voltage", "capacity")
+
+#: data rows read and converted at a time: bounds the raw rows held as
+#: Python lists, whatever the file's length
+CHUNK_ROWS = 1024
+
+#: every character repr() can write for a float
+_FLOAT_REPR_CHARS = frozenset("0123456789.+-einfa")
 
 
 @dataclass(eq=False)
@@ -94,10 +115,12 @@ class CycleRecord:
 class CycleStore:
     """An ordered collection of cycles spanning one or more cells.
 
-    Records are kept sorted by (cell_id, cycle_index) and unique on that key.
+    Records are kept sorted by (cell_id, cycle_index) and unique on that key;
+    each cell's records form one slice of them, indexed once at construction.
     """
 
     records: tuple[CycleRecord, ...]
+    _cells: dict[str, slice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = tuple(
@@ -108,23 +131,30 @@ class CycleStore:
             dupes = sorted({k for k in keys if keys.count(k) > 1})
             raise SchemaError(f"duplicate (cell, cycle) pairs: {dupes[:5]}")
         self.records = ordered
+        self._cells = {}
+        start = 0
+        for cell, group in groupby(ordered, key=attrgetter("cell_id")):
+            stop = start + sum(1 for _ in group)
+            self._cells[cell] = slice(start, stop)
+            start = stop
 
     def __len__(self) -> int:
         return len(self.records)
 
     def cells(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.cell_id, None)
-        return list(seen)
+        return list(self._cells)
 
     def by_cell(self, cell_id: str) -> list[CycleRecord]:
-        return [r for r in self.records if r.cell_id == cell_id]
+        return list(self.records[self._cells.get(cell_id, slice(0))])
 
     def get(self, cell_id: str, cycle_index: int) -> CycleRecord:
-        for rec in self.records:
-            if rec.cell_id == cell_id and rec.cycle_index == cycle_index:
-                return rec
+        span = self._cells.get(cell_id, slice(0))
+        i = bisect_left(
+            self.records, cycle_index, span.start or 0, span.stop,
+            key=lambda r: r.cycle_index,
+        )
+        if i < span.stop and self.records[i].cycle_index == cycle_index:
+            return self.records[i]
         raise UnknownCycleError(f"no cycle {cell_id}/{cycle_index} in store")
 
 
@@ -188,40 +218,52 @@ def _require_finite(row, idx, values, row_no: int, source: str) -> None:
             )
 
 
-def _table(reader, columns: dict[str, str], source: str):
-    """Read the header row and resolve each role's column position.
-
-    Returns the {role: index} map and an iterator over (row number, row) for
-    the data rows. Blank rows are skipped; a row too short to hold every
-    resolved column raises RowParseError naming the file and the row.
-    """
+def _header(reader, columns: dict[str, str], source: str):
+    """Read the header row; returns the {role: index} map and the row width
+    every data row needs."""
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise EmptyInputError(f"{source}: file is empty") from None
     idx = _resolve_columns(header, columns, source)
-    width = max(idx.values()) + 1
-
-    def rows():
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not tok.strip() for tok in row):
-                continue
-            if len(row) < width:
-                raise RowParseError(
-                    f"{source}: row {row_no}: expected at least {width} "
-                    f"fields, got {len(row)}",
-                    row=row_no,
-                )
-            yield row_no, row
-
-    return idx, rows()
+    return idx, max(idx.values()) + 1
 
 
-def _parse_rows(reader, colmap, source: str) -> CycleStore:
-    idx, rows = _table(reader, colmap, source)
-    n_rows = 0
-    groups: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
-    for row_no, row in rows:
+def _data_rows(numbered, width: int, source: str):
+    """Yield the (row number, row) pairs that hold data. Blank rows are
+    skipped; a row too short to hold every resolved column raises
+    RowParseError naming the file and the row."""
+    for row_no, row in numbered:
+        if not row or all(not tok.strip() for tok in row):
+            continue
+        if len(row) < width:
+            raise RowParseError(
+                f"{source}: row {row_no}: expected at least {width} "
+                f"fields, got {len(row)}",
+                row=row_no,
+            )
+        yield row_no, row
+
+
+def _table(reader, columns: dict[str, str], source: str):
+    """Read the header row and resolve each role's column position.
+
+    Returns the {role: index} map and an iterator over (row number, row) for
+    the data rows, as _data_rows gives them.
+    """
+    idx, width = _header(reader, columns, source)
+    return idx, _data_rows(enumerate(reader, start=2), width, source)
+
+
+def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str):
+    """Parse a chunk row by row, checking each row in full before the next.
+
+    Raises on the chunk's first bad row, with its row number; otherwise
+    returns the cell ids and a (4, n) array of cycle index, time, voltage
+    and capacity, blank rows left out.
+    """
+    cells, values = [], []
+    for row_no, row in _data_rows(enumerate(rows, first_row_no), width, source):
         cell = row[idx["cell_id"]].strip()
         if not cell:
             raise RowParseError(
@@ -241,18 +283,86 @@ def _parse_rows(reader, colmap, source: str) -> CycleStore:
         # sum non-finite (so can overflow, hence the per-value recheck)
         if not math.isfinite(t + v + q):
             _require_finite(row, idx, (t, v, q), row_no, source)
-        groups.setdefault((cell, cyc), []).append((t, v, q))
-        n_rows += 1
+        cells.append(cell)
+        values.append((cyc, t, v, q))
+    return cells, np.array(values, dtype=float).reshape(-1, 4).T
 
-    if n_rows == 0:
+
+def _parse_chunk(rows, first_row_no: int, idx, width: int, source: str):
+    """Parse a chunk of raw rows a column at a time.
+
+    Each numeric column goes through Python's float, so the accepted syntax
+    and the bits are those of the row-by-row parse. Any doubt (a short or
+    blank row, an empty cell id, a token float rejects, a non-finite value
+    or a fractional cycle index) hands the chunk to _parse_rows_one_by_one,
+    which names the first bad row or, finding none, parses the chunk.
+    """
+    n = len(rows)
+    if min(map(len, rows)) >= width:
+        cell_at = idx["cell_id"]
+        cells = [row[cell_at].strip() for row in rows]
+        columns = (
+            [row[at] for row in rows]
+            for at in [idx[role] for role in _NUMERIC_ROLES]
+        )
+        try:
+            values = np.fromiter(
+                map(float, chain.from_iterable(columns)), float, 4 * n
+            ).reshape(4, n)
+        except ValueError:
+            values = None
+        if (values is not None and all(cells)
+                and np.isfinite(values).all()
+                and np.array_equal(values[0], np.trunc(values[0]))):
+            return cells, values
+    return _parse_rows_one_by_one(rows, first_row_no, idx, width, source)
+
+
+def _parse_rows(reader, colmap, source: str) -> CycleStore:
+    idx, width = _header(reader, colmap, source)
+    codes: dict[str, int] = {}  # cell id -> code, in order of first appearance
+    code_chunks, value_chunks = [], []
+    first_row_no = 2
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, CHUNK_ROWS))
+        except csv.Error:
+            # the rows read before the unreadable one are checked first, as
+            # a row-by-row reader would have
+            _parse_rows_one_by_one(rows, first_row_no, idx, width, source)
+            raise
+        if not rows:
+            break
+        cells, values = _parse_chunk(rows, first_row_no, idx, width, source)
+        first_row_no += len(rows)
+        for cell in dict.fromkeys(cells):
+            codes.setdefault(cell, len(codes))
+        code_chunks.append(
+            np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
+        )
+        value_chunks.append(values)
+
+    if not any(map(len, code_chunks)):
         raise EmptyInputError(f"{source}: no data rows")
-
-    records = []
-    for (cell, cyc), rows in groups.items():
-        samples = np.asarray(rows, dtype=float)
-        order = np.argsort(samples[:, TIME], kind="stable")
-        records.append(CycleRecord(cell, cyc, samples[order]))
-    return CycleStore(records=tuple(records))
+    code = np.concatenate(code_chunks)
+    values = np.concatenate(value_chunks, axis=1)
+    # stable: samples of a cycle keep file order among equal time stamps
+    order = np.lexsort((values[1], values[0], code))
+    code, cycle = code[order], values[0, order]
+    samples = values[1:].T[order]
+    edges = np.flatnonzero(
+        (code[1:] != code[:-1]) | (cycle[1:] != cycle[:-1])
+    ) + 1
+    starts = [0, *edges.tolist()]
+    stops = [*edges.tolist(), code.size]
+    names = list(codes)
+    return CycleStore(records=tuple(
+        CycleRecord(names[c], int(k), samples[a:b])
+        for a, b, c, k in zip(
+            starts, stops, code[starts].tolist(), cycle[starts].tolist()
+        )
+    ))
 
 
 def _build_colmap(columns: dict[str, str] | None) -> dict[str, str]:
@@ -324,41 +434,50 @@ def split_train_test(
     return CycleStore(records=train), CycleStore(records=test)
 
 
+def _format_records(store: CycleStore, delimiter: str):
+    """Yield the canonical text of a store: the header, then one string per
+    record.
+
+    csv writes the header and each record's cell and cycle fields, so they
+    are quoted as csv quotes them; the floats' reprs are joined in, unless
+    the delimiter could occur in one, where csv writes the whole rows.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(DEFAULT_COLUMNS.values())
+    yield buf.getvalue()
+    quote_floats = delimiter in _FLOAT_REPR_CHARS
+    for rec in store.records:
+        rows = rec.samples.tolist()
+        buf.seek(0)
+        buf.truncate()
+        if quote_floats:
+            writer.writerows(
+                [(rec.cell_id, rec.cycle_index, repr(t), repr(v), repr(q))
+                 for t, v, q in rows]
+            )
+            yield buf.getvalue()
+            continue
+        writer.writerow((rec.cell_id, rec.cycle_index, ""))
+        head = buf.getvalue()[:-1]
+        d = delimiter
+        yield "".join([f"{head}{t!r}{d}{v!r}{d}{q!r}\n" for t, v, q in rows])
+
+
 def format_cycles(store: CycleStore, delimiter: str = ",") -> str:
     """Render a store in the canonical measurement format.
 
     Floats are written with repr so a round trip through text reproduces the
     exact binary values.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(
-        [
-            DEFAULT_COLUMNS["cell_id"],
-            DEFAULT_COLUMNS["cycle_index"],
-            DEFAULT_COLUMNS["time"],
-            DEFAULT_COLUMNS["voltage"],
-            DEFAULT_COLUMNS["capacity"],
-        ]
-    )
-    for rec in store.records:
-        for t, v, q in rec.samples:
-            writer.writerow(
-                [
-                    rec.cell_id,
-                    rec.cycle_index,
-                    repr(float(t)),
-                    repr(float(v)),
-                    repr(float(q)),
-                ]
-            )
-    return buf.getvalue()
+    return "".join(_format_records(store, delimiter))
 
 
 def export_cycles(store: CycleStore, path: str, delimiter: str = ",") -> None:
+    """Write format_cycles' text to path, a record at a time."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(format_cycles(store, delimiter=delimiter))
+        handle.writelines(_format_records(store, delimiter))
 
 
 def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:

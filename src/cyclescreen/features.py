@@ -11,6 +11,15 @@ scaled voltage and capacity, plus the maximum ratio of those differences.
 Natural-log variants and a normalized distance feature over
 (cycle_index, capacity_max) round out the module; build_feature_matrix
 assembles a cell's table under one of the named recipes.
+
+build_feature_matrix works on a cell at once: it stacks the cycles of each
+sample count into one (cycles, samples) array and takes medians, quartiles,
+differences and maxima along axis 1, then writes the rows back in cycle
+order. The offsets median**2 / IQR stay Python float arithmetic, one cycle
+at a time, because NumPy evaluates an array's **2 as x*x, which can differ
+from pow in the last bit. median_iqr_transform, transform_cell and
+extract_cycle_features keep the one-cycle-at-a-time form, which the batched
+path matches bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CycleRecord
+from .dataset import CAPACITY, VOLTAGE, CycleRecord
 from .errors import (
     ConfigError,
     CycleScreenError,
@@ -186,6 +195,47 @@ def _dvdq_max(dv: np.ndarray, dq: np.ndarray) -> tuple[float, bool]:
     return float(np.max(dv / clamped)), True
 
 
+def _difference_features(v: np.ndarray, q: np.ndarray):
+    """dv_max, dq_max, dvdq_max and the clamp flag of each row of the scaled
+    (cycles, samples) voltage and capacity arrays; each row as _dvdq_max and
+    the plain maxima give it for one cycle, to the bit."""
+    dv = np.diff(v, axis=1)
+    dq = np.diff(q, axis=1)
+    keep = np.abs(dq) >= EPS
+    kept = keep.sum(axis=1)
+    clamped = kept == 0
+    dvdq = np.empty(dv.shape[0])
+    if not clamped.all():
+        # one segment of kept ratios per row: a max over rows padded where
+        # pairs were skipped could return the other sign of a zero maximum
+        starts = (np.cumsum(kept) - kept)[~clamped]
+        dvdq[~clamped] = np.maximum.reduceat(dv[keep] / dq[keep], starts)
+    if clamped.any():
+        tiny = dq[clamped]
+        sign = np.where(tiny < 0, -1.0, 1.0)
+        denominator = sign * np.maximum(np.abs(tiny), EPS)
+        dvdq[clamped] = (dv[clamped] / denominator).max(axis=1)
+    return dv.max(axis=1), dq.max(axis=1), dvdq, clamped
+
+
+def _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped):
+    """The difference-feature matrix and guard notes of a cell's cycles."""
+    notes = FeatureNotes(cell_id=",".join(sorted({c.cell_id for c in cycles})))
+    notes.dvdq_clamped = [int(cycles[i].cycle_index) for i in np.flatnonzero(clamped)]
+    matrix = FeatureMatrix(
+        cycle_index=np.asarray([c.cycle_index for c in cycles], dtype=int),
+        columns={"dv_max": dv_max, "dq_max": dq_max, "dvdq_max": dvdq_max},
+    )
+    return matrix, notes
+
+
+def _short_cycle(rec: CycleRecord) -> ShortCycleError:
+    return ShortCycleError(
+        f"cycle {rec.cell_id}/{rec.cycle_index} has {rec.samples.shape[0]} "
+        f"sample(s); need at least 2 for difference features"
+    )
+
+
 def extract_cycle_features(
     cycles: Sequence[CycleRecord],
     scaled: Sequence[tuple[ScaledSeries, ScaledSeries]],
@@ -211,18 +261,12 @@ def extract_cycle_features(
         )
     if len(cycles) == 0:
         raise EmptyInputError("no cycles to extract features from")
-    cell_ids = {c.cell_id for c in cycles}
-    notes = FeatureNotes(cell_id=",".join(sorted(cell_ids)))
-    dv_max = np.empty(len(cycles))
-    dq_max = np.empty(len(cycles))
-    dvdq_max = np.empty(len(cycles))
+    dv_max, dq_max, dvdq_max = (np.empty(len(cycles)) for _ in range(3))
+    clamped = np.empty(len(cycles), dtype=bool)
     for i, (rec, (v_scaled, q_scaled)) in enumerate(zip(cycles, scaled)):
         n = rec.samples.shape[0]
         if n < 2:
-            raise ShortCycleError(
-                f"cycle {rec.cell_id}/{rec.cycle_index} has {n} sample(s); "
-                f"need at least 2 for difference features"
-            )
+            raise _short_cycle(rec)
         if v_scaled.values.shape[0] != n or q_scaled.values.shape[0] != n:
             raise ShapeMismatchError(
                 f"cycle {rec.cell_id}/{rec.cycle_index}: scaled series length "
@@ -232,14 +276,8 @@ def extract_cycle_features(
         dq = np.diff(q_scaled.values)
         dv_max[i] = float(np.max(dv))
         dq_max[i] = float(np.max(dq))
-        dvdq_max[i], clamped = _dvdq_max(dv, dq)
-        if clamped:
-            notes.dvdq_clamped.append(int(rec.cycle_index))
-    matrix = FeatureMatrix(
-        cycle_index=np.asarray([c.cycle_index for c in cycles], dtype=int),
-        columns={"dv_max": dv_max, "dq_max": dq_max, "dvdq_max": dvdq_max},
-    )
-    return matrix, notes
+        dvdq_max[i], clamped[i] = _dvdq_max(dv, dq)
+    return _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped)
 
 
 def transform_cell(
@@ -310,6 +348,62 @@ def _add_logs(matrix: FeatureMatrix, notes: FeatureNotes, required: bool) -> Non
         notes.record_log(f"log_{name}", matrix.cycle_index, col, clamped)
 
 
+def _cell_features(
+    cycles: Sequence[CycleRecord],
+) -> tuple[FeatureMatrix, FeatureNotes, np.ndarray]:
+    """extract_cycle_features(cycles, transform_cell(cycles)) and each
+    cycle's capacity_max, with the cycles of each sample count stacked into
+    one (cycles, samples) array and worked along axis 1.
+
+    Rows are written back in cycle order, and errors keep the per-cycle
+    precedence: a zero IQR, checked in each cycle's voltage then its
+    capacity, cycle by cycle; then the first cycle too short for differences.
+    """
+    if len(cycles) == 0:
+        raise EmptyInputError("no cycles to extract features from")
+    groups: dict[int, list[int]] = {}
+    for i, rec in enumerate(cycles):
+        groups.setdefault(rec.samples.shape[0], []).append(i)
+    stacks = [
+        np.stack([cycles[i].samples for i in members])
+        for members in groups.values()
+    ]
+    # per cycle: voltage median and IQR, then capacity median and IQR
+    stats = np.empty((len(cycles), 4))
+    for members, samples in zip(groups.values(), stacks):
+        for col, channel in ((0, VOLTAGE), (2, CAPACITY)):
+            x = samples[:, :, channel]
+            q1, q3 = np.quantile(x, [0.25, 0.75], axis=1)  # type 7
+            stats[members, col] = np.median(x, axis=1)
+            stats[members, col + 1] = q3 - q1
+    offsets = []
+    for rec, (med_v, iqr_v, med_q, iqr_q) in zip(cycles, stats.tolist()):
+        for origin, med, iqr in (
+            ("voltage", med_v, iqr_v), ("capacity", med_q, iqr_q)
+        ):
+            if iqr == 0.0:
+                raise DegenerateSpreadError(
+                    f"{origin} {rec.cell_id}/{rec.cycle_index}: "
+                    f"interquartile range is zero, cannot scale"
+                )
+            # a Python float power, as in median_iqr_transform: NumPy takes
+            # an array's **2 as x*x, which can differ from pow in the last bit
+            offsets.append(med**2 / iqr)
+    if 1 in groups:
+        raise _short_cycle(cycles[groups[1][0]])
+    offsets = np.reshape(offsets, (-1, 2))
+    dv_max, dq_max, dvdq_max, cap_max = (np.empty(len(cycles)) for _ in range(4))
+    clamped = np.empty(len(cycles), dtype=bool)
+    for members, samples in zip(groups.values(), stacks):
+        v = samples[:, :, VOLTAGE] - offsets[members, 0:1]
+        q = samples[:, :, CAPACITY] - offsets[members, 1:2]
+        (dv_max[members], dq_max[members], dvdq_max[members],
+         clamped[members]) = _difference_features(v, q)
+        cap_max[members] = samples[:, :, CAPACITY].max(axis=1)
+    matrix, notes = _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped)
+    return matrix, notes, cap_max
+
+
 def build_feature_matrix(
     cycles: Sequence[CycleRecord], recipe: str = "severson"
 ) -> tuple[FeatureMatrix, FeatureNotes]:
@@ -328,10 +422,9 @@ def build_feature_matrix(
         raise ConfigError(
             f"unknown recipe '{recipe}'; expected one of {list(RECIPES)}"
         )
-    matrix, notes = extract_cycle_features(cycles, transform_cell(cycles))
+    matrix, notes, cap_max = _cell_features(cycles)
     if recipe == "severson":
         _add_logs(matrix, notes, required=True)
-    cap_max = np.asarray([float(np.max(rec.capacity)) for rec in cycles])
     matrix.add_column("capacity_max", cap_max)
     if recipe == "custom":
         _add_logs(matrix, notes, required=False)

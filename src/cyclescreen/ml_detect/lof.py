@@ -6,9 +6,9 @@ neighbors, and the factor is the mean neighbor density over the point's own.
 Scores near 1 mean "as dense as the neighbors"; larger means more isolated.
 
 Distances come from `dist_detect.pairwise`, which builds them a block of
-rows at a time; neighbors are then picked by a stable sort of each row,
-also a block of rows at a time, and an exact self-match is cleared for all
-queries at once.
+rows at a time; neighbors are then picked a block of rows at a time by an
+exact selection that keeps a stable sort's order (ties go to the lower
+index), and an exact self-match is cleared for all queries at once.
 
 Distinct points always have positive reachability distance, so densities
 stay finite unless more than n_neighbors rows coincide exactly; that case is
@@ -38,15 +38,24 @@ class LofState:
 def _knn_rows(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Neighbor indices (m, k) and distances, smallest first, per row.
 
-    Ties keep the lower index (a stable sort), because the indices pick
-    whose k-distance and density a row borrows. Rows are sorted a block at
-    a time, so the sort never holds an index for every entry of D.
+    Ties keep the lower index (the order of a stable sort), because the
+    indices pick whose k-distance and density a row borrows. A block of rows
+    at a time, the k-th smallest distance of each row is found by partition;
+    only the entries not above it, ties included, are then sorted, stably
+    and in index order, and the first k of each row are kept.
     """
-    order = np.empty((D.shape[0], k), dtype=np.intp)
-    step = max(1, BLOCK_ELEMENTS // max(1, D.shape[1]))
-    for start in range(0, D.shape[0], step):
-        rows = slice(start, start + step)
-        order[rows] = np.argsort(D[rows], axis=1, kind="stable")[:, :k]
+    m, n = D.shape
+    order = np.empty((m, k), dtype=np.intp)
+    step = max(1, BLOCK_ELEMENTS // max(1, n))
+    for start in range(0, m, step):
+        block = D[start:start + step]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        # NaN sorts last: a NaN k-th value keeps the whole row
+        rows, cols = np.nonzero(~(block > kth))
+        by_row = np.lexsort((block[rows, cols], rows))
+        count = np.bincount(rows, minlength=block.shape[0])
+        first = np.cumsum(count) - count
+        order[start:start + step] = cols[by_row][first[:, None] + np.arange(k)]
     dists = np.take_along_axis(D, order, axis=1)
     return order, dists
 

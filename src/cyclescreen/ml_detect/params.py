@@ -12,7 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import ConfigError
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool; NumPy scalars, as read from an
+    array, count."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, (bool, np.bool_)))
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,7 @@ class RealDomain:
             raise ConfigError(f"bad real domain [{self.low}, {self.high}]")
 
     def validate(self, name: str, value) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"{name} must be a number, got {value!r}")
         value = float(value)
         if value != value:
@@ -54,8 +63,10 @@ class IntDomain:
             raise ConfigError(f"bad int domain [{self.low}, {self.high}]")
 
     def validate(self, name: str, value) -> int:
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (isinstance(value, float) and not value.is_integer())):
+        if not _is_number(value) or (
+            isinstance(value, (float, np.floating))
+            and not float(value).is_integer()
+        ):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = int(value)
         if value < self.low or value > self.high:

@@ -58,11 +58,29 @@ class SearchSpace:
     def __post_init__(self):
         if self.model not in PARAM_SPECS:
             raise ConfigError(f"unknown model '{self.model}'")
-        unknown = set(self.params) - set(PARAM_SPECS[self.model])
+        spec = PARAM_SPECS[self.model]
+        unknown = set(self.params) - set(spec)
         if unknown:
             raise ConfigError(
                 f"{self.model}: search space names unknown params {sorted(unknown)}"
             )
+        # a range is an interval or a set of choices: its ends, or each of
+        # its choices, must pass the param's hard range
+        for name, dom in self.params.items():
+            if isinstance(dom, RealDomain) and isinstance(spec[name].hard, IntDomain):
+                raise ConfigError(
+                    f"{self.model}: search range of {name} is real-valued, "
+                    f"but {name} takes integers"
+                )
+            ends = dom.choices if isinstance(dom, CatDomain) else (dom.low, dom.high)
+            try:
+                for value in ends:
+                    spec[name].hard.validate(name, value)
+            except ConfigError as err:
+                raise ConfigError(
+                    f"{self.model}: search range of {name} leaves its hard "
+                    f"range: {err}"
+                ) from None
 
     def sample(self, rng) -> dict:
         out = {}

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclescreen.dataset import (
+    CHUNK_ROWS,
+    CycleRecord,
     CycleStore,
     SplitManifest,
     attach_labels,
@@ -247,6 +249,108 @@ def test_non_finite_measurement_cites_row(tmp_path, column, token):
         ingest_cycles(path)
     assert exc.value.row == 3
     assert str(exc.value) == f"{path}: row 3: {column} value '{token}' is not finite"
+
+
+def long_file(tmp_path, bad):
+    """CHUNK_ROWS + 100 valid data rows with a blank row at CHUNK_ROWS + 10,
+    then the {row number: line} replacements in bad."""
+    lines = [HEADER] + [
+        f"A,{i // 64},{i % 64}.0,3.9,0.{i % 64 + 1}" for i in range(CHUNK_ROWS + 100)
+    ]
+    lines[CHUNK_ROWS + 10 - 1] = ""
+    for row_no, line in bad.items():
+        lines[row_no - 1] = line
+    return write(tmp_path, "long.csv", "\n".join(lines) + "\n")
+
+
+NOT_FINITE = [
+    (f"A,3,{t},{v},{q}", f"{column} value '{token}' is not finite")
+    for token in ("nan", "inf", "-inf")
+    for column, (t, v, q) in {
+        "time": (token, "3.9", "0.1"),
+        "voltage": ("0.5", token, "0.1"),
+        "capacity": ("0.5", "3.9", token),
+    }.items()
+]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("A,3,oops,3.9,0.1", "could not parse time value 'oops'"),
+        ("A,3,0.5,3.9,1..0", "could not parse capacity value '1..0'"),
+        ("A,x,0.5,3.9,0.1", "could not parse cycle_index value 'x'"),
+        ("A,2.5,0.5,3.9,0.1", "cycle_index value '2.5' is not an integer"),
+        ("A,nan,0.5,3.9,0.1", "cycle_index value 'nan' is not an integer"),
+        ("A, inf ,0.5,3.9,0.1", "cycle_index value 'inf' is not an integer"),
+        *NOT_FINITE,
+        (" ,3,0.5,3.9,0.1", "empty cell_id"),
+        ("A,3,0.5", "expected at least 5 fields, got 3"),
+    ],
+)
+def test_bad_row_past_the_first_chunk_keeps_its_message(tmp_path, line, message):
+    # a later bad row in the same chunk must not mask the first one
+    row_no = CHUNK_ROWS + 50
+    path = long_file(tmp_path, {row_no: line, CHUNK_ROWS + 80: "A,3,0.5,bad,0.1"})
+    with pytest.raises(RowParseError) as exc:
+        ingest_cycles(path)
+    assert exc.value.row == row_no
+    assert str(exc.value) == f"{path}: row {row_no}: {message}"
+
+
+def test_chunked_ingest_groups_rows_across_chunks(tmp_path):
+    # three cells' rows shuffled over more than two chunks, with time ties,
+    # blank rows and padded tokens; the reference groups row by row
+    local = np.random.default_rng(3)
+    rows = []
+    for i in range(2 * CHUNK_ROWS + 500):
+        cell = ("A", "B", "C")[i % 3]
+        rows.append((cell, int(local.integers(0, 40)), float(local.integers(0, 30)),
+                     float(local.normal(3.7, 0.2)), float(local.random())))
+    rows = [rows[i] for i in local.permutation(len(rows))]
+    lines = [HEADER]
+    for n, (cell, cyc, t, v, q) in enumerate(rows):
+        if n % 997 == 0:
+            lines.append("")
+        cyc_token = f"{cyc}.0" if n % 5 == 0 else f" {cyc}"
+        lines.append(f" {cell},{cyc_token},{t!r},{v!r} ,{q!r}")
+    path = write(tmp_path, "shuffled.csv", "\n".join(lines) + "\n")
+
+    groups: dict[tuple[str, int], list] = {}
+    for cell, cyc, t, v, q in rows:
+        groups.setdefault((cell, cyc), []).append((t, v, q))
+    expect = []
+    for (cell, cyc), samples in groups.items():
+        samples = np.asarray(samples)
+        order = np.argsort(samples[:, 0], kind="stable")
+        expect.append(CycleRecord(cell, cyc, samples[order]))
+    expect = CycleStore(expect)
+
+    got = ingest_cycles(path)
+    assert got.records == expect.records
+    for a, b in zip(got.records, expect.records):
+        assert a.samples.tobytes() == b.samples.tobytes()
+    assert got.cells() == ["A", "B", "C"]
+
+
+def test_store_cell_index():
+    store = CycleStore(
+        [
+            make_cycle("B", 2, [0], [4.0], [0.0]),
+            make_cycle("A", 5, [0], [4.0], [0.0]),
+            make_cycle("B", 0, [0], [4.0], [0.0]),
+            make_cycle("A", 1, [0], [4.0], [0.0]),
+        ]
+    )
+    assert store.cells() == ["A", "B"]
+    assert [r.cycle_index for r in store.by_cell("B")] == [0, 2]
+    assert store.by_cell("Z") == []
+    assert store.get("A", 5) is store.records[1]
+    for cell, cyc in (("A", 2), ("B", 5), ("Z", 0)):
+        with pytest.raises(UnknownCycleError) as exc:
+            store.get(cell, cyc)
+        assert str(exc.value) == f"no cycle {cell}/{cyc} in store"
+    assert CycleStore([]).cells() == []
 
 
 def test_labels_round_trip(tmp_path):

@@ -3,11 +3,12 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclescreen.errors import (
     ConfigError,
+    CycleScreenError,
     DegenerateSpreadError,
     EmptyFeatureError,
     EmptyInputError,
@@ -220,6 +221,84 @@ def test_custom_skips_what_severson_and_tohoku_require():
     assert list(matrix.columns) == [
         "dv_max", "dq_max", "dvdq_max", "capacity_max", "log_dq_max",
     ]
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# ties, signed zeros and capacity steps under the 1e-12 guard, beside
+# ordinary values
+SAMPLE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e-13, 3.7]),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(SAMPLE_VALUES, SAMPLE_VALUES), min_size=1, max_size=9),
+        min_size=1,
+        max_size=7,
+    )
+)
+# the voltage median's square differs between pow (Python) and x*x (NumPy)
+@example([[(1.644, 0.0), (1.4790653645275973, 0.5), (1.047, 1.0)], [(3.0, 0.0), (3.5, 0.25)]])
+# the kept dv/dq ratios peak at both -0.0 and 0.0, beside skipped pairs
+@example([list(zip([1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0, 1.0],
+                   [3.0, 3.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 3.0, 1.0, 3.0]))])
+def test_batched_features_match_per_cycle_oracle(cycle_samples):
+    # ragged sample counts put a cell's cycles in several stacked groups
+    cycles = [
+        make_cycle("R", 10 - k, np.arange(len(s)), [v for v, _ in s], [q for _, q in s])
+        for k, s in enumerate(cycle_samples)
+    ]
+    try:
+        expect, expect_notes = extract_cycle_features(cycles, transform_cell(cycles))
+    except (DegenerateSpreadError, ShortCycleError) as err:
+        for recipe in RECIPES:
+            with pytest.raises(type(err)) as got:
+                build_feature_matrix(cycles, recipe)
+            assert str(got.value) == str(err)
+        return
+    for recipe in RECIPES:
+        try:
+            matrix, notes = build_feature_matrix(cycles, recipe)
+        except CycleScreenError:
+            if recipe == "custom":
+                raise
+            continue  # a recipe-level refusal, after the features agreed
+        for name in ("dv_max", "dq_max", "dvdq_max"):
+            assert bits(matrix.column(name)) == bits(expect.column(name)), name
+        assert bits(matrix.column("capacity_max")) == bits(
+            [np.max(c.capacity) for c in cycles]
+        )
+        assert matrix.cycle_index.tolist() == expect.cycle_index.tolist()
+        assert notes.dvdq_clamped == expect_notes.dvdq_clamped
+
+
+def test_zero_iqr_error_takes_precedence_over_short_cycle():
+    ok = make_cycle("P", 0, [0, 1, 2], [3.0, 3.5, 4.0], [0.0, 0.5, 1.0])
+    # one sample, but a NaN rather than zero IQR: only the length check
+    # refuses it
+    short = make_cycle("P", 1, [0], [np.nan], [np.nan])
+    flat = make_cycle("P", 2, [0, 1, 2, 3], [3.0, 3.5, 4.0, 4.5], [1.0] * 4)
+    with pytest.raises(ShortCycleError, match=r"^cycle P/1 has 1 sample\(s\)"):
+        build_feature_matrix([ok, short], "custom")
+    with pytest.raises(
+        DegenerateSpreadError,
+        match=r"^capacity P/2: interquartile range is zero, cannot scale$",
+    ):
+        build_feature_matrix([ok, short, flat], "custom")
+    # cycles in the order given; within a cycle voltage before capacity
+    both = make_cycle("P", 3, [0, 1, 2], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateSpreadError, match=r"^voltage P/3"):
+        build_feature_matrix([ok, short, both, flat], "custom")
+    # a finite one-sample cycle has a zero IQR of its own
+    single = make_cycle("P", 4, [0], [3.0], [0.0])
+    with pytest.raises(DegenerateSpreadError, match=r"^voltage P/4"):
+        build_feature_matrix([ok, short, single], "custom")
 
 
 def test_feature_matrix_round_trip_text(simple_cycles):

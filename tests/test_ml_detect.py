@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -124,6 +125,23 @@ def test_make_config_error_messages(model, params, message):
     with pytest.raises(ConfigError) as err:
         make_config(model, params)
     assert str(err.value) == message
+
+
+def test_make_config_accepts_numpy_scalars():
+    # values read from an array validate like Python numbers and are stored
+    # as Python numbers, so JSON configs keep their bytes
+    got = make_config("knn", {"n_neighbors": np.int64(3), "minkowski_p": np.float32(1.5)})
+    want = make_config("knn", {"n_neighbors": 3, "minkowski_p": 1.5})
+    assert got.params == want.params
+    assert type(got.params["n_neighbors"]) is int
+    assert type(got.params["minkowski_p"]) is float
+    assert json.dumps(got.params) == json.dumps(want.params)
+    assert make_config("knn", {"n_neighbors": np.float32(4.0)}).params["n_neighbors"] == 4
+    for bad in (np.bool_(True), np.float32(2.5), np.float64("nan")):
+        with pytest.raises(ConfigError, match="n_neighbors must be an integer"):
+            make_config("knn", {"n_neighbors": bad})
+    with pytest.raises(ConfigError, match="minkowski_p must be a number"):
+        make_config("knn", {"minkowski_p": np.bool_(True)})
 
 
 # --- isolation forest -----------------------------------------------------
@@ -458,6 +476,25 @@ def test_knn_and_lof_match_full_sort_references_on_ties(metric):
             assert got.tobytes() == reduce(expect).tobytes()
         got = score(fit(make_config("lof", params), X), Q)
         assert got.tobytes() == reference_lof(X, Q, k, spec).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_lof_neighbor_selection_matches_stable_argsort(monkeypatch, block):
+    # distances from a 3-value lattice, so most rows tie across the k-th
+    # place; an inf diagonal as in fit, inf runs, and one row with NaNs
+    monkeypatch.setattr(ml_detect.lof, "BLOCK_ELEMENTS", block)
+    local = np.random.default_rng(11)
+    for m, n in ((40, 40), (25, 60), (60, 9)):
+        D = local.integers(0, 3, size=(m, n)).astype(float)
+        D[local.random((m, n)) < 0.1] = np.inf
+        if m == n:
+            np.fill_diagonal(D, np.inf)
+        D[3, ::2] = np.nan
+        for k in sorted({1, 2, 5, n - 1, n}):
+            order, dists = ml_detect.lof._knn_rows(D, k)
+            expect = np.argsort(D, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(order, expect)
+            assert dists.tobytes() == np.take_along_axis(D, expect, axis=1).tobytes()
 
 
 def test_neighbor_scoring_memory_is_not_an_n_m_d_tensor():

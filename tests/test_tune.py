@@ -65,6 +65,27 @@ def test_search_space_rejects_unknown_names():
         SearchSpace("knn", {"bogus": IntDomain(1, 2)})
 
 
+def test_search_space_rejects_ranges_outside_hard_ranges():
+    # refused when built, not when a trial first samples the bad value
+    with pytest.raises(ConfigError) as err:
+        SearchSpace("knn", {"n_neighbors": IntDomain(0, 3)})
+    assert str(err.value) == (
+        "knn: search range of n_neighbors leaves its hard range: "
+        "n_neighbors=0 outside [1, 100000]"
+    )
+    with pytest.raises(ConfigError, match="^iforest: search range of max_samples"):
+        SearchSpace("iforest", {"max_samples": RealDomain(0.0, 1.0)})
+    with pytest.raises(ConfigError, match="^knn: search range of metric"):
+        SearchSpace("knn", {"metric": CatDomain(("euclidean", "cosine"))})
+    with pytest.raises(ConfigError, match="^knn: search range of n_neighbors is real"):
+        SearchSpace("knn", {"n_neighbors": RealDomain(1.0, 3.0)})
+    # ranges reaching the hard ranges' own edges are fine
+    SearchSpace(
+        "knn",
+        {"n_neighbors": IntDomain(1, 100000), "minkowski_p": RealDomain(0.001, 10.0)},
+    )
+
+
 def test_sample_stays_in_domain(rng):
     space = SearchSpace(
         "knn",
