@@ -16,12 +16,19 @@ Output layout under --out (default ./out):
     tuning/<model>/pareto.csv      non-dominated trials
     tuning/<model>/*.json          tuned configs
     report.csv, report.txt         evaluation summary
+
+<cell> is the cell id when it matches [A-Za-z0-9._-]+ and is not ".", ".."
+or "tuning"; any other id becomes the id with each other character made "_",
+then "-" and the first 8 hex digits of the id's sha256. So every cell gets a
+directory of its own inside --out, and tune a compromise_<cell>.json of its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -69,8 +76,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _safe_name(token: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", token)
+def _cell_name(cell_id: str) -> str:
+    """<cell> in the output layout: the id, or a sanitised id and digest."""
+    safe = re.sub(r"[^A-Za-z0-9._-]", "_", cell_id)
+    if safe == cell_id and cell_id not in ("", ".", "..", "tuning"):
+        return cell_id
+    return f"{safe}-{hashlib.sha256(cell_id.encode('utf-8')).hexdigest()[:8]}"
 
 
 def _parse_col_overrides(pairs) -> dict[str, str] | None:
@@ -88,14 +99,11 @@ def _parse_col_overrides(pairs) -> dict[str, str] | None:
 
 
 def _load_store(args) -> CycleStore:
-    store = ingest_cycles(
+    return ingest_cycles(
         args.input,
-        columns=_parse_col_overrides(getattr(args, "col", None)),
+        columns=_parse_col_overrides(args.col),
         delimiter=args.delimiter,
     )
-    if getattr(args, "labels", None):
-        store = attach_labels(store, read_labels(args.labels))
-    return store
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +182,14 @@ def _write_table(path: str, comment: str, header: str, *columns) -> None:
 
 def _features_cell(args, cell_id, records) -> None:
     matrix, notes = build_feature_matrix(records, args.recipe)
-    cell_dir = f"{args.out}/{_safe_name(cell_id)}"
+    cell_dir = f"{args.out}/{_cell_name(cell_id)}"
     atomic_write_text(f"{cell_dir}/features.csv", matrix.to_delimited())
     atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
 
 
 def _detect_cell(args, cell_id, records) -> None:
     matrix, notes = build_feature_matrix(records, args.recipe)
-    cell_dir = f"{args.out}/{_safe_name(cell_id)}"
+    cell_dir = f"{args.out}/{_cell_name(cell_id)}"
     cycles = matrix.cycle_index
     # each family's columns are resolved once, when its first model runs
     stat_pick = multi_pick = failure = None
@@ -266,9 +274,8 @@ def _scoremap_cell(args, cell_id, records) -> None:
         )
     # written before any model runs, so the clamps behind a grid show even
     # when a later model fails
-    atomic_write_text(
-        f"{args.out}/{_safe_name(cell_id)}/feature_notes.txt", notes.render()
-    )
+    cell_dir = f"{args.out}/{_cell_name(cell_id)}"
+    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
     res = args.resolution
     for model in args.models:
         if model in DIST_MODELS:
@@ -289,7 +296,7 @@ def _scoremap_cell(args, cell_id, records) -> None:
             values = values.reshape(res, res)
             data_min, data_max = float(data_raw.min()), float(data_raw.max())
 
-        model_dir = f"{args.out}/{_safe_name(cell_id)}/{model}"
+        model_dir = f"{cell_dir}/{model}"
         _write_table(
             f"{model_dir}/grid.csv",
             f"model={model} features={'|'.join(names)} resolution={res}",
@@ -331,9 +338,8 @@ def _map_cells(worker, args, store: CycleStore) -> list[str]:
 def _cmd_ingest(args) -> int:
     store = _load_store(args)
     export_cycles(store, f"{args.out}/cycles.csv")
-    cells = store.cells()
     sys.stdout.write(
-        f"ingested {len(store)} cycles across {len(cells)} cells -> "
+        f"ingested {len(store)} cycles across {len(store.cells())} cells -> "
         f"{args.out}/cycles.csv\n"
     )
     return 0
@@ -448,9 +454,11 @@ def _cmd_tune(args) -> int:
             f"tuning applies to learned models {list(ml_detect.ML_MODELS)}"
         )
     store = _load_store(args)
+    if args.labels:
+        store = attach_labels(store, read_labels(args.labels, args.delimiter))
     if args.manifest:
         # transfer fits on the manifest's train cells, proxy on its test cells
-        manifest = read_manifest(args.manifest)
+        manifest = read_manifest(args.manifest, args.delimiter)
         try:
             train, test = split_train_test(store, manifest)
         except ManifestError as err:
@@ -461,27 +469,17 @@ def _cmd_tune(args) -> int:
     if args.strategy == "transfer":
         if not args.labels:
             raise UsageError("--strategy transfer requires --labels")
-        label_map = read_labels(args.labels)
-        cell_ids = sorted(label_map)
-        if args.manifest:
-            cell_ids = [c for c in store.cells() if c in label_map]
-        if not cell_ids:
-            raise UsageError("no labeled train cells to tune on")
         cells = {}
-        for cell in cell_ids:
+        for cell in store.cells():
             records = store.by_cell(cell)
-            if not records:
-                raise UsageError(f"labeled cell '{cell}' not present in input")
+            if records[0].label is None:
+                continue
             matrix, notes = build_feature_matrix(records, args.recipe)
             _names, X = _feature_X(args, matrix, notes)
-            labels = np.asarray(
-                [
-                    1 if int(c) in label_map[cell] else 0
-                    for c in matrix.cycle_index
-                ],
-                dtype=int,
-            )
-            cells[cell] = (X, labels)
+            # records and matrix rows are both in cycle order
+            cells[cell] = (X, np.asarray([r.label for r in records]))
+        if not cells:
+            raise UsageError("no labeled train cells to tune on")
         space = tune.default_search_space(args.model, n_features=X.shape[1])
         result = tune.optimize_transfer(
             cells,
@@ -514,8 +512,7 @@ def _cmd_tune(args) -> int:
         raise UsageError("no cells to tune on")
     outcomes = []
     for cell in cell_ids:
-        records = store.by_cell(cell)
-        matrix, notes = build_feature_matrix(records, args.recipe)
+        matrix, notes = build_feature_matrix(store.by_cell(cell), args.recipe)
         _names, X = _feature_X(args, matrix, notes)
         space = tune.default_search_space(args.model, n_features=X.shape[1])
         result = tune.optimize_proxy(
@@ -529,7 +526,7 @@ def _cmd_tune(args) -> int:
         )
         outcomes.append((cell, result.trials, result.front))
         atomic_write_text(
-            f"{tuning_dir}/compromise_{_safe_name(cell)}.json",
+            f"{tuning_dir}/compromise_{_cell_name(cell)}.json",
             _config_json(result.compromise),
         )
     _write_trials(tuning_dir, space, outcomes)
@@ -556,18 +553,14 @@ def _read_verdict_flags(path: str) -> dict[int, int]:
 
 
 def _cmd_evaluate(args) -> int:
-    import os
-
-    label_map = read_labels(args.labels)
-    run_dir = args.input
+    if not args.labels:
+        raise UsageError("evaluate requires --labels")
+    label_map = read_labels(args.labels, args.delimiter)
     per_model: dict[str, dict[str, object]] = {}
-    for cell_name in sorted(os.listdir(run_dir)):
-        cell_dir = os.path.join(run_dir, cell_name)
-        if not os.path.isdir(cell_dir) or cell_name == "tuning":
+    for cell, truth in sorted(label_map.items()):
+        cell_dir = os.path.join(args.input, _cell_name(cell))
+        if not os.path.isdir(cell_dir):
             continue
-        if cell_name not in label_map:
-            continue
-        truth = label_map[cell_name]
         for model_name in sorted(os.listdir(cell_dir)):
             verdict_path = os.path.join(cell_dir, model_name, "verdict.csv")
             if not os.path.isfile(verdict_path):
@@ -577,10 +570,10 @@ def _cmd_evaluate(args) -> int:
             y = [1 if c in truth else 0 for c in cycles]
             f = [flags[c] for c in cycles]
             counts = confusion(np.asarray(y), np.asarray(f))
-            per_model.setdefault(model_name, {})[cell_name] = counts
+            per_model.setdefault(model_name, {})[cell] = counts
     if not per_model:
         raise UsageError(
-            f"no verdicts for labeled cells found under '{run_dir}'"
+            f"no verdicts for labeled cells found under '{args.input}'"
         )
     csv_lines = ["model,metric,value,passed"]
     txt_lines = []
@@ -636,33 +629,41 @@ def _cmd_scoremap(args) -> int:
 # parser
 
 
-def _add_common(sub, input_required=True):
-    sub.add_argument("--input", required=input_required, help="measurement file")
+def _add_files(sub, input_help="measurement file"):
+    sub.add_argument("--input", required=True, help=input_help)
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--labels", default=None, help="label file (anomalous cycles)")
-    sub.add_argument("--manifest", default=None, help="cell role manifest")
     sub.add_argument(
-        "--recipe", choices=RECIPES, default="severson",
-        help="feature recipe (default severson)",
+        "--delimiter", default=",",
+        help="field delimiter of the measurement, label and manifest files",
     )
-    sub.add_argument(
-        "--feature", default=None,
-        help="comma-separated feature columns overriding the recipe default",
-    )
-    sub.add_argument(
-        "--log", action="store_true",
-        help="natural-log the selected feature columns",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="base random seed")
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes across cells (features, detect and scoremap)",
-    )
-    sub.add_argument("--delimiter", default=",", help="input field delimiter")
+
+
+def _add_input(sub, recipe=False, columns=False):
+    """The measurement input; recipe adds --recipe, columns --feature --log --seed."""
+    _add_files(sub)
     sub.add_argument(
         "--col", action="append", default=None, metavar="ROLE=NAME",
         help="remap an input column, e.g. --col voltage=U_volts",
     )
+    sub.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes across cells (features, detect and scoremap)",
+    )
+    if recipe:
+        sub.add_argument(
+            "--recipe", choices=RECIPES, default="severson",
+            help="feature recipe (default severson)",
+        )
+    if columns:
+        sub.add_argument(
+            "--feature", default=None,
+            help="comma-separated feature columns overriding the recipe default",
+        )
+        sub.add_argument(
+            "--log", action="store_true",
+            help="natural-log the selected feature columns",
+        )
+        sub.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
 def build_parser() -> _Parser:
@@ -670,13 +671,13 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ingest", help="validate and normalize a measurement file")
-    _add_common(p)
+    _add_input(p)
 
     p = subs.add_parser("features", help="write per-cell feature tables")
-    _add_common(p)
+    _add_input(p, recipe=True)
 
     p = subs.add_parser("detect", help="run detectors and write verdicts")
-    _add_common(p)
+    _add_input(p, recipe=True, columns=True)
     p.add_argument(
         "--model", default="all",
         help="detector name or 'all' (default) for the full battery of "
@@ -709,7 +710,9 @@ def build_parser() -> _Parser:
     )
 
     p = subs.add_parser("tune", help="hyperparameter search for a learned model")
-    _add_common(p)
+    _add_input(p, recipe=True, columns=True)
+    p.add_argument("--labels", default=None, help="label file (anomalous cycles)")
+    p.add_argument("--manifest", default=None, help="cell role manifest")
     p.add_argument("--model", required=True, help="learned model to tune")
     p.add_argument(
         "--strategy", choices=("transfer", "proxy"), default="transfer",
@@ -722,14 +725,15 @@ def build_parser() -> _Parser:
     )
 
     p = subs.add_parser("evaluate", help="score verdicts against labels")
-    _add_common(p, input_required=True)
+    _add_files(p, input_help="run directory holding detect's verdicts")
+    p.add_argument("--labels", default=None, help="label file (anomalous cycles)")
     p.add_argument(
         "--kpi", type=float, default=0.95,
         help="macro metric pass threshold (default 0.95)",
     )
 
     p = subs.add_parser("scoremap", help="export score surfaces for plots")
-    _add_common(p)
+    _add_input(p, recipe=True, columns=True)
     p.add_argument(
         "--model", default="all",
         help="distance or learned model, or 'all'",
@@ -757,18 +761,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "evaluate" and not args.labels:
-            raise UsageError("evaluate requires --labels")
         for count in ("jobs", "trials"):
             if getattr(args, count, 1) < 1:
                 raise UsageError(
                     f"--{count} must be at least 1, got {getattr(args, count)}"
                 )
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except CycleScreenError as err:
+    except (UsageError, CycleScreenError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except OSError as err:

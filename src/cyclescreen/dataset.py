@@ -218,6 +218,11 @@ def _require_finite(row, idx, values, row_no: int, source: str) -> None:
             )
 
 
+def _unreadable(source: str, row_no: int, err: csv.Error) -> RowParseError:
+    """The error for a row csv cannot read (say, a field over its limit)."""
+    return RowParseError(f"{source}: row {row_no}: {err}", row=row_no)
+
+
 def _header(reader, columns: dict[str, str], source: str):
     """Read the header row; returns the {role: index} map and the row width
     every data row needs."""
@@ -225,24 +230,31 @@ def _header(reader, columns: dict[str, str], source: str):
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise EmptyInputError(f"{source}: file is empty") from None
+    except csv.Error as err:
+        raise _unreadable(source, 1, err) from None
     idx = _resolve_columns(header, columns, source)
     return idx, max(idx.values()) + 1
 
 
-def _data_rows(numbered, width: int, source: str):
-    """Yield the (row number, row) pairs that hold data. Blank rows are
-    skipped; a row too short to hold every resolved column raises
-    RowParseError naming the file and the row."""
-    for row_no, row in numbered:
-        if not row or all(not tok.strip() for tok in row):
-            continue
-        if len(row) < width:
-            raise RowParseError(
-                f"{source}: row {row_no}: expected at least {width} "
-                f"fields, got {len(row)}",
-                row=row_no,
-            )
-        yield row_no, row
+def _data_rows(rows, first_row_no: int, width: int, source: str):
+    """Yield the (row number, row) pairs that hold data, numbering rows from
+    first_row_no. Blank rows are skipped; a row too short to hold every
+    resolved column, or one csv cannot read, raises RowParseError naming the
+    file and the row."""
+    row_no = first_row_no - 1
+    try:
+        for row_no, row in enumerate(rows, first_row_no):
+            if not row or all(not tok.strip() for tok in row):
+                continue
+            if len(row) < width:
+                raise RowParseError(
+                    f"{source}: row {row_no}: expected at least {width} "
+                    f"fields, got {len(row)}",
+                    row=row_no,
+                )
+            yield row_no, row
+    except csv.Error as err:
+        raise _unreadable(source, row_no + 1, err) from None
 
 
 def _table(reader, columns: dict[str, str], source: str):
@@ -252,7 +264,7 @@ def _table(reader, columns: dict[str, str], source: str):
     the data rows, as _data_rows gives them.
     """
     idx, width = _header(reader, columns, source)
-    return idx, _data_rows(enumerate(reader, start=2), width, source)
+    return idx, _data_rows(reader, 2, width, source)
 
 
 def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str):
@@ -263,7 +275,7 @@ def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str
     and capacity, blank rows left out.
     """
     cells, values = [], []
-    for row_no, row in _data_rows(enumerate(rows, first_row_no), width, source):
+    for row_no, row in _data_rows(rows, first_row_no, width, source):
         cell = row[idx["cell_id"]].strip()
         if not cell:
             raise RowParseError(
@@ -327,11 +339,11 @@ def _parse_rows(reader, colmap, source: str) -> CycleStore:
         rows = []
         try:
             rows.extend(islice(reader, CHUNK_ROWS))
-        except csv.Error:
+        except csv.Error as err:
             # the rows read before the unreadable one are checked first, as
             # a row-by-row reader would have
             _parse_rows_one_by_one(rows, first_row_no, idx, width, source)
-            raise
+            raise _unreadable(source, first_row_no + len(rows), err) from None
         if not rows:
             break
         cells, values = _parse_chunk(rows, first_row_no, idx, width, source)

@@ -44,6 +44,10 @@ class DegenerateSpreadError(CycleScreenError):
     """A spread estimate (IQR, MAD, standard deviation) is exactly zero."""
 
 
+class ScaleOverflowError(CycleScreenError):
+    """A finite series' scaling offset median**2 / IQR exceeds the float range."""
+
+
 class EmptyFeatureError(CycleScreenError):
     """A derived feature column has no usable entries at all."""
 

@@ -37,6 +37,7 @@ from .errors import (
     DegenerateSpreadError,
     EmptyFeatureError,
     EmptyInputError,
+    ScaleOverflowError,
     ShapeMismatchError,
     ShortCycleError,
     SingularCovarianceError,
@@ -44,6 +45,21 @@ from .errors import (
 
 #: guard for near-zero capacity differences and log arguments
 EPS = 1e-12
+
+
+def _offset(med: float, iqr: float, origin: str) -> float:
+    """median**2 / IQR as a Python float power; NumPy takes an array's **2
+    as x*x, which can differ from pow in the last bit. A square beyond the
+    float range raises ScaleOverflowError. The quotient stays finite when
+    the square does: a nonzero IQR is about the median's last-bit step or
+    more."""
+    try:
+        return med**2 / iqr
+    except OverflowError:
+        raise ScaleOverflowError(
+            f"{origin}: scaling offset median**2/IQR overflows "
+            f"(median {med!r}, IQR {iqr!r})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -88,7 +104,7 @@ def median_iqr_transform(values, origin: str = "series") -> ScaledSeries:
         raise DegenerateSpreadError(
             f"{origin}: interquartile range is zero, cannot scale"
         )
-    shifted = arr - med**2 / iqr
+    shifted = arr - _offset(med, iqr, origin)
     return ScaledSeries(values=shifted, origin=origin, median=med, iqr=iqr)
 
 
@@ -386,9 +402,9 @@ def _cell_features(
                     f"{origin} {rec.cell_id}/{rec.cycle_index}: "
                     f"interquartile range is zero, cannot scale"
                 )
-            # a Python float power, as in median_iqr_transform: NumPy takes
-            # an array's **2 as x*x, which can differ from pow in the last bit
-            offsets.append(med**2 / iqr)
+            offsets.append(
+                _offset(med, iqr, f"{origin} {rec.cell_id}/{rec.cycle_index}")
+            )
     if 1 in groups:
         raise _short_cycle(cycles[groups[1][0]])
     offsets = np.reshape(offsets, (-1, 2))

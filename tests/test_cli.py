@@ -1,10 +1,13 @@
+import argparse
+import csv
 import filecmp
+import hashlib
 import json
 import os
 
 import pytest
 
-from cyclescreen.cli import ALL_MODELS, main
+from cyclescreen.cli import ALL_MODELS, build_parser, main
 from cyclescreen.synth import AnomalySpec, generate_cell, write_dataset
 
 FEATURES = "dv_max,dq_max"
@@ -110,10 +113,12 @@ def test_detect_records_log_clamps_when_a_detector_fails(
 
 
 def test_detect_writes_the_same_feature_notes_as_features(dataset, tmp_path):
-    for command, argv in (("features", ()), ("detect", ("--model", "sd"))):
+    for command, argv in (
+        ("features", ()), ("detect", ("--feature", FEATURES, "--model", "sd"))
+    ):
         rc = run(
             command, "--input", dataset["meas"], "--out", str(tmp_path / command),
-            "--recipe", "custom", "--feature", FEATURES, *argv,
+            "--recipe", "custom", *argv,
         )
         assert rc == 0
     for cell in ("cellA", "cellB"):
@@ -489,15 +494,16 @@ def test_detect_bad_config_is_a_usage_error(dataset, tmp_path, capsys, text, rea
 @pytest.mark.parametrize(
     "argv",
     [
-        ("detect", "--jobs", "-3"),
+        ("detect", "--feature", FEATURES, "--jobs", "-3"),
         ("features", "--jobs", "0"),
-        ("tune", "--model", "knn", "--strategy", "proxy", "--trials", "0"),
+        ("tune", "--feature", FEATURES, "--model", "knn", "--strategy", "proxy",
+         "--trials", "0"),
     ],
 )
 def test_counts_below_one_are_usage_errors(dataset, tmp_path, capsys, argv):
     rc = run(
         *argv, "--input", dataset["meas"], "--out", str(tmp_path / "out"),
-        "--recipe", "custom", "--feature", FEATURES,
+        "--recipe", "custom",
     )
     assert rc == 1
     err = capsys.readouterr().err
@@ -535,3 +541,165 @@ def test_cli_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+INPUT = {"--input", "--out", "--delimiter", "--col", "--jobs"}
+COLUMNS = {"--recipe", "--feature", "--log", "--seed"}
+SURFACE = {
+    "ingest": INPUT,
+    "features": INPUT | {"--recipe"},
+    "detect": INPUT | COLUMNS | {
+        "--model", "--threshold", "--mad-factor", "--mad-threshold", "--p",
+        "--contamination-threshold", "--config",
+    },
+    "tune": INPUT | COLUMNS | {
+        "--labels", "--manifest", "--model", "--strategy", "--trials",
+        "--threshold",
+    },
+    "evaluate": {"--input", "--out", "--labels", "--delimiter", "--kpi"},
+    "scoremap": INPUT | COLUMNS | {"--model", "--resolution", "--p"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subs = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    surface = {
+        name: {
+            option for action in sub._actions for option in action.option_strings
+        } - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert surface == SURFACE
+    assert sum(map(len, surface.values())) == 59
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect", "--manifest", "manifest"),
+        ("ingest", "--seed", "3"),
+        ("features", "--feature", FEATURES),
+        ("evaluate", "--labels", "labels", "--recipe", "custom"),
+        ("scoremap", "--labels", "labels"),
+    ],
+)
+def test_an_option_the_subcommand_does_not_read_is_refused(
+    dataset, tmp_path, capsys, argv
+):
+    command, option, value, *rest = argv
+    out = tmp_path / "out"
+    rc = run(
+        command, "--input", dataset["meas"], "--out", str(out),
+        option, dataset.get(value, value), *rest,
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cyclescreen: unrecognized arguments: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_delimiter_applies_to_label_and_manifest_files(dataset, tmp_path):
+    semicolon = {}
+    for key in ("meas", "labels", "manifest"):
+        path = tmp_path / f"{key}.txt"
+        with open(dataset[key], encoding="utf-8") as handle:
+            path.write_text(handle.read().replace(",", ";"))
+        semicolon[key] = str(path)
+    trees = []
+    for files, delimiter in ((dataset, ()), (semicolon, ("--delimiter", ";"))):
+        out = tmp_path / ("semicolon" if delimiter else "comma")
+        assert run(
+            "tune", "--input", files["meas"], "--out", str(out),
+            "--labels", files["labels"], "--manifest", files["manifest"],
+            "--recipe", "custom", "--feature", FEATURES,
+            "--model", "iforest", "--trials", "3", *delimiter,
+        ) == 0
+        assert run(
+            "detect", "--input", files["meas"], "--out", str(out),
+            "--recipe", "custom", "--feature", FEATURES, "--model", "iqr",
+            *delimiter,
+        ) == 0
+        assert run(
+            "evaluate", "--input", str(out), "--out", str(out / "eval"),
+            "--labels", files["labels"], *delimiter,
+        ) == 0
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+    assert "eval/report.csv" in trees[0]
+
+
+def test_every_cell_gets_its_own_directory_inside_out(tmp_path, capsys):
+    def digest(cell):
+        return hashlib.sha256(cell.encode("utf-8")).hexdigest()[:8]
+
+    dirs = {
+        "C2": "C2",
+        "a_b": "a_b",
+        "a b": f"a_b-{digest('a b')}",
+        "..": f"..-{digest('..')}",
+        "tuning": f"tuning-{digest('tuning')}",
+    }
+    cells = {
+        cell: generate_cell(
+            30, samples_per_cycle=16, seed=i, cell_id=cell,
+            anomalies=(AnomalySpec("point", (10,), 0.4),),
+        )
+        for i, cell in enumerate(dirs)
+    }
+    meas, labels = str(tmp_path / "meas.csv"), str(tmp_path / "labels.csv")
+    write_dataset(cells, meas, labels)
+    out = tmp_path / "run" / "out"
+    common = ("--input", meas, "--out", str(out), "--recipe", "custom")
+    assert run("features", *common) == 0
+    assert run("detect", *common, "--feature", FEATURES, "--model", "iqr") == 0
+    assert run(
+        "tune", *common, "--feature", FEATURES, "--model", "knn",
+        "--strategy", "proxy", "--trials", "2",
+    ) == 0
+    assert os.listdir(tmp_path / "run") == ["out"]
+    assert sorted(os.listdir(out)) == sorted([*dirs.values(), "tuning"])
+    for name in dirs.values():
+        assert sorted(os.listdir(out / name)) == [
+            "feature_notes.txt", "features.csv", "iqr",
+        ]
+    assert sorted(os.listdir(out / "tuning" / "knn")) == sorted(
+        [f"compromise_{name}.json" for name in dirs.values()]
+        + ["pareto.csv", "trials.csv"]
+    )
+    capsys.readouterr()
+    assert run(
+        "evaluate", "--input", str(out), "--out", str(tmp_path / "eval"),
+        "--labels", labels,
+    ) == 0
+    reported = [
+        line.split(": ")[0] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  cell ")
+    ]
+    assert reported == [f"  cell {cell}" for cell in sorted(dirs)]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("A,0,0.0,4.0,0.0\nA,0,0.1,3.9," + "9" * (csv.field_size_limit() + 1),
+         "row 3: field larger than field limit"),
+        ("A,0,0.0,1e160,0.0\nA,0,0.1,2e160,0.5\nA,0,0.2,3e160,1.0",
+         "voltage A/0: scaling offset median**2/IQR overflows"),
+    ],
+    ids=["field-over-csv-limit", "offset-overflow"],
+)
+def test_unreadable_field_and_overflowing_offset_are_validation_errors(
+    tmp_path, capsys, rows, message
+):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        f"cell_id,cycle_index,time_s,voltage_v,capacity_ah\n{rows}\n"
+    )
+    assert run("features", "--input", str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert message in err.splitlines()[0]
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import csv
 import os
 import tempfile
 
@@ -228,6 +229,49 @@ def test_short_row_cites_file_and_row(tmp_path, reader, text):
         reader(path)
     assert exc.value.row == 3
     assert str(exc.value).startswith(f"{path}: row 3: expected at least")
+
+
+HUGE = "9" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_labels, f"cell_id,cycle_index\nA,1\nA,{HUGE}\n"),
+        (read_manifest, f"cell_id,role\nA,train\nB,{HUGE}\n"),
+        (ingest_cycles, f"{HEADER}\nA,0,0.0,4.0,0.0\nA,0,0.1,3.9,{HUGE}\n"),
+        (ingest_cycles, f"{HEADER}\nA,0,0.0,{HUGE},0.0\n"),
+        (ingest_cycles, f"{HEADER},{HUGE}\n"),
+    ],
+    ids=["labels", "manifest", "measurements", "first-data-row", "header"],
+)
+def test_field_over_the_csv_limit_cites_file_and_row(tmp_path, reader, text):
+    path = write(tmp_path, "huge.csv", text)
+    with pytest.raises(RowParseError) as exc:
+        reader(path)
+    row = text.count("\n")  # the last line
+    assert exc.value.row == row
+    assert str(exc.value) == (
+        f"{path}: row {row}: field larger than field limit "
+        f"({csv.field_size_limit()})"
+    )
+
+
+def test_field_over_the_csv_limit_past_the_first_chunk(tmp_path):
+    row_no = CHUNK_ROWS + 50
+    path = long_file(tmp_path, {row_no: f"A,3,0.5,3.9,{HUGE}"})
+    with pytest.raises(RowParseError) as exc:
+        ingest_cycles(path)
+    assert exc.value.row == row_no
+    # a bad row read before the unreadable one is reported first
+    path = long_file(
+        tmp_path, {row_no - 5: "A,3,oops,3.9,0.1", row_no: f"A,3,0.5,3.9,{HUGE}"}
+    )
+    with pytest.raises(RowParseError) as exc:
+        ingest_cycles(path)
+    assert str(exc.value) == (
+        f"{path}: row {row_no - 5}: could not parse time value 'oops'"
+    )
 
 
 @pytest.mark.parametrize("token", ["inf", "nan", "2.5"])

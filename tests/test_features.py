@@ -12,6 +12,7 @@ from cyclescreen.errors import (
     DegenerateSpreadError,
     EmptyFeatureError,
     EmptyInputError,
+    ScaleOverflowError,
     ShapeMismatchError,
     ShortCycleError,
     SingularCovarianceError,
@@ -276,6 +277,23 @@ def test_batched_features_match_per_cycle_oracle(cycle_samples):
         )
         assert matrix.cycle_index.tolist() == expect.cycle_index.tolist()
         assert notes.dvdq_clamped == expect_notes.dvdq_clamped
+
+
+def test_overflowing_offset_is_named_alike_on_both_paths():
+    ok = make_cycle("H", 0, [0, 1, 2], [3.0, 3.5, 4.0], [0.0, 0.5, 1.0])
+    # the capacity median's square overflows; the voltage's (1.3e154) does not
+    huge = make_cycle(
+        "H", 1, [0, 1, 2], [1e154, 1.3e154, 1.6e154], [1e160, 2e160, 3e160]
+    )
+    with pytest.raises(ScaleOverflowError) as per_cycle:
+        transform_cell([ok, huge])
+    assert str(per_cycle.value).startswith(
+        "capacity H/1: scaling offset median**2/IQR overflows (median 2e+160, IQR "
+    )
+    for recipe in RECIPES:
+        with pytest.raises(ScaleOverflowError) as batched:
+            build_feature_matrix([ok, huge], recipe)
+        assert str(batched.value) == str(per_cycle.value)
 
 
 def test_zero_iqr_error_takes_precedence_over_short_cycle():
