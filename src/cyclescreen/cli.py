@@ -9,7 +9,8 @@ Output layout under --out (default ./out):
 
     <cell>/features.csv            feature table per cell (features)
     <cell>/feature_notes.txt       guard side channel per cell, including
-                                   --log clamps (features, detect, scoremap)
+                                   --log clamps (features, detect, scoremap,
+                                   tune)
     <cell>/<model>/verdict.csv     one verdict file per cell and detector
     <cell>/<model>/grid.csv|.json  score surfaces (scoremap)
     tuning/<model>/trials.csv      trial history
@@ -43,9 +44,10 @@ from .dataset import (
     ingest_cycles,
     read_labels,
     read_manifest,
+    read_verdict_flags,
     split_train_test,
 )
-from .errors import CycleScreenError, ManifestError
+from .errors import CycleScreenError, ManifestError, ThresholdRangeError
 from .evaluation import METRIC_NAMES, benchmark_report, confusion
 from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
 # the traced benchmark run (perfbench/spans.py) wraps the three names below
@@ -448,6 +450,16 @@ def _config_json(config) -> str:
     ) + "\n"
 
 
+def _tune_features(args, cell_id, records):
+    """Cycle indices and selected columns of a cell; writes its notes."""
+    matrix, notes = build_feature_matrix(records, args.recipe)
+    _names, X = _feature_X(args, matrix, notes)
+    atomic_write_text(
+        f"{args.out}/{_cell_name(cell_id)}/feature_notes.txt", notes.render()
+    )
+    return matrix.cycle_index, X
+
+
 def _cmd_tune(args) -> int:
     if args.model not in ml_detect.ML_MODELS:
         raise UsageError(
@@ -474,8 +486,7 @@ def _cmd_tune(args) -> int:
             records = store.by_cell(cell)
             if records[0].label is None:
                 continue
-            matrix, notes = build_feature_matrix(records, args.recipe)
-            _names, X = _feature_X(args, matrix, notes)
+            _cycles, X = _tune_features(args, cell, records)
             # records and matrix rows are both in cycle order
             cells[cell] = (X, np.asarray([r.label for r in records]))
         if not cells:
@@ -512,11 +523,10 @@ def _cmd_tune(args) -> int:
         raise UsageError("no cells to tune on")
     outcomes = []
     for cell in cell_ids:
-        matrix, notes = build_feature_matrix(store.by_cell(cell), args.recipe)
-        _names, X = _feature_X(args, matrix, notes)
+        cycles, X = _tune_features(args, cell, store.by_cell(cell))
         space = tune.default_search_space(args.model, n_features=X.shape[1])
         result = tune.optimize_proxy(
-            matrix.cycle_index,
+            cycles,
             X,
             args.model,
             space=space,
@@ -536,22 +546,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _read_verdict_flags(path: str) -> dict[int, int]:
-    flags = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        header = None
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            row = line.split(",")
-            flags[int(row[0])] = int(row[header.index("flagged")])
-    return flags
-
-
 def _cmd_evaluate(args) -> int:
     if not args.labels:
         raise UsageError("evaluate requires --labels")
@@ -565,11 +559,9 @@ def _cmd_evaluate(args) -> int:
             verdict_path = os.path.join(cell_dir, model_name, "verdict.csv")
             if not os.path.isfile(verdict_path):
                 continue
-            flags = _read_verdict_flags(verdict_path)
-            cycles = sorted(flags)
-            y = [1 if c in truth else 0 for c in cycles]
-            f = [flags[c] for c in cycles]
-            counts = confusion(np.asarray(y), np.asarray(f))
+            flags = read_verdict_flags(verdict_path)
+            y = [c in truth for c in flags]
+            counts = confusion(np.asarray(y), np.asarray(list(flags.values())))
             per_model.setdefault(model_name, {})[cell] = counts
     if not per_model:
         raise UsageError(
@@ -766,6 +758,11 @@ def main(argv=None) -> int:
                 raise UsageError(
                     f"--{count} must be at least 1, got {getattr(args, count)}"
                 )
+        if hasattr(args, "threshold"):
+            try:
+                ml_detect.check_threshold(args.threshold)
+            except ThresholdRangeError as err:
+                raise UsageError(f"--threshold: {err}") from None
         return _COMMANDS[args.command](args)
     except (UsageError, CycleScreenError) as err:
         sys.stderr.write(f"error: {err}\n")

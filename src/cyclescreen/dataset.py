@@ -8,7 +8,8 @@ sample per row:
 Column names can be remapped at ingest time. Label files carry only the
 anomalous cycles (``cell_id,cycle_index``); every other cycle of a labeled
 cell is implicitly normal. Manifest files assign whole cells to the train or
-test role (``cell_id,role``).
+test role (``cell_id,role``). Verdict files, as detect writes them, are read
+back for evaluation.
 
 Ingest reads the file with csv, CHUNK_ROWS rows at a time, and converts a
 chunk a column at a time with Python's float, so the accepted syntax and
@@ -507,6 +508,27 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
             )
             labels.setdefault(cell, set()).add(cyc)
     return labels
+
+
+def read_verdict_flags(path: str) -> dict[int, int]:
+    """{cycle_index: flagged} from a verdict file as detect writes it: '#'
+    comment lines, a header, a row per cycle; rows count from line 1."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = handle.readlines()
+    skip = 0
+    while skip < len(lines) and lines[skip].startswith("#"):
+        skip += 1
+    reader = csv.reader(lines[skip:])
+    roles = {"cycle_index": "cycle_index", "flagged": "flagged"}
+    idx, width = _header(reader, roles, path)
+    flags = {
+        _parse_int(row[idx["cycle_index"]].strip(), "cycle_index", n, path):
+            _parse_int(row[idx["flagged"]].strip(), "flagged", n, path)
+        for n, row in _data_rows(reader, skip + 2, width, path)
+    }
+    if not flags:
+        raise EmptyInputError(f"{path}: no verdict rows")
+    return flags
 
 
 def export_labels(

@@ -1,4 +1,4 @@
-"""Centroid-distance detectors over a 2-D (or higher) feature space.
+"""Distances under four metrics, and the centroid-distance detectors.
 
 Every cycle is reduced to its distance from the componentwise mean of the
 cloud under one of four metrics: Euclidean, Manhattan, Minkowski with a free
@@ -6,6 +6,9 @@ exponent, and the covariance-whitened form. All four report the square root
 where applicable, so they live on a common distance scale. Flags come from a
 one-sided MAD rule on the distance vector; scores are min-max normalized over
 the observed cycles so that contour grids and flags share a scale.
+
+knn and lof share the neighbor search: `pairwise`, then `drop_self_matches`
+and `k_nearest` on the distance matrix.
 """
 
 from __future__ import annotations
@@ -57,6 +60,13 @@ class MetricSpec:
             object.__setattr__(self, "covariance", cov)
 
 
+def metric_from_params(params: dict, X: np.ndarray) -> MetricSpec:
+    """The metric a knn or lof config names, resolved on its fitting rows."""
+    kind = params["metric"]
+    p = params.get("minkowski_p") if kind == "minkowski" else None
+    return resolve_metric(MetricSpec(kind=kind, p=p), X)
+
+
 def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(cov)
@@ -71,9 +81,9 @@ def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
 
 
 #: elements one block of the neighbour search holds (512 KB of float64,
-#: cache-sized): the difference tensor in `pairwise` and the argsort in LOF.
-#: A block takes as many rows as fit, at least one in LOF and two in
-#: `pairwise`.
+#: cache-sized): the difference tensor in `pairwise` and the rows
+#: `k_nearest` partitions at once. A block takes as many rows as fit, at
+#: least two in `pairwise` and one in `k_nearest`.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -124,6 +134,39 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
     return out
 
 
+def drop_self_matches(D: np.ndarray) -> np.ndarray:
+    """Set each row's first exact zero to inf, in place, and return D: a
+    query equal to a fitted row is a member, not its own neighbor, and
+    exact duplicates stay each other's neighbors."""
+    zero = D == 0.0
+    rows = np.nonzero(zero.any(axis=1))[0]
+    D[rows, zero[rows].argmax(axis=1)] = np.inf
+    return D
+
+
+def k_nearest(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices (m, k) of each row's k smallest entries, smallest
+    first, and those entries; ties keep the lower index, as a stable sort
+    would, since LOF borrows densities through the indices.
+
+    A block of rows at a time, partition finds each row's k-th smallest
+    entry; only the entries not above it are sorted, and the first k kept.
+    """
+    m, n = D.shape
+    order = np.empty((m, k), dtype=np.intp)
+    step = max(1, BLOCK_ELEMENTS // max(1, n))
+    for start in range(0, m, step):
+        block = D[start:start + step]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        # NaN sorts last: a NaN k-th value keeps the whole row
+        rows, cols = np.nonzero(~(block > kth))
+        by_row = np.lexsort((block[rows, cols], rows))
+        count = np.bincount(rows, minlength=block.shape[0])
+        first = np.cumsum(count) - count
+        order[start:start + step] = cols[by_row][first[:, None] + np.arange(k)]
+    return order, np.take_along_axis(D, order, axis=1)
+
+
 def distance(a, b, metric: MetricSpec) -> float:
     """Distance between two points under the metric."""
     a = np.asarray(a, dtype=float).reshape(1, -1)
@@ -143,6 +186,19 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
     cov = np.atleast_2d(cov)
     _cholesky_or_raise(cov)
     return MetricSpec(kind="mahalanobis", covariance=cov)
+
+
+def _centroid_distances(X: np.ndarray, metric: MetricSpec):
+    """The metric resolved on X, the centroid and each row's distance to it;
+    raises when all distances are equal."""
+    metric = resolve_metric(metric, X)
+    centroid = X.mean(axis=0)
+    dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
+    if np.all(dist == dist[0]):
+        raise DegenerateSpreadError(
+            "all centroid distances are equal; nothing to rank"
+        )
+    return metric, centroid, dist
 
 
 @dataclass(frozen=True)
@@ -181,13 +237,7 @@ def centroid_detect(
         raise EmptyInputError(
             f"need at least 3 rows for a centroid verdict, got {X.shape[0]}"
         )
-    metric = resolve_metric(metric, X)
-    centroid = X.mean(axis=0)
-    dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
-    if np.all(dist == dist[0]):
-        raise DegenerateSpreadError(
-            "all centroid distances are equal; nothing to rank"
-        )
+    _, centroid, dist = _centroid_distances(X, metric)
     med, mad = scaled_mad(dist, mad_factor)
     cutoff = med + mad_threshold * mad
     flags = dist > cutoff
@@ -278,17 +328,9 @@ def score_grid(
         raise ShapeMismatchError(
             f"score grids are 2-D maps; got {d} feature columns"
         )
-    metric = resolve_metric(metric, X)
+    metric, centroid, data_dist = _centroid_distances(X, metric)
     bounds, axes, nodes = grid_nodes(X, resolution, bounds)
-
-    centroid = X.mean(axis=0)
-    data_dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
     dmin, dmax = float(data_dist.min()), float(data_dist.max())
-    if dmax == dmin:
-        raise DegenerateSpreadError(
-            "all centroid distances are equal; nothing to rank"
-        )
-
     node_dist = pairwise(nodes, centroid.reshape(1, -1), metric)[:, 0]
     values = ((node_dist - dmin) / (dmax - dmin)).reshape(
         tuple(a.size for a in axes)

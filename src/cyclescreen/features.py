@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import CAPACITY, VOLTAGE, CycleRecord
+from .dist_detect import _cholesky_or_raise
 from .errors import (
     ConfigError,
     CycleScreenError,
@@ -473,16 +474,11 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
     mu = X.mean(axis=0)
     cov = np.cov(X, rowvar=False, ddof=1)
     try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+        chol = _cholesky_or_raise(cov)
+    except SingularCovarianceError:
         raise SingularCovarianceError(
             "covariance of (cycle_index, capacity_max) is singular"
         ) from None
-    # a singular matrix can slip through with a rounding-level pivot
-    if np.any(np.diag(chol) ** 2 <= 1e-12 * np.max(np.diag(cov))):
-        raise SingularCovarianceError(
-            "covariance of (cycle_index, capacity_max) is singular"
-        )
     centered = X - mu
     white = np.linalg.solve(chol, centered.T).T
     dist = np.sqrt(np.sum(white**2, axis=1))

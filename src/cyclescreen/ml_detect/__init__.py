@@ -118,14 +118,19 @@ def normalize_scores(values, reference=None) -> np.ndarray:
     return out
 
 
-def predict_outliers(
-    probabilities, threshold: float = DEFAULT_PROBABILITY_THRESHOLD
-) -> np.ndarray:
-    """Flag rows whose probability strictly exceeds the threshold."""
+def check_threshold(threshold: float) -> None:
+    """Refuse a probability threshold outside [0, 1], NaN included."""
     if not np.isfinite(threshold) or threshold < 0.0 or threshold > 1.0:
         raise ThresholdRangeError(
             f"threshold must lie in [0, 1], got {threshold!r}"
         )
+
+
+def predict_outliers(
+    probabilities, threshold: float = DEFAULT_PROBABILITY_THRESHOLD
+) -> np.ndarray:
+    """Flag rows whose probability strictly exceeds the threshold."""
+    check_threshold(threshold)
     return np.asarray(probabilities, dtype=float) > threshold
 
 
@@ -178,6 +183,7 @@ __all__ = [
     "fit",
     "score",
     "normalize_scores",
+    "check_threshold",
     "predict_outliers",
     "predict_top_fraction",
     "autoencoder_gradient_check",

@@ -5,8 +5,8 @@ The raw score of a query is the distance to its k-th nearest fitted row
 exactly with a fitted row drop that one zero-distance match, so scoring the
 training set reproduces k-th-neighbor semantics instead of returning zeros.
 
-Distances come from `dist_detect.pairwise`, which builds them a block of
-query rows at a time; each query then sorts only its k + 1 nearest.
+Distances come from `dist_detect.pairwise`; the self-match rule and the
+k-nearest selection are `dist_detect`'s, the ones lof uses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dist_detect import MetricSpec, pairwise, resolve_metric
+from ..dist_detect import (
+    MetricSpec,
+    drop_self_matches,
+    k_nearest,
+    metric_from_params,
+    pairwise,
+)
 from ..errors import NeighborCountError
 
 
@@ -25,12 +31,6 @@ class KnnState:
     k: int
     method: str
     metric: MetricSpec
-
-
-def metric_from_params(params: dict, X: np.ndarray) -> MetricSpec:
-    kind = params["metric"]
-    p = params.get("minkowski_p") if kind == "minkowski" else None
-    return resolve_metric(MetricSpec(kind=kind, p=p), X)
 
 
 def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
@@ -47,16 +47,9 @@ def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
 
 def neighbor_distances(state: KnnState, Q: np.ndarray) -> np.ndarray:
     """(m, k) sorted distances to the k nearest fitted rows, self-matches
-    dropped one per query.
-
-    Only the k + 1 smallest distances of a row are sorted: a query keeps
-    the first k of them, or the last k when the nearest is an exact match.
-    """
-    D = pairwise(Q, state.X, state.metric)
-    k = state.k
-    D.partition(k, axis=1)
-    nearest = np.sort(D[:, : k + 1], axis=1)
-    return np.where(nearest[:, :1] == 0.0, nearest[:, 1:], nearest[:, :k])
+    dropped one per query."""
+    D = drop_self_matches(pairwise(Q, state.X, state.metric))
+    return k_nearest(D, state.k)[1]
 
 
 def score_knn(state: KnnState, Q: np.ndarray) -> np.ndarray:

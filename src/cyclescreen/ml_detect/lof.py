@@ -5,10 +5,9 @@ density is the reciprocal mean reachability distance over a point's k
 neighbors, and the factor is the mean neighbor density over the point's own.
 Scores near 1 mean "as dense as the neighbors"; larger means more isolated.
 
-Distances come from `dist_detect.pairwise`, which builds them a block of
-rows at a time; neighbors are then picked a block of rows at a time by an
-exact selection that keeps a stable sort's order (ties go to the lower
-index), and an exact self-match is cleared for all queries at once.
+Fitting and scoring read `dist_detect.pairwise` distances through the
+neighbor search knn uses: `drop_self_matches`, then `k_nearest`, whose ties
+go to the lower index.
 
 Distinct points always have positive reachability distance, so densities
 stay finite unless more than n_neighbors rows coincide exactly; that case is
@@ -21,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dist_detect import BLOCK_ELEMENTS, MetricSpec, pairwise
+from ..dist_detect import (
+    MetricSpec,
+    drop_self_matches,
+    k_nearest,
+    metric_from_params,
+    pairwise,
+)
 from ..errors import DegenerateSpreadError, NeighborCountError
-from .knn import metric_from_params
 
 
 @dataclass
@@ -35,29 +39,13 @@ class LofState:
     lrd: np.ndarray
 
 
-def _knn_rows(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor indices (m, k) and distances, smallest first, per row.
-
-    Ties keep the lower index (the order of a stable sort), because the
-    indices pick whose k-distance and density a row borrows. A block of rows
-    at a time, the k-th smallest distance of each row is found by partition;
-    only the entries not above it, ties included, are then sorted, stably
-    and in index order, and the first k of each row are kept.
-    """
-    m, n = D.shape
-    order = np.empty((m, k), dtype=np.intp)
-    step = max(1, BLOCK_ELEMENTS // max(1, n))
-    for start in range(0, m, step):
-        block = D[start:start + step]
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
-        # NaN sorts last: a NaN k-th value keeps the whole row
-        rows, cols = np.nonzero(~(block > kth))
-        by_row = np.lexsort((block[rows, cols], rows))
-        count = np.bincount(rows, minlength=block.shape[0])
-        first = np.cumsum(count) - count
-        order[start:start + step] = cols[by_row][first[:, None] + np.arange(k)]
-    dists = np.take_along_axis(D, order, axis=1)
-    return order, dists
+def _density(k_distance, neigh, ndist, degenerate: str) -> np.ndarray:
+    """Local reachability density of rows whose neighbors neigh lie at ndist;
+    a zero mean reachability raises with the degenerate message."""
+    mean_reach = np.maximum(k_distance[neigh], ndist).mean(axis=1)
+    if np.any(mean_reach == 0.0):
+        raise DegenerateSpreadError(degenerate)
+    return 1.0 / mean_reach
 
 
 def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
@@ -68,33 +56,22 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
             f"n_neighbors={k} needs at least {k + 1} rows, got {n}"
         )
     metric = metric_from_params(params, X)
-    D = pairwise(X, X, metric)
-    np.fill_diagonal(D, np.inf)
-    neigh, ndist = _knn_rows(D, k)
+    D = drop_self_matches(pairwise(X, X, metric))
+    neigh, ndist = k_nearest(D, k)
     k_distance = ndist[:, -1]
-    reach = np.maximum(k_distance[neigh], ndist)
-    mean_reach = reach.mean(axis=1)
-    if np.any(mean_reach == 0.0):
-        raise DegenerateSpreadError(
-            f"more than n_neighbors={k} identical rows; densities diverge"
-        )
-    lrd = 1.0 / mean_reach
+    lrd = _density(
+        k_distance, neigh, ndist,
+        f"more than n_neighbors={k} identical rows; densities diverge",
+    )
     return LofState(X=X.copy(), k=k, metric=metric,
                     k_distance=k_distance, lrd=lrd)
 
 
 def score_lof(state: LofState, Q: np.ndarray) -> np.ndarray:
-    D = pairwise(Q, state.X, state.metric)
-    # one exact self-match per query is treated as membership, not a neighbor
-    zero = D == 0.0
-    rows = np.nonzero(zero.any(axis=1))[0]
-    D[rows, zero[rows].argmax(axis=1)] = np.inf
-    neigh, ndist = _knn_rows(D, state.k)
-    reach = np.maximum(state.k_distance[neigh], ndist)
-    mean_reach = reach.mean(axis=1)
-    if np.any(mean_reach == 0.0):
-        raise DegenerateSpreadError(
-            "query coincides with a saturated duplicate cluster"
-        )
-    lrd_q = 1.0 / mean_reach
+    D = drop_self_matches(pairwise(Q, state.X, state.metric))
+    neigh, ndist = k_nearest(D, state.k)
+    lrd_q = _density(
+        state.k_distance, neigh, ndist,
+        "query coincides with a saturated duplicate cluster",
+    )
     return state.lrd[neigh].mean(axis=1) / lrd_q

@@ -148,43 +148,24 @@ class TrialRecord:
     objective_kind: str  # "recall_precision" or "loss_inliers"
 
 
-def _oriented(objectives, directions) -> tuple[float, float]:
-    # orient both objectives so larger is better
-    return tuple(
-        o if d == "max" else -o for o, d in zip(objectives, directions)
-    )
-
-
 def pareto_front(trials, directions) -> list[TrialRecord]:
     """Exact non-dominated subset, stable by trial_id.
 
-    A trial is dominated when another is at least as good in both objectives
-    and strictly better in one. Uses a sort-and-sweep over the first
-    objective, grouping ties, so it stays O(n log n) for the pair case.
+    A trial is dropped when another trial is at least as good in both
+    objectives and differs from it; trials with equal objectives all stay.
     """
     if len(directions) != 2:
         raise ConfigError("pareto_front expects exactly two directions")
     trials = sorted(trials, key=lambda t: t.trial_id)
-    oriented = [_oriented(t.objectives, directions) for t in trials]
-    order = sorted(range(len(trials)), key=lambda i: -oriented[i][0])
-    front_ids = set()
-    best_o2 = -np.inf
-    i = 0
-    while i < len(order):
-        # group ties on the first objective
-        j = i
-        group = []
-        while j < len(order) and oriented[order[j]][0] == oriented[order[i]][0]:
-            group.append(order[j])
-            j += 1
-        group_best = max(oriented[g][1] for g in group)
-        for g in group:
-            o2 = oriented[g][1]
-            if o2 > best_o2 and o2 == group_best:
-                front_ids.add(g)
-        best_o2 = max(best_o2, group_best)
-        i = j
-    return [t for idx, t in enumerate(trials) if idx in front_ids]
+    # both objectives oriented so that larger is better
+    oriented = [
+        tuple(o if d == "max" else -o for o, d in zip(t.objectives, directions))
+        for t in trials
+    ]
+    return [
+        t for t, a in zip(trials, oriented)
+        if not any(b[0] >= a[0] and b[1] >= a[1] and b != a for b in oriented)
+    ]
 
 
 def aggregate_configs(configs) -> DetectorConfig:
@@ -242,14 +223,9 @@ def compromise_solution(trials) -> DetectorConfig:
     for t in trials:
         key = (round_sig(t.objectives[0], 6), round_sig(t.objectives[1], 6))
         groups.setdefault(key, []).append(t)
-    best_key = None
-    best_rank = None
-    for key, members in groups.items():
-        rank = (-len(members), min(m.trial_id for m in members))
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best_key = key
-    return aggregate_configs([t.config for t in groups[best_key]])
+    # each group lists its trials in trial_id order
+    best = min(groups.values(), key=lambda g: (-len(g), g[0].trial_id))
+    return aggregate_configs([t.config for t in best])
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +438,9 @@ def _run_trials(model, space, n_trials, base_seed, evaluate, directions, kind):
     enumerated = space.enumerate(n_trials)
     model_seed = derive_seed(base_seed, "model", model)
     trials: list[TrialRecord] = []
-    points = (
-        enumerated
-        if enumerated is not None
-        else (None for _ in range(n_trials))
-    )
+    # an enumerated space has at most n_trials points
+    points = [None] * n_trials if enumerated is None else enumerated
     for trial_id, preset in enumerate(points):
-        if trial_id >= n_trials:
-            break
         if preset is None:
             params = tpe_propose(
                 trials, space, derive_seed(base_seed, "tpe", trial_id), directions
@@ -477,15 +448,7 @@ def _run_trials(model, space, n_trials, base_seed, evaluate, directions, kind):
         else:
             params = preset
         config = make_config(model, params, seed=model_seed)
-        objectives = evaluate(config)
-        trials.append(
-            TrialRecord(
-                trial_id=trial_id,
-                config=config,
-                objectives=objectives,
-                objective_kind=kind,
-            )
-        )
+        trials.append(TrialRecord(trial_id, config, evaluate(config), kind))
     return trials
 
 
@@ -506,6 +469,7 @@ def optimize_transfer(
     """
     if not cells:
         raise CycleScreenError("transfer tuning needs at least one labeled cell")
+    ml_detect.check_threshold(threshold)
     space = space if space is not None else default_search_space(model)
     per_cell = {}
     for cell_id in sorted(cells):
@@ -555,6 +519,7 @@ def optimize_proxy(
     while maximizing how many inliers survive; the returned compromise
     config aggregates the most recurrent objective pair.
     """
+    ml_detect.check_threshold(threshold)
     space = space if space is not None else default_search_space(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
 

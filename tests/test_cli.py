@@ -142,6 +142,26 @@ def test_scoremap_writes_the_same_feature_notes_as_detect(dataset, tmp_path):
         assert notes == (tmp_path / "detect" / cell / "feature_notes.txt").read_text()
 
 
+@pytest.mark.parametrize("strategy", ["proxy", "transfer"])
+def test_tune_writes_the_same_feature_notes_as_detect(dataset, tmp_path, strategy):
+    common = (
+        "--input", dataset["meas"], "--recipe", "custom", "--feature", FEATURES,
+        "--log",
+    )
+    labels = ("--labels", dataset["labels"]) if strategy == "transfer" else ()
+    assert run(
+        "detect", *common, "--model", "euclidean", "--out", str(tmp_path / "detect")
+    ) == 0
+    assert run(
+        "tune", *common, "--model", "knn", "--strategy", strategy, *labels,
+        "--trials", "2", "--out", str(tmp_path / "tune"),
+    ) == 0
+    for cell in ("cellA", "cellB"):
+        notes = (tmp_path / "tune" / cell / "feature_notes.txt").read_text()
+        assert " log(dv_max) " in notes
+        assert notes == (tmp_path / "detect" / cell / "feature_notes.txt").read_text()
+
+
 def test_non_finite_measurement_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text(
@@ -407,6 +427,40 @@ def test_evaluate_report(dataset, tmp_path):
     assert "macro recall" in txt
 
 
+@pytest.mark.parametrize(
+    "header, row, message",
+    [
+        ("cycle_index,score,flagged", "7,1.5,yes",
+         "row 3: could not parse flagged value 'yes'"),
+        ("cycle_index,score,flagged", "7,1.5,0.5",
+         "row 3: flagged value '0.5' is not an integer"),
+        ("cycle_index,score", "7,1.5", "missing required column 'flagged'"),
+        ("cycle_index,score,flagged", "", "no verdict rows"),
+    ],
+    ids=["word-flag", "fractional-flag", "no-flagged-column", "no-rows"],
+)
+def test_evaluate_malformed_verdict_names_the_file_and_row(
+    dataset, tmp_path, capsys, header, row, message
+):
+    run_dir = tmp_path / "run"
+    assert run(
+        "detect", "--input", dataset["meas"], "--out", str(run_dir),
+        "--recipe", "custom", "--feature", FEATURES, "--model", "iqr",
+    ) == 0
+    path = run_dir / "cellB" / "iqr" / "verdict.csv"
+    path.write_text(f"# method=iqr\n{header}\n{row}\n")
+    capsys.readouterr()
+    rc = run(
+        "evaluate", "--input", str(run_dir), "--out", str(tmp_path / "eval"),
+        "--labels", dataset["labels"],
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_scoremap(dataset, tmp_path):
     out = tmp_path / "out"
     rc = run(
@@ -508,6 +562,31 @@ def test_counts_below_one_are_usage_errors(dataset, tmp_path, capsys, argv):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{argv[-2]} must be at least 1, got {argv[-1]}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tune", "--model", "knn", "--strategy", "proxy", "--threshold", "2"),
+        ("tune", "--model", "knn", "--strategy", "proxy", "--threshold", "nan"),
+        ("tune", "--model", "knn", "--labels", "labels", "--threshold", "-0.5"),
+        ("detect", "--model", "all", "--threshold", "2"),
+    ],
+)
+def test_threshold_outside_unit_interval_is_a_usage_error(
+    dataset, tmp_path, capsys, argv
+):
+    argv = [dataset["labels"] if a == "labels" else a for a in argv]
+    rc = run(
+        *argv, "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", FEATURES,
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --threshold: threshold must lie in [0, 1], got {float(argv[-1])!r}\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

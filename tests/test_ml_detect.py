@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclescreen import ml_detect
-from cyclescreen.dist_detect import MetricSpec, pairwise
+from cyclescreen import dist_detect, ml_detect
+from cyclescreen.dist_detect import metric_from_params, pairwise
 from cyclescreen.errors import (
     ConfigError,
     DegenerateSpreadError,
@@ -450,7 +450,9 @@ def reference_lof(X, Q, k, metric):
     return lrd[neigh].mean(axis=1) / lrd_q
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize(
+    "metric", ["euclidean", "manhattan", "minkowski", "mahalanobis"]
+)
 def test_knn_and_lof_match_full_sort_references_on_ties(metric):
     # points on a small integer lattice: many equal distances, 20 exact
     # duplicate pairs among the fitted rows, and queries that hit fitted rows
@@ -459,9 +461,9 @@ def test_knn_and_lof_match_full_sort_references_on_ties(metric):
     picked = lattice[local.permutation(64)[:60]]
     X = local.permutation(np.vstack([picked, picked[:20]]))
     Q = np.vstack([X, local.integers(-1, 9, size=(40, 2)).astype(float)])
-    spec = MetricSpec(metric)
+    spec = metric_from_params({"metric": metric, "minkowski_p": 3.0}, X)
     for k in (2, 5, 9):
-        params = {"n_neighbors": k, "metric": metric}
+        params = {"n_neighbors": k, "metric": metric, "minkowski_p": 3.0}
         fitted = fit(make_config("knn", params), X)
         expect = reference_knn_distances(pairwise(Q, X, spec), k)
         got = ml_detect.knn.neighbor_distances(fitted.state, Q)
@@ -481,8 +483,8 @@ def test_knn_and_lof_match_full_sort_references_on_ties(metric):
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 def test_lof_neighbor_selection_matches_stable_argsort(monkeypatch, block):
     # distances from a 3-value lattice, so most rows tie across the k-th
-    # place; an inf diagonal as in fit, inf runs, and one row with NaNs
-    monkeypatch.setattr(ml_detect.lof, "BLOCK_ELEMENTS", block)
+    # place; an inf diagonal, inf runs, and one row with NaNs
+    monkeypatch.setattr(dist_detect, "BLOCK_ELEMENTS", block)
     local = np.random.default_rng(11)
     for m, n in ((40, 40), (25, 60), (60, 9)):
         D = local.integers(0, 3, size=(m, n)).astype(float)
@@ -491,7 +493,7 @@ def test_lof_neighbor_selection_matches_stable_argsort(monkeypatch, block):
             np.fill_diagonal(D, np.inf)
         D[3, ::2] = np.nan
         for k in sorted({1, 2, 5, n - 1, n}):
-            order, dists = ml_detect.lof._knn_rows(D, k)
+            order, dists = dist_detect.k_nearest(D, k)
             expect = np.argsort(D, axis=1, kind="stable")[:, :k]
             assert np.array_equal(order, expect)
             assert dists.tobytes() == np.take_along_axis(D, expect, axis=1).tobytes()

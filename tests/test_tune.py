@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclescreen import ml_detect
 from cyclescreen.errors import (
     AggregationError,
     ConfigError,
     CycleScreenError,
     InsufficientInlierError,
     NoPositiveLabelError,
+    ThresholdRangeError,
 )
 from cyclescreen.ml_detect import DetectorConfig, make_config
 from cyclescreen.tune import (
@@ -535,6 +537,21 @@ def test_transfer_deterministic(labeled_cell):
         assert a.config.params == b.config.params
         assert a.objectives == b.objectives
     assert runs[0].aggregated.params == runs[1].aggregated.params
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan"), float("inf")])
+def test_threshold_outside_unit_interval_raises_before_any_trial(
+    monkeypatch, labeled_cell, threshold
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(ml_detect, "fit", no_fit)
+    X, _labels = labeled_cell
+    with pytest.raises(ThresholdRangeError, match="threshold must lie in"):
+        optimize_proxy(np.arange(24.0), X, "knn", threshold=threshold)
+    with pytest.raises(ThresholdRangeError, match="threshold must lie in"):
+        optimize_transfer({"CELL": labeled_cell}, "knn", threshold=threshold)
 
 
 def test_perfect_recall_fraction_counts_trials():
