@@ -32,7 +32,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -327,6 +326,9 @@ def _map_cells(worker, args, store: CycleStore) -> list[str]:
         for cell in cells:
             worker(args, cell, store.by_cell(cell))
     else:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = [store.by_cell(cell) for cell in cells]
             list(pool.map(worker, [args] * len(cells), cells, records))

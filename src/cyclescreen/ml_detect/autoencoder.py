@@ -5,6 +5,11 @@ The decoder mirrors the encoder widths, the final layer is linear, and
 inputs are min-max scaled per column to [0, 1] using bounds captured at fit
 time. Gradients are hand-derived, which keeps the network checkable against
 central finite differences.
+
+The parameters are one flat vector with per-layer views, and backprop fills
+a gradient vector of the same layout, so a training step updates the vector
+in place, with no per-step copies. Each epoch gathers its permuted rows once
+and trains on contiguous slices of them.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ ACTIVATIONS = {
 class Mlp:
     """Dense network with one activation on hidden layers, linear output.
 
-    Parameters live in self.weights / self.biases; loss_and_grads returns the
-    mean-squared reconstruction loss and its exact gradients, so the training
+    theta holds every parameter; self.weights / self.biases are its per-layer
+    views. loss_and_grads returns the mean-squared reconstruction loss and
+    its exact gradient in self.grad, laid out like theta, so the training
     loop and the finite-difference check share one code path.
     """
 
@@ -78,12 +84,24 @@ class Mlp:
             raise ConfigError("network needs at least input and output dims")
         self.dims = list(dims)
         self.activation = activation
-        self.weights = []
-        self.biases = []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(6.0 / (d_in + d_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
-            self.biases.append(np.zeros(d_out))
+        size = sum(d_in * d_out + d_out for d_in, d_out in zip(dims, dims[1:]))
+        self.theta = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.weights, self.biases = self._layers(self.theta)
+        self._grads_w, self._grads_b = self._layers(self.grad)
+        for W in self.weights:
+            bound = np.sqrt(6.0 / sum(W.shape))
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+
+    def _layers(self, flat):
+        """Per-layer (weights, biases) views of a flat parameter vector."""
+        weights, biases, pos = [], [], 0
+        for d_in, d_out in zip(self.dims, self.dims[1:]):
+            weights.append(flat[pos : pos + d_in * d_out].reshape(d_in, d_out))
+            pos += d_in * d_out
+            biases.append(flat[pos : pos + d_out])
+            pos += d_out
+        return weights, biases
 
     def forward(self, X, dropout_rate: float = 0.0, rng=None):
         """Output plus the per-layer cache backprop needs.
@@ -106,14 +124,15 @@ class Mlp:
                 h = h_pre
                 if dropout_rate > 0.0 and rng is not None:
                     keep = 1.0 - dropout_rate
-                    mask = (rng.uniform(size=h_pre.shape) < keep) / keep
+                    mask = (rng.random(h_pre.shape) < keep) / keep
                     h = h_pre * mask
                 cache.append((a, z, h_pre, mask))
                 a = h
         return a, cache
 
     def loss_and_grads(self, X, target, dropout_rate: float = 0.0, rng=None):
-        """Mean-squared loss and exact parameter gradients.
+        """Mean-squared loss and self.grad, overwritten with its exact
+        gradient.
 
         delta bookkeeping: entering layer idx, delta holds dL/d(layer
         output); hidden layers peel off the dropout mask, then the
@@ -124,10 +143,9 @@ class Mlp:
         target = np.asarray(target, dtype=float)
         n, d_out = out.shape
         resid = out - target
-        loss = float(np.mean(resid**2))
+        # np.mean's sum and division, without its per-call wrapper
+        loss = float(np.add.reduce(resid**2, axis=None)) / resid.size
         delta = 2.0 * resid / (n * d_out)
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
         last = len(self.weights) - 1
         for idx in range(last, -1, -1):
             a_in, z, h_pre, mask = cache[idx]
@@ -135,26 +153,11 @@ class Mlp:
                 if mask is not None:
                     delta = delta * mask
                 delta = delta * act_grad(z, h_pre)
-            grads_w[idx] = a_in.T @ delta
-            grads_b[idx] = delta.sum(axis=0)
+            np.matmul(a_in.T, delta, out=self._grads_w[idx])
+            np.add.reduce(delta, axis=0, out=self._grads_b[idx])
             if idx > 0:
                 delta = delta @ self.weights[idx].T
-        return loss, grads_w, grads_b
-
-    def flat_params(self) -> np.ndarray:
-        parts = []
-        for W, b in zip(self.weights, self.biases):
-            parts.append(W.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def set_flat_params(self, theta: np.ndarray) -> None:
-        pos = 0
-        for idx, (W, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[idx] = theta[pos : pos + W.size].reshape(W.shape).copy()
-            pos += W.size
-            self.biases[idx] = theta[pos : pos + b.size].reshape(b.shape).copy()
-            pos += b.size
+        return loss, self.grad
 
 
 def mirror_dims(d_in: int, hidden: tuple[int, ...]) -> list[int]:
@@ -163,38 +166,45 @@ def mirror_dims(d_in: int, hidden: tuple[int, ...]) -> list[int]:
     return [d_in] + hidden + hidden[-2::-1] + [d_in]
 
 
-class _Optimizer:
-    """sgd / momentum(0.9) / adaptive-moment updates over a flat view."""
+def _optimizer_step(name: str, lr: float, theta: np.ndarray, grad: np.ndarray):
+    """A no-argument step that applies an sgd, momentum(0.9) or
+    adaptive-moment update from grad to theta in place, operation for
+    operation as the formula in each comment."""
+    tmp = np.empty_like(theta)
+    if name == "sgd":
+        def step():
+            # theta - lr * grad
+            np.subtract(theta, np.multiply(grad, lr, out=tmp), out=theta)
+        return step
+    if name == "momentum":
+        velocity = np.zeros_like(theta)
 
-    def __init__(self, name: str, lr: float, n_params: int):
-        self.name = name
-        self.lr = lr
-        self.velocity = np.zeros(n_params)
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
-        self.t = 0
+        def step():
+            # velocity = 0.9 * velocity - lr * grad; theta + velocity
+            np.multiply(velocity, 0.9, out=velocity)
+            np.subtract(velocity, np.multiply(grad, lr, out=tmp), out=velocity)
+            np.add(theta, velocity, out=theta)
+        return step
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v, denom = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
+    t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.name == "sgd":
-            return theta - self.lr * grad
-        if self.name == "momentum":
-            self.velocity = 0.9 * self.velocity - self.lr * grad
-            return theta + self.velocity
-        self.t += 1
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad**2
-        m_hat = self.m / (1.0 - beta1**self.t)
-        v_hat = self.v / (1.0 - beta2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def _flatten_grads(grads_w, grads_b) -> np.ndarray:
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)
+    def step():
+        nonlocal t
+        t += 1
+        # m = beta1 * m + (1 - beta1) * grad
+        np.multiply(m, beta1, out=m)
+        np.add(m, np.multiply(grad, 1.0 - beta1, out=tmp), out=m)
+        # v = beta2 * v + (1 - beta2) * grad**2
+        np.multiply(v, beta2, out=v)
+        np.multiply(np.square(grad, out=tmp), 1.0 - beta2, out=tmp)
+        np.add(v, tmp, out=v)
+        # theta - lr * m_hat / (sqrt(v_hat) + eps), hats bias-corrected
+        np.divide(v, 1.0 - beta2**t, out=denom)
+        np.add(np.sqrt(denom, out=denom), eps, out=denom)
+        np.multiply(np.divide(m, 1.0 - beta1**t, out=tmp), lr, out=tmp)
+        np.subtract(theta, np.divide(tmp, denom, out=tmp), out=theta)
+    return step
 
 
 @dataclass
@@ -220,27 +230,22 @@ def fit_autoencoder(params: dict, X: np.ndarray, rng) -> AutoencoderState:
 
     dims = mirror_dims(d, tuple(params["hidden_neuron_list"]))
     mlp = Mlp(dims, params["hidden_activation_name"], rng)
-    opt = _Optimizer(
-        params["optimizer_name"], params["learning_rate"],
-        mlp.flat_params().size,
+    step = _optimizer_step(
+        params["optimizer_name"], params["learning_rate"], mlp.theta, mlp.grad
     )
     state = AutoencoderState(mlp=mlp, lo=lo, span=span)
     batch = min(params["batch_size"], n)
     dropout = params["dropout_rate"]
     for _epoch in range(params["epoch_num"]):
-        order = rng.permutation(n)
+        shuffled = scaled[rng.permutation(n)]
+        starts = range(0, n, batch)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, batch):
-            rows = scaled[order[start : start + batch]]
-            loss, gw, gb = mlp.loss_and_grads(
-                rows, rows, dropout_rate=dropout, rng=rng
-            )
-            theta = opt.step(mlp.flat_params(), _flatten_grads(gw, gb))
-            mlp.set_flat_params(theta)
+        for start in starts:
+            rows = shuffled[start : start + batch]
+            loss, _ = mlp.loss_and_grads(rows, rows, dropout_rate=dropout, rng=rng)
+            step()
             epoch_loss += loss
-            n_batches += 1
-        state.loss_trace.append(epoch_loss / max(n_batches, 1))
+        state.loss_trace.append(epoch_loss / len(starts))
     return state
 
 
@@ -257,19 +262,17 @@ def gradient_check(mlp: Mlp, X, step: float = 1e-5) -> float:
     zero gradient pair scores 0 rather than 0/0.
     """
     X = np.asarray(X, dtype=float)
-    _, gw, gb = mlp.loss_and_grads(X, X)
-    analytic = _flatten_grads(gw, gb)
-    theta = mlp.flat_params()
+    _, grad = mlp.loss_and_grads(X, X)
+    analytic = grad.copy()
+    theta = mlp.theta
     numeric = np.empty_like(theta)
     for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] = theta[i] + step
-        mlp.set_flat_params(bumped)
-        hi, _, _ = mlp.loss_and_grads(X, X)
-        bumped[i] = theta[i] - step
-        mlp.set_flat_params(bumped)
-        lo, _, _ = mlp.loss_and_grads(X, X)
+        kept = theta[i]
+        theta[i] = kept + step
+        hi, _ = mlp.loss_and_grads(X, X)
+        theta[i] = kept - step
+        lo, _ = mlp.loss_and_grads(X, X)
+        theta[i] = kept
         numeric[i] = (hi - lo) / (2.0 * step)
-    mlp.set_flat_params(theta)
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))

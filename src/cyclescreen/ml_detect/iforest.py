@@ -9,10 +9,11 @@ Each tree is five flat node arrays (feature, threshold, left, right, value),
 grown depth first from an explicit stack, left child first, by partitioning
 an index array of subsample rows (a Python list once a node is small). The
 random draws happen in the order of the recursive textbook growth, so a
-seed gives the same trees. Scoring moves
-every row down a tree together, one level per step, and adds each tree's
-path lengths into a per-row total in tree order, so the sums are the same
-floats a row-at-a-time walk would give.
+seed gives the same trees; a threshold is lo + (hi - lo) * rng.random(),
+Generator.uniform's own formula, which skips its per-call argument handling.
+Scoring moves every row down a tree together, one level per step, and adds
+each tree's path lengths into a per-row total in tree order, so the sums are
+the same floats a row-at-a-time walk would give.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _grow(columns, lists, rows: np.ndarray, features, limit: int, rng) -> Isolat
                 # integers(1) draws nothing from the generator
                 pick = rng.integers(len(usable)) if len(usable) > 1 else 0
                 f, c, lo, hi = usable[pick]
-                thr = float(rng.uniform(lo, hi))
+                thr = float(lo) + float(hi - lo) * rng.random()
                 if small:
                     below = [i for i, v in zip(idx, c) if v < thr]
                     above = [i for i, v in zip(idx, c) if v >= thr]

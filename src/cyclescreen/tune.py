@@ -4,7 +4,10 @@ Proposals come from a tree-structured Parzen estimator: past trials are split
 into a good and a bad set by the gamma-quantile of a scalarized objective,
 each hyperparameter dimension gets a density model per set (Gaussian kernels
 for numeric, smoothed counts for categorical), and the candidate maximizing
-the good/bad density ratio wins. Two end-to-end strategies sit on top:
+the good/bad density ratio wins. A proposal builds those models once, draws
+its candidates one at a time from the good-set models, then scores every
+candidate with one array step per dimension. Two end-to-end strategies sit
+on top:
 
 * transfer: maximize (recall, precision) on labeled cells, keep each cell's
   best Pareto point, and aggregate those configs into one deployable config.
@@ -253,14 +256,15 @@ def _scalarize(history, directions, rng) -> np.ndarray:
     return scalars
 
 
-def _kde_logpdf(x: float, obs: np.ndarray, bandwidth: float, width: float) -> float:
-    # Parzen mixture of Gaussians around past observations plus one uniform
-    # component over the domain; the uniform share keeps far-from-cluster
-    # candidates scoreable and decays as observations accumulate
-    z = (x - obs) / bandwidth
+def _parzen_logpdf(x: np.ndarray, obs: np.ndarray, bandwidth: float, width: float):
+    # log density at each point of x of a Parzen mixture of Gaussians around
+    # past observations plus one uniform component over the domain; the
+    # uniform share keeps far-from-cluster candidates scoreable and decays as
+    # observations accumulate. Row i of z is point i against every observation.
+    z = (x[:, None] - obs) / bandwidth
     kern = np.exp(-0.5 * z**2) / (bandwidth * np.sqrt(2.0 * np.pi))
-    dens = (float(np.sum(kern)) + 1.0 / width) / (obs.size + 1.0)
-    return float(np.log(max(dens, 1e-300)))
+    dens = (kern.sum(axis=1) + 1.0 / width) / (obs.size + 1.0)
+    return np.log(np.maximum(dens, 1e-300))
 
 
 def _numeric_bandwidth(obs: np.ndarray, width: float) -> float:
@@ -300,35 +304,38 @@ def tpe_propose(history, space: SearchSpace, seed: int, directions) -> dict:
     if not bad:
         bad = good
 
-    choices_cache = {}
+    # what every candidate shares: a categorical's draw cdf (Generator.choice's
+    # own) and log-ratio table, a numeric's observations and bandwidths
+    shared = {}
     for name, dom in space.params.items():
         if isinstance(dom, CatDomain):
-            choices_cache[name] = (
-                _cat_probs([t.config.params[name] for t in good], dom.choices),
-                _cat_probs([t.config.params[name] for t in bad], dom.choices),
+            p_good = _cat_probs([t.config.params[name] for t in good], dom.choices)
+            p_bad = _cat_probs([t.config.params[name] for t in bad], dom.choices)
+            cdf = p_good.cumsum()
+            cdf /= cdf[-1]
+            shared[name] = cdf, np.log(p_good) - np.log(p_bad)
+        else:
+            width = float(dom.high - dom.low)
+            g_obs, b_obs = (
+                np.asarray([float(t.config.params[name]) for t in trials])
+                for trials in (good, bad)
+            )
+            shared[name] = (
+                width, g_obs, _numeric_bandwidth(g_obs, width),
+                b_obs, _numeric_bandwidth(b_obs, width),
             )
 
     candidates = []
-    scores = []
+    drawn = {name: [] for name in space.params}
     for _ in range(N_CANDIDATES):
         cand = {}
-        ratio = 0.0
         for name, dom in space.params.items():
             if isinstance(dom, CatDomain):
-                p_good, p_bad = choices_cache[name]
-                idx = int(rng.choice(len(dom.choices), p=p_good))
+                idx = int(shared[name][0].searchsorted(rng.random(), side="right"))
                 cand[name] = dom.choices[idx]
-                ratio += float(np.log(p_good[idx]) - np.log(p_bad[idx]))
+                drawn[name].append(idx)
                 continue
-            width = float(dom.high - dom.low)
-            g_obs = np.asarray(
-                [float(t.config.params[name]) for t in good], dtype=float
-            )
-            b_obs = np.asarray(
-                [float(t.config.params[name]) for t in bad], dtype=float
-            )
-            h_good = _numeric_bandwidth(g_obs, width)
-            h_bad = _numeric_bandwidth(b_obs, width)
+            _, g_obs, h_good, _, _ = shared[name]
             # draw from the good-set mixture; the extra index is the
             # uniform prior component
             comp = int(rng.integers(g_obs.size + 1))
@@ -339,16 +346,22 @@ def tpe_propose(history, space: SearchSpace, seed: int, directions) -> dict:
             value = min(max(value, dom.low), dom.high)
             if isinstance(dom, IntDomain):
                 value = int(min(max(round_half_up(value), dom.low), dom.high))
-                x = float(value)
-            else:
-                x = value
             cand[name] = value
-            ratio += _kde_logpdf(x, g_obs, h_good, width) - _kde_logpdf(
+            drawn[name].append(float(value))
+        candidates.append(cand)
+
+    # every candidate's log-density ratio, one param at a time in param order
+    ratio = np.zeros(N_CANDIDATES)
+    for name, dom in space.params.items():
+        if isinstance(dom, CatDomain):
+            ratio += shared[name][1][drawn[name]]
+        else:
+            width, g_obs, h_good, b_obs, h_bad = shared[name]
+            x = np.asarray(drawn[name])
+            ratio += _parzen_logpdf(x, g_obs, h_good, width) - _parzen_logpdf(
                 x, b_obs, h_bad, width
             )
-        candidates.append(cand)
-        scores.append(ratio)
-    return candidates[int(np.argmax(scores))]
+    return candidates[int(np.argmax(ratio))]
 
 
 # ---------------------------------------------------------------------------

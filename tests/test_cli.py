@@ -622,7 +622,24 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-INPUT = {"--input", "--out", "--delimiter", "--col", "--jobs"}
+def test_cli_import_loads_no_process_pool():
+    # only a run over several cells with --jobs above 1 needs the pool
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, cyclescreen.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+INPUT ={"--input", "--out", "--delimiter", "--col", "--jobs"}
 COLUMNS = {"--recipe", "--feature", "--log", "--seed"}
 SURFACE = {
     "ingest": INPUT,
