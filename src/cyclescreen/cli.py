@@ -774,9 +774,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -59,9 +59,6 @@ _NUMERIC_ROLES = ("cycle_index", "time", "voltage", "capacity")
 #: Python lists, whatever the file's length
 CHUNK_ROWS = 1024
 
-#: every character repr() can write for a float
-_FLOAT_REPR_CHARS = frozenset("0123456789.+-einfa")
-
 
 @dataclass(eq=False)
 class CycleRecord:
@@ -268,6 +265,7 @@ def _table(reader, columns: dict[str, str], source: str):
     return idx, _data_rows(reader, 2, width, source)
 
 
+# kept beside the column-wise parse: it is the only path that names a bad row
 def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str):
     """Parse a chunk row by row, checking each row in full before the next.
 
@@ -447,50 +445,41 @@ def split_train_test(
     return CycleStore(records=train), CycleStore(records=test)
 
 
-def _format_records(store: CycleStore, delimiter: str):
-    """Yield the canonical text of a store: the header, then one string per
-    record.
+def _format_records(store: CycleStore):
+    """Yield the canonical comma-delimited text of a store: the header,
+    then one string per record.
 
     csv writes the header and each record's cell and cycle fields, so they
-    are quoted as csv quotes them; the floats' reprs are joined in, unless
-    the delimiter could occur in one, where csv writes the whole rows.
+    are quoted as csv quotes them; the floats' reprs, which never hold a
+    comma, are joined in.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(DEFAULT_COLUMNS.values())
     yield buf.getvalue()
-    quote_floats = delimiter in _FLOAT_REPR_CHARS
     for rec in store.records:
         rows = rec.samples.tolist()
         buf.seek(0)
         buf.truncate()
-        if quote_floats:
-            writer.writerows(
-                [(rec.cell_id, rec.cycle_index, repr(t), repr(v), repr(q))
-                 for t, v, q in rows]
-            )
-            yield buf.getvalue()
-            continue
         writer.writerow((rec.cell_id, rec.cycle_index, ""))
         head = buf.getvalue()[:-1]
-        d = delimiter
-        yield "".join([f"{head}{t!r}{d}{v!r}{d}{q!r}\n" for t, v, q in rows])
+        yield "".join([f"{head}{t!r},{v!r},{q!r}\n" for t, v, q in rows])
 
 
-def format_cycles(store: CycleStore, delimiter: str = ",") -> str:
+def format_cycles(store: CycleStore) -> str:
     """Render a store in the canonical measurement format.
 
     Floats are written with repr so a round trip through text reproduces the
     exact binary values.
     """
-    return "".join(_format_records(store, delimiter))
+    return "".join(_format_records(store))
 
 
-def export_cycles(store: CycleStore, path: str, delimiter: str = ",") -> None:
+def export_cycles(store: CycleStore, path: str) -> None:
     """Write format_cycles' text to path, a record at a time."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(_format_records(store, delimiter))
+        handle.writelines(_format_records(store))
 
 
 def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
@@ -531,11 +520,9 @@ def read_verdict_flags(path: str) -> dict[int, int]:
     return flags
 
 
-def export_labels(
-    labels: dict[str, set[int]], path: str, delimiter: str = ","
-) -> None:
+def export_labels(labels: dict[str, set[int]], path: str) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["cell_id", "cycle_index"])
     for cell in sorted(labels):
         for cyc in sorted(labels[cell]):

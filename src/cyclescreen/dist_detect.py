@@ -25,6 +25,7 @@ from .errors import (
     SingularCovarianceError,
 )
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
+from .util import require_finite
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
@@ -167,6 +168,7 @@ def k_nearest(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take_along_axis(D, order, axis=1)
 
 
+# no CLI path calls it: kept as the one-pair reference metric tests use
 def distance(a, b, metric: MetricSpec) -> float:
     """Distance between two points under the metric."""
     a = np.asarray(a, dtype=float).reshape(1, -1)
@@ -190,7 +192,8 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
 
 def _centroid_distances(X: np.ndarray, metric: MetricSpec):
     """The metric resolved on X, the centroid and each row's distance to it;
-    raises when all distances are equal."""
+    raises when X is not finite or all distances are equal."""
+    require_finite(X)
     metric = resolve_metric(metric, X)
     centroid = X.mean(axis=0)
     dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
@@ -271,55 +274,35 @@ class GridScores:
 
 
 def grid_nodes(
-    X,
-    resolution: int | tuple[int, ...] = 50,
-    bounds: tuple[tuple[float, float], ...] | None = None,
+    X, resolution: int = 50
 ) -> tuple[tuple[tuple[float, float], ...], tuple[np.ndarray, ...], np.ndarray]:
-    """Bounds, axes and nodes of a regular grid over the columns of X.
+    """Bounds, axes and nodes of a grid with resolution points per axis over
+    the columns of X.
 
-    Default bounds are the data bounding box expanded 10% per side (constant
-    axes are padded by 0.5 to keep the box non-empty). nodes holds one grid
-    point per row in row-major order, so the last axis varies fastest.
+    The bounds are the data bounding box expanded 10% per side (constant
+    axes are padded by 0.5 to keep the box non-empty), and must come out
+    finite. nodes holds one grid point per row in row-major order, so the
+    last axis varies fastest.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    if isinstance(resolution, int):
-        resolution = (resolution,) * d
-    if len(resolution) != d:
-        raise BoundsError(
-            f"{len(resolution)} resolutions for {d} axes"
-        )
-    if any(r < 2 for r in resolution):
+    if resolution < 2:
         raise BoundsError("grid resolution must be at least 2 per axis")
-    if bounds is None:
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        pad = 0.1 * (hi - lo)
-        pad = np.where(pad == 0.0, 0.5, pad)
-        bounds = tuple(
-            (float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad)
-        )
-    if len(bounds) != d:
-        raise BoundsError(f"{len(bounds)} bounds for {d} axes")
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    pad = np.where(pad == 0.0, 0.5, pad)
+    bounds = tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
     for low, high in bounds:
         if not (np.isfinite(low) and np.isfinite(high)) or low >= high:
             raise BoundsError(f"bad axis bounds ({low!r}, {high!r})")
-    axes = tuple(
-        np.linspace(low, high, r) for (low, high), r in zip(bounds, resolution)
-    )
+    axes = tuple(np.linspace(low, high, resolution) for low, high in bounds)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.column_stack([m.ravel() for m in mesh])
-    return tuple(bounds), axes, nodes
+    return bounds, axes, nodes
 
 
-def score_grid(
-    X,
-    metric: MetricSpec,
-    resolution: int | tuple[int, ...] = 50,
-    bounds: tuple[tuple[float, float], ...] | None = None,
-) -> GridScores:
-    """Evaluate the normalized centroid distance on a regular grid whose
-    bounds default as in `grid_nodes`."""
+def score_grid(X, metric: MetricSpec, resolution: int = 50) -> GridScores:
+    """Evaluate the normalized centroid distance on the resolution x
+    resolution grid `grid_nodes` lays over the two columns of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if n < 3:
@@ -329,12 +312,10 @@ def score_grid(
             f"score grids are 2-D maps; got {d} feature columns"
         )
     metric, centroid, data_dist = _centroid_distances(X, metric)
-    bounds, axes, nodes = grid_nodes(X, resolution, bounds)
+    bounds, axes, nodes = grid_nodes(X, resolution)
     dmin, dmax = float(data_dist.min()), float(data_dist.max())
     node_dist = pairwise(nodes, centroid.reshape(1, -1), metric)[:, 0]
-    values = ((node_dist - dmin) / (dmax - dmin)).reshape(
-        tuple(a.size for a in axes)
-    )
+    values = ((node_dist - dmin) / (dmax - dmin)).reshape(resolution, resolution)
     return GridScores(
         axes=axes,
         values=values,

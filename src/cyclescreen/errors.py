@@ -44,6 +44,10 @@ class DegenerateSpreadError(CycleScreenError):
     """A spread estimate (IQR, MAD, standard deviation) is exactly zero."""
 
 
+class NonFiniteFeatureError(CycleScreenError):
+    """A feature matrix handed to a detector holds a NaN or an infinity."""
+
+
 class ScaleOverflowError(CycleScreenError):
     """A finite series' scaling offset median**2 / IQR exceeds the float range."""
 

@@ -77,6 +77,7 @@ class ScaledSeries:
         return self.median**2 / self.iqr
 
 
+# no CLI path calls it: kept as the one-cycle oracle of the batched path
 def median_iqr_transform(values, origin: str = "series") -> ScaledSeries:
     """Shift a series by median(X)^2 / IQR(X).
 
@@ -146,13 +147,13 @@ class FeatureMatrix:
             )
         self.columns[name] = values
 
-    def to_delimited(self, delimiter: str = ",") -> str:
+    def to_delimited(self) -> str:
         names = list(self.columns)
         buf = io.StringIO()
-        buf.write(delimiter.join(["cycle_index"] + names) + "\n")
+        buf.write(",".join(["cycle_index"] + names) + "\n")
         for i, cyc in enumerate(self.cycle_index):
             row = [str(int(cyc))] + [repr(float(self.columns[n][i])) for n in names]
-            buf.write(delimiter.join(row) + "\n")
+            buf.write(",".join(row) + "\n")
         return buf.getvalue()
 
 
@@ -253,6 +254,7 @@ def _short_cycle(rec: CycleRecord) -> ShortCycleError:
     )
 
 
+# no CLI path calls it: kept as the one-cycle oracle of the batched path
 def extract_cycle_features(
     cycles: Sequence[CycleRecord],
     scaled: Sequence[tuple[ScaledSeries, ScaledSeries]],
@@ -297,6 +299,7 @@ def extract_cycle_features(
     return _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped)
 
 
+# no CLI path calls it: kept as the one-cycle oracle of the batched path
 def transform_cell(
     cycles: Sequence[CycleRecord],
 ) -> list[tuple[ScaledSeries, ScaledSeries]]:
@@ -315,10 +318,8 @@ def transform_cell(
     return out
 
 
-def log_feature(
-    values, floor: float = EPS
-) -> tuple[np.ndarray, list[int]]:
-    """Natural log of a feature column with non-positive entries floored.
+def log_feature(values) -> tuple[np.ndarray, list[int]]:
+    """Natural log of a feature column with entries below EPS floored.
 
     Returns the transformed column and the indices that were floored. A
     column with no positive entries at all cannot carry information through
@@ -327,12 +328,12 @@ def log_feature(
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyInputError("log_feature: empty column")
-    clamped = [int(i) for i in np.nonzero(arr < floor)[0]]
+    clamped = [int(i) for i in np.nonzero(arr < EPS)[0]]
     if len(clamped) == arr.size and np.all(arr <= 0):
         raise EmptyFeatureError(
             "log_feature: no positive entries in column"
         )
-    return np.log(np.maximum(arr, floor)), clamped
+    return np.log(np.maximum(arr, EPS)), clamped
 
 
 #: the feature recipes build_feature_matrix knows

@@ -17,6 +17,7 @@ from ..errors import (
     ShapeMismatchError,
     ThresholdRangeError,
 )
+from ..util import require_finite
 from .autoencoder import (
     AutoencoderState,
     Mlp,
@@ -68,6 +69,7 @@ def _as_matrix(X) -> np.ndarray:
         raise ShapeMismatchError(f"expected a 2-D feature matrix, got {X.ndim}-D")
     if X.shape[0] == 0:
         raise EmptyInputError("feature matrix has no rows")
+    require_finite(X)
     return X
 
 
@@ -152,26 +154,6 @@ def predict_top_fraction(scores, fraction: float) -> np.ndarray:
     return flags
 
 
-def autoencoder_gradient_check(
-    config: DetectorConfig, probe, step: float = 1e-5
-) -> float:
-    """Build the configured network (untrained, dropout off) and compare
-    backprop gradients with central finite differences on a probe batch.
-    The probe is used exactly as given; no input scaling is applied."""
-    config = validate_config(config)
-    if config.model != "autoencoder":
-        raise ShapeMismatchError(
-            f"gradient check applies to the autoencoder, not '{config.model}'"
-        )
-    probe = _as_matrix(probe)
-    dims = mirror_dims(
-        probe.shape[1], tuple(config.params["hidden_neuron_list"])
-    )
-    rng = np.random.default_rng(config.seed)
-    mlp = Mlp(dims, config.params["hidden_activation_name"], rng)
-    return gradient_check(mlp, probe, step=step)
-
-
 __all__ = [
     "ML_MODELS",
     "PARAM_SPECS",
@@ -186,7 +168,6 @@ __all__ = [
     "check_threshold",
     "predict_outliers",
     "predict_top_fraction",
-    "autoencoder_gradient_check",
     "Mlp",
     "mirror_dims",
     "gradient_check",

@@ -50,21 +50,10 @@ def _sigmoid_grad(z, a):
     return a * (1.0 - a)
 
 
-def _linear(z):
-    return z
-
-
-def _linear_grad(z, a):
-    return np.ones_like(z)
-
-
-#: "linear" is internal, used by closed-form gradient tests; configs only
-#: accept the three nonlinearities
 ACTIVATIONS = {
     "relu": (_relu, _relu_grad),
     "tanh": (_tanh, _tanh_grad),
     "sigmoid": (_sigmoid, _sigmoid_grad),
-    "linear": (_linear, _linear_grad),
 }
 
 
@@ -255,6 +244,7 @@ def score_autoencoder(state: AutoencoderState, X: np.ndarray) -> np.ndarray:
     return np.mean((out - scaled) ** 2, axis=1)
 
 
+# no CLI path calls it: kept as the oracle the tests hold backprop to
 def gradient_check(mlp: Mlp, X, step: float = 1e-5) -> float:
     """Max relative disagreement between backprop and central differences.
 

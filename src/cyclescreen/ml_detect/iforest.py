@@ -63,7 +63,8 @@ class IsolationForestState:
 
 
 #: nodes of at most this many rows work on Python lists, where NumPy's
-#: per-call cost outweighs its per-row speed
+#: per-call cost outweighs its per-row speed; both paths stay, as growth on
+#: lists alone measured 0.74x the speed at 500 x 2 rows with 100 trees
 _SMALL_NODE = 32
 
 
@@ -74,8 +75,8 @@ def _grow(columns, lists, rows: np.ndarray, features, limit: int, rng) -> Isolat
     selected feature with spread, or draws a threshold that sends every row
     one way. Otherwise it picks a feature with spread uniformly and a
     threshold uniformly in that feature's range over the node's rows.
-    lists holds the same columns as Python lists for the small nodes, or is
-    None when X has a NaN: Python's min and max are not NaN-aware.
+    lists holds the same columns as Python lists for the small nodes; X is
+    finite (ml_detect.fit sees to it), as Python's min and max need.
     """
     feature, threshold, left, right, value = [0], [math.nan], [0], [0], [0.0]
     deepest = 0
@@ -85,7 +86,7 @@ def _grow(columns, lists, rows: np.ndarray, features, limit: int, rng) -> Isolat
         n = len(idx)
         split = None
         if n > 1 and depth < limit:
-            small = lists is not None and n <= _SMALL_NODE
+            small = n <= _SMALL_NODE
             if small and isinstance(idx, np.ndarray):
                 idx = idx.tolist()
             usable = []
@@ -146,7 +147,7 @@ def fit_iforest(params: dict, X: np.ndarray, rng) -> IsolationForestState:
     m = min(m, d)
     limit = int(math.ceil(math.log2(psi)))
     columns = [np.ascontiguousarray(X[:, f]) for f in range(d)]
-    lists = None if np.isnan(X).any() else [c.tolist() for c in columns]
+    lists = [c.tolist() for c in columns]
     trees = []
     for _ in range(params["n_estimators"]):
         rows = rng.choice(n, size=psi, replace=False)

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpreadError, EmptyInputError
+from .util import require_finite
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
 #: median absolute deviation a consistent sigma estimate on Gaussian data
@@ -107,6 +108,7 @@ def detect_stat(
         raise EmptyInputError("detect_stat expects a 1-D column")
     if x.size < 2:
         raise EmptyInputError(f"need at least 2 values, got {x.size}")
+    require_finite(x)
 
     if method in (StatMethod.SD, StatMethod.ZSCORE):
         mean = float(np.mean(x))

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic seed fanout, rounding, atomic writes."""
+"""Small shared helpers: seed fanout, rounding, atomic writes, finite checks."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ import hashlib
 import math
 import os
 import tempfile
+
+import numpy as np
+
+from .errors import NonFiniteFeatureError
 
 
 def derive_seed(*parts) -> int:
@@ -46,3 +50,16 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def require_finite(X: np.ndarray) -> None:
+    """Raise on the first NaN or infinity of a feature column or matrix,
+    naming its 0-based row, column and value: detectors would miss it."""
+    M = X.reshape(len(X), -1)
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        row, col = bad[0]
+        raise NonFiniteFeatureError(
+            f"feature row {row}, column {col} is {float(M[row, col])!r}; "
+            "detectors need finite values"
+        )

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import cyclescreen
 from cyclescreen.dataset import CycleRecord
 
 # acceptance criterion outcomes collected by the makereport hook, printed as
@@ -68,3 +71,12 @@ def simple_cycles():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child interpreter that imports cyclescreen from
+    where this one does, whether or not PYTHONPATH names the source tree."""
+    src = os.path.dirname(os.path.dirname(cyclescreen.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

@@ -503,7 +503,7 @@ def test_column_remap_and_delimiter(dataset, tmp_path):
     )
 
 
-def test_module_entry_point(dataset, tmp_path):
+def test_module_entry_point(dataset, tmp_path, child_env):
     import subprocess
     import sys
 
@@ -514,6 +514,7 @@ def test_module_entry_point(dataset, tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 0
     assert "ingested" in result.stdout
@@ -607,7 +608,7 @@ def test_scoremap_resolution_checked_for_every_model(
     assert "grid resolution must be at least 2" in messages[0]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(child_env):
     import subprocess
     import sys
 
@@ -616,13 +617,14 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=child_env,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_process_pool(child_env):
     # only a run over several cells with --jobs above 1 needs the pool
     import subprocess
     import sys
@@ -633,7 +635,8 @@ def test_cli_import_loads_no_process_pool():
         "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=child_env,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

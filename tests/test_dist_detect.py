@@ -266,10 +266,10 @@ def test_centroid_needs_three_rows():
 
 def test_grid_shape_bounds_and_mapping(rng):
     X = rng.uniform(0, 10, size=(12, 2))
-    grid = score_grid(X, MetricSpec("euclidean"), resolution=(5, 7))
-    assert grid.values.shape == (5, 7)
-    assert len(grid.axes[0]) == 5
-    assert len(grid.axes[1]) == 7
+    grid = score_grid(X, MetricSpec("euclidean"), resolution=6)
+    assert grid.values.shape == (6, 6)
+    assert len(grid.axes[0]) == 6
+    assert len(grid.axes[1]) == 6
     lo0, hi0 = grid.bounds[0]
     span0 = X[:, 0].max() - X[:, 0].min()
     assert lo0 == pytest.approx(X[:, 0].min() - 0.1 * span0)
@@ -281,6 +281,8 @@ def test_grid_shape_bounds_and_mapping(rng):
     raw = float(np.linalg.norm(node - centroid))
     expect = (raw - grid.data_min) / (grid.data_max - grid.data_min)
     assert grid.values[i, j] == pytest.approx(expect, abs=1e-12)
+    # i != j, so a column-major mapping would fail the check above
+    assert grid.values[j, i] != pytest.approx(expect, abs=1e-12)
 
 
 def test_grid_normalization_reference_is_data(rng):
@@ -299,12 +301,8 @@ def test_grid_constant_axis_pad():
     assert grid.bounds[0] == (0.5, 1.5)
 
 
-def test_grid_explicit_bounds_and_bad_resolution(rng):
+def test_grid_bad_resolution(rng):
     X = rng.normal(size=(8, 2))
-    bounds = ((-1.0, 1.0), (-2.0, 2.0))
-    grid = score_grid(X, MetricSpec("euclidean"), resolution=3, bounds=bounds)
-    assert grid.bounds == bounds
-    assert grid.axes[0].tolist() == [-1.0, 0.0, 1.0]
     with pytest.raises(BoundsError):
         score_grid(X, MetricSpec("euclidean"), resolution=1)
 

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclescreen import dist_detect, ml_detect
-from cyclescreen.dist_detect import metric_from_params, pairwise
+from cyclescreen import dist_detect, ml_detect, stat_detect
+from cyclescreen.cli import ALL_MODELS, DIST_MODELS, STAT_MODELS
+from cyclescreen.dist_detect import MetricSpec, metric_from_params, pairwise
 from cyclescreen.errors import (
     ConfigError,
     DegenerateSpreadError,
     EmptyInputError,
     NeighborCountError,
+    NonFiniteFeatureError,
     ShapeMismatchError,
     ThresholdRangeError,
 )
@@ -250,9 +252,6 @@ def _iforest_inputs(name):
     elif name == "duplicate_rows":
         X = np.round(local.normal(size=(60, 2)))
         X[10:40] = X[0]
-    elif name == "nan_entries":  # NaN keeps every node on NumPy's min/max
-        X = local.normal(size=(60, 2))
-        X[[3, 17, 40], [0, 1, 1]] = np.nan
     elif name == "one_dimensional":
         X = local.normal(size=60)
         X[3] = 9.0
@@ -271,7 +270,6 @@ def _iforest_inputs(name):
         "gaussian",
         "constant_column",
         "duplicate_rows",
-        "nan_entries",
         "one_dimensional",
         "cell_40",
     ],
@@ -303,6 +301,31 @@ def test_iforest_matches_recursive_reference_bytes(data):
     # last bit (10,459 of 200,000 exponents on one AVX-512 host)
     exponent = -mean_paths / average_path_length(fitted.state.subsample_size)
     assert got.tobytes() == np.asarray([2.0 ** e for e in exponent.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("target", [*ALL_MODELS, "score_grid"])
+def test_non_finite_features_raise_named_error(target):
+    # one NaN or infinity used to give NaN scores and no flags, flag rows
+    # silently (iforest) or raise NumPy's LinAlgError (pca)
+    clean = np.random.default_rng(3).normal(size=(40, 2))
+    for value in (np.nan, np.inf, -np.inf):
+        X = clean[:20].copy()
+        X[7, 1] = value
+        where = f"row 7, column {0 if target in STAT_MODELS else 1} is {value!r}"
+        with pytest.raises(NonFiniteFeatureError, match=where):
+            if target in STAT_MODELS:
+                stat_detect.detect_stat(X[:, 1], target)
+            elif target in DIST_MODELS:
+                p = 3.0 if target == "minkowski" else None
+                dist_detect.centroid_detect(X, MetricSpec(target, p=p))
+            elif target == "score_grid":
+                dist_detect.score_grid(X, MetricSpec("euclidean"), resolution=5)
+            else:
+                fit(make_config(target, seed=0), X)
+        if target in ML_MODELS:
+            fitted = fit(make_config(target, seed=0), clean)
+            with pytest.raises(NonFiniteFeatureError, match=where):
+                score(fitted, X)
 
 
 def test_iforest_max_samples_fraction(rng):
