@@ -27,7 +27,9 @@ directory of its own inside --out, and tune a compromise_<cell>.json of its own.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -38,7 +40,7 @@ import numpy as np
 from . import dist_detect, ml_detect, tune
 from .dataset import (
     CycleStore,
-    attach_labels,
+    check_labels,
     export_cycles,
     ingest_cycles,
     read_labels,
@@ -46,7 +48,8 @@ from .dataset import (
     read_verdict_flags,
     split_train_test,
 )
-from .errors import CycleScreenError, ManifestError, ThresholdRangeError
+from .errors import (ConfigError, CycleScreenError, EmptyFeatureError,
+                     ManifestError, ThresholdRangeError)
 from .evaluation import METRIC_NAMES, benchmark_report, confusion
 from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
 # the traced benchmark run (perfbench/spans.py) wraps the three names below
@@ -139,8 +142,13 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
             raise UsageError(err.args[0]) from None
         if args.log:
             raw = col
-            col, clamped = log_feature(raw)
             name = f"log({name})"
+            try:
+                col, clamped = log_feature(raw)
+            except EmptyFeatureError:
+                raise EmptyFeatureError(
+                    f"{name}: no positive entries for cell {notes.cell_id}"
+                ) from None
             notes.record_log(name, matrix.cycle_index, raw, clamped)
         names.append(name)
         cols.append(col)
@@ -366,7 +374,8 @@ def _resolve_models(token: str) -> tuple[str, ...]:
 
 
 def _read_config(path: str, model: str) -> tuple[dict, int | None]:
-    """(params, seed) from a config file as written by tune."""
+    """(params, seed) from a config file as written by tune, as make_config
+    resolves them; seed is None when the file gives none."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -385,13 +394,11 @@ def _read_config(path: str, model: str) -> tuple[dict, int | None]:
     if not isinstance(params, dict):
         raise UsageError(f"{path}: 'params' must be a JSON object")
     seed = payload.get("seed")
-    if seed is not None and (
-        not isinstance(seed, int) or isinstance(seed, bool) or seed < 0
-    ):
-        raise UsageError(
-            f"{path}: 'seed' must be a non-negative integer, got {seed!r}"
-        )
-    return params, seed
+    try:
+        config = make_config(model, params, seed=0 if seed is None else seed)
+    except ConfigError as err:
+        raise UsageError(f"{path}: {err}") from None
+    return config.params, seed
 
 
 def _cmd_detect(args) -> int:
@@ -414,30 +421,30 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _trial_row(cell_id, trial, param_names) -> str:
+def _trial_row(cell_id, trial, param_names) -> list[str]:
     row = [cell_id, str(trial.trial_id)]
     for name in param_names:
         value = trial.config.params[name]
         if isinstance(value, (tuple, list)):
             value = "x".join(str(v) for v in value)
         row.append(str(value))
-    row.extend(
-        [_fmt(trial.objectives[0]), _fmt(trial.objectives[1]), trial.objective_kind]
-    )
-    return ",".join(row)
+    return [*row, *map(_fmt, trial.objectives), trial.objective_kind]
 
 
-def _write_trials(tuning_dir, space, outcomes) -> None:
-    """trials.csv and pareto.csv from (cell_id, trials, front) triples."""
+def _write_trials(tuning_dir, space, per_cell) -> None:
+    """trials.csv and pareto.csv from {cell_id: result with trials and front}."""
     param_names = sorted(space.params)
-    header = ",".join(
-        ["cell_id", "trial_id"] + param_names + ["objective_1", "objective_2", "kind"]
-    )
-    for name, part in (("trials", 1), ("pareto", 2)):
-        lines = [header] + [
-            _trial_row(o[0], t, param_names) for o in outcomes for t in o[part]
-        ]
-        atomic_write_text(f"{tuning_dir}/{name}.csv", "\n".join(lines) + "\n")
+    header = ["cell_id", "trial_id", *param_names, "objective_1", "objective_2", "kind"]
+    for name, part in (("trials", "trials"), ("pareto", "front")):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            _trial_row(cell, t, param_names)
+            for cell, result in sorted(per_cell.items())
+            for t in getattr(result, part)
+        )
+        atomic_write_text(f"{tuning_dir}/{name}.csv", buf.getvalue())
 
 
 def _config_json(config) -> str:
@@ -452,24 +459,17 @@ def _config_json(config) -> str:
     ) + "\n"
 
 
-def _tune_features(args, cell_id, records):
-    """Cycle indices and selected columns of a cell; writes its notes."""
-    matrix, notes = build_feature_matrix(records, args.recipe)
-    _names, X = _feature_X(args, matrix, notes)
-    atomic_write_text(
-        f"{args.out}/{_cell_name(cell_id)}/feature_notes.txt", notes.render()
-    )
-    return matrix.cycle_index, X
-
-
 def _cmd_tune(args) -> int:
     if args.model not in ml_detect.ML_MODELS:
         raise UsageError(
             f"tuning applies to learned models {list(ml_detect.ML_MODELS)}"
         )
     store = _load_store(args)
-    if args.labels:
-        store = attach_labels(store, read_labels(args.labels, args.delimiter))
+    labels = read_labels(args.labels, args.delimiter) if args.labels else {}
+    for cell, truth in sorted(labels.items()):
+        known = [r.cycle_index for r in store.by_cell(cell)]
+        check_labels(args.labels, cell, truth, known)
+    transfer = args.strategy == "transfer"
     if args.manifest:
         # transfer fits on the manifest's train cells, proxy on its test cells
         manifest = read_manifest(args.manifest, args.delimiter)
@@ -477,74 +477,60 @@ def _cmd_tune(args) -> int:
             train, test = split_train_test(store, manifest)
         except ManifestError as err:
             raise ManifestError(f"{args.manifest}: {err}") from None
-        store = train if args.strategy == "transfer" else test
+        store = train if transfer else test
+    if transfer and not args.labels:
+        raise UsageError("--strategy transfer requires --labels")
+
+    # per cell: the selected columns, and the label flags (transfer) or cycles (proxy)
+    cells = {}
+    for cell in store.cells():
+        if transfer and cell not in labels:
+            continue
+        matrix, notes = build_feature_matrix(store.by_cell(cell), args.recipe)
+        _names, X = _feature_X(args, matrix, notes)
+        atomic_write_text(
+            f"{args.out}/{_cell_name(cell)}/feature_notes.txt", notes.render()
+        )
+        cycles = matrix.cycle_index
+        cells[cell] = X, np.isin(cycles, sorted(labels[cell])) if transfer else cycles
+    if not cells:
+        raise UsageError(
+            "no labeled train cells to tune on" if transfer else "no cells to tune on"
+        )
+    space = tune.default_search_space(args.model, n_features=X.shape[1])
     tuning_dir = f"{args.out}/tuning/{args.model}"
 
-    if args.strategy == "transfer":
-        if not args.labels:
-            raise UsageError("--strategy transfer requires --labels")
-        cells = {}
-        for cell in store.cells():
-            records = store.by_cell(cell)
-            if records[0].label is None:
-                continue
-            _cycles, X = _tune_features(args, cell, records)
-            # records and matrix rows are both in cycle order
-            cells[cell] = (X, np.asarray([r.label for r in records]))
-        if not cells:
-            raise UsageError("no labeled train cells to tune on")
-        space = tune.default_search_space(args.model, n_features=X.shape[1])
+    if transfer:
         result = tune.optimize_transfer(
-            cells,
-            args.model,
-            space=space,
-            n_trials=args.trials,
-            seed=args.seed,
-            threshold=args.threshold,
+            cells, args.model, space=space, n_trials=args.trials,
+            seed=args.seed, threshold=args.threshold,
         )
-        outcomes = [
-            (cell, ct.trials, ct.front) for cell, ct in sorted(result.per_cell.items())
-        ]
-        _write_trials(tuning_dir, space, outcomes)
+        per_cell = result.per_cell
         atomic_write_text(
             f"{tuning_dir}/config.json", _config_json(result.aggregated)
         )
         fractions = ", ".join(
-            f"{cell}={result.per_cell[cell].perfect_recall_fraction:.2f}"
-            for cell in sorted(result.per_cell)
+            f"{cell}={per_cell[cell].perfect_recall_fraction:.2f}"
+            for cell in sorted(per_cell)
         )
-        sys.stdout.write(
+        summary = (
             f"transfer tuning of {args.model} on {len(cells)} cells done; "
-            f"perfect-recall fraction per cell: {fractions}\n"
+            f"perfect-recall fraction per cell: {fractions}"
         )
-        return 0
-
-    # proxy strategy: per cell, no labels needed
-    cell_ids = store.cells()
-    if not cell_ids:
-        raise UsageError("no cells to tune on")
-    outcomes = []
-    for cell in cell_ids:
-        cycles, X = _tune_features(args, cell, store.by_cell(cell))
-        space = tune.default_search_space(args.model, n_features=X.shape[1])
-        result = tune.optimize_proxy(
-            cycles,
-            X,
-            args.model,
-            space=space,
-            n_trials=args.trials,
-            seed=derive_seed(args.seed, cell),
-            threshold=args.threshold,
-        )
-        outcomes.append((cell, result.trials, result.front))
-        atomic_write_text(
-            f"{tuning_dir}/compromise_{_cell_name(cell)}.json",
-            _config_json(result.compromise),
-        )
-    _write_trials(tuning_dir, space, outcomes)
-    sys.stdout.write(
-        f"proxy tuning of {args.model} done for {len(cell_ids)} cells\n"
-    )
+    else:
+        per_cell = {}
+        for cell, (X, cycles) in cells.items():
+            per_cell[cell] = result = tune.optimize_proxy(
+                cycles, X, args.model, space=space, n_trials=args.trials,
+                seed=derive_seed(args.seed, cell), threshold=args.threshold,
+            )
+            atomic_write_text(
+                f"{tuning_dir}/compromise_{_cell_name(cell)}.json",
+                _config_json(result.compromise),
+            )
+        summary = f"proxy tuning of {args.model} done for {len(cells)} cells"
+    _write_trials(tuning_dir, space, per_cell)
+    sys.stdout.write(summary + "\n")
     return 0
 
 
@@ -562,6 +548,7 @@ def _cmd_evaluate(args) -> int:
             if not os.path.isfile(verdict_path):
                 continue
             flags = read_verdict_flags(verdict_path)
+            check_labels(args.labels, cell, truth, flags, f" in {verdict_path}")
             y = [c in truth for c in flags]
             counts = confusion(np.asarray(y), np.asarray(list(flags.values())))
             per_model.setdefault(model_name, {})[cell] = counts

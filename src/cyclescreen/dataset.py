@@ -27,7 +27,7 @@ import io
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from operator import attrgetter
 
@@ -65,14 +65,12 @@ class CycleRecord:
     """One charge/discharge cycle of one cell.
 
     samples is an (n, 3) float array with columns time, voltage, capacity,
-    sorted by time (stable, so equal stamps keep file order). label is None
-    for unlabeled data, else 0/1.
+    sorted by time (stable, so equal stamps keep file order).
     """
 
     cell_id: str
     cycle_index: int
     samples: np.ndarray
-    label: int | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -103,7 +101,6 @@ class CycleRecord:
         return (
             self.cell_id == other.cell_id
             and self.cycle_index == other.cycle_index
-            and self.label == other.label
             and self.samples.shape == other.samples.shape
             and bool(np.array_equal(self.samples, other.samples))
         )
@@ -403,29 +400,15 @@ def ingest_cycles(
         return _parse_rows(reader, colmap, path)
 
 
-def attach_labels(
-    store: CycleStore, labels: dict[str, set[int]]
-) -> CycleStore:
-    """Return a new store with labels applied to every cycle of the listed
-    cells: 1 for cycles named in the label map, 0 for the rest. Cells absent
-    from the map stay unlabeled. A label naming a cycle that does not exist
-    is an error rather than a silent drop.
-    """
-    known = {(r.cell_id, r.cycle_index) for r in store.records}
-    for cell, cycles in labels.items():
-        for cyc in cycles:
-            if (cell, cyc) not in known:
-                raise UnknownCycleError(
-                    f"label references unknown cycle {cell}/{cyc}"
-                )
-    out = []
-    for rec in store.records:
-        if rec.cell_id in labels:
-            flag = 1 if rec.cycle_index in labels[rec.cell_id] else 0
-            out.append(replace(rec, label=flag))
-        else:
-            out.append(replace(rec, label=None))
-    return CycleStore(records=tuple(out))
+def check_labels(path: str, cell: str, truth, cycles, where: str = "") -> None:
+    """Raise UnknownCycleError when truth, the cycles of cell that the label
+    file path lists, holds one not in cycles, so no label drops silently.
+    The message names the file, the cell and the first such cycle, then where."""
+    missing = sorted(set(truth).difference(cycles))
+    if missing:
+        raise UnknownCycleError(
+            f"{path}: label references unknown cycle {cell}/{missing[0]}{where}"
+        )
 
 
 def split_train_test(

@@ -29,7 +29,7 @@ class EmptyInputError(CycleScreenError):
 
 
 class UnknownCycleError(CycleScreenError):
-    """A label referenced a (cell, cycle) pair not present in the store."""
+    """A label or lookup named a (cell, cycle) pair the data does not hold."""
 
 
 class ManifestError(CycleScreenError):

@@ -218,7 +218,7 @@ def make_config(model: str, params: dict | None = None, seed: int = 0) -> Detect
         else:
             resolved[name] = p.default
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     return DetectorConfig(model=model, params=resolved, seed=seed)
 
 

@@ -116,9 +116,9 @@ def generate_cell(
     seed: int = 0,
     cell_id: str = "SYN-0",
 ) -> tuple[list[CycleRecord], set[int]]:
-    """Simulate one cell; returns labeled records and the truth cycle set.
+    """Simulate one cell; returns records and the truth cycle set.
 
-    Identical arguments produce identical samples, labels included. Every
+    Identical arguments produce identical samples and truth sets. Every
     anomaly target must name an existing cycle index in [0, n_cycles).
     """
     if n_cycles < 1 or samples_per_cycle < 4:
@@ -150,7 +150,6 @@ def generate_cell(
                 cell_id=cell_id,
                 cycle_index=cyc,
                 samples=np.column_stack([time, voltage, capacity]),
-                label=1 if cyc in truth else 0,
             )
         )
     return records, truth

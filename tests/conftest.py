@@ -41,7 +41,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"[criterion {num:>2}] {status}  {text}")
 
 
-def make_cycle(cell_id, cycle_index, time, voltage, capacity, label=None):
+def make_cycle(cell_id, cycle_index, time, voltage, capacity):
     samples = np.column_stack(
         [
             np.asarray(time, dtype=float),
@@ -49,9 +49,7 @@ def make_cycle(cell_id, cycle_index, time, voltage, capacity, label=None):
             np.asarray(capacity, dtype=float),
         ]
     )
-    return CycleRecord(
-        cell_id=cell_id, cycle_index=cycle_index, samples=samples, label=label
-    )
+    return CycleRecord(cell_id=cell_id, cycle_index=cycle_index, samples=samples)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from cyclescreen.cli import ALL_MODELS, build_parser, main
-from cyclescreen.synth import AnomalySpec, generate_cell, write_dataset
+from cyclescreen.synth import AnomalySpec, FadeModel, generate_cell, write_dataset
 
 FEATURES = "dv_max,dq_max"
 
@@ -802,3 +802,159 @@ def test_unreadable_field_and_overflowing_offset_are_validation_errors(
     err = capsys.readouterr().err
     assert message in err.splitlines()[0]
     assert "Traceback" not in err
+
+
+def test_every_csv_reads_back_with_csv_for_ids_with_comma_and_quote(
+    tmp_path, capsys
+):
+    cells = {
+        cell: generate_cell(
+            30, samples_per_cycle=16, seed=i, cell_id=cell,
+            anomalies=(AnomalySpec("point", (10,), 0.4),),
+        )
+        for i, cell in enumerate(("a,b", 'c"d'))
+    }
+    meas, labels = str(tmp_path / "meas.csv"), str(tmp_path / "labels.csv")
+    write_dataset(cells, meas, labels)
+    out = tmp_path / "out"
+    common = ("--input", meas, "--out", str(out), "--recipe", "custom")
+    picked = (*common, "--feature", FEATURES)
+    assert run("ingest", "--input", meas, "--out", str(out)) == 0
+    assert run("features", *common) == 0
+    assert run("detect", *picked, "--model", "all") == 0
+    assert run(
+        "evaluate", "--input", str(out), "--out", str(out), "--labels", labels
+    ) == 0
+    assert run("scoremap", *picked, "--model", "all", "--resolution", "4") == 0
+    for model, strategy in (("knn", "transfer"), ("lof", "proxy")):
+        assert run(
+            "tune", *picked, "--model", model, "--strategy", strategy,
+            "--labels", labels, "--trials", "3",
+        ) == 0
+    capsys.readouterr()
+
+    written = {}
+    for dirpath, _dirs, files in os.walk(out):
+        for name in files:
+            if name.endswith(".csv"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8", newline="") as handle:
+                    rows = [
+                        row for row in csv.reader(handle)
+                        if not row[0].startswith("#")
+                    ]
+                written.setdefault(name, []).append((path, rows))
+    assert set(written) == {
+        "cycles.csv", "features.csv", "verdict.csv", "grid.csv",
+        "trials.csv", "pareto.csv", "report.csv",
+    }
+    for name, tables in written.items():
+        for path, rows in tables:
+            assert len(rows) > 1, path
+            assert {len(row) for row in rows} == {len(rows[0])}, path
+    for path, rows in written["trials.csv"]:
+        assert {row[0] for row in rows[1:]} == {"a,b", 'c"d'}, path
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"n_neighbors": 0}, "n_neighbors=0 outside [1, 100000]"),
+        ({"bogus": 1}, "knn: unknown params ['bogus']"),
+    ],
+    ids=["out-of-range", "unknown-param"],
+)
+def test_detect_config_params_checked_before_any_cell_runs(
+    dataset, tmp_path, capsys, params, message
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "knn", "params": params, "seed": 3}))
+    out = tmp_path / "out"
+    rc = run(
+        "detect", "--input", dataset["meas"], "--out", str(out),
+        "--recipe", "custom", "--feature", FEATURES,
+        "--model", "knn", "--config", str(config),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("detect", "--model", "all"), "cell M1, model sd: "),
+        (("tune", "--model", "knn", "--strategy", "proxy"), ""),
+        (("scoremap", "--model", "knn"), ""),
+    ],
+    ids=["detect", "tune", "scoremap"],
+)
+def test_log_of_a_column_with_no_positive_entry_names_column_and_cell(
+    tmp_path, capsys, argv, prefix
+):
+    # a noiseless discharge falls on every step, so dv_max < 0 on every cycle
+    cell = generate_cell(
+        12, samples_per_cycle=16, fade=FadeModel(voltage_noise=0.0), cell_id="M1"
+    )
+    meas = str(tmp_path / "meas.csv")
+    write_dataset({"M1": cell}, meas)
+    rc = run(
+        *argv, "--input", meas, "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", "dv_max", "--log",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {prefix}log(dv_max): no positive entries for cell M1\n"
+    )
+
+
+def test_evaluate_refuses_a_label_for_a_cycle_a_verdict_lacks(
+    dataset, tmp_path, capsys
+):
+    run_dir = tmp_path / "run"
+    assert run(
+        "detect", "--input", dataset["meas"], "--out", str(run_dir),
+        "--recipe", "custom", "--feature", FEATURES, "--model", "iqr",
+    ) == 0
+    labels = tmp_path / "labels.csv"
+    # cellZ has no directory under the run and is skipped, as before
+    labels.write_text(
+        open(dataset["labels"]).read() + "cellA,999\ncellZ,3\n"
+    )
+    capsys.readouterr()
+    rc = run(
+        "evaluate", "--input", str(run_dir), "--out", str(tmp_path / "eval"),
+        "--labels", str(labels),
+    )
+    assert rc == 1
+    verdict = os.path.join(str(run_dir), "cellA", "iqr", "verdict.csv")
+    assert capsys.readouterr().err == (
+        f"error: {labels}: label references unknown cycle cellA/999 in {verdict}\n"
+    )
+    assert not (tmp_path / "eval").exists()
+
+    labels.write_text(open(dataset["labels"]).read() + "cellZ,3\n")
+    assert run(
+        "evaluate", "--input", str(run_dir), "--out", str(tmp_path / "eval"),
+        "--labels", str(labels),
+    ) == 0
+
+
+@pytest.mark.parametrize("strategy", ["transfer", "proxy"])
+def test_tune_unknown_label_names_the_label_file(
+    dataset, tmp_path, capsys, strategy
+):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(open(dataset["labels"]).read() + "cellB,999\n")
+    out = tmp_path / "out"
+    rc = run(
+        "tune", "--input", dataset["meas"], "--out", str(out),
+        "--recipe", "custom", "--feature", FEATURES, "--model", "knn",
+        "--strategy", strategy, "--labels", str(labels), "--trials", "2",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}: label references unknown cycle cellB/999\n"
+    )
+    assert not out.exists()

@@ -12,7 +12,7 @@ from cyclescreen.dataset import (
     CycleRecord,
     CycleStore,
     SplitManifest,
-    attach_labels,
+    check_labels,
     export_cycles,
     export_labels,
     format_cycles,
@@ -157,32 +157,15 @@ def test_store_orders_by_cell_then_cycle():
     assert keys == [("A", 0), ("A", 1), ("B", 0)]
 
 
-def test_attach_labels_and_unknown_cycle():
-    store = CycleStore(
-        [
-            make_cycle("A", 0, [0], [4.0], [0.0]),
-            make_cycle("A", 1, [0], [4.0], [0.0]),
-        ]
+def test_check_labels_unknown_cycle():
+    check_labels("labels.csv", "A", {1}, [0, 1, 2])
+    check_labels("labels.csv", "A", set(), [])
+    with pytest.raises(UnknownCycleError) as exc:
+        check_labels("labels.csv", "A", {1, 99, 7}, [0, 1], " in verdict.csv")
+    # the first missing cycle, after the label file and before where
+    assert str(exc.value) == (
+        "labels.csv: label references unknown cycle A/7 in verdict.csv"
     )
-    labeled = attach_labels(store, {"A": {1}})
-    assert labeled.get("A", 0).label == 0
-    assert labeled.get("A", 1).label == 1
-    # original store untouched
-    assert store.get("A", 1).label is None
-    with pytest.raises(UnknownCycleError):
-        attach_labels(store, {"A": {99}})
-
-
-def test_attach_labels_unlisted_cell_stays_unlabeled():
-    store = CycleStore(
-        [
-            make_cycle("A", 0, [0], [4.0], [0.0]),
-            make_cycle("B", 0, [0], [4.0], [0.0]),
-        ]
-    )
-    labeled = attach_labels(store, {"A": set()})
-    assert labeled.get("A", 0).label == 0
-    assert labeled.get("B", 0).label is None
 
 
 def test_manifest_overlap_rejected():

@@ -12,7 +12,6 @@ def test_same_seed_same_samples():
     assert truth_a == truth_b
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.samples, rb.samples)
-        assert ra.label == rb.label
 
 
 def test_different_seeds_differ():
@@ -26,10 +25,8 @@ def test_truth_set_matches_requested_cycles():
         AnomalySpec("point", (3, 7), 0.2),
         AnomalySpec("global", (10,), 0.5, channel="capacity"),
     )
-    records, truth = generate_cell(12, anomalies=specs, seed=0)
+    _records, truth = generate_cell(12, anomalies=specs, seed=0)
     assert truth == {3, 7, 10}
-    for rec in records:
-        assert rec.label == (1 if rec.cycle_index in truth else 0)
 
 
 def test_point_anomaly_disturbs_one_sample():
