@@ -2,7 +2,7 @@
 
 Submodules:
 
-* dataset: measurement/label/manifest file handling and train/test splits
+* dataset: measurement, label, manifest and verdict file handling
 * features: robust per-cycle scaling and feature extraction
 * stat_detect: five univariate outlier rules
 * dist_detect: centroid-distance detectors and score grids

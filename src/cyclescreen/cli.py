@@ -7,6 +7,7 @@ rerun with the same inputs and seed is byte-identical.
 
 Output layout under --out (default ./out):
 
+    cycles.csv                     normalized measurements (ingest)
     <cell>/features.csv            feature table per cell (features)
     <cell>/feature_notes.txt       guard side channel per cell, including
                                    --log clamps (features, detect, scoremap,
@@ -31,6 +32,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -46,10 +48,8 @@ from .dataset import (
     read_labels,
     read_manifest,
     read_verdict_flags,
-    split_train_test,
 )
-from .errors import (ConfigError, CycleScreenError, EmptyFeatureError,
-                     ManifestError, ThresholdRangeError)
+from .errors import ConfigError, CycleScreenError, EmptyFeatureError, ManifestError
 from .evaluation import METRIC_NAMES, benchmark_report, confusion
 from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
 # the traced benchmark run (perfbench/spans.py) wraps the three names below
@@ -61,7 +61,7 @@ from .stat_detect import GAUSSIAN_MAD_FACTOR, StatMethod, detect_stat
 from .util import atomic_write_text, derive_seed
 
 STAT_MODELS = tuple(m.value for m in StatMethod)
-DIST_MODELS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
+DIST_MODELS = dist_detect.METRIC_KINDS
 ALL_MODELS = STAT_MODELS + DIST_MODELS + ml_detect.ML_MODELS
 
 
@@ -286,44 +286,47 @@ def _scoremap_cell(args, cell_id, records) -> None:
     cell_dir = f"{args.out}/{_cell_name(cell_id)}"
     atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
     res = args.resolution
-    for model in args.models:
-        if model in DIST_MODELS:
-            grid = dist_detect.score_grid(
-                X, _metric_spec(args, model), resolution=res
-            )
-            bounds, axes, values = grid.bounds, grid.axes, grid.values
-            data_min, data_max = grid.data_min, grid.data_max
-        else:
-            bounds, axes, nodes = dist_detect.grid_nodes(X, res)
-            config = make_config(
-                model, None, seed=derive_seed(args.seed, cell_id, model)
-            )
-            fitted = ml_detect.fit(config, X)
-            data_raw = ml_detect.score(fitted, X)
-            node_raw = ml_detect.score(fitted, nodes)
-            values = ml_detect.normalize_scores(node_raw, reference=data_raw)
-            values = values.reshape(res, res)
-            data_min, data_max = float(data_raw.min()), float(data_raw.max())
+    try:
+        for model in args.models:
+            if model in DIST_MODELS:
+                grid = dist_detect.score_grid(
+                    X, _metric_spec(args, model), resolution=res
+                )
+                bounds, axes, values = grid.bounds, grid.axes, grid.values
+                data_min, data_max = grid.data_min, grid.data_max
+            else:
+                bounds, axes, nodes = dist_detect.grid_nodes(X, res)
+                config = make_config(
+                    model, None, seed=derive_seed(args.seed, cell_id, model)
+                )
+                fitted = ml_detect.fit(config, X)
+                data_raw = ml_detect.score(fitted, X)
+                node_raw = ml_detect.score(fitted, nodes)
+                values = ml_detect.normalize_scores(node_raw, reference=data_raw)
+                values = values.reshape(res, res)
+                data_min, data_max = float(data_raw.min()), float(data_raw.max())
 
-        model_dir = f"{cell_dir}/{model}"
-        _write_table(
-            f"{model_dir}/grid.csv",
-            f"model={model} features={'|'.join(names)} resolution={res}",
-            f"{names[0]},{names[1]},score",
-            np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
-        )
-        sidecar = {
-            "model": model,
-            "features": list(names),
-            "bounds": [list(b) for b in bounds],
-            "resolution": [res, res],
-            "data_min": data_min,
-            "data_max": data_max,
-        }
-        atomic_write_text(
-            f"{model_dir}/grid.json",
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
-        )
+            model_dir = f"{cell_dir}/{model}"
+            _write_table(
+                f"{model_dir}/grid.csv",
+                f"model={model} features={'|'.join(names)} resolution={res}",
+                f"{names[0]},{names[1]},score",
+                np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
+            )
+            sidecar = {
+                "model": model,
+                "features": list(names),
+                "bounds": [list(b) for b in bounds],
+                "resolution": [res, res],
+                "data_min": data_min,
+                "data_max": data_max,
+            }
+            atomic_write_text(
+                f"{model_dir}/grid.json",
+                json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+            )
+    except CycleScreenError as err:
+        raise CycleScreenError(f"cell {cell_id}, model {model}: {err}") from None
 
 
 def _map_cells(worker, args, store: CycleStore) -> list[str]:
@@ -470,20 +473,23 @@ def _cmd_tune(args) -> int:
         known = [r.cycle_index for r in store.by_cell(cell)]
         check_labels(args.labels, cell, truth, known)
     transfer = args.strategy == "transfer"
+    chosen = store.cells()
     if args.manifest:
         # transfer fits on the manifest's train cells, proxy on its test cells
         manifest = read_manifest(args.manifest, args.delimiter)
-        try:
-            train, test = split_train_test(store, manifest)
-        except ManifestError as err:
-            raise ManifestError(f"{args.manifest}: {err}") from None
-        store = train if transfer else test
+        missing = (manifest.train_cells | manifest.test_cells).difference(chosen)
+        if missing:
+            raise ManifestError(
+                f"{args.manifest}: manifest cells not in store: {sorted(missing)}"
+            )
+        role = manifest.train_cells if transfer else manifest.test_cells
+        chosen = [cell for cell in chosen if cell in role]
     if transfer and not args.labels:
         raise UsageError("--strategy transfer requires --labels")
 
     # per cell: the selected columns, and the label flags (transfer) or cycles (proxy)
     cells = {}
-    for cell in store.cells():
+    for cell in chosen:
         if transfer and cell not in labels:
             continue
         matrix, notes = build_feature_matrix(store.by_cell(cell), args.recipe)
@@ -584,6 +590,10 @@ def _cmd_evaluate(args) -> int:
     atomic_write_text(f"{args.out}/report.csv", "\n".join(csv_lines) + "\n")
     atomic_write_text(f"{args.out}/report.txt", "\n".join(txt_lines) + "\n")
     sys.stdout.write("\n".join(txt_lines) + "\n")
+    left_out = ", ".join(sorted(set(label_map).difference(*per_model.values())))
+    if left_out:
+        sys.stderr.write(f"note: no verdicts under '{args.input}' for labeled cells "
+                         f"{left_out}; they are left out of the report\n")
     return 0
 
 
@@ -738,20 +748,40 @@ _COMMANDS = {
 }
 
 
+#: (option, accepts, what it must be) for the values _check_options checks
+_OPTION_RULES = (
+    ("delimiter", lambda v: len(v) == 1, " must be one character"),
+    ("jobs", lambda v: v >= 1, " must be at least 1"),
+    ("trials", lambda v: v >= 1, " must be at least 1"),
+    ("mad_factor", lambda v: math.isfinite(v) and v > 0,
+     " must be finite and positive"),
+    ("mad_threshold", math.isfinite, " must be finite"),
+    ("kpi", math.isfinite, " must be finite"),
+    ("resolution", lambda v: v >= 2, ": grid resolution must be at least 2"),
+)
+
+
+def _check_options(args) -> None:
+    """Refuse a bad option value before any file is read or written."""
+    for name, accepts, rule in _OPTION_RULES:
+        value = getattr(args, name, None)
+        if value is not None and not accepts(value):
+            option = name.replace("_", "-")
+            raise UsageError(f"--{option}{rule}, got {value!r}")
+    for name, check in (("threshold", ml_detect.check_threshold),
+                        ("p", lambda p: dist_detect.MetricSpec("minkowski", p=p))):
+        if hasattr(args, name):
+            try:
+                check(getattr(args, name))
+            except CycleScreenError as err:  # the library's own refusal
+                raise UsageError(f"--{name}: {err}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for count in ("jobs", "trials"):
-            if getattr(args, count, 1) < 1:
-                raise UsageError(
-                    f"--{count} must be at least 1, got {getattr(args, count)}"
-                )
-        if hasattr(args, "threshold"):
-            try:
-                ml_detect.check_threshold(args.threshold)
-            except ThresholdRangeError as err:
-                raise UsageError(f"--threshold: {err}") from None
+        _check_options(args)
         return _COMMANDS[args.command](args)
     except (UsageError, CycleScreenError) as err:
         sys.stderr.write(f"error: {err}\n")

@@ -1,4 +1,4 @@
-"""Cycle-level measurement ingestion, labeling, and train/test splitting.
+"""Cycle-level measurement ingestion and labeling.
 
 The on-disk interchange format is a delimited text file with one measurement
 sample per row:
@@ -25,8 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from operator import attrgetter
@@ -40,6 +38,7 @@ from .errors import (
     SchemaError,
     UnknownCycleError,
 )
+from .util import atomic_write_text
 
 #: canonical column names, keyed by role
 DEFAULT_COLUMNS = {
@@ -141,16 +140,6 @@ class CycleStore:
 
     def by_cell(self, cell_id: str) -> list[CycleRecord]:
         return list(self.records[self._cells.get(cell_id, slice(0))])
-
-    def get(self, cell_id: str, cycle_index: int) -> CycleRecord:
-        span = self._cells.get(cell_id, slice(0))
-        i = bisect_left(
-            self.records, cycle_index, span.start or 0, span.stop,
-            key=lambda r: r.cycle_index,
-        )
-        if i < span.stop and self.records[i].cycle_index == cycle_index:
-            return self.records[i]
-        raise UnknownCycleError(f"no cycle {cell_id}/{cycle_index} in store")
 
 
 @dataclass(frozen=True)
@@ -411,23 +400,6 @@ def check_labels(path: str, cell: str, truth, cycles, where: str = "") -> None:
         )
 
 
-def split_train_test(
-    store: CycleStore, manifest: SplitManifest
-) -> tuple[CycleStore, CycleStore]:
-    """Partition a store by cell according to the manifest.
-
-    Every manifest cell must exist in the store; cells the manifest does not
-    mention are left out of both halves.
-    """
-    present = set(store.cells())
-    missing = (manifest.train_cells | manifest.test_cells) - present
-    if missing:
-        raise ManifestError(f"manifest cells not in store: {sorted(missing)}")
-    train = tuple(r for r in store.records if r.cell_id in manifest.train_cells)
-    test = tuple(r for r in store.records if r.cell_id in manifest.test_cells)
-    return CycleStore(records=train), CycleStore(records=test)
-
-
 def _format_records(store: CycleStore):
     """Yield the canonical comma-delimited text of a store: the header,
     then one string per record.
@@ -449,20 +421,10 @@ def _format_records(store: CycleStore):
         yield "".join([f"{head}{t!r},{v!r},{q!r}\n" for t, v, q in rows])
 
 
-def format_cycles(store: CycleStore) -> str:
-    """Render a store in the canonical measurement format.
-
-    Floats are written with repr so a round trip through text reproduces the
-    exact binary values.
-    """
-    return "".join(_format_records(store))
-
-
 def export_cycles(store: CycleStore, path: str) -> None:
-    """Write format_cycles' text to path, a record at a time."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(_format_records(store))
+    """Write a store in the canonical format, atomically and a record at a
+    time; floats as repr, so a round trip reproduces the exact bits."""
+    atomic_write_text(path, _format_records(store))
 
 
 def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
@@ -510,9 +472,7 @@ def export_labels(labels: dict[str, set[int]], path: str) -> None:
     for cell in sorted(labels):
         for cyc in sorted(labels[cell]):
             writer.writerow([cell, cyc])
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(buf.getvalue())
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_manifest(path: str, delimiter: str = ",") -> SplitManifest:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BoundsError,
+    ConfigError,
     DegenerateSpreadError,
     EmptyInputError,
     ShapeMismatchError,
@@ -235,6 +236,8 @@ def centroid_detect(
     being close to the centroid never is. Lowering the threshold widens the
     flag set monotonically.
     """
+    if not np.isfinite(mad_threshold):
+        raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 3:
         raise EmptyInputError(

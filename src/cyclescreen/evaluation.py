@@ -96,9 +96,6 @@ class EvalReport:
     kpi: float
     passes: dict[str, bool]
 
-    def passed(self, metric: str) -> bool:
-        return self.passes[metric]
-
 
 def benchmark_report(
     per_cell_counts: dict[str, ConfusionCounts], kpi: float = 0.95

@@ -128,9 +128,6 @@ class FeatureMatrix:
                 )
             self.columns[name] = col
 
-    def __len__(self) -> int:
-        return int(self.cycle_index.shape[0])
-
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise KeyError(

@@ -27,7 +27,6 @@ class GmmState:
     means: np.ndarray
     covariances: np.ndarray
     covariance_type: str
-    reg: float
     ll_trace: list = field(default_factory=list)
     converged: bool = False
     n_iter: int = 0
@@ -119,10 +118,6 @@ def _log_gaussian(X, means, covs, cov_type):
             out[:, j] = _log_gaussian_full(X, means[j], covs)
     elif cov_type == "diag":
         for j in range(k):
-            if np.any(covs[j] <= 0):
-                raise SingularComponentError(
-                    f"component {j}: non-positive variance"
-                )
             diff = X - means[j]
             out[:, j] = -0.5 * (
                 d * _LOG_2PI
@@ -131,10 +126,6 @@ def _log_gaussian(X, means, covs, cov_type):
             )
     else:  # spherical
         for j in range(k):
-            if covs[j] <= 0:
-                raise SingularComponentError(
-                    f"component {j}: non-positive variance"
-                )
             diff = X - means[j]
             out[:, j] = -0.5 * (
                 d * _LOG_2PI
@@ -185,7 +176,6 @@ def fit_gmm(params: dict, X: np.ndarray, rng) -> GmmState:
         means=means,
         covariances=covs,
         covariance_type=cov_type,
-        reg=reg,
     )
     for it in range(1, MAX_ITER + 1):
         weighted = _log_gaussian(X, means, covs, cov_type) + np.log(weights)

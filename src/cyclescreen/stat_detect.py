@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSpreadError, EmptyInputError
+from .errors import ConfigError, DegenerateSpreadError, EmptyInputError
 from .util import require_finite
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
@@ -36,6 +36,12 @@ class StatMethod(str, Enum):
     IQR = "iqr"
     ZSCORE = "zscore"
     MOD_ZSCORE = "mod_zscore"
+
+
+#: the standardized-score rules judge (x - center) / spread against these;
+#: the others flag raw values outside the band
+_SCORE_LIMITS = {StatMethod.ZSCORE: Z_LIMIT, StatMethod.MOD_ZSCORE: MOD_Z_LIMIT}
+_MAD_METHODS = (StatMethod.MAD, StatMethod.MOD_ZSCORE)
 
 
 @dataclass(frozen=True)
@@ -68,16 +74,42 @@ class StatVerdict:
 def scaled_mad(values: np.ndarray, mad_factor: float) -> tuple[float, float]:
     """Median and scaled median absolute deviation of a column.
 
-    Returns (median, |mad_factor| * median(|x - median|)). Raises when the
-    raw deviation is exactly zero.
+    Returns (median, mad_factor * median(|x - median|)). Raises when the
+    factor is not finite and positive, or the raw deviation is exactly zero.
     """
+    if not (np.isfinite(mad_factor) and mad_factor > 0):
+        raise ConfigError(
+            f"mad_factor must be finite and positive, got {mad_factor!r}"
+        )
     med = float(np.median(values))
     raw = float(np.median(np.abs(values - med)))
     if raw == 0.0:
         raise DegenerateSpreadError(
             "median absolute deviation is zero; spread is degenerate"
         )
-    return med, abs(mad_factor) * raw
+    return med, mad_factor * raw
+
+
+def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
+    """(center, spread, lower, upper) of a column for a rule's family: the
+    mean and sample sd, the median and scaled MAD, or the median, the IQR
+    and the Tukey fences on the type-7 quartiles."""
+    if method in _MAD_METHODS:
+        center, spread = scaled_mad(x, mad_factor)
+        low = high = center
+        multiplier, what = MAD_MULTIPLIER, "scaled median absolute deviation"
+    elif method is StatMethod.IQR:
+        q1, q3 = np.quantile(x, [0.25, 0.75])  # type-7 interpolation
+        center, spread = float(np.median(x)), float(q3 - q1)
+        low, high = float(q1), float(q3)
+        multiplier, what = IQR_MULTIPLIER, "interquartile range"
+    else:
+        center, spread = float(np.mean(x)), float(np.std(x, ddof=1))
+        low = high = center
+        multiplier, what = SD_MULTIPLIER, "standard deviation"
+    if spread == 0.0:
+        raise DegenerateSpreadError(f"{method.value}: {what} is zero")
+    return center, spread, low - multiplier * spread, high + multiplier * spread
 
 
 def detect_stat(
@@ -110,48 +142,15 @@ def detect_stat(
         raise EmptyInputError(f"need at least 2 values, got {x.size}")
     require_finite(x)
 
-    if method in (StatMethod.SD, StatMethod.ZSCORE):
-        mean = float(np.mean(x))
-        sigma = float(np.std(x, ddof=1))
-        if sigma == 0.0:
-            raise DegenerateSpreadError(
-                f"{method.value}: standard deviation is zero"
-            )
-        if method is StatMethod.SD:
-            lower = mean - SD_MULTIPLIER * sigma
-            upper = mean + SD_MULTIPLIER * sigma
-            flags = (x < lower) | (x > upper)
-            limits = StatLimits(method, lower, upper, mean, sigma)
-            return StatVerdict(flags=flags, scores=x.copy(), limits=limits)
-        z = (x - mean) / sigma
-        flags = np.abs(z) > Z_LIMIT
-        limits = StatLimits(method, -Z_LIMIT, Z_LIMIT, 0.0, 1.0)
-        return StatVerdict(flags=flags, scores=z, limits=limits)
-
-    if method in (StatMethod.MAD, StatMethod.MOD_ZSCORE):
-        med, mad = scaled_mad(x, mad_factor)
-        if method is StatMethod.MAD:
-            lower = med - MAD_MULTIPLIER * mad
-            upper = med + MAD_MULTIPLIER * mad
-            flags = (x < lower) | (x > upper)
-            limits = StatLimits(
-                method, lower, upper, med, mad, mad_factor=mad_factor
-            )
-            return StatVerdict(flags=flags, scores=x.copy(), limits=limits)
-        z = (x - med) / mad
-        flags = np.abs(z) > MOD_Z_LIMIT
-        limits = StatLimits(
-            method, -MOD_Z_LIMIT, MOD_Z_LIMIT, 0.0, 1.0, mad_factor=mad_factor
-        )
-        return StatVerdict(flags=flags, scores=z, limits=limits)
-
-    # Tukey fences
-    q1, q3 = np.quantile(x, [0.25, 0.75])  # type-7 interpolation
-    iqr = float(q3 - q1)
-    if iqr == 0.0:
-        raise DegenerateSpreadError("iqr: interquartile range is zero")
-    lower = float(q1) - IQR_MULTIPLIER * iqr
-    upper = float(q3) + IQR_MULTIPLIER * iqr
-    flags = (x < lower) | (x > upper)
-    limits = StatLimits(method, lower, upper, float(np.median(x)), iqr)
-    return StatVerdict(flags=flags, scores=x.copy(), limits=limits)
+    center, spread, lower, upper = _estimate(x, method, mad_factor)
+    limit = _SCORE_LIMITS.get(method)
+    if limit is None:
+        scores = x.copy()
+        flags = (x < lower) | (x > upper)
+    else:
+        scores = (x - center) / spread
+        flags = np.abs(scores) > limit
+        lower, upper, center, spread = -limit, limit, 0.0, 1.0
+    factor = mad_factor if method in _MAD_METHODS else None
+    limits = StatLimits(method, lower, upper, center, spread, mad_factor=factor)
+    return StatVerdict(flags=flags, scores=scores, limits=limits)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -36,15 +36,17 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never see
-    a partially written artifact."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, a string or an iterable of strings, to path via a temp
+    file and rename, so readers never see a partially written artifact."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    # a fresh name, opened as open() would, so the file's mode follows umask
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -958,3 +958,93 @@ def test_tune_unknown_label_names_the_label_file(
         f"error: {labels}: label references unknown cycle cellB/999\n"
     )
     assert not out.exists()
+
+
+#: the fewest arguments besides --input/--out each subcommand needs
+LEAST_ARGV = {
+    "ingest": ("ingest",),
+    "features": ("features",),
+    "detect": ("detect", "--recipe", "custom", "--feature", FEATURES),
+    "tune": ("tune", "--model", "knn", "--strategy", "proxy",
+             "--recipe", "custom", "--feature", FEATURES),
+    "evaluate": ("evaluate", "--labels", "labels"),
+    "scoremap": ("scoremap", "--recipe", "custom", "--feature", FEATURES),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[(*argv, "--delimiter", delimiter)
+          for argv in LEAST_ARGV.values() for delimiter in (";;", "")],
+        (*LEAST_ARGV["detect"], "--mad-factor", "nan"),
+        (*LEAST_ARGV["detect"], "--mad-factor", "0"),
+        (*LEAST_ARGV["detect"], "--mad-factor", "-1.5"),
+        (*LEAST_ARGV["detect"], "--mad-threshold", "nan"),
+        (*LEAST_ARGV["detect"], "--mad-threshold", "inf"),
+        (*LEAST_ARGV["evaluate"], "--kpi", "nan"),
+        (*LEAST_ARGV["detect"], "--model", "all", "--p", "0"),
+        (*LEAST_ARGV["scoremap"], "--p", "nan"),
+        (*LEAST_ARGV["scoremap"], "--resolution", "1"),
+    ],
+    ids=" ".join,
+)
+def test_option_values_checked_before_any_file_is_touched(
+    dataset, tmp_path, capsys, argv
+):
+    argv = [dataset["labels"] if a == "labels" else a for a in argv]
+    out = tmp_path / "out"
+    rc = run(*argv, "--input", dataset["meas"], "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    option = next(a for a in reversed(argv) if a.startswith("--"))
+    assert err.startswith(f"error: {option}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_scoremap_error_names_the_cell_and_the_model(tmp_path, capsys):
+    # five identical cycles: every centroid distance is the same
+    rows = "".join(
+        f"F,{cycle},{t}.0,{4 - t}.0,{t}.0\n" for cycle in range(5) for t in range(4)
+    )
+    meas = tmp_path / "flat.csv"
+    meas.write_text("cell_id,cycle_index,time_s,voltage_v,capacity_ah\n" + rows)
+    common = ("--input", str(meas), "--recipe", "custom", "--feature", FEATURES)
+    message = (
+        "error: cell F, model euclidean: "
+        "all centroid distances are equal; nothing to rank\n"
+    )
+    for command, model in (("detect", "euclidean"), ("scoremap", "all")):
+        out = tmp_path / command
+        rc = run(command, *common, "--out", str(out), "--model", model)
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        # the guard notes are written before any model runs
+        assert (out / "F" / "feature_notes.txt").is_file()
+
+
+def test_evaluate_names_the_labeled_cells_it_leaves_out(dataset, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run(
+        "detect", "--input", dataset["meas"], "--out", str(run_dir),
+        "--recipe", "custom", "--feature", FEATURES, "--model", "iqr",
+    ) == 0
+    reports = {}
+    for name, extra in (("plain", ""), ("extra", "cellZ,3\ncellY,1\n")):
+        labels = tmp_path / f"{name}.csv"
+        labels.write_text(open(dataset["labels"]).read() + extra)
+        capsys.readouterr()
+        out = tmp_path / name
+        assert run(
+            "evaluate", "--input", str(run_dir), "--out", str(out),
+            "--labels", str(labels),
+        ) == 0
+        captured = capsys.readouterr()
+        reports[name] = captured.out, tree_bytes(out), captured.err
+    assert reports["plain"][2] == ""
+    assert reports["extra"][:2] == reports["plain"][:2]
+    assert reports["extra"][2] == (
+        f"note: no verdicts under '{run_dir}' for labeled cells cellY, cellZ; "
+        "they are left out of the report\n"
+    )

@@ -15,11 +15,9 @@ from cyclescreen.dataset import (
     check_labels,
     export_cycles,
     export_labels,
-    format_cycles,
     ingest_cycles,
     read_labels,
     read_manifest,
-    split_train_test,
 )
 from cyclescreen.errors import (
     EmptyInputError,
@@ -49,7 +47,7 @@ def test_ingest_basic(tmp_path):
     store = ingest_cycles(path)
     assert store.cells() == ["A"]
     assert len(store) == 2
-    rec = store.get("A", 0)
+    rec = store.by_cell("A")[0]
     assert rec.voltage.tolist() == [4.0, 3.5]
 
 
@@ -59,7 +57,7 @@ def test_ingest_sorts_samples_by_time(tmp_path):
         "m.csv",
         HEADER + "\nA,0,2.0,3.0,1.0\nA,0,0.0,4.0,0.0\nA,0,1.0,3.5,0.5\n",
     )
-    rec = ingest_cycles(path).get("A", 0)
+    rec = ingest_cycles(path).by_cell("A")[0]
     assert rec.time.tolist() == [0.0, 1.0, 2.0]
     assert rec.voltage.tolist() == [4.0, 3.5, 3.0]
 
@@ -71,7 +69,7 @@ def test_ingest_stable_sort_on_time_ties(tmp_path):
         "m.csv",
         HEADER + "\nA,0,1.0,3.9,0.1\nA,0,1.0,3.8,0.2\nA,0,0.0,4.0,0.0\n",
     )
-    rec = ingest_cycles(path).get("A", 0)
+    rec = ingest_cycles(path).by_cell("A")[0]
     assert rec.voltage.tolist() == [4.0, 3.9, 3.8]
 
 
@@ -81,7 +79,7 @@ def test_ingest_skips_blank_rows(tmp_path):
         "m.csv",
         HEADER + "\n\nA,0,0.0,4.0,0.0\n\nA,0,1.0,3.9,0.1\n",
     )
-    assert ingest_cycles(path).get("A", 0).samples.shape == (2, 3)
+    assert ingest_cycles(path).by_cell("A")[0].samples.shape == (2, 3)
 
 
 def test_ingest_bad_row_cites_row_number(tmp_path):
@@ -131,12 +129,12 @@ def test_ingest_column_remap_and_delimiter(tmp_path):
         },
         delimiter="\t",
     )
-    assert store.get("A", 0).voltage.tolist() == [4.0, 3.9]
+    assert store.by_cell("A")[0].voltage.tolist() == [4.0, 3.9]
 
 
 def test_ingest_integral_float_cycle_index(tmp_path):
     path = write(tmp_path, "m.csv", HEADER + "\nA,2.0,0.0,4.0,0.0\n")
-    assert ingest_cycles(path).get("A", 2).cycle_index == 2
+    assert ingest_cycles(path).by_cell("A")[0].cycle_index == 2
 
 
 def test_store_rejects_duplicate_cycle_key():
@@ -171,21 +169,6 @@ def test_check_labels_unknown_cycle():
 def test_manifest_overlap_rejected():
     with pytest.raises(ManifestError):
         SplitManifest(train_cells=("A",), test_cells=("A", "B"))
-
-
-def test_split_train_test():
-    store = CycleStore(
-        [
-            make_cycle("A", 0, [0], [4.0], [0.0]),
-            make_cycle("B", 0, [0], [4.0], [0.0]),
-        ]
-    )
-    manifest = SplitManifest(train_cells=("A",), test_cells=("B",))
-    train, test = split_train_test(store, manifest)
-    assert train.cells() == ["A"]
-    assert test.cells() == ["B"]
-    with pytest.raises(ManifestError):
-        split_train_test(store, SplitManifest(train_cells=("C",), test_cells=()))
 
 
 def test_read_manifest(tmp_path):
@@ -372,11 +355,6 @@ def test_store_cell_index():
     assert store.cells() == ["A", "B"]
     assert [r.cycle_index for r in store.by_cell("B")] == [0, 2]
     assert store.by_cell("Z") == []
-    assert store.get("A", 5) is store.records[1]
-    for cell, cyc in (("A", 2), ("B", 5), ("Z", 0)):
-        with pytest.raises(UnknownCycleError) as exc:
-            store.get(cell, cyc)
-        assert str(exc.value) == f"no cycle {cell}/{cyc} in store"
     assert CycleStore([]).cells() == []
 
 
@@ -418,7 +396,17 @@ def test_format_parse_round_trip_property(samples):
     # tmp_path fixture would be shared across examples
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(format_cycles(store))
+        export_cycles(store, path)
         back = ingest_cycles(path)
     assert back.records == store.records
+
+
+def test_failed_export_leaves_the_target_as_it_was(tmp_path, simple_cycles):
+    path = tmp_path / "cycles.csv"
+    path.write_text("earlier export\n")
+    store = CycleStore(simple_cycles)
+    store.records[-1].samples = None  # formatting fails on the last record
+    with pytest.raises(AttributeError):
+        export_cycles(store, str(path))
+    assert path.read_text() == "earlier export\n"
+    assert os.listdir(tmp_path) == ["cycles.csv"]

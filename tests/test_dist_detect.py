@@ -15,6 +15,7 @@ from cyclescreen.dist_detect import (
 )
 from cyclescreen.errors import (
     BoundsError,
+    ConfigError,
     DegenerateSpreadError,
     ShapeMismatchError,
     SingularCovarianceError,
@@ -310,3 +311,10 @@ def test_grid_bad_resolution(rng):
 def test_grid_requires_two_columns(rng):
     with pytest.raises(ShapeMismatchError):
         score_grid(rng.normal(size=(8, 3)), MetricSpec("euclidean"))
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_mad_threshold_must_be_finite(rng, threshold):
+    X = rng.normal(size=(10, 2))
+    with pytest.raises(ConfigError, match="mad_threshold must be finite"):
+        centroid_detect(X, MetricSpec("euclidean"), mad_threshold=threshold)

@@ -120,14 +120,14 @@ def test_macro_average_is_unweighted():
     }
     report = benchmark_report(counts, kpi=0.6)
     assert report.macro.accuracy == pytest.approx(0.5)  # not 100/102
-    assert report.passed("accuracy") is False
+    assert report.passes["accuracy"] is False
 
 
 def test_kpi_boundary_is_inclusive():
     counts = {"c": ConfusionCounts(tp=19, tn=0, fp=1, fn=0)}
     report = benchmark_report(counts, kpi=0.95)
     assert report.macro.precision == pytest.approx(0.95)
-    assert report.passed("precision") is True
+    assert report.passes["precision"] is True
 
 
 def test_report_requires_cells():

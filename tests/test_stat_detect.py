@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cyclescreen.errors import DegenerateSpreadError
+from cyclescreen.errors import ConfigError, DegenerateSpreadError
 from cyclescreen.stat_detect import (
     GAUSSIAN_MAD_FACTOR,
     StatMethod,
@@ -165,3 +165,12 @@ def test_custom_mad_factor_threaded_through():
     raw_mad = np.median(np.abs(DATA - med))
     assert verdict.limits.upper == pytest.approx(med + 3 * raw_mad)
     assert verdict.limits.mad_factor == 1.0
+
+
+@pytest.mark.parametrize("factor", [0.0, -GAUSSIAN_MAD_FACTOR, np.nan, np.inf])
+def test_mad_factor_must_be_finite_and_positive(factor):
+    with pytest.raises(ConfigError, match="mad_factor must be finite and positive"):
+        scaled_mad(DATA, factor)
+    for method in (StatMethod.MAD, StatMethod.MOD_ZSCORE):
+        with pytest.raises(ConfigError):
+            detect_stat(DATA, method, mad_factor=factor)

@@ -54,3 +54,11 @@ def test_atomic_write_creates_parents(tmp_path):
     assert not any(
         name.startswith(".") for name in os.listdir(tmp_path / "a" / "b")
     )
+
+
+def test_atomic_write_gives_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("payload")
+    target = tmp_path / "atomic.txt"
+    atomic_write_text(str(target), "payload")
+    assert target.stat().st_mode == plain.stat().st_mode
