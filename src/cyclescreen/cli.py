@@ -155,12 +155,6 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
     return names, cols
 
 
-def _feature_X(args, matrix: FeatureMatrix, notes):
-    """Column names and the (n, k) matrix the multivariate detectors read."""
-    names, cols = _selected_features(args, matrix, notes, multivariate=True)
-    return names, np.column_stack(cols)
-
-
 def _metric_spec(args, model: str) -> dist_detect.MetricSpec:
     return dist_detect.MetricSpec(
         kind=model, p=args.p if model == "minkowski" else None
@@ -171,17 +165,31 @@ def _metric_spec(args, model: str) -> dist_detect.MetricSpec:
 # table rendering
 
 
-def _write_table(path: str, comment: str, header: str, *columns) -> None:
-    """Write '# comment', a CSV header and one row per entry of the columns,
-    atomically. Float columns are written with repr, all others as ints."""
+def _write_table(path: str, header: str, *columns, comment=None) -> None:
+    """Write '# comment' when given, a CSV header and one row per entry of
+    the columns, atomically. Text columns are written as they are, float
+    columns with repr, all others as ints."""
     texts = []
     for col in map(np.asarray, columns):
-        if col.dtype.kind == "f":
+        if col.dtype.kind == "U":
+            texts.append(col.tolist())
+        elif col.dtype.kind == "f":
             texts.append([_fmt(x) for x in col.tolist()])
         else:
             texts.append([str(int(x)) for x in col.tolist()])
-    lines = [f"# {comment}", header] + [",".join(row) for row in zip(*texts)]
+    lines = [] if comment is None else [f"# {comment}"]
+    lines += [header, *(",".join(row) for row in zip(*texts))]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _fit_score(args, cell_id, model, X, params=None):
+    """Config, fitted model and raw scores on X of a learned model, seeded
+    per cell and model from --seed."""
+    config = make_config(
+        model, params, seed=derive_seed(args.seed, cell_id, model)
+    )
+    fitted = ml_detect.fit(config, X)
+    return config, fitted, ml_detect.score(fitted, X)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +200,11 @@ def _write_table(path: str, comment: str, header: str, *columns) -> None:
 def _features_cell(args, cell_id, records) -> None:
     matrix, notes = build_feature_matrix(records, args.recipe)
     cell_dir = f"{args.out}/{_cell_name(cell_id)}"
-    atomic_write_text(f"{cell_dir}/features.csv", matrix.to_delimited())
+    names = list(matrix.columns)
+    _write_table(
+        f"{cell_dir}/features.csv", ",".join(["cycle_index", *names]),
+        matrix.cycle_index, *(matrix.columns[name] for name in names),
+    )
     atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
 
 
@@ -201,35 +213,33 @@ def _detect_cell(args, cell_id, records) -> None:
     cell_dir = f"{args.out}/{_cell_name(cell_id)}"
     cycles = matrix.cycle_index
     # each family's columns are resolved once, when its first model runs
-    stat_pick = multi_pick = failure = None
+    picks = {}
+    failure = None
     try:
         for model in args.models:
             path = f"{cell_dir}/{model}/verdict.csv"
-            if model in STAT_MODELS:
-                if stat_pick is None:
-                    names, cols = _selected_features(
-                        args, matrix, notes, multivariate=False
-                    )
-                    stat_pick = names[0], cols[0]
-                name, col = stat_pick
-                verdict = detect_stat(col, model, mad_factor=args.mad_factor)
+            multivariate = model not in STAT_MODELS
+            if multivariate not in picks:
+                picks[multivariate] = _selected_features(
+                    args, matrix, notes, multivariate
+                )
+            names, cols = picks[multivariate]
+            if not multivariate:
+                verdict = detect_stat(cols[0], model, mad_factor=args.mad_factor)
                 lim = verdict.limits
                 extra = (
                     f" mad_factor={_fmt(lim.mad_factor)}"
                     if lim.mad_factor is not None else ""
                 )
                 _write_table(
-                    path,
-                    f"method={lim.method.value} feature={name}"
+                    path, "cycle_index,score,flagged",
+                    cycles, verdict.scores, verdict.flags,
+                    comment=f"method={lim.method.value} feature={names[0]}"
                     f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
                     f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
-                    "cycle_index,score,flagged",
-                    cycles, verdict.scores, verdict.flags,
                 )
                 continue
-            if multi_pick is None:
-                multi_pick = _feature_X(args, matrix, notes)
-            names, X = multi_pick
+            X = np.column_stack(cols)
             if model in DIST_MODELS:
                 verdict = dist_detect.centroid_detect(
                     X, _metric_spec(args, model), mad_threshold=args.mad_threshold,
@@ -237,19 +247,14 @@ def _detect_cell(args, cell_id, records) -> None:
                 )
                 centroid = "|".join(_fmt(c) for c in verdict.centroid)
                 _write_table(
-                    path,
-                    f"metric={model} features={'|'.join(names)}"
+                    path, "cycle_index,distance,normalized,flagged",
+                    cycles, verdict.distances, verdict.normalized, verdict.flags,
+                    comment=f"metric={model} features={'|'.join(names)}"
                     f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
                     f" mad_threshold={_fmt(verdict.mad_threshold)}",
-                    "cycle_index,distance,normalized,flagged",
-                    cycles, verdict.distances, verdict.normalized, verdict.flags,
                 )
                 continue
-            config = make_config(
-                model, args.params, seed=derive_seed(args.seed, cell_id, model)
-            )
-            fitted = ml_detect.fit(config, X)
-            raw = ml_detect.score(fitted, X)
+            config, _fitted, raw = _fit_score(args, cell_id, model, X, args.params)
             probs = ml_detect.normalize_scores(raw)
             if args.contamination_threshold and "contamination" in config.params:
                 flags = ml_detect.predict_top_fraction(
@@ -260,11 +265,10 @@ def _detect_cell(args, cell_id, records) -> None:
                 flags = ml_detect.predict_outliers(probs, args.threshold)
                 mode = f"threshold={_fmt(args.threshold)}"
             _write_table(
-                path,
-                f"model={model} features={'|'.join(names)}"
-                f" flags={mode} seed={config.seed}",
-                "cycle_index,raw_score,probability,flagged",
+                path, "cycle_index,raw_score,probability,flagged",
                 cycles, raw, probs, flags,
+                comment=f"model={model} features={'|'.join(names)}"
+                f" flags={mode} seed={config.seed}",
             )
     except CycleScreenError as err:
         failure = CycleScreenError(f"cell {cell_id}, model {model}: {err}")
@@ -276,7 +280,8 @@ def _detect_cell(args, cell_id, records) -> None:
 
 def _scoremap_cell(args, cell_id, records) -> None:
     matrix, notes = build_feature_matrix(records, args.recipe)
-    names, X = _feature_X(args, matrix, notes)
+    names, cols = _selected_features(args, matrix, notes, multivariate=True)
+    X = np.column_stack(cols)
     if X.shape[1] != 2:
         raise UsageError(
             f"scoremap needs exactly 2 features, got {X.shape[1]}"
@@ -296,11 +301,7 @@ def _scoremap_cell(args, cell_id, records) -> None:
                 data_min, data_max = grid.data_min, grid.data_max
             else:
                 bounds, axes, nodes = dist_detect.grid_nodes(X, res)
-                config = make_config(
-                    model, None, seed=derive_seed(args.seed, cell_id, model)
-                )
-                fitted = ml_detect.fit(config, X)
-                data_raw = ml_detect.score(fitted, X)
+                _config, fitted, data_raw = _fit_score(args, cell_id, model, X)
                 node_raw = ml_detect.score(fitted, nodes)
                 values = ml_detect.normalize_scores(node_raw, reference=data_raw)
                 values = values.reshape(res, res)
@@ -308,10 +309,9 @@ def _scoremap_cell(args, cell_id, records) -> None:
 
             model_dir = f"{cell_dir}/{model}"
             _write_table(
-                f"{model_dir}/grid.csv",
-                f"model={model} features={'|'.join(names)} resolution={res}",
-                f"{names[0]},{names[1]},score",
+                f"{model_dir}/grid.csv", f"{names[0]},{names[1]},score",
                 np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
+                comment=f"model={model} features={'|'.join(names)} resolution={res}",
             )
             sidecar = {
                 "model": model,
@@ -405,7 +405,6 @@ def _read_config(path: str, model: str) -> tuple[dict, int | None]:
 
 
 def _cmd_detect(args) -> int:
-    store = _load_store(args)
     args.models = _resolve_models(args.model)
     args.params = None
     if args.config:
@@ -416,7 +415,7 @@ def _cmd_detect(args) -> int:
         args.params, seed = _read_config(args.config, args.models[0])
         if seed is not None:  # a replayed config's seed replaces --seed
             args.seed = seed
-    cells = _map_cells(_detect_cell, args, store)
+    cells = _map_cells(_detect_cell, args, _load_store(args))
     sys.stdout.write(
         f"wrote {len(args.models)} verdict(s) for {len(cells)} cells "
         f"under {args.out}\n"
@@ -467,25 +466,25 @@ def _cmd_tune(args) -> int:
         raise UsageError(
             f"tuning applies to learned models {list(ml_detect.ML_MODELS)}"
         )
+    transfer = args.strategy == "transfer"
+    if transfer and not args.labels:
+        raise UsageError("--strategy transfer requires --labels")
     store = _load_store(args)
     labels = read_labels(args.labels, args.delimiter) if args.labels else {}
     for cell, truth in sorted(labels.items()):
         known = [r.cycle_index for r in store.by_cell(cell)]
         check_labels(args.labels, cell, truth, known)
-    transfer = args.strategy == "transfer"
     chosen = store.cells()
     if args.manifest:
         # transfer fits on the manifest's train cells, proxy on its test cells
-        manifest = read_manifest(args.manifest, args.delimiter)
-        missing = (manifest.train_cells | manifest.test_cells).difference(chosen)
+        train, test = read_manifest(args.manifest, args.delimiter)
+        missing = (train | test).difference(chosen)
         if missing:
             raise ManifestError(
                 f"{args.manifest}: manifest cells not in store: {sorted(missing)}"
             )
-        role = manifest.train_cells if transfer else manifest.test_cells
+        role = train if transfer else test
         chosen = [cell for cell in chosen if cell in role]
-    if transfer and not args.labels:
-        raise UsageError("--strategy transfer requires --labels")
 
     # per cell: the selected columns, and the label flags (transfer) or cycles (proxy)
     cells = {}
@@ -493,7 +492,8 @@ def _cmd_tune(args) -> int:
         if transfer and cell not in labels:
             continue
         matrix, notes = build_feature_matrix(store.by_cell(cell), args.recipe)
-        _names, X = _feature_X(args, matrix, notes)
+        _names, cols = _selected_features(args, matrix, notes, multivariate=True)
+        X = np.column_stack(cols)
         atomic_write_text(
             f"{args.out}/{_cell_name(cell)}/feature_notes.txt", notes.render()
         )
@@ -562,7 +562,7 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(
             f"no verdicts for labeled cells found under '{args.input}'"
         )
-    csv_lines = ["model,metric,value,passed"]
+    rows = []
     txt_lines = []
     for model_name in sorted(per_model):
         report = benchmark_report(per_model[model_name], kpi=args.kpi)
@@ -580,14 +580,12 @@ def _cmd_evaluate(args) -> int:
         for name in METRIC_NAMES:
             value = report.macro.as_dict()[name]
             passed = report.passes[name]
-            csv_lines.append(
-                f"{model_name},{name},{_fmt(value)},{int(passed)}"
-            )
+            rows.append((model_name, name, value, passed))
             txt_lines.append(
                 f"  macro {name}: {value:.4f} "
                 + ("PASS" if passed else "FAIL")
             )
-    atomic_write_text(f"{args.out}/report.csv", "\n".join(csv_lines) + "\n")
+    _write_table(f"{args.out}/report.csv", "model,metric,value,passed", *zip(*rows))
     atomic_write_text(f"{args.out}/report.txt", "\n".join(txt_lines) + "\n")
     sys.stdout.write("\n".join(txt_lines) + "\n")
     left_out = ", ".join(sorted(set(label_map).difference(*per_model.values())))
@@ -598,7 +596,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_scoremap(args) -> int:
-    store = _load_store(args)
     args.models = (
         DIST_MODELS + ml_detect.ML_MODELS
         if args.model == "all"
@@ -609,7 +606,7 @@ def _cmd_scoremap(args) -> int:
             raise UsageError(
                 f"scoremap needs a distance or learned model, not '{model}'"
             )
-    cells = _map_cells(_scoremap_cell, args, store)
+    cells = _map_cells(_scoremap_cell, args, _load_store(args))
     sys.stdout.write(
         f"wrote {len(cells) * len(args.models)} score grid(s) under {args.out}\n"
     )
@@ -756,7 +753,7 @@ _OPTION_RULES = (
     ("mad_factor", lambda v: math.isfinite(v) and v > 0,
      " must be finite and positive"),
     ("mad_threshold", math.isfinite, " must be finite"),
-    ("kpi", math.isfinite, " must be finite"),
+    ("kpi", lambda v: 0 <= v <= 1, " must lie in [0, 1]"),
     ("resolution", lambda v: v >= 2, ": grid resolution must be at least 2"),
 )
 

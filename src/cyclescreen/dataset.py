@@ -8,8 +8,8 @@ sample per row:
 Column names can be remapped at ingest time. Label files carry only the
 anomalous cycles (``cell_id,cycle_index``); every other cycle of a labeled
 cell is implicitly normal. Manifest files assign whole cells to the train or
-test role (``cell_id,role``). Verdict files, as detect writes them, are read
-back for evaluation.
+test role (``cell_id,role``) and are read into two cell sets. Verdict files,
+as detect writes them, are read back for evaluation.
 
 Ingest reads the file with csv, CHUNK_ROWS rows at a time, and converts a
 chunk a column at a time with Python's float, so the accepted syntax and
@@ -142,23 +142,6 @@ class CycleStore:
         return list(self.records[self._cells.get(cell_id, slice(0))])
 
 
-@dataclass(frozen=True)
-class SplitManifest:
-    """Cell-level train/test assignment. The two sets must not overlap."""
-
-    train_cells: frozenset[str]
-    test_cells: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_cells", frozenset(self.train_cells))
-        object.__setattr__(self, "test_cells", frozenset(self.test_cells))
-        overlap = self.train_cells & self.test_cells
-        if overlap:
-            raise ManifestError(
-                f"cells assigned to both roles: {sorted(overlap)}"
-            )
-
-
 def _resolve_columns(header: list[str], columns: dict[str, str], path: str):
     index = {}
     for role, name in columns.items():
@@ -189,17 +172,6 @@ def _parse_int(token: str, what: str, row: int, path: str) -> int:
             row=row,
         )
     return int(value)
-
-
-def _require_finite(row, idx, values, row_no: int, source: str) -> None:
-    """Raise RowParseError naming the first non-finite measurement."""
-    for what, value in zip(("time", "voltage", "capacity"), values):
-        if not math.isfinite(value):
-            raise RowParseError(
-                f"{source}: row {row_no}: {what} value "
-                f"'{row[idx[what]].strip()}' is not finite",
-                row=row_no,
-            )
 
 
 def _unreadable(source: str, row_no: int, err: csv.Error) -> RowParseError:
@@ -241,16 +213,6 @@ def _data_rows(rows, first_row_no: int, width: int, source: str):
         raise _unreadable(source, row_no + 1, err) from None
 
 
-def _table(reader, columns: dict[str, str], source: str):
-    """Read the header row and resolve each role's column position.
-
-    Returns the {role: index} map and an iterator over (row number, row) for
-    the data rows, as _data_rows gives them.
-    """
-    idx, width = _header(reader, columns, source)
-    return idx, _data_rows(reader, 2, width, source)
-
-
 # kept beside the column-wise parse: it is the only path that names a bad row
 def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str):
     """Parse a chunk row by row, checking each row in full before the next.
@@ -269,19 +231,19 @@ def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str
         cyc = _parse_int(
             row[idx["cycle_index"]].strip(), "cycle_index", row_no, source
         )
-        t = _parse_float(row[idx["time"]].strip(), "time", row_no, source)
-        v = _parse_float(
-            row[idx["voltage"]].strip(), "voltage", row_no, source
-        )
-        q = _parse_float(
-            row[idx["capacity"]].strip(), "capacity", row_no, source
-        )
-        # one test per row: a NaN or infinity in any of the three makes the
-        # sum non-finite (so can overflow, hence the per-value recheck)
-        if not math.isfinite(t + v + q):
-            _require_finite(row, idx, (t, v, q), row_no, source)
+        measured = [
+            _parse_float(row[idx[what]].strip(), what, row_no, source)
+            for what in _NUMERIC_ROLES[1:]
+        ]
+        for what, value in zip(_NUMERIC_ROLES[1:], measured):
+            if not math.isfinite(value):
+                raise RowParseError(
+                    f"{source}: row {row_no}: {what} value "
+                    f"'{row[idx[what]].strip()}' is not finite",
+                    row=row_no,
+                )
         cells.append(cell)
-        values.append((cyc, t, v, q))
+        values.append((cyc, *measured))
     return cells, np.array(values, dtype=float).reshape(-1, 4).T
 
 
@@ -432,10 +394,9 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     labels: dict[str, set[int]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        idx, rows = _table(
-            reader, {"cell_id": "cell_id", "cycle_index": "cycle_index"}, path
-        )
-        for row_no, row in rows:
+        roles = {"cell_id": "cell_id", "cycle_index": "cycle_index"}
+        idx, width = _header(reader, roles, path)
+        for row_no, row in _data_rows(reader, 2, width, path):
             cell = row[idx["cell_id"]].strip()
             cyc = _parse_int(
                 row[idx["cycle_index"]].strip(), "cycle_index", row_no, path
@@ -475,15 +436,18 @@ def export_labels(labels: dict[str, set[int]], path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def read_manifest(path: str, delimiter: str = ",") -> SplitManifest:
-    """Read a cell role manifest. Roles are 'train' or 'test'; anything else,
-    a repeated cell, or a cell in both roles is a manifest error."""
+def read_manifest(
+    path: str, delimiter: str = ","
+) -> tuple[frozenset[str], frozenset[str]]:
+    """Read a cell role manifest into its (train, test) cell sets. Roles are
+    'train' or 'test'; anything else, or a cell listed twice (in one role or
+    both), is a manifest error."""
     train: set[str] = set()
     test: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        idx, rows = _table(reader, {"cell_id": "cell_id", "role": "role"}, path)
-        for row_no, row in rows:
+        idx, width = _header(reader, {"cell_id": "cell_id", "role": "role"}, path)
+        for row_no, row in _data_rows(reader, 2, width, path):
             cell = row[idx["cell_id"]].strip()
             role = row[idx["role"]].strip().lower()
             if role not in ("train", "test"):
@@ -496,4 +460,4 @@ def read_manifest(path: str, delimiter: str = ",") -> SplitManifest:
                     f"{path}: row {row_no}: cell '{cell}' listed twice"
                 )
             (train if role == "train" else test).add(cell)
-    return SplitManifest(frozenset(train), frozenset(test))
+    return frozenset(train), frozenset(test)

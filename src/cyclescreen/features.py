@@ -24,7 +24,6 @@ path matches bit for bit.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -119,14 +118,8 @@ class FeatureMatrix:
 
     def __post_init__(self):
         self.cycle_index = np.asarray(self.cycle_index, dtype=int)
-        n = self.cycle_index.shape[0]
         for name, col in list(self.columns.items()):
-            col = np.asarray(col, dtype=float)
-            if col.shape != (n,):
-                raise ShapeMismatchError(
-                    f"column '{name}' has shape {col.shape}, expected ({n},)"
-                )
-            self.columns[name] = col
+            self.add_column(name, col)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
@@ -143,15 +136,6 @@ class FeatureMatrix:
                 f"expected {self.cycle_index.shape}"
             )
         self.columns[name] = values
-
-    def to_delimited(self) -> str:
-        names = list(self.columns)
-        buf = io.StringIO()
-        buf.write(",".join(["cycle_index"] + names) + "\n")
-        for i, cyc in enumerate(self.cycle_index):
-            row = [str(int(cyc))] + [repr(float(self.columns[n][i])) for n in names]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
 
 
 @dataclass

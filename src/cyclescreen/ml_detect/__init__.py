@@ -19,17 +19,16 @@ from ..errors import (
 )
 from ..util import require_finite
 from .autoencoder import (
-    AutoencoderState,
     Mlp,
     fit_autoencoder,
     gradient_check,
     mirror_dims,
     score_autoencoder,
 )
-from .gmm import GmmState, fit_gmm, score_gmm
-from .iforest import IsolationForestState, fit_iforest, score_iforest
-from .knn import KnnState, fit_knn, score_knn
-from .lof import LofState, fit_lof, score_lof
+from .gmm import fit_gmm, score_gmm
+from .iforest import fit_iforest, score_iforest
+from .knn import fit_knn, score_knn
+from .lof import fit_lof, score_lof
 from .params import (
     ML_MODELS,
     PARAM_SPECS,
@@ -37,7 +36,7 @@ from .params import (
     make_config,
     validate_config,
 )
-from .pca import PcaState, fit_pca, score_pca
+from .pca import fit_pca, score_pca
 
 DEFAULT_PROBABILITY_THRESHOLD = 0.7
 
@@ -171,10 +170,4 @@ __all__ = [
     "Mlp",
     "mirror_dims",
     "gradient_check",
-    "AutoencoderState",
-    "GmmState",
-    "IsolationForestState",
-    "KnnState",
-    "LofState",
-    "PcaState",
 ]

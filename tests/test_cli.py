@@ -983,6 +983,8 @@ LEAST_ARGV = {
         (*LEAST_ARGV["detect"], "--mad-threshold", "nan"),
         (*LEAST_ARGV["detect"], "--mad-threshold", "inf"),
         (*LEAST_ARGV["evaluate"], "--kpi", "nan"),
+        (*LEAST_ARGV["evaluate"], "--kpi", "2"),
+        (*LEAST_ARGV["evaluate"], "--kpi", "-0.1"),
         (*LEAST_ARGV["detect"], "--model", "all", "--p", "0"),
         (*LEAST_ARGV["scoremap"], "--p", "nan"),
         (*LEAST_ARGV["scoremap"], "--resolution", "1"),
@@ -999,6 +1001,31 @@ def test_option_values_checked_before_any_file_is_touched(
     err = capsys.readouterr().err
     option = next(a for a in reversed(argv) if a.startswith("--"))
     assert err.startswith(f"error: {option}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+#: argv refused for its options alone, and the start of the message
+USAGE_ERRORS = {
+    ("detect", "--model", "bogus"): "unknown model 'bogus'",
+    ("detect", "--model", "all", "--config", "c.json"):
+        "--config applies to a single learned model",
+    ("scoremap", "--model", "sd"):
+        "scoremap needs a distance or learned model, not 'sd'",
+    ("tune", "--model", "knn", "--strategy", "transfer"):
+        "--strategy transfer requires --labels",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS.items(), ids=map(" ".join, USAGE_ERRORS)
+)
+def test_usage_errors_come_before_the_input_is_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    rc = run(*argv, "--input", str(tmp_path / "nope.csv"), "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

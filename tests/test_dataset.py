@@ -11,7 +11,6 @@ from cyclescreen.dataset import (
     CHUNK_ROWS,
     CycleRecord,
     CycleStore,
-    SplitManifest,
     check_labels,
     export_cycles,
     export_labels,
@@ -166,18 +165,12 @@ def test_check_labels_unknown_cycle():
     )
 
 
-def test_manifest_overlap_rejected():
-    with pytest.raises(ManifestError):
-        SplitManifest(train_cells=("A",), test_cells=("A", "B"))
-
-
 def test_read_manifest(tmp_path):
     path = write(tmp_path, "split.csv", "cell_id,role\nA,train\nB,test\n")
-    manifest = read_manifest(path)
-    assert manifest.train_cells == {"A"}
-    assert manifest.test_cells == {"B"}
+    assert read_manifest(path) == (frozenset({"A"}), frozenset({"B"}))
+    # a cell in both roles is refused as listed twice
     dup = write(tmp_path, "dup.csv", "cell_id,role\nA,train\nA,test\n")
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match="row 3: cell 'A' listed twice"):
         read_manifest(dup)
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclescreen.cli import main
+from cyclescreen.dataset import CycleStore, export_cycles
 from cyclescreen.errors import (
     ConfigError,
     CycleScreenError,
@@ -319,9 +321,13 @@ def test_zero_iqr_error_takes_precedence_over_short_cycle():
         build_feature_matrix([ok, short, single], "custom")
 
 
-def test_feature_matrix_round_trip_text(simple_cycles):
+def test_feature_matrix_round_trip_text(simple_cycles, tmp_path):
     matrix, _ = build_feature_matrix(simple_cycles)
-    text = matrix.to_delimited()
+    measurements = str(tmp_path / "m.csv")
+    export_cycles(CycleStore(records=tuple(simple_cycles)), measurements)
+    out = tmp_path / "out"
+    assert main(["features", "--input", measurements, "--out", str(out)]) == 0
+    text = (out / "A" / "features.csv").read_text()
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "cycle_index"
