@@ -49,7 +49,7 @@ from .dataset import (
     read_manifest,
     read_verdict_flags,
 )
-from .errors import ConfigError, CycleScreenError, EmptyFeatureError, ManifestError
+from .errors import ConfigError, CycleScreenError, EmptyFeatureError, InputError
 from .evaluation import METRIC_NAMES, benchmark_report, confusion
 from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
 # the traced benchmark run (perfbench/spans.py) wraps the three names below
@@ -208,67 +208,81 @@ def _features_cell(args, cell_id, records) -> None:
     atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
 
 
+def _stat_verdict(args, cell_id, model, names, cols):
+    verdict = detect_stat(cols[0], model, mad_factor=args.mad_factor)
+    lim = verdict.limits
+    extra = (
+        f" mad_factor={_fmt(lim.mad_factor)}" if lim.mad_factor is not None else ""
+    )
+    return (
+        "cycle_index,score,flagged", (verdict.scores, verdict.flags),
+        f"method={lim.method.value} feature={names[0]}"
+        f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
+        f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
+    )
+
+
+def _distance_verdict(args, cell_id, model, names, cols):
+    verdict = dist_detect.centroid_detect(
+        np.column_stack(cols), _metric_spec(args, model),
+        mad_threshold=args.mad_threshold, mad_factor=args.mad_factor,
+    )
+    centroid = "|".join(_fmt(c) for c in verdict.centroid)
+    return (
+        "cycle_index,distance,normalized,flagged",
+        (verdict.distances, verdict.normalized, verdict.flags),
+        f"metric={model} features={'|'.join(names)}"
+        f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
+        f" mad_threshold={_fmt(verdict.mad_threshold)}",
+    )
+
+
+def _learned_verdict(args, cell_id, model, names, cols):
+    config, _fitted, raw = _fit_score(
+        args, cell_id, model, np.column_stack(cols), args.params
+    )
+    probs = ml_detect.normalize_scores(raw)
+    if args.contamination_threshold and "contamination" in config.params:
+        flags = ml_detect.predict_top_fraction(raw, config.params["contamination"])
+        mode = f"top_fraction={_fmt(config.params['contamination'])}"
+    else:
+        flags = ml_detect.predict_outliers(probs, args.threshold)
+        mode = f"threshold={_fmt(args.threshold)}"
+    return (
+        "cycle_index,raw_score,probability,flagged", (raw, probs, flags),
+        f"model={model} features={'|'.join(names)}"
+        f" flags={mode} seed={config.seed}",
+    )
+
+
+#: each model's verdict: (header, columns after cycle_index, comment)
+_VERDICTS = {
+    **dict.fromkeys(STAT_MODELS, _stat_verdict),
+    **dict.fromkeys(DIST_MODELS, _distance_verdict),
+    **dict.fromkeys(ml_detect.ML_MODELS, _learned_verdict),
+}
+
+
 def _detect_cell(args, cell_id, records) -> None:
     matrix, notes = build_feature_matrix(records, args.recipe)
     cell_dir = f"{args.out}/{_cell_name(cell_id)}"
-    cycles = matrix.cycle_index
-    # each family's columns are resolved once, when its first model runs
+    # each family's columns are resolved once, when its first model runs;
+    # distance and learned models share theirs
     picks = {}
     failure = None
     try:
         for model in args.models:
-            path = f"{cell_dir}/{model}/verdict.csv"
             multivariate = model not in STAT_MODELS
             if multivariate not in picks:
                 picks[multivariate] = _selected_features(
                     args, matrix, notes, multivariate
                 )
-            names, cols = picks[multivariate]
-            if not multivariate:
-                verdict = detect_stat(cols[0], model, mad_factor=args.mad_factor)
-                lim = verdict.limits
-                extra = (
-                    f" mad_factor={_fmt(lim.mad_factor)}"
-                    if lim.mad_factor is not None else ""
-                )
-                _write_table(
-                    path, "cycle_index,score,flagged",
-                    cycles, verdict.scores, verdict.flags,
-                    comment=f"method={lim.method.value} feature={names[0]}"
-                    f" lower={_fmt(lim.lower)} upper={_fmt(lim.upper)}"
-                    f" center={_fmt(lim.center)} spread={_fmt(lim.spread)}{extra}",
-                )
-                continue
-            X = np.column_stack(cols)
-            if model in DIST_MODELS:
-                verdict = dist_detect.centroid_detect(
-                    X, _metric_spec(args, model), mad_threshold=args.mad_threshold,
-                    mad_factor=args.mad_factor,
-                )
-                centroid = "|".join(_fmt(c) for c in verdict.centroid)
-                _write_table(
-                    path, "cycle_index,distance,normalized,flagged",
-                    cycles, verdict.distances, verdict.normalized, verdict.flags,
-                    comment=f"metric={model} features={'|'.join(names)}"
-                    f" centroid={centroid} cutoff={_fmt(verdict.cutoff)}"
-                    f" mad_threshold={_fmt(verdict.mad_threshold)}",
-                )
-                continue
-            config, _fitted, raw = _fit_score(args, cell_id, model, X, args.params)
-            probs = ml_detect.normalize_scores(raw)
-            if args.contamination_threshold and "contamination" in config.params:
-                flags = ml_detect.predict_top_fraction(
-                    raw, config.params["contamination"]
-                )
-                mode = f"top_fraction={_fmt(config.params['contamination'])}"
-            else:
-                flags = ml_detect.predict_outliers(probs, args.threshold)
-                mode = f"threshold={_fmt(args.threshold)}"
+            header, columns, comment = _VERDICTS[model](
+                args, cell_id, model, *picks[multivariate]
+            )
             _write_table(
-                path, "cycle_index,raw_score,probability,flagged",
-                cycles, raw, probs, flags,
-                comment=f"model={model} features={'|'.join(names)}"
-                f" flags={mode} seed={config.seed}",
+                f"{cell_dir}/{model}/verdict.csv", header,
+                matrix.cycle_index, *columns, comment=comment,
             )
     except CycleScreenError as err:
         failure = CycleScreenError(f"cell {cell_id}, model {model}: {err}")
@@ -480,7 +494,7 @@ def _cmd_tune(args) -> int:
         train, test = read_manifest(args.manifest, args.delimiter)
         missing = (train | test).difference(chosen)
         if missing:
-            raise ManifestError(
+            raise InputError(
                 f"{args.manifest}: manifest cells not in store: {sorted(missing)}"
             )
         role = train if transfer else test

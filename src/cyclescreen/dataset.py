@@ -31,13 +31,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    ManifestError,
-    RowParseError,
-    SchemaError,
-    UnknownCycleError,
-)
+from .errors import InputError
 from .util import atomic_write_text
 
 #: canonical column names, keyed by role
@@ -74,11 +68,11 @@ class CycleRecord:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[1] != 3:
-            raise SchemaError(
+            raise InputError(
                 f"cycle {self.cell_id}/{self.cycle_index}: samples must be (n, 3)"
             )
         if self.samples.shape[0] == 0:
-            raise EmptyInputError(
+            raise InputError(
                 f"cycle {self.cell_id}/{self.cycle_index} has no samples"
             )
 
@@ -123,7 +117,7 @@ class CycleStore:
         keys = [(r.cell_id, r.cycle_index) for r in ordered]
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise SchemaError(f"duplicate (cell, cycle) pairs: {dupes[:5]}")
+            raise InputError(f"duplicate (cell, cycle) pairs: {dupes[:5]}")
         self.records = ordered
         self._cells = {}
         start = 0
@@ -146,7 +140,7 @@ def _resolve_columns(header: list[str], columns: dict[str, str], path: str):
     index = {}
     for role, name in columns.items():
         if name not in header:
-            raise SchemaError(
+            raise InputError(
                 f"{path}: missing required column '{name}' (role {role}); "
                 f"found {header}"
             )
@@ -158,25 +152,23 @@ def _parse_float(token: str, what: str, row: int, path: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise RowParseError(
-            f"{path}: row {row}: could not parse {what} value '{token}'",
-            row=row,
+        raise InputError(
+            f"{path}: row {row}: could not parse {what} value '{token}'"
         ) from None
 
 
 def _parse_int(token: str, what: str, row: int, path: str) -> int:
     value = _parse_float(token, what, row, path)
     if not value.is_integer():
-        raise RowParseError(
-            f"{path}: row {row}: {what} value '{token}' is not an integer",
-            row=row,
+        raise InputError(
+            f"{path}: row {row}: {what} value '{token}' is not an integer"
         )
     return int(value)
 
 
-def _unreadable(source: str, row_no: int, err: csv.Error) -> RowParseError:
+def _unreadable(source: str, row_no: int, err: csv.Error) -> InputError:
     """The error for a row csv cannot read (say, a field over its limit)."""
-    return RowParseError(f"{source}: row {row_no}: {err}", row=row_no)
+    return InputError(f"{source}: row {row_no}: {err}")
 
 
 def _header(reader, columns: dict[str, str], source: str):
@@ -185,7 +177,7 @@ def _header(reader, columns: dict[str, str], source: str):
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
-        raise EmptyInputError(f"{source}: file is empty") from None
+        raise InputError(f"{source}: file is empty") from None
     except csv.Error as err:
         raise _unreadable(source, 1, err) from None
     idx = _resolve_columns(header, columns, source)
@@ -195,7 +187,7 @@ def _header(reader, columns: dict[str, str], source: str):
 def _data_rows(rows, first_row_no: int, width: int, source: str):
     """Yield the (row number, row) pairs that hold data, numbering rows from
     first_row_no. Blank rows are skipped; a row too short to hold every
-    resolved column, or one csv cannot read, raises RowParseError naming the
+    resolved column, or one csv cannot read, raises InputError naming the
     file and the row."""
     row_no = first_row_no - 1
     try:
@@ -203,10 +195,9 @@ def _data_rows(rows, first_row_no: int, width: int, source: str):
             if not row or all(not tok.strip() for tok in row):
                 continue
             if len(row) < width:
-                raise RowParseError(
+                raise InputError(
                     f"{source}: row {row_no}: expected at least {width} "
-                    f"fields, got {len(row)}",
-                    row=row_no,
+                    f"fields, got {len(row)}"
                 )
             yield row_no, row
     except csv.Error as err:
@@ -225,9 +216,7 @@ def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str
     for row_no, row in _data_rows(rows, first_row_no, width, source):
         cell = row[idx["cell_id"]].strip()
         if not cell:
-            raise RowParseError(
-                f"{source}: row {row_no}: empty cell_id", row=row_no
-            )
+            raise InputError(f"{source}: row {row_no}: empty cell_id")
         cyc = _parse_int(
             row[idx["cycle_index"]].strip(), "cycle_index", row_no, source
         )
@@ -237,10 +226,9 @@ def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str
         ]
         for what, value in zip(_NUMERIC_ROLES[1:], measured):
             if not math.isfinite(value):
-                raise RowParseError(
+                raise InputError(
                     f"{source}: row {row_no}: {what} value "
-                    f"'{row[idx[what]].strip()}' is not finite",
-                    row=row_no,
+                    f"'{row[idx[what]].strip()}' is not finite"
                 )
         cells.append(cell)
         values.append((cyc, *measured))
@@ -303,7 +291,7 @@ def _parse_rows(reader, colmap, source: str) -> CycleStore:
         value_chunks.append(values)
 
     if not any(map(len, code_chunks)):
-        raise EmptyInputError(f"{source}: no data rows")
+        raise InputError(f"{source}: no data rows")
     code = np.concatenate(code_chunks)
     values = np.concatenate(value_chunks, axis=1)
     # stable: samples of a cycle keep file order among equal time stamps
@@ -329,7 +317,7 @@ def _build_colmap(columns: dict[str, str] | None) -> dict[str, str]:
     if columns:
         unknown = set(columns) - set(DEFAULT_COLUMNS)
         if unknown:
-            raise SchemaError(f"unknown column roles: {sorted(unknown)}")
+            raise InputError(f"unknown column roles: {sorted(unknown)}")
         colmap.update(columns)
     return colmap
 
@@ -352,12 +340,12 @@ def ingest_cycles(
 
 
 def check_labels(path: str, cell: str, truth, cycles, where: str = "") -> None:
-    """Raise UnknownCycleError when truth, the cycles of cell that the label
+    """Raise InputError when truth, the cycles of cell that the label
     file path lists, holds one not in cycles, so no label drops silently.
     The message names the file, the cell and the first such cycle, then where."""
     missing = sorted(set(truth).difference(cycles))
     if missing:
-        raise UnknownCycleError(
+        raise InputError(
             f"{path}: label references unknown cycle {cell}/{missing[0]}{where}"
         )
 
@@ -422,7 +410,7 @@ def read_verdict_flags(path: str) -> dict[int, int]:
         for n, row in _data_rows(reader, skip + 2, width, path)
     }
     if not flags:
-        raise EmptyInputError(f"{path}: no verdict rows")
+        raise InputError(f"{path}: no verdict rows")
     return flags
 
 
@@ -451,12 +439,12 @@ def read_manifest(
             cell = row[idx["cell_id"]].strip()
             role = row[idx["role"]].strip().lower()
             if role not in ("train", "test"):
-                raise ManifestError(
+                raise InputError(
                     f"{path}: row {row_no}: unknown role '{role}' "
                     f"(expected train or test)"
                 )
             if cell in train or cell in test:
-                raise ManifestError(
+                raise InputError(
                     f"{path}: row {row_no}: cell '{cell}' listed twice"
                 )
             (train if role == "train" else test).add(cell)

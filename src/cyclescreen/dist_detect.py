@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundsError,
-    ConfigError,
-    DegenerateSpreadError,
-    EmptyInputError,
-    ShapeMismatchError,
-    SingularCovarianceError,
-)
+from .errors import ConfigError, DegenerateDataError, InputError
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
 from .util import require_finite
 
@@ -45,20 +38,20 @@ class MetricSpec:
 
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
-            raise ShapeMismatchError(
+            raise ConfigError(
                 f"unknown metric '{self.kind}'; expected one of {METRIC_KINDS}"
             )
         if self.kind == "minkowski":
             if self.p is None or not np.isfinite(self.p) or self.p <= 0:
-                raise BoundsError(
+                raise ConfigError(
                     f"minkowski exponent must be positive, got {self.p!r}"
                 )
         if self.covariance is not None:
             cov = np.asarray(self.covariance, dtype=float)
             if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-                raise ShapeMismatchError("covariance must be square")
+                raise InputError("covariance must be square")
             if not np.allclose(cov, cov.T, atol=1e-10):
-                raise SingularCovarianceError("covariance must be symmetric")
+                raise ConfigError("covariance must be symmetric")
             object.__setattr__(self, "covariance", cov)
 
 
@@ -73,12 +66,12 @@ def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise SingularCovarianceError(
+        raise DegenerateDataError(
             "covariance is not positive definite"
         ) from None
     # a singular matrix can slip through with a rounding-level pivot
     if np.any(np.diag(chol) ** 2 <= 1e-12 * np.max(np.diag(cov))):
-        raise SingularCovarianceError("covariance is numerically singular")
+        raise DegenerateDataError("covariance is numerically singular")
     return chol
 
 
@@ -101,13 +94,13 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
-        raise ShapeMismatchError(
+        raise InputError(
             f"operands differ in dimension: {X.shape[1]} vs {Y.shape[1]}"
         )
     kind = metric.kind
     if kind == "mahalanobis":
         if metric.covariance is None:
-            raise SingularCovarianceError(
+            raise DegenerateDataError(
                 "mahalanobis metric needs a covariance; none was resolved"
             )
         chol = _cholesky_or_raise(metric.covariance)
@@ -182,7 +175,7 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
     if metric.kind != "mahalanobis" or metric.covariance is not None:
         return metric
     if X.shape[0] < X.shape[1] + 1:
-        raise SingularCovarianceError(
+        raise DegenerateDataError(
             f"{X.shape[0]} rows cannot support a {X.shape[1]}-D covariance"
         )
     cov = np.cov(X, rowvar=False, ddof=1)
@@ -193,13 +186,18 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
 
 def _centroid_distances(X: np.ndarray, metric: MetricSpec):
     """The metric resolved on X, the centroid and each row's distance to it;
-    raises when X is not finite or all distances are equal."""
+    raises when X or a distance is not finite, or all distances are equal."""
     require_finite(X)
     metric = resolve_metric(metric, X)
     centroid = X.mean(axis=0)
     dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
+    if not np.isfinite(dist).all():
+        raise DegenerateDataError(
+            f"{metric.kind}: centroid distances are not finite; "
+            "the values overflow"
+        )
     if np.all(dist == dist[0]):
-        raise DegenerateSpreadError(
+        raise DegenerateDataError(
             "all centroid distances are equal; nothing to rank"
         )
     return metric, centroid, dist
@@ -240,7 +238,7 @@ def centroid_detect(
         raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 3:
-        raise EmptyInputError(
+        raise InputError(
             f"need at least 3 rows for a centroid verdict, got {X.shape[0]}"
         )
     _, centroid, dist = _centroid_distances(X, metric)
@@ -289,14 +287,14 @@ def grid_nodes(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if resolution < 2:
-        raise BoundsError("grid resolution must be at least 2 per axis")
+        raise ConfigError("grid resolution must be at least 2 per axis")
     lo, hi = X.min(axis=0), X.max(axis=0)
     pad = 0.1 * (hi - lo)
     pad = np.where(pad == 0.0, 0.5, pad)
     bounds = tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
     for low, high in bounds:
         if not (np.isfinite(low) and np.isfinite(high)) or low >= high:
-            raise BoundsError(f"bad axis bounds ({low!r}, {high!r})")
+            raise ConfigError(f"bad axis bounds ({low!r}, {high!r})")
     axes = tuple(np.linspace(low, high, resolution) for low, high in bounds)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.column_stack([m.ravel() for m in mesh])
@@ -309,9 +307,9 @@ def score_grid(X, metric: MetricSpec, resolution: int = 50) -> GridScores:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if n < 3:
-        raise EmptyInputError("need at least 3 rows to build a score grid")
+        raise InputError("need at least 3 rows to build a score grid")
     if d != 2:
-        raise ShapeMismatchError(
+        raise InputError(
             f"score grids are 2-D maps; got {d} feature columns"
         )
     metric, centroid, data_dist = _centroid_distances(X, metric)

@@ -1,8 +1,23 @@
 """Exception types shared across the package.
 
 Every error raised on a validation or numerical-degeneracy path derives from
-CycleScreenError so callers (and the CLI) can separate "bad input or bad
-configuration" from genuine I/O failures.
+CycleScreenError, so callers (and the CLI, which exits 1 on any of them)
+can separate a refusal from a genuine I/O failure. Below the base there are
+three kinds, one for each thing a user can do about it:
+
+- InputError: the data handed in cannot be used as given (a bad header or
+  row, no rows, an unknown cycle or cell, mismatched shapes, a non-finite
+  value); fix the data.
+- ConfigError: a parameter is unknown or out of range; change the option
+  or the config.
+- DegenerateDataError: the data are finite and valid, but the method's
+  statistic degenerates on them (a zero spread, a singular covariance, an
+  overflow); choose another feature or method.
+
+Three subclasses stay distinct because code tells them apart:
+EmptyFeatureError and InsufficientInlierError are caught by type, and
+InsufficientInlierError carries the inlier count; ThresholdRangeError is
+the documented refusal of a probability threshold or contamination fraction.
 """
 
 from __future__ import annotations
@@ -12,83 +27,23 @@ class CycleScreenError(Exception):
     """Base class for all validation and numerical-contract errors."""
 
 
-class SchemaError(CycleScreenError):
-    """A delimited file is missing a required column or has a bad header."""
-
-
-class RowParseError(CycleScreenError):
-    """A data row failed numeric parsing; message cites the file row."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
-
-class EmptyInputError(CycleScreenError):
-    """An operation received no rows, no cycles, or no usable values."""
-
-
-class UnknownCycleError(CycleScreenError):
-    """A label or lookup named a (cell, cycle) pair the data does not hold."""
-
-
-class ManifestError(CycleScreenError):
-    """Train/test manifest is inconsistent (overlap, bad role, unknown cell)."""
-
-
-class ShortCycleError(CycleScreenError):
-    """A cycle has too few samples for difference-based features."""
-
-
-class DegenerateSpreadError(CycleScreenError):
-    """A spread estimate (IQR, MAD, standard deviation) is exactly zero."""
-
-
-class NonFiniteFeatureError(CycleScreenError):
-    """A feature matrix handed to a detector holds a NaN or an infinity."""
-
-
-class ScaleOverflowError(CycleScreenError):
-    """A finite series' scaling offset median**2 / IQR exceeds the float range."""
-
-
-class EmptyFeatureError(CycleScreenError):
-    """A derived feature column has no usable entries at all."""
-
-
-class SingularCovarianceError(CycleScreenError):
-    """A covariance matrix required by a distance is not invertible."""
-
-
-class SingularComponentError(CycleScreenError):
-    """A mixture component covariance stayed singular after regularization."""
-
-
-class ShapeMismatchError(CycleScreenError):
-    """Operands disagree in dimension, or a component count exceeds it."""
-
-
-class BoundsError(CycleScreenError):
-    """Grid bounds are not finite or are ordered low >= high."""
-
-
-class NeighborCountError(CycleScreenError):
-    """n_neighbors is too large for the number of fitted rows."""
-
-
-class ThresholdRangeError(CycleScreenError):
-    """A probability threshold fell outside [0, 1]."""
+class InputError(CycleScreenError):
+    """The data handed in cannot be used as given."""
 
 
 class ConfigError(CycleScreenError):
-    """A detector configuration has an unknown model, param, or bad range."""
+    """A parameter is unknown or out of range."""
 
 
-class NoPositiveLabelError(CycleScreenError):
-    """A labeled cell contains no positive (anomalous) cycles."""
+class DegenerateDataError(CycleScreenError):
+    """Finite, valid data on which the method's statistic degenerates."""
 
 
-class InsufficientInlierError(CycleScreenError):
+class EmptyFeatureError(DegenerateDataError):
+    """A derived feature column has no usable entries at all."""
+
+
+class InsufficientInlierError(DegenerateDataError):
     """Too few predicted inliers remain to fit the trend model."""
 
     def __init__(self, message: str, inlier_count: int = 0):
@@ -96,9 +51,5 @@ class InsufficientInlierError(CycleScreenError):
         self.inlier_count = inlier_count
 
 
-class AggregationError(CycleScreenError):
-    """Configs being aggregated disagree in model or param kinds."""
-
-
-class AnomalySpecError(CycleScreenError):
-    """A synthetic anomaly request is out of range or non-positive."""
+class ThresholdRangeError(ConfigError):
+    """A probability threshold or contamination fraction is out of range."""

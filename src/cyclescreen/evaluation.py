@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeMismatchError
+from .errors import InputError
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc")
 
@@ -36,11 +36,11 @@ def confusion(labels, flags) -> ConfusionCounts:
     labels = np.asarray(labels)
     flags = np.asarray(flags)
     if labels.shape != flags.shape:
-        raise ShapeMismatchError(
+        raise InputError(
             f"labels {labels.shape} and flags {flags.shape} disagree"
         )
     if labels.size == 0:
-        raise EmptyInputError("no rows to score")
+        raise InputError("no rows to score")
     y = labels.astype(bool)
     f = flags.astype(bool)
     return ConfusionCounts(
@@ -67,7 +67,7 @@ def metrics(counts: ConfusionCounts) -> MetricSet:
     tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
     total = counts.total
     if total == 0:
-        raise EmptyInputError("empty confusion table")
+        raise InputError("empty confusion table")
     accuracy = (tp + tn) / total
     precision = tp / (tp + fp) if tp > 0 else 0.0
     recall = tp / (tp + fn) if tp > 0 else 0.0
@@ -106,7 +106,7 @@ def benchmark_report(
     value (boundary inclusive).
     """
     if not per_cell_counts:
-        raise EmptyInputError("no cells to report on")
+        raise InputError("no cells to report on")
     per_cell = {
         cell: metrics(counts) for cell, counts in sorted(per_cell_counts.items())
     }

@@ -34,13 +34,9 @@ from .dist_detect import _cholesky_or_raise
 from .errors import (
     ConfigError,
     CycleScreenError,
-    DegenerateSpreadError,
+    DegenerateDataError,
     EmptyFeatureError,
-    EmptyInputError,
-    ScaleOverflowError,
-    ShapeMismatchError,
-    ShortCycleError,
-    SingularCovarianceError,
+    InputError,
 )
 
 #: guard for near-zero capacity differences and log arguments
@@ -50,13 +46,13 @@ EPS = 1e-12
 def _offset(med: float, iqr: float, origin: str) -> float:
     """median**2 / IQR as a Python float power; NumPy takes an array's **2
     as x*x, which can differ from pow in the last bit. A square beyond the
-    float range raises ScaleOverflowError. The quotient stays finite when
+    float range raises DegenerateDataError. The quotient stays finite when
     the square does: a nonzero IQR is about the median's last-bit step or
     more."""
     try:
         return med**2 / iqr
     except OverflowError:
-        raise ScaleOverflowError(
+        raise DegenerateDataError(
             f"{origin}: scaling offset median**2/IQR overflows "
             f"(median {med!r}, IQR {iqr!r})"
         ) from None
@@ -95,14 +91,14 @@ def median_iqr_transform(values, origin: str = "series") -> ScaledSeries:
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        raise ShapeMismatchError(f"{origin}: expected a 1-D series")
+        raise InputError(f"{origin}: expected a 1-D series")
     if arr.size == 0:
-        raise EmptyInputError(f"{origin}: empty series")
+        raise InputError(f"{origin}: empty series")
     med = float(np.median(arr))
     q1, q3 = np.quantile(arr, [0.25, 0.75])  # linear interpolation, type 7
     iqr = float(q3 - q1)
     if iqr == 0.0:
-        raise DegenerateSpreadError(
+        raise DegenerateDataError(
             f"{origin}: interquartile range is zero, cannot scale"
         )
     shifted = arr - _offset(med, iqr, origin)
@@ -131,7 +127,7 @@ class FeatureMatrix:
     def add_column(self, name: str, values) -> None:
         values = np.asarray(values, dtype=float)
         if values.shape != self.cycle_index.shape:
-            raise ShapeMismatchError(
+            raise InputError(
                 f"column '{name}' has shape {values.shape}, "
                 f"expected {self.cycle_index.shape}"
             )
@@ -228,8 +224,8 @@ def _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped):
     return matrix, notes
 
 
-def _short_cycle(rec: CycleRecord) -> ShortCycleError:
-    return ShortCycleError(
+def _short_cycle(rec: CycleRecord) -> InputError:
+    return InputError(
         f"cycle {rec.cell_id}/{rec.cycle_index} has {rec.samples.shape[0]} "
         f"sample(s); need at least 2 for difference features"
     )
@@ -256,11 +252,11 @@ def extract_cycle_features(
         side channel.
     """
     if len(cycles) != len(scaled):
-        raise ShapeMismatchError(
+        raise InputError(
             f"{len(cycles)} cycles but {len(scaled)} scaled pairs"
         )
     if len(cycles) == 0:
-        raise EmptyInputError("no cycles to extract features from")
+        raise InputError("no cycles to extract features from")
     dv_max, dq_max, dvdq_max = (np.empty(len(cycles)) for _ in range(3))
     clamped = np.empty(len(cycles), dtype=bool)
     for i, (rec, (v_scaled, q_scaled)) in enumerate(zip(cycles, scaled)):
@@ -268,7 +264,7 @@ def extract_cycle_features(
         if n < 2:
             raise _short_cycle(rec)
         if v_scaled.values.shape[0] != n or q_scaled.values.shape[0] != n:
-            raise ShapeMismatchError(
+            raise InputError(
                 f"cycle {rec.cell_id}/{rec.cycle_index}: scaled series length "
                 f"does not match sample count {n}"
             )
@@ -308,7 +304,7 @@ def log_feature(values) -> tuple[np.ndarray, list[int]]:
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise EmptyInputError("log_feature: empty column")
+        raise InputError("log_feature: empty column")
     clamped = [int(i) for i in np.nonzero(arr < EPS)[0]]
     if len(clamped) == arr.size and np.all(arr <= 0):
         raise EmptyFeatureError(
@@ -359,7 +355,7 @@ def _cell_features(
     capacity, cycle by cycle; then the first cycle too short for differences.
     """
     if len(cycles) == 0:
-        raise EmptyInputError("no cycles to extract features from")
+        raise InputError("no cycles to extract features from")
     groups: dict[int, list[int]] = {}
     for i, rec in enumerate(cycles):
         groups.setdefault(rec.samples.shape[0], []).append(i)
@@ -381,7 +377,7 @@ def _cell_features(
             ("voltage", med_v, iqr_v), ("capacity", med_q, iqr_q)
         ):
             if iqr == 0.0:
-                raise DegenerateSpreadError(
+                raise DegenerateDataError(
                     f"{origin} {rec.cell_id}/{rec.cycle_index}: "
                     f"interquartile range is zero, cannot scale"
                 )
@@ -449,16 +445,16 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
     t = np.asarray(cycle_index, dtype=float)
     q = np.asarray(capacity_max, dtype=float)
     if t.shape != q.shape:
-        raise ShapeMismatchError("cycle_index and capacity_max differ in length")
+        raise InputError("cycle_index and capacity_max differ in length")
     if t.size < 3:
-        raise EmptyInputError("need at least 3 cycles for the distance feature")
+        raise InputError("need at least 3 cycles for the distance feature")
     X = np.column_stack([t, q])
     mu = X.mean(axis=0)
     cov = np.cov(X, rowvar=False, ddof=1)
     try:
         chol = _cholesky_or_raise(cov)
-    except SingularCovarianceError:
-        raise SingularCovarianceError(
+    except DegenerateDataError:
+        raise DegenerateDataError(
             "covariance of (cycle_index, capacity_max) is singular"
         ) from None
     centered = X - mu

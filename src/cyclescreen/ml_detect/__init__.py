@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    EmptyInputError,
-    ShapeMismatchError,
-    ThresholdRangeError,
-)
+from ..errors import DegenerateDataError, InputError, ThresholdRangeError
 from ..util import require_finite
 from .autoencoder import (
     Mlp,
@@ -65,9 +61,9 @@ def _as_matrix(X) -> np.ndarray:
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D feature matrix, got {X.ndim}-D")
+        raise InputError(f"expected a 2-D feature matrix, got {X.ndim}-D")
     if X.shape[0] == 0:
-        raise EmptyInputError("feature matrix has no rows")
+        raise InputError("feature matrix has no rows")
     require_finite(X)
     return X
 
@@ -87,15 +83,25 @@ def fit(config: DetectorConfig, X) -> FittedDetector:
 
 
 def score(fitted: FittedDetector, X) -> np.ndarray:
-    """Raw anomaly scores for rows of X; higher means more anomalous."""
+    """Raw anomaly scores for rows of X; higher means more anomalous.
+
+    Raises when the model's arithmetic overflows on finite rows and leaves
+    a score that is not finite, which no threshold could rank."""
     X = _as_matrix(X)
     if X.shape[1] != fitted.n_features:
-        raise ShapeMismatchError(
+        raise InputError(
             f"scored rows have {X.shape[1]} features, detector was fitted "
             f"on {fitted.n_features}"
         )
     _, score_fn = _REGISTRY[fitted.config.model]
-    return score_fn(fitted.state, X)
+    raw = score_fn(fitted.state, X)
+    bad = np.count_nonzero(~np.isfinite(raw))
+    if bad:
+        raise DegenerateDataError(
+            f"{fitted.config.model}: {bad} of {raw.size} scores are not finite; "
+            "the arithmetic overflows on these rows"
+        )
+    return raw
 
 
 def normalize_scores(values, reference=None) -> np.ndarray:
@@ -108,7 +114,7 @@ def normalize_scores(values, reference=None) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     ref = arr if reference is None else np.asarray(reference, dtype=float)
     if ref.size == 0:
-        raise EmptyInputError("no reference scores to normalize against")
+        raise InputError("no reference scores to normalize against")
     rmin = float(ref.min())
     rmax = float(ref.max())
     if rmax == rmin:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyInputError
+from ..errors import ConfigError, InputError
 
 
 def _relu(z):
@@ -211,7 +211,7 @@ def _scale(X, lo, span):
 def fit_autoencoder(params: dict, X: np.ndarray, rng) -> AutoencoderState:
     n, d = X.shape
     if n < 2:
-        raise EmptyInputError("need at least 2 rows to train the network")
+        raise InputError("need at least 2 rows to train the network")
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
     span = np.where(span == 0.0, 1.0, span)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyInputError, SingularComponentError
+from ..errors import DegenerateDataError, InputError
 
 MAX_ITER = 200
 TOL = 1e-6
@@ -139,7 +139,7 @@ def _log_gaussian_full(X, mean, cov):
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise SingularComponentError(
+        raise DegenerateDataError(
             "component covariance stayed singular after regularization"
         ) from None
     d = X.shape[1]
@@ -153,7 +153,7 @@ def fit_gmm(params: dict, X: np.ndarray, rng) -> GmmState:
     n, d = X.shape
     k = params["n_components"]
     if n < max(k, 2):
-        raise EmptyInputError(
+        raise InputError(
             f"{n} rows cannot support {k} mixture components"
         )
     # collapse guard scaled to the data's own variance

@@ -22,7 +22,7 @@ from ..dist_detect import (
     metric_from_params,
     pairwise,
 )
-from ..errors import NeighborCountError
+from ..errors import ConfigError
 
 
 @dataclass
@@ -36,7 +36,7 @@ class KnnState:
 def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
     k = params["n_neighbors"]
     if k >= X.shape[0]:
-        raise NeighborCountError(
+        raise ConfigError(
             f"n_neighbors={k} needs at least {k + 1} rows, got {X.shape[0]}"
         )
     return KnnState(

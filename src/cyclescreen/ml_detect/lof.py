@@ -27,7 +27,7 @@ from ..dist_detect import (
     metric_from_params,
     pairwise,
 )
-from ..errors import DegenerateSpreadError, NeighborCountError
+from ..errors import ConfigError, DegenerateDataError
 
 
 @dataclass
@@ -44,7 +44,7 @@ def _density(k_distance, neigh, ndist, degenerate: str) -> np.ndarray:
     a zero mean reachability raises with the degenerate message."""
     mean_reach = np.maximum(k_distance[neigh], ndist).mean(axis=1)
     if np.any(mean_reach == 0.0):
-        raise DegenerateSpreadError(degenerate)
+        raise DegenerateDataError(degenerate)
     return 1.0 / mean_reach
 
 
@@ -52,7 +52,7 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
     k = params["n_neighbors"]
     n = X.shape[0]
     if k >= n:
-        raise NeighborCountError(
+        raise ConfigError(
             f"n_neighbors={k} needs at least {k + 1} rows, got {n}"
         )
     metric = metric_from_params(params, X)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatchError
+from ..errors import ConfigError
 
 
 @dataclass
@@ -26,11 +26,11 @@ def fit_pca(params: dict, X: np.ndarray, rng) -> PcaState:
     if k is None:
         k = max(1, d - 1)
     if k > d:
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"n_components={k} exceeds feature dimension {d}"
         )
     if k > min(n, d):
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"n_components={k} exceeds the rank bound min(n={n}, d={d})"
         )
     mean = X.mean(axis=0)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSpreadError, EmptyInputError
+from .errors import ConfigError, DegenerateDataError, InputError
 from .util import require_finite
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
@@ -84,7 +84,7 @@ def scaled_mad(values: np.ndarray, mad_factor: float) -> tuple[float, float]:
     med = float(np.median(values))
     raw = float(np.median(np.abs(values - med)))
     if raw == 0.0:
-        raise DegenerateSpreadError(
+        raise DegenerateDataError(
             "median absolute deviation is zero; spread is degenerate"
         )
     return med, mad_factor * raw
@@ -93,7 +93,8 @@ def scaled_mad(values: np.ndarray, mad_factor: float) -> tuple[float, float]:
 def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
     """(center, spread, lower, upper) of a column for a rule's family: the
     mean and sample sd, the median and scaled MAD, or the median, the IQR
-    and the Tukey fences on the type-7 quartiles."""
+    and the Tukey fences on the type-7 quartiles. A zero spread, or a
+    spread or band that overflows, raises."""
     if method in _MAD_METHODS:
         center, spread = scaled_mad(x, mad_factor)
         low = high = center
@@ -108,8 +109,14 @@ def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
         low = high = center
         multiplier, what = SD_MULTIPLIER, "standard deviation"
     if spread == 0.0:
-        raise DegenerateSpreadError(f"{method.value}: {what} is zero")
-    return center, spread, low - multiplier * spread, high + multiplier * spread
+        raise DegenerateDataError(f"{method.value}: {what} is zero")
+    lower, upper = low - multiplier * spread, high + multiplier * spread
+    if not np.isfinite([spread, lower, upper]).all():
+        raise DegenerateDataError(
+            f"{method.value}: {what} or its band is not finite; "
+            "the values overflow"
+        )
+    return center, spread, lower, upper
 
 
 def detect_stat(
@@ -137,9 +144,9 @@ def detect_stat(
     method = StatMethod(method)
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
-        raise EmptyInputError("detect_stat expects a 1-D column")
+        raise InputError("detect_stat expects a 1-D column")
     if x.size < 2:
-        raise EmptyInputError(f"need at least 2 values, got {x.size}")
+        raise InputError(f"need at least 2 values, got {x.size}")
     require_finite(x)
 
     center, spread, lower, upper = _estimate(x, method, mad_factor)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CycleRecord, CycleStore, export_cycles, export_labels
-from .errors import AnomalySpecError
+from .errors import ConfigError
 
 ANOMALY_KINDS = ("point", "collective", "local", "global")
 CHANNELS = ("voltage", "capacity", "both")
@@ -37,15 +37,15 @@ class AnomalySpec:
 
     def __post_init__(self):
         if self.kind not in ANOMALY_KINDS:
-            raise AnomalySpecError(
+            raise ConfigError(
                 f"unknown anomaly kind '{self.kind}'; expected {ANOMALY_KINDS}"
             )
         if self.channel not in CHANNELS:
-            raise AnomalySpecError(
+            raise ConfigError(
                 f"unknown channel '{self.channel}'; expected {CHANNELS}"
             )
         if not np.isfinite(self.magnitude) or self.magnitude <= 0:
-            raise AnomalySpecError(
+            raise ConfigError(
                 f"magnitude must be positive, got {self.magnitude!r}"
             )
         object.__setattr__(self, "cycles", tuple(int(c) for c in self.cycles))
@@ -122,7 +122,7 @@ def generate_cell(
     anomaly target must name an existing cycle index in [0, n_cycles).
     """
     if n_cycles < 1 or samples_per_cycle < 4:
-        raise AnomalySpecError(
+        raise ConfigError(
             "need at least 1 cycle and 4 samples per cycle"
         )
     fade = fade or FadeModel()
@@ -130,7 +130,7 @@ def generate_cell(
     for spec in anomalies:
         for cyc in spec.cycles:
             if cyc < 0 or cyc >= n_cycles:
-                raise AnomalySpecError(
+                raise ConfigError(
                     f"anomaly targets cycle {cyc}, valid range is "
                     f"[0, {n_cycles - 1}]"
                 )

@@ -29,11 +29,10 @@ import numpy as np
 
 from . import ml_detect
 from .errors import (
-    AggregationError,
     ConfigError,
     CycleScreenError,
+    InputError,
     InsufficientInlierError,
-    NoPositiveLabelError,
 )
 from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config, validate_config
@@ -182,10 +181,10 @@ def aggregate_configs(configs) -> DetectorConfig:
     """
     configs = list(configs)
     if not configs:
-        raise AggregationError("no configs to aggregate")
+        raise ConfigError("no configs to aggregate")
     model = configs[0].model
     if any(c.model != model for c in configs):
-        raise AggregationError(
+        raise ConfigError(
             f"cannot aggregate across models: {sorted({c.model for c in configs})}"
         )
     configs = [validate_config(c) for c in configs]
@@ -221,7 +220,7 @@ def compromise_solution(trials) -> DetectorConfig:
     """
     trials = sorted(trials, key=lambda t: t.trial_id)
     if not trials:
-        raise AggregationError("no trials to form a compromise from")
+        raise ConfigError("no trials to form a compromise from")
     groups: dict[tuple, list[TrialRecord]] = {}
     for t in trials:
         key = (round_sig(t.objectives[0], 6), round_sig(t.objectives[1], 6))
@@ -489,7 +488,7 @@ def optimize_transfer(
         X, labels = cells[cell_id]
         labels = np.asarray(labels, dtype=int)
         if labels.sum() == 0:
-            raise NoPositiveLabelError(
+            raise InputError(
                 f"cell {cell_id} has no positive cycles; cannot score recall"
             )
         cell_seed = derive_seed(seed, "cell", cell_id)

@@ -9,7 +9,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import NonFiniteFeatureError
+from .errors import InputError
 
 
 def derive_seed(*parts) -> int:
@@ -61,7 +61,7 @@ def require_finite(X: np.ndarray) -> None:
     bad = np.argwhere(~np.isfinite(M))
     if len(bad):
         row, col = bad[0]
-        raise NonFiniteFeatureError(
+        raise InputError(
             f"feature row {row}, column {col} is {float(M[row, col])!r}; "
             "detectors need finite values"
         )

@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -920,7 +921,7 @@ def test_evaluate_refuses_a_label_for_a_cycle_a_verdict_lacks(
     labels = tmp_path / "labels.csv"
     # cellZ has no directory under the run and is skipped, as before
     labels.write_text(
-        open(dataset["labels"]).read() + "cellA,999\ncellZ,3\n"
+        Path(dataset["labels"]).read_text() + "cellA,999\ncellZ,3\n"
     )
     capsys.readouterr()
     rc = run(
@@ -934,7 +935,7 @@ def test_evaluate_refuses_a_label_for_a_cycle_a_verdict_lacks(
     )
     assert not (tmp_path / "eval").exists()
 
-    labels.write_text(open(dataset["labels"]).read() + "cellZ,3\n")
+    labels.write_text(Path(dataset["labels"]).read_text() + "cellZ,3\n")
     assert run(
         "evaluate", "--input", str(run_dir), "--out", str(tmp_path / "eval"),
         "--labels", str(labels),
@@ -946,7 +947,7 @@ def test_tune_unknown_label_names_the_label_file(
     dataset, tmp_path, capsys, strategy
 ):
     labels = tmp_path / "labels.csv"
-    labels.write_text(open(dataset["labels"]).read() + "cellB,999\n")
+    labels.write_text(Path(dataset["labels"]).read_text() + "cellB,999\n")
     out = tmp_path / "out"
     rc = run(
         "tune", "--input", dataset["meas"], "--out", str(out),
@@ -1060,7 +1061,7 @@ def test_evaluate_names_the_labeled_cells_it_leaves_out(dataset, tmp_path, capsy
     reports = {}
     for name, extra in (("plain", ""), ("extra", "cellZ,3\ncellY,1\n")):
         labels = tmp_path / f"{name}.csv"
-        labels.write_text(open(dataset["labels"]).read() + extra)
+        labels.write_text(Path(dataset["labels"]).read_text() + extra)
         capsys.readouterr()
         out = tmp_path / name
         assert run(

@@ -13,13 +13,7 @@ from cyclescreen.dist_detect import (
     resolve_metric,
     score_grid,
 )
-from cyclescreen.errors import (
-    BoundsError,
-    ConfigError,
-    DegenerateSpreadError,
-    ShapeMismatchError,
-    SingularCovarianceError,
-)
+from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
 
 VEC = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -150,11 +144,11 @@ def test_triangle_inequality_for_p_at_least_one(a_list, b_list, c_list):
 
 
 def test_minkowski_requires_positive_p():
-    with pytest.raises(BoundsError):
+    with pytest.raises(ConfigError, match="minkowski exponent must be positive"):
         MetricSpec("minkowski", p=0.0)
-    with pytest.raises(BoundsError):
+    with pytest.raises(ConfigError, match="minkowski exponent must be positive"):
         MetricSpec("minkowski", p=-1.0)
-    with pytest.raises(BoundsError):
+    with pytest.raises(ConfigError, match="minkowski exponent must be positive"):
         MetricSpec("minkowski")
 
 
@@ -164,7 +158,7 @@ def test_unknown_metric_kind():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InputError, match="operands differ in dimension"):
         pairwise(np.zeros((3, 2)), np.zeros((3, 3)), MetricSpec("euclidean"))
 
 
@@ -175,7 +169,7 @@ def test_resolve_metric_estimates_covariance(rng):
         resolved.covariance, np.cov(X, rowvar=False, ddof=1), atol=1e-12
     )
     # too few rows for a stable estimate
-    with pytest.raises(SingularCovarianceError):
+    with pytest.raises(DegenerateDataError, match="cannot support a 2-D covariance"):
         resolve_metric(MetricSpec("mahalanobis"), X[:2])
 
 
@@ -253,7 +247,7 @@ def test_mad_threshold_shrinks_four_to_two():
 def test_degenerate_distances_raise():
     # four corners of a square are all equidistant from the centroid
     X = np.asarray([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(DegenerateSpreadError):
+    with pytest.raises(DegenerateDataError, match="all centroid distances are equal"):
         centroid_detect(X, MetricSpec("euclidean"))
 
 
@@ -304,12 +298,12 @@ def test_grid_constant_axis_pad():
 
 def test_grid_bad_resolution(rng):
     X = rng.normal(size=(8, 2))
-    with pytest.raises(BoundsError):
+    with pytest.raises(ConfigError, match="grid resolution must be at least 2"):
         score_grid(X, MetricSpec("euclidean"), resolution=1)
 
 
 def test_grid_requires_two_columns(rng):
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InputError, match="score grids are 2-D maps"):
         score_grid(rng.normal(size=(8, 3)), MetricSpec("euclidean"))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclescreen.errors import EmptyInputError, ShapeMismatchError
+from cyclescreen.errors import InputError
 from cyclescreen.evaluation import (
     ConfusionCounts,
     MetricSet,
@@ -38,9 +38,9 @@ def test_confusion_counting():
 
 
 def test_confusion_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InputError, match=r"labels \(2,\) and flags \(1,\) disagree"):
         confusion([1, 0], [True])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="no rows to score"):
         confusion([], [])
 
 
@@ -61,7 +61,7 @@ def test_zero_conventions():
     # everything missed
     m = metrics(ConfusionCounts(tp=0, tn=0, fp=0, fn=4))
     assert m.accuracy == 0.0 and m.recall == 0.0
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="empty confusion table"):
         metrics(ConfusionCounts(0, 0, 0, 0))
 
 
@@ -131,7 +131,7 @@ def test_kpi_boundary_is_inclusive():
 
 
 def test_report_requires_cells():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="no cells to report on"):
         benchmark_report({})
 
 

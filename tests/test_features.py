@@ -11,13 +11,9 @@ from cyclescreen.dataset import CycleStore, export_cycles
 from cyclescreen.errors import (
     ConfigError,
     CycleScreenError,
-    DegenerateSpreadError,
+    DegenerateDataError,
     EmptyFeatureError,
-    EmptyInputError,
-    ScaleOverflowError,
-    ShapeMismatchError,
-    ShortCycleError,
-    SingularCovarianceError,
+    InputError,
 )
 from cyclescreen.features import (
     RECIPE_DEFAULTS,
@@ -72,12 +68,12 @@ def test_shift_matches_oracle_on_random_series(rng):
 
 
 def test_shift_degenerate_iqr():
-    with pytest.raises(DegenerateSpreadError):
+    with pytest.raises(DegenerateDataError, match="interquartile range is zero"):
         median_iqr_transform([2.0, 2.0, 2.0, 2.0])
 
 
 def test_shift_rejects_2d():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InputError, match="expected a 1-D series"):
         median_iqr_transform(np.zeros((3, 2)))
 
 
@@ -152,7 +148,7 @@ def test_extract_rejects_short_cycle():
     class FakeScaled:
         values = np.asarray([0.0])
 
-    with pytest.raises(ShortCycleError):
+    with pytest.raises(InputError, match=r"sample\(s\); need at least 2"):
         extract_cycle_features([cyc], [(FakeScaled(), FakeScaled())])
 
 
@@ -218,7 +214,7 @@ def test_custom_skips_what_severson_and_tohoku_require():
     with pytest.raises(EmptyFeatureError, match=r"log\(dv_max\).*cell F"):
         build_feature_matrix(falling, "severson")
     # two cycles are too few for the trend distance
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="need at least 3 cycles"):
         build_feature_matrix(falling, "tohoku")
     matrix, _ = build_feature_matrix(falling, "custom")
     assert list(matrix.columns) == [
@@ -259,7 +255,7 @@ def test_batched_features_match_per_cycle_oracle(cycle_samples):
     ]
     try:
         expect, expect_notes = extract_cycle_features(cycles, transform_cell(cycles))
-    except (DegenerateSpreadError, ShortCycleError) as err:
+    except (DegenerateDataError, InputError) as err:
         for recipe in RECIPES:
             with pytest.raises(type(err)) as got:
                 build_feature_matrix(cycles, recipe)
@@ -287,13 +283,13 @@ def test_overflowing_offset_is_named_alike_on_both_paths():
     huge = make_cycle(
         "H", 1, [0, 1, 2], [1e154, 1.3e154, 1.6e154], [1e160, 2e160, 3e160]
     )
-    with pytest.raises(ScaleOverflowError) as per_cycle:
+    with pytest.raises(DegenerateDataError) as per_cycle:
         transform_cell([ok, huge])
     assert str(per_cycle.value).startswith(
         "capacity H/1: scaling offset median**2/IQR overflows (median 2e+160, IQR "
     )
     for recipe in RECIPES:
-        with pytest.raises(ScaleOverflowError) as batched:
+        with pytest.raises(DegenerateDataError) as batched:
             build_feature_matrix([ok, huge], recipe)
         assert str(batched.value) == str(per_cycle.value)
 
@@ -304,20 +300,20 @@ def test_zero_iqr_error_takes_precedence_over_short_cycle():
     # refuses it
     short = make_cycle("P", 1, [0], [np.nan], [np.nan])
     flat = make_cycle("P", 2, [0, 1, 2, 3], [3.0, 3.5, 4.0, 4.5], [1.0] * 4)
-    with pytest.raises(ShortCycleError, match=r"^cycle P/1 has 1 sample\(s\)"):
+    with pytest.raises(InputError, match=r"^cycle P/1 has 1 sample\(s\)"):
         build_feature_matrix([ok, short], "custom")
     with pytest.raises(
-        DegenerateSpreadError,
+        DegenerateDataError,
         match=r"^capacity P/2: interquartile range is zero, cannot scale$",
     ):
         build_feature_matrix([ok, short, flat], "custom")
     # cycles in the order given; within a cycle voltage before capacity
     both = make_cycle("P", 3, [0, 1, 2], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
-    with pytest.raises(DegenerateSpreadError, match=r"^voltage P/3"):
+    with pytest.raises(DegenerateDataError, match=r"^voltage P/3"):
         build_feature_matrix([ok, short, both, flat], "custom")
     # a finite one-sample cycle has a zero IQR of its own
     single = make_cycle("P", 4, [0], [3.0], [0.0])
-    with pytest.raises(DegenerateSpreadError, match=r"^voltage P/4"):
+    with pytest.raises(DegenerateDataError, match=r"^voltage P/4"):
         build_feature_matrix([ok, short, single], "custom")
 
 
@@ -370,5 +366,5 @@ def test_mahalanobis_feature_matches_direct_formula(rng):
 
 def test_mahalanobis_feature_singular():
     cyc = np.arange(10, dtype=float)
-    with pytest.raises(SingularCovarianceError):
+    with pytest.raises(DegenerateDataError, match="covariance of .* is singular"):
         mahalanobis_feature(cyc, 2.0 * cyc + 1.0)

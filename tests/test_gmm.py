@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from cyclescreen.errors import EmptyInputError
+from cyclescreen.errors import InputError
 from cyclescreen.ml_detect import fit, make_config, score
 from cyclescreen.ml_detect.gmm import _logsumexp, fit_gmm, score_gmm
 
@@ -103,7 +103,7 @@ def test_low_density_points_score_higher(rng):
 
 
 def test_needs_enough_rows():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="cannot support 3 mixture components"):
         fit_gmm(
             make_config("gmm", {"n_components": 3}).params,
             np.zeros((2, 2)),

@@ -12,11 +12,8 @@ from cyclescreen.cli import ALL_MODELS, DIST_MODELS, STAT_MODELS
 from cyclescreen.dist_detect import MetricSpec, metric_from_params, pairwise
 from cyclescreen.errors import (
     ConfigError,
-    DegenerateSpreadError,
-    EmptyInputError,
-    NeighborCountError,
-    NonFiniteFeatureError,
-    ShapeMismatchError,
+    DegenerateDataError,
+    InputError,
     ThresholdRangeError,
 )
 from cyclescreen.features import build_feature_matrix
@@ -312,7 +309,7 @@ def test_non_finite_features_raise_named_error(target):
         X = clean[:20].copy()
         X[7, 1] = value
         where = f"row 7, column {0 if target in STAT_MODELS else 1} is {value!r}"
-        with pytest.raises(NonFiniteFeatureError, match=where):
+        with pytest.raises(InputError, match=where):
             if target in STAT_MODELS:
                 stat_detect.detect_stat(X[:, 1], target)
             elif target in DIST_MODELS:
@@ -324,9 +321,38 @@ def test_non_finite_features_raise_named_error(target):
                 fit(make_config(target, seed=0), X)
         if target in ML_MODELS:
             fitted = fit(make_config(target, seed=0), clean)
-            with pytest.raises(NonFiniteFeatureError, match=where):
+            with pytest.raises(InputError, match=where):
                 score(fitted, X)
 
+
+
+# the overflow, and the inf - inf and inf / inf after it, are what the test is about
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("knn", "knn: 40 of 40 scores are not finite"),
+        ("gmm", "gmm: 40 of 40 scores are not finite"),
+        ("lof", "lof: 40 of 40 scores are not finite"),
+        ("pca", "pca: 37 of 40 scores are not finite"),
+        ("sd", "sd: standard deviation or its band is not finite"),
+        ("zscore", "zscore: standard deviation or its band is not finite"),
+        ("euclidean", "euclidean: centroid distances are not finite"),
+    ],
+)
+def test_overflowing_detector_output_raises(target, message):
+    # finite rows near 1e155 overflow a square: the non-finite scores, sd or
+    # distances used to give a verdict that flags nothing
+    X = np.random.default_rng(0).normal(size=(40, 2)) * 1e155
+    X[5] *= 8
+    with pytest.raises(DegenerateDataError, match=f"^{message}"):
+        if target in STAT_MODELS:
+            stat_detect.detect_stat(X[:, 0], target)
+        elif target in DIST_MODELS:
+            dist_detect.centroid_detect(X, MetricSpec(target))
+        else:
+            score(fit(make_config(target, seed=0), X), X)
 
 def test_iforest_max_samples_fraction(rng):
     X = rng.normal(size=(100, 2))
@@ -366,7 +392,7 @@ def test_knn_matches_all_pairs_oracle(rng):
 
 def test_knn_k_must_leave_neighbors():
     X = np.zeros((4, 2)) + np.arange(4)[:, None]
-    with pytest.raises(NeighborCountError):
+    with pytest.raises(ConfigError, match="n_neighbors=4 needs at least 5 rows"):
         fit(make_config("knn", {"n_neighbors": 4}), X)
 
 
@@ -436,7 +462,7 @@ def test_lof_flags_density_outlier(rng):
 
 def test_lof_many_identical_rows_degenerate():
     X = np.vstack([np.zeros((5, 2)), np.ones((2, 2))])
-    with pytest.raises(DegenerateSpreadError):
+    with pytest.raises(DegenerateDataError, match="identical rows; densities diverge"):
         fit(make_config("lof", {"n_neighbors": 3}), X)
 
 
@@ -575,10 +601,10 @@ def test_pca_default_components(rng):
 
 def test_pca_component_bounds(rng):
     X = rng.normal(size=(20, 3))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ConfigError, match="exceeds feature dimension 3"):
         fit(make_config("pca", {"n_components": 4}), X)
     thin = rng.normal(size=(2, 5))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ConfigError, match=r"exceeds the rank bound min\(n=2, d=5\)"):
         fit(make_config("pca", {"n_components": 3}), thin)
 
 
@@ -686,11 +712,11 @@ def test_injected_extreme_argmax_all_models():
 
 
 def test_fit_rejects_empty_and_mismatched(rng):
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="feature matrix has no rows"):
         fit(make_config("knn"), np.empty((0, 2)))
     X = rng.normal(size=(20, 2))
     fitted = fit(make_config("knn"), X)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(InputError, match="scored rows have 3 features"):
         score(fitted, rng.normal(size=(5, 3)))
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cyclescreen.errors import ConfigError, DegenerateSpreadError
+from cyclescreen.errors import ConfigError, DegenerateDataError
 from cyclescreen.stat_detect import (
     GAUSSIAN_MAD_FACTOR,
     StatMethod,
@@ -79,7 +79,7 @@ def test_zscore_masking_small_example():
     assert verdict.scores[4] == pytest.approx(1.7889, abs=5e-5)
     assert verdict.flagged_indices() == set()
     # the robust variant refuses: the majority is identical, MAD is zero
-    with pytest.raises(DegenerateSpreadError):
+    with pytest.raises(DegenerateDataError, match="median absolute deviation is zero"):
         detect_stat(x, StatMethod.MOD_ZSCORE)
 
 
@@ -114,7 +114,7 @@ def test_all_methods_match_brute_force(rng):
         for method in StatMethod:
             try:
                 verdict = detect_stat(x, method)
-            except DegenerateSpreadError:
+            except DegenerateDataError:
                 continue
             assert verdict.flagged_indices() == brute_flags(x, method.value), (
                 method,
@@ -151,11 +151,11 @@ def test_gaussian_consistency(rng):
 def test_degenerate_spread_raises_not_empty():
     constant = np.asarray([3.0, 3.0, 3.0, 3.0])
     for method in StatMethod:
-        with pytest.raises(DegenerateSpreadError):
+        with pytest.raises(DegenerateDataError, match="is zero"):
             detect_stat(constant, method)
     # MAD breaks even on non-constant data when the majority is identical
     mostly_same = np.asarray([1.0, 1.0, 1.0, 1.0, 1.0, 9.0])
-    with pytest.raises(DegenerateSpreadError):
+    with pytest.raises(DegenerateDataError, match="median absolute deviation is zero"):
         detect_stat(mostly_same, StatMethod.MAD)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cyclescreen.dataset import ingest_cycles, read_labels
-from cyclescreen.errors import AnomalySpecError
+from cyclescreen.errors import ConfigError
 from cyclescreen.synth import AnomalySpec, FadeModel, generate_cell, write_dataset
 
 
@@ -79,17 +79,17 @@ def test_channel_routing():
 
 
 def test_spec_validation():
-    with pytest.raises(AnomalySpecError):
+    with pytest.raises(ConfigError, match="unknown anomaly kind 'drift'"):
         AnomalySpec("drift", (1,), 0.1)
-    with pytest.raises(AnomalySpecError):
+    with pytest.raises(ConfigError, match="magnitude must be positive"):
         AnomalySpec("point", (1,), -0.5)
-    with pytest.raises(AnomalySpecError):
+    with pytest.raises(ConfigError, match="unknown channel 'temperature'"):
         AnomalySpec("point", (1,), 0.1, channel="temperature")
-    with pytest.raises(AnomalySpecError):
+    with pytest.raises(ConfigError, match="anomaly targets cycle 9"):
         generate_cell(5, anomalies=(AnomalySpec("point", (9,), 0.1),))
-    with pytest.raises(AnomalySpecError):
+    with pytest.raises(ConfigError, match="need at least 1 cycle"):
         generate_cell(0)
-    with pytest.raises(AnomalySpecError):
+    with pytest.raises(ConfigError, match="4 samples per cycle"):
         generate_cell(3, samples_per_cycle=2)
 
 

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from cyclescreen import ml_detect
 from cyclescreen.errors import (
-    AggregationError,
     ConfigError,
     CycleScreenError,
+    InputError,
     InsufficientInlierError,
-    NoPositiveLabelError,
     ThresholdRangeError,
 )
 from cyclescreen.ml_detect import DetectorConfig, make_config
@@ -317,9 +316,9 @@ def test_aggregate_validates_external_configs():
 
 
 def test_aggregate_rejects_empty_and_mixed_models():
-    with pytest.raises(AggregationError):
+    with pytest.raises(ConfigError, match="no configs to aggregate"):
         aggregate_configs([])
-    with pytest.raises(AggregationError):
+    with pytest.raises(ConfigError, match="cannot aggregate across models"):
         aggregate_configs([make_config("knn", {}), make_config("pca", {})])
 
 
@@ -346,7 +345,7 @@ def test_compromise_frequency_tie_goes_to_earliest_trial():
 
 
 def test_compromise_requires_trials():
-    with pytest.raises(AggregationError):
+    with pytest.raises(ConfigError, match="no trials to form a compromise"):
         compromise_solution([])
 
 
@@ -521,7 +520,7 @@ def test_transfer_aggregates_across_cells(rng, labeled_cell):
 
 def test_transfer_rejects_unlabeled_and_empty():
     X = np.zeros((10, 2))
-    with pytest.raises(NoPositiveLabelError):
+    with pytest.raises(InputError, match="cell C has no positive cycles"):
         optimize_transfer({"C": (X, np.zeros(10, dtype=int))}, "knn")
     with pytest.raises(CycleScreenError):
         optimize_transfer({}, "knn")
