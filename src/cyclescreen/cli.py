@@ -167,19 +167,23 @@ def _metric_spec(args, model: str) -> dist_detect.MetricSpec:
 
 def _write_table(path: str, header: str, *columns, comment=None) -> None:
     """Write '# comment' when given, a CSV header and one row per entry of
-    the columns, atomically. Text columns are written as they are, float
-    columns with repr, all others as ints."""
+    the columns, atomically. Text columns are written as given, quoted as
+    csv quotes them; float columns with repr, all others as ints."""
     texts = []
-    for col in map(np.asarray, columns):
-        if col.dtype.kind == "U":
-            texts.append(col.tolist())
-        elif col.dtype.kind == "f":
-            texts.append([_fmt(x) for x in col.tolist()])
+    for col in columns:
+        values = np.asarray(col)
+        if values.dtype.kind == "U":
+            texts.append(col)  # as given: NumPy's str dtype drops trailing NULs
+        elif values.dtype.kind == "f":
+            texts.append([_fmt(x) for x in values.tolist()])
         else:
-            texts.append([str(int(x)) for x in col.tolist()])
-    lines = [] if comment is None else [f"# {comment}"]
-    lines += [header, *(",".join(row) for row in zip(*texts))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            texts.append([str(int(x)) for x in values.tolist()])
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+    atomic_write_text(path, buf.getvalue())
 
 
 def _fit_score(args, cell_id, model, X, params=None):
@@ -193,19 +197,45 @@ def _fit_score(args, cell_id, model, X, params=None):
 
 
 # ---------------------------------------------------------------------------
-# per-cell workers: worker(args, cell_id, records), top level so a process
-# pool can pickle them; each builds the cell's feature table once
+# the per-cell frame: each command runs its body on a cell through _run_cell
+# and on each model through _run_models; bodies are top level, so a process
+# pool can pickle them
 
 
-def _features_cell(args, cell_id, records) -> None:
+def _run_cell(body, args, cell_id, records):
+    """body(args, cell_id, matrix, notes, cell_dir) on the cell's feature
+    table, built once. feature_notes.txt is written after the body, also
+    when it fails on the data (a CycleScreenError) so the clamps behind the
+    failure show, but not on a UsageError."""
     matrix, notes = build_feature_matrix(records, args.recipe)
     cell_dir = f"{args.out}/{_cell_name(cell_id)}"
+    failure = None
+    try:
+        result = body(args, cell_id, matrix, notes, cell_dir)
+    except CycleScreenError as err:
+        failure = err
+    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
+    if failure is not None:
+        raise failure
+    return result
+
+
+def _run_models(args, cell_id, run_model) -> None:
+    """run_model(model) for each of args.models in order; the first failure
+    ends the loop as 'cell <id>, model <model>: <reason>'."""
+    for model in args.models:
+        try:
+            run_model(model)
+        except CycleScreenError as err:
+            raise CycleScreenError(f"cell {cell_id}, model {model}: {err}") from None
+
+
+def _features_body(args, cell_id, matrix, notes, cell_dir) -> None:
     names = list(matrix.columns)
     _write_table(
         f"{cell_dir}/features.csv", ",".join(["cycle_index", *names]),
         matrix.cycle_index, *(matrix.columns[name] for name in names),
     )
-    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
 
 
 def _stat_verdict(args, cell_id, model, names, cols):
@@ -263,100 +293,89 @@ _VERDICTS = {
 }
 
 
-def _detect_cell(args, cell_id, records) -> None:
-    matrix, notes = build_feature_matrix(records, args.recipe)
-    cell_dir = f"{args.out}/{_cell_name(cell_id)}"
+def _detect_body(args, cell_id, matrix, notes, cell_dir) -> None:
     # each family's columns are resolved once, when its first model runs;
     # distance and learned models share theirs
     picks = {}
-    failure = None
-    try:
-        for model in args.models:
-            multivariate = model not in STAT_MODELS
-            if multivariate not in picks:
-                picks[multivariate] = _selected_features(
-                    args, matrix, notes, multivariate
-                )
-            header, columns, comment = _VERDICTS[model](
-                args, cell_id, model, *picks[multivariate]
-            )
-            _write_table(
-                f"{cell_dir}/{model}/verdict.csv", header,
-                matrix.cycle_index, *columns, comment=comment,
-            )
-    except CycleScreenError as err:
-        failure = CycleScreenError(f"cell {cell_id}, model {model}: {err}")
-    # written even when a detector fails, so the clamps behind it show
-    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
-    if failure is not None:
-        raise failure
+
+    def verdict(model):
+        multivariate = model not in STAT_MODELS
+        if multivariate not in picks:
+            picks[multivariate] = _selected_features(args, matrix, notes, multivariate)
+        header, columns, comment = _VERDICTS[model](
+            args, cell_id, model, *picks[multivariate]
+        )
+        _write_table(
+            f"{cell_dir}/{model}/verdict.csv", header,
+            matrix.cycle_index, *columns, comment=comment,
+        )
+
+    _run_models(args, cell_id, verdict)
 
 
-def _scoremap_cell(args, cell_id, records) -> None:
-    matrix, notes = build_feature_matrix(records, args.recipe)
+def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
     names, cols = _selected_features(args, matrix, notes, multivariate=True)
     X = np.column_stack(cols)
     if X.shape[1] != 2:
-        raise UsageError(
-            f"scoremap needs exactly 2 features, got {X.shape[1]}"
-        )
-    # written before any model runs, so the clamps behind a grid show even
-    # when a later model fails
-    cell_dir = f"{args.out}/{_cell_name(cell_id)}"
-    atomic_write_text(f"{cell_dir}/feature_notes.txt", notes.render())
+        raise UsageError(f"scoremap needs exactly 2 features, got {X.shape[1]}")
     res = args.resolution
-    try:
-        for model in args.models:
-            if model in DIST_MODELS:
-                grid = dist_detect.score_grid(
-                    X, _metric_spec(args, model), resolution=res
-                )
-                bounds, axes, values = grid.bounds, grid.axes, grid.values
-                data_min, data_max = grid.data_min, grid.data_max
-            else:
-                bounds, axes, nodes = dist_detect.grid_nodes(X, res)
-                _config, fitted, data_raw = _fit_score(args, cell_id, model, X)
-                node_raw = ml_detect.score(fitted, nodes)
-                values = ml_detect.normalize_scores(node_raw, reference=data_raw)
-                values = values.reshape(res, res)
-                data_min, data_max = float(data_raw.min()), float(data_raw.max())
 
-            model_dir = f"{cell_dir}/{model}"
-            _write_table(
-                f"{model_dir}/grid.csv", f"{names[0]},{names[1]},score",
-                np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
-                comment=f"model={model} features={'|'.join(names)} resolution={res}",
-            )
-            sidecar = {
-                "model": model,
-                "features": list(names),
-                "bounds": [list(b) for b in bounds],
-                "resolution": [res, res],
-                "data_min": data_min,
-                "data_max": data_max,
-            }
-            atomic_write_text(
-                f"{model_dir}/grid.json",
-                json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
-            )
-    except CycleScreenError as err:
-        raise CycleScreenError(f"cell {cell_id}, model {model}: {err}") from None
+    def score_map(model):
+        if model in DIST_MODELS:
+            grid = dist_detect.score_grid(X, _metric_spec(args, model), resolution=res)
+            bounds, axes, values = grid.bounds, grid.axes, grid.values
+            data_min, data_max = grid.data_min, grid.data_max
+        else:
+            bounds, axes, nodes = dist_detect.grid_nodes(X, res)
+            _config, fitted, data_raw = _fit_score(args, cell_id, model, X)
+            node_raw = ml_detect.score(fitted, nodes)
+            values = ml_detect.normalize_scores(node_raw, reference=data_raw)
+            values = values.reshape(res, res)
+            data_min, data_max = float(data_raw.min()), float(data_raw.max())
+
+        model_dir = f"{cell_dir}/{model}"
+        _write_table(
+            f"{model_dir}/grid.csv", f"{names[0]},{names[1]},score",
+            np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
+            comment=f"model={model} features={'|'.join(names)} resolution={res}",
+        )
+        sidecar = {
+            "model": model,
+            "features": list(names),
+            "bounds": [list(b) for b in bounds],
+            "resolution": [res, res],
+            "data_min": data_min,
+            "data_max": data_max,
+        }
+        atomic_write_text(
+            f"{model_dir}/grid.json",
+            json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+        )
+
+    _run_models(args, cell_id, score_map)
 
 
-def _map_cells(worker, args, store: CycleStore) -> list[str]:
-    """Run worker(args, cell_id, records) on every cell of the store, over
-    --jobs processes when there is more than one cell; returns the cells."""
+def _tune_body(args, cell_id, matrix, notes, cell_dir):
+    """The cell's selected columns as a matrix, and its cycle indices."""
+    _names, cols = _selected_features(args, matrix, notes, multivariate=True)
+    return np.column_stack(cols), matrix.cycle_index
+
+
+def _map_cells(body, args, store: CycleStore) -> list[str]:
+    """Run body through _run_cell on every cell of the store, over --jobs
+    processes when there is more than one cell; returns the cells."""
     cells = store.cells()
     if args.jobs <= 1 or len(cells) <= 1:
         for cell in cells:
-            worker(args, cell, store.by_cell(cell))
+            _run_cell(body, args, cell, store.by_cell(cell))
     else:
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            n = len(cells)
             records = [store.by_cell(cell) for cell in cells]
-            list(pool.map(worker, [args] * len(cells), cells, records))
+            list(pool.map(_run_cell, [body] * n, [args] * n, cells, records))
     return cells
 
 
@@ -375,7 +394,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    cells = _map_cells(_features_cell, args, _load_store(args))
+    cells = _map_cells(_features_body, args, _load_store(args))
     sys.stdout.write(f"wrote features for {len(cells)} cells under {args.out}\n")
     return 0
 
@@ -429,7 +448,7 @@ def _cmd_detect(args) -> int:
         args.params, seed = _read_config(args.config, args.models[0])
         if seed is not None:  # a replayed config's seed replaces --seed
             args.seed = seed
-    cells = _map_cells(_detect_cell, args, _load_store(args))
+    cells = _map_cells(_detect_body, args, _load_store(args))
     sys.stdout.write(
         f"wrote {len(args.models)} verdict(s) for {len(cells)} cells "
         f"under {args.out}\n"
@@ -450,29 +469,22 @@ def _trial_row(cell_id, trial, param_names) -> list[str]:
 def _write_trials(tuning_dir, space, per_cell) -> None:
     """trials.csv and pareto.csv from {cell_id: result with trials and front}."""
     param_names = sorted(space.params)
-    header = ["cell_id", "trial_id", *param_names, "objective_1", "objective_2", "kind"]
+    header = ",".join(
+        ["cell_id", "trial_id", *param_names, "objective_1", "objective_2", "kind"]
+    )
     for name, part in (("trials", "trials"), ("pareto", "front")):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
+        rows = [
             _trial_row(cell, t, param_names)
             for cell, result in sorted(per_cell.items())
             for t in getattr(result, part)
-        )
-        atomic_write_text(f"{tuning_dir}/{name}.csv", buf.getvalue())
+        ]
+        _write_table(f"{tuning_dir}/{name}.csv", header, *zip(*rows))
 
 
 def _config_json(config) -> str:
-    params = {
-        k: (list(v) if isinstance(v, (tuple, list)) else v)
-        for k, v in config.params.items()
-    }
-    return json.dumps(
-        {"model": config.model, "params": params, "seed": config.seed},
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
+    # json writes a tuple param (a layer list) as a list
+    payload = {"model": config.model, "params": config.params, "seed": config.seed}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_tune(args) -> int:
@@ -505,13 +517,7 @@ def _cmd_tune(args) -> int:
     for cell in chosen:
         if transfer and cell not in labels:
             continue
-        matrix, notes = build_feature_matrix(store.by_cell(cell), args.recipe)
-        _names, cols = _selected_features(args, matrix, notes, multivariate=True)
-        X = np.column_stack(cols)
-        atomic_write_text(
-            f"{args.out}/{_cell_name(cell)}/feature_notes.txt", notes.render()
-        )
-        cycles = matrix.cycle_index
+        X, cycles = _run_cell(_tune_body, args, cell, store.by_cell(cell))
         cells[cell] = X, np.isin(cycles, sorted(labels[cell])) if transfer else cycles
     if not cells:
         raise UsageError(
@@ -582,22 +588,15 @@ def _cmd_evaluate(args) -> int:
         report = benchmark_report(per_model[model_name], kpi=args.kpi)
         txt_lines.append(f"model {model_name} (kpi {args.kpi:g})")
         for cell in sorted(report.per_cell):
-            ms = report.per_cell[cell]
-            txt_lines.append(
-                "  cell "
-                + cell
-                + ": "
-                + " ".join(
-                    f"{name}={ms.as_dict()[name]:.4f}" for name in METRIC_NAMES
-                )
-            )
+            scores = report.per_cell[cell].as_dict()
+            line = " ".join(f"{name}={scores[name]:.4f}" for name in METRIC_NAMES)
+            txt_lines.append(f"  cell {cell}: {line}")
         for name in METRIC_NAMES:
             value = report.macro.as_dict()[name]
             passed = report.passes[name]
             rows.append((model_name, name, value, passed))
             txt_lines.append(
-                f"  macro {name}: {value:.4f} "
-                + ("PASS" if passed else "FAIL")
+                f"  macro {name}: {value:.4f} {'PASS' if passed else 'FAIL'}"
             )
     _write_table(f"{args.out}/report.csv", "model,metric,value,passed", *zip(*rows))
     atomic_write_text(f"{args.out}/report.txt", "\n".join(txt_lines) + "\n")
@@ -620,7 +619,7 @@ def _cmd_scoremap(args) -> int:
             raise UsageError(
                 f"scoremap needs a distance or learned model, not '{model}'"
             )
-    cells = _map_cells(_scoremap_cell, args, _load_store(args))
+    cells = _map_cells(_scoremap_body, args, _load_store(args))
     sys.stdout.write(
         f"wrote {len(cells) * len(args.models)} score grid(s) under {args.out}\n"
     )

@@ -62,16 +62,19 @@ def metric_from_params(params: dict, X: np.ndarray) -> MetricSpec:
     return resolve_metric(MetricSpec(kind=kind, p=p), X)
 
 
-def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
+def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """The Cholesky factor of cov; a DegenerateDataError calls cov name."""
+    # refused first: an overflowed covariance such as [[inf, -inf], [-inf,
+    # inf]] fails the checks below too, which would call it singular
+    if not np.isfinite(cov).all():
+        raise DegenerateDataError(f"{name} is not finite; the values overflow")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise DegenerateDataError(
-            "covariance is not positive definite"
-        ) from None
+        raise DegenerateDataError(f"{name} is not positive definite") from None
     # a singular matrix can slip through with a rounding-level pivot
     if np.any(np.diag(chol) ** 2 <= 1e-12 * np.max(np.diag(cov))):
-        raise DegenerateDataError("covariance is numerically singular")
+        raise DegenerateDataError(f"{name} is singular to working precision")
     return chol
 
 

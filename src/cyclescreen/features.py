@@ -451,12 +451,7 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
     X = np.column_stack([t, q])
     mu = X.mean(axis=0)
     cov = np.cov(X, rowvar=False, ddof=1)
-    try:
-        chol = _cholesky_or_raise(cov)
-    except DegenerateDataError:
-        raise DegenerateDataError(
-            "covariance of (cycle_index, capacity_max) is singular"
-        ) from None
+    chol = _cholesky_or_raise(cov, "covariance of (cycle_index, capacity_max)")
     centered = X - mu
     white = np.linalg.solve(chol, centered.T).T
     dist = np.sqrt(np.sum(white**2, axis=1))

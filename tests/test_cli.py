@@ -1048,7 +1048,7 @@ def test_scoremap_error_names_the_cell_and_the_model(tmp_path, capsys):
         rc = run(command, *common, "--out", str(out), "--model", model)
         assert rc == 1
         assert capsys.readouterr().err == message
-        # the guard notes are written before any model runs
+        # the guard notes are written even though a model failed
         assert (out / "F" / "feature_notes.txt").is_file()
 
 
@@ -1076,3 +1076,58 @@ def test_evaluate_names_the_labeled_cells_it_leaves_out(dataset, tmp_path, capsy
         f"note: no verdicts under '{run_dir}' for labeled cells cellY, cellZ; "
         "they are left out of the report\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect",),
+        ("scoremap",),
+        ("tune", "--model", "knn", "--strategy", "proxy", "--trials", "2"),
+    ],
+    ids=["detect", "scoremap", "tune"],
+)
+def test_unknown_feature_is_a_usage_error_that_writes_no_feature_notes(
+    dataset, tmp_path, capsys, argv
+):
+    # the cell's feature table is built before the column lookup fails, but
+    # a usage error is not an outcome of the cell, so no notes are written
+    out = tmp_path / "out"
+    rc = run(
+        *argv, "--input", dataset["meas"], "--out", str(out),
+        "--recipe", "custom", "--feature", "nosuch",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: unknown feature column 'nosuch'; have ["
+    )
+    assert list(out.rglob("feature_notes.txt")) == []
+
+
+def test_tune_tables_quote_a_cell_id_with_comma_and_quote(tmp_path, capsys):
+    cell = 'a,"b'
+    records = generate_cell(
+        30, samples_per_cycle=16, seed=3, cell_id=cell,
+        anomalies=(AnomalySpec("point", (10,), 0.4),),
+    )
+    meas, labels = str(tmp_path / "meas.csv"), str(tmp_path / "labels.csv")
+    write_dataset({cell: records}, meas, labels)
+    out = tmp_path / "out"
+    assert run(
+        "tune", "--input", meas, "--out", str(out), "--recipe", "custom",
+        "--feature", FEATURES, "--model", "knn", "--strategy", "proxy",
+        "--trials", "3",
+    ) == 0
+    capsys.readouterr()
+    tuning = out / "tuning" / "knn"
+    for name in ("trials.csv", "pareto.csv"):
+        with open(tuning / name, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][0] == "cell_id"
+        assert len(rows) > 1
+        assert {row[0] for row in rows[1:]} == {cell}, name
+        assert {len(row) for row in rows} == {len(rows[0])}, name
+    digest = hashlib.sha256(cell.encode("utf-8")).hexdigest()[:8]
+    assert sorted(p.name for p in tuning.glob("compromise_*.json")) == [
+        f"compromise_a__b-{digest}.json"
+    ]

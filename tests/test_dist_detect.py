@@ -14,6 +14,7 @@ from cyclescreen.dist_detect import (
     score_grid,
 )
 from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
+from cyclescreen.features import mahalanobis_feature
 
 VEC = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -171,6 +172,29 @@ def test_resolve_metric_estimates_covariance(rng):
     # too few rows for a stable estimate
     with pytest.raises(DegenerateDataError, match="cannot support a 2-D covariance"):
         resolve_metric(MetricSpec("mahalanobis"), X[:2])
+
+
+# the overflow in np.cov, and the inf - inf after it, are what the test is about
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        (lambda X: centroid_detect(X, MetricSpec("mahalanobis")), "covariance"),
+        (lambda X: resolve_metric(MetricSpec("mahalanobis"), X), "covariance"),
+        (lambda X: mahalanobis_feature(X[:, 0], X[:, 1]),
+         "covariance of (cycle_index, capacity_max)"),
+    ],
+    ids=["centroid_detect", "resolve_metric", "mahalanobis_feature"],
+)
+def test_overflowed_covariance_is_named_an_overflow_not_singular(entry, name):
+    # finite rows near 1e155: np.cov is [[inf, -inf], [-inf, inf]], which
+    # used to be reported as a singular covariance
+    X = np.random.default_rng(0).normal(size=(40, 2)) * 1e155
+    X[5] *= 8
+    with pytest.raises(DegenerateDataError) as caught:
+        entry(X)
+    assert str(caught.value) == f"{name} is not finite; the values overflow"
 
 
 # --- centroid detector ----------------------------------------------------
