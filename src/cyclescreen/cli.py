@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -356,27 +357,39 @@ def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
 
 
 def _tune_body(args, cell_id, matrix, notes, cell_dir):
-    """The cell's selected columns as a matrix, and its cycle indices."""
+    """The cell's tuning on its selected columns: transfer's CellTuning, or
+    proxy's ProxyResult after its compromise config is written."""
     _names, cols = _selected_features(args, matrix, notes, multivariate=True)
-    return np.column_stack(cols), matrix.cycle_index
+    X = np.column_stack(cols)
+    space = tune.default_search_space(args.model, n_features=X.shape[1])
+    if args.strategy == "transfer":
+        truth = np.isin(matrix.cycle_index, sorted(args.label_map[cell_id]))
+        return tune.transfer_cell(
+            cell_id, X, truth, args.model, space, args.trials, args.seed, args.threshold
+        )
+    result = tune.optimize_proxy(
+        matrix.cycle_index, X, args.model, space=space, n_trials=args.trials,
+        seed=derive_seed(args.seed, cell_id), threshold=args.threshold,
+    )
+    atomic_write_text(
+        f"{args.out}/tuning/{args.model}/compromise_{_cell_name(cell_id)}.json",
+        _config_json(result.compromise),
+    )
+    return result
 
 
-def _map_cells(body, args, store: CycleStore) -> list[str]:
-    """Run body through _run_cell on every cell of the store, over --jobs
-    processes when there is more than one cell; returns the cells."""
-    cells = store.cells()
+def _map_cells(body, args, store: CycleStore, cells) -> list:
+    """body's result on each of cells through _run_cell, in cell order, over
+    --jobs processes when there is more than one cell."""
     if args.jobs <= 1 or len(cells) <= 1:
-        for cell in cells:
-            _run_cell(body, args, cell, store.by_cell(cell))
-    else:
-        # imported here, so a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return [_run_cell(body, args, cell, store.by_cell(cell)) for cell in cells]
+    # imported here, so a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            n = len(cells)
-            records = [store.by_cell(cell) for cell in cells]
-            list(pool.map(_run_cell, [body] * n, [args] * n, cells, records))
-    return cells
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        n = len(cells)
+        records = [store.by_cell(cell) for cell in cells]
+        return list(pool.map(_run_cell, [body] * n, [args] * n, cells, records))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +407,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    cells = _map_cells(_features_body, args, _load_store(args))
+    store = _load_store(args)
+    cells = store.cells()
+    _map_cells(_features_body, args, store, cells)
     sys.stdout.write(f"wrote features for {len(cells)} cells under {args.out}\n")
     return 0
 
@@ -448,7 +463,9 @@ def _cmd_detect(args) -> int:
         args.params, seed = _read_config(args.config, args.models[0])
         if seed is not None:  # a replayed config's seed replaces --seed
             args.seed = seed
-    cells = _map_cells(_detect_body, args, _load_store(args))
+    store = _load_store(args)
+    cells = store.cells()
+    _map_cells(_detect_body, args, store, cells)
     sys.stdout.write(
         f"wrote {len(args.models)} verdict(s) for {len(cells)} cells "
         f"under {args.out}\n"
@@ -466,9 +483,9 @@ def _trial_row(cell_id, trial, param_names) -> list[str]:
     return [*row, *map(_fmt, trial.objectives), trial.objective_kind]
 
 
-def _write_trials(tuning_dir, space, per_cell) -> None:
+def _write_trials(tuning_dir, model, per_cell) -> None:
     """trials.csv and pareto.csv from {cell_id: result with trials and front}."""
-    param_names = sorted(space.params)
+    param_names = sorted(tune.default_search_space(model).params)
     header = ",".join(
         ["cell_id", "trial_id", *param_names, "objective_1", "objective_2", "kind"]
     )
@@ -500,41 +517,32 @@ def _cmd_tune(args) -> int:
     for cell, truth in sorted(labels.items()):
         known = [r.cycle_index for r in store.by_cell(cell)]
         check_labels(args.labels, cell, truth, known)
-    chosen = store.cells()
+    cells = store.cells()
     if args.manifest:
         # transfer fits on the manifest's train cells, proxy on its test cells
         train, test = read_manifest(args.manifest, args.delimiter)
-        missing = (train | test).difference(chosen)
+        missing = (train | test).difference(cells)
         if missing:
             raise InputError(
                 f"{args.manifest}: manifest cells not in store: {sorted(missing)}"
             )
         role = train if transfer else test
-        chosen = [cell for cell in chosen if cell in role]
-
-    # per cell: the selected columns, and the label flags (transfer) or cycles (proxy)
-    cells = {}
-    for cell in chosen:
-        if transfer and cell not in labels:
-            continue
-        X, cycles = _run_cell(_tune_body, args, cell, store.by_cell(cell))
-        cells[cell] = X, np.isin(cycles, sorted(labels[cell])) if transfer else cycles
+        cells = [cell for cell in cells if cell in role]
+    if transfer:
+        cells = [cell for cell in cells if cell in labels]
     if not cells:
         raise UsageError(
             "no labeled train cells to tune on" if transfer else "no cells to tune on"
         )
-    space = tune.default_search_space(args.model, n_features=X.shape[1])
+    args.label_map = labels
+    per_cell = dict(zip(cells, _map_cells(_tune_body, args, store, cells)))
     tuning_dir = f"{args.out}/tuning/{args.model}"
 
     if transfer:
-        result = tune.optimize_transfer(
-            cells, args.model, space=space, n_trials=args.trials,
-            seed=args.seed, threshold=args.threshold,
+        aggregated = tune.aggregate_configs(
+            [per_cell[cell].best.config for cell in sorted(per_cell)]
         )
-        per_cell = result.per_cell
-        atomic_write_text(
-            f"{tuning_dir}/config.json", _config_json(result.aggregated)
-        )
+        atomic_write_text(f"{tuning_dir}/config.json", _config_json(aggregated))
         fractions = ", ".join(
             f"{cell}={per_cell[cell].perfect_recall_fraction:.2f}"
             for cell in sorted(per_cell)
@@ -544,18 +552,8 @@ def _cmd_tune(args) -> int:
             f"perfect-recall fraction per cell: {fractions}"
         )
     else:
-        per_cell = {}
-        for cell, (X, cycles) in cells.items():
-            per_cell[cell] = result = tune.optimize_proxy(
-                cycles, X, args.model, space=space, n_trials=args.trials,
-                seed=derive_seed(args.seed, cell), threshold=args.threshold,
-            )
-            atomic_write_text(
-                f"{tuning_dir}/compromise_{_cell_name(cell)}.json",
-                _config_json(result.compromise),
-            )
         summary = f"proxy tuning of {args.model} done for {len(cells)} cells"
-    _write_trials(tuning_dir, space, per_cell)
+    _write_trials(tuning_dir, args.model, per_cell)
     sys.stdout.write(summary + "\n")
     return 0
 
@@ -563,6 +561,8 @@ def _cmd_tune(args) -> int:
 def _cmd_evaluate(args) -> int:
     if not args.labels:
         raise UsageError("evaluate requires --labels")
+    if not os.path.isdir(args.input):  # an i/o error, as a missing file is
+        raise FileNotFoundError(errno.ENOENT, "no such directory", args.input)
     label_map = read_labels(args.labels, args.delimiter)
     per_model: dict[str, dict[str, object]] = {}
     for cell, truth in sorted(label_map.items()):
@@ -619,7 +619,9 @@ def _cmd_scoremap(args) -> int:
             raise UsageError(
                 f"scoremap needs a distance or learned model, not '{model}'"
             )
-    cells = _map_cells(_scoremap_body, args, _load_store(args))
+    store = _load_store(args)
+    cells = store.cells()
+    _map_cells(_scoremap_body, args, store, cells)
     sys.stdout.write(
         f"wrote {len(cells) * len(args.models)} score grid(s) under {args.out}\n"
     )
@@ -648,7 +650,7 @@ def _add_input(sub, recipe=False, columns=False):
     )
     sub.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes across cells (features, detect and scoremap)",
+        help="worker processes across cells (features, detect, scoremap and tune)",
     )
     if recipe:
         sub.add_argument(

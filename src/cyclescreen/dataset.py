@@ -395,7 +395,8 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
 
 def read_verdict_flags(path: str) -> dict[int, int]:
     """{cycle_index: flagged} from a verdict file as detect writes it: '#'
-    comment lines, a header, a row per cycle; rows count from line 1."""
+    comment lines, a header, one row per cycle flagged 0 or 1; rows count
+    from line 1."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.readlines()
     skip = 0
@@ -404,11 +405,16 @@ def read_verdict_flags(path: str) -> dict[int, int]:
     reader = csv.reader(lines[skip:])
     roles = {"cycle_index": "cycle_index", "flagged": "flagged"}
     idx, width = _header(reader, roles, path)
-    flags = {
-        _parse_int(row[idx["cycle_index"]].strip(), "cycle_index", n, path):
-            _parse_int(row[idx["flagged"]].strip(), "flagged", n, path)
-        for n, row in _data_rows(reader, skip + 2, width, path)
-    }
+    flags = {}
+    for n, row in _data_rows(reader, skip + 2, width, path):
+        cycle = _parse_int(row[idx["cycle_index"]].strip(), "cycle_index", n, path)
+        token = row[idx["flagged"]].strip()
+        flag = _parse_int(token, "flagged", n, path)
+        if flag not in (0, 1):
+            raise InputError(f"{path}: row {n}: flagged value '{token}' is not 0 or 1")
+        if cycle in flags:
+            raise InputError(f"{path}: row {n}: cycle {cycle} repeats an earlier row")
+        flags[cycle] = flag
     if not flags:
         raise InputError(f"{path}: no verdict rows")
     return flags

@@ -367,13 +367,6 @@ def tpe_propose(history, space: SearchSpace, seed: int, directions) -> dict:
 # objective evaluation
 
 
-def _flags_for_config(config, X, threshold):
-    fitted = ml_detect.fit(config, X)
-    raw = ml_detect.score(fitted, X)
-    probs = ml_detect.normalize_scores(raw)
-    return ml_detect.predict_outliers(probs, threshold)
-
-
 def recall_precision(flags: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     scores = metrics(confusion(labels, flags))
     return scores.recall, scores.precision
@@ -445,8 +438,20 @@ class ProxyResult:
     compromise: DetectorConfig
 
 
-def _run_trials(model, space, n_trials, base_seed, evaluate, directions, kind):
-    """Shared trial loop: enumerate when the space is small, else TPE."""
+#: each objective kind's directions, and the objectives a trial records
+#: when its config cannot be fitted or scored
+_KINDS = {
+    "recall_precision": (("max", "max"), (0.0, 0.0)),
+    "loss_inliers": (("min", "max"), (LOSS_SENTINEL, 0)),
+}
+
+
+def _run_trials(model, space, n_trials, base_seed, X, threshold, objective, kind):
+    """The trials, enumerated when the space is small, else proposed by TPE,
+    and their Pareto front. A trial's objectives are objective(flags) on the
+    rows it flags in X, or its kind's sentinel when its config fails to fit
+    or score."""
+    directions, sentinel = _KINDS[kind]
     enumerated = space.enumerate(n_trials)
     model_seed = derive_seed(base_seed, "model", model)
     trials: list[TrialRecord] = []
@@ -460,8 +465,36 @@ def _run_trials(model, space, n_trials, base_seed, evaluate, directions, kind):
         else:
             params = preset
         config = make_config(model, params, seed=model_seed)
-        trials.append(TrialRecord(trial_id, config, evaluate(config), kind))
-    return trials
+        try:
+            fitted = ml_detect.fit(config, X)
+            probs = ml_detect.normalize_scores(ml_detect.score(fitted, X))
+            flags = ml_detect.predict_outliers(probs, threshold)
+        except CycleScreenError:
+            objectives = sentinel
+        else:
+            objectives = objective(flags)
+        trials.append(TrialRecord(trial_id, config, objectives, kind))
+    return trials, pareto_front(trials, directions)
+
+
+def transfer_cell(
+    cell_id, X, labels, model, space, n_trials, seed, threshold
+) -> CellTuning:
+    """Transfer tuning on one labeled cell, seeded from seed and the cell id.
+
+    labels is a 0/1 vector aligned with the rows of X and must hold at least
+    one positive cycle. The cell's winner is the Pareto point with maximum
+    recall, precision breaking ties, earliest trial breaking what remains.
+    """
+    labels = np.asarray(labels, dtype=int)
+    if labels.sum() == 0:
+        raise InputError(f"cell {cell_id} has no positive cycles; cannot score recall")
+    trials, front = _run_trials(
+        model, space, n_trials, derive_seed(seed, "cell", cell_id), X, threshold,
+        lambda flags: recall_precision(flags, labels), "recall_precision",
+    )
+    best = min(front, key=lambda t: (-t.objectives[0], -t.objectives[1], t.trial_id))
+    return CellTuning(cell_id=cell_id, trials=trials, front=front, best=best)
 
 
 def optimize_transfer(
@@ -474,44 +507,17 @@ def optimize_transfer(
 ) -> TransferResult:
     """Tune on labeled cells and aggregate each cell's best config.
 
-    cells maps cell_id -> (X, labels) where labels is a 0/1 vector aligned
-    with the rows of X. Each labeled cell must contain at least one positive
-    cycle; per-cell winners are the Pareto points with maximum recall,
-    precision breaking ties, earliest trial breaking what remains.
+    cells maps cell_id -> (X, labels), each cell tuned by transfer_cell; the
+    winners aggregate in cell_id order.
     """
     if not cells:
         raise CycleScreenError("transfer tuning needs at least one labeled cell")
     ml_detect.check_threshold(threshold)
     space = space if space is not None else default_search_space(model)
-    per_cell = {}
-    for cell_id in sorted(cells):
-        X, labels = cells[cell_id]
-        labels = np.asarray(labels, dtype=int)
-        if labels.sum() == 0:
-            raise InputError(
-                f"cell {cell_id} has no positive cycles; cannot score recall"
-            )
-        cell_seed = derive_seed(seed, "cell", cell_id)
-
-        def evaluate(config, X=X, labels=labels):
-            try:
-                flags = _flags_for_config(config, X, threshold)
-            except CycleScreenError:
-                return (0.0, 0.0)
-            return recall_precision(flags, labels)
-
-        trials = _run_trials(
-            model, space, n_trials, cell_seed, evaluate,
-            ("max", "max"), "recall_precision",
-        )
-        front = pareto_front(trials, ("max", "max"))
-        best = sorted(
-            front,
-            key=lambda t: (-t.objectives[0], -t.objectives[1], t.trial_id),
-        )[0]
-        per_cell[cell_id] = CellTuning(
-            cell_id=cell_id, trials=trials, front=front, best=best
-        )
+    per_cell = {
+        c: transfer_cell(c, *cells[c], model, space, n_trials, seed, threshold)
+        for c in sorted(cells)
+    }
     aggregated = aggregate_configs([ct.best.config for ct in per_cell.values()])
     return TransferResult(per_cell=per_cell, aggregated=aggregated)
 
@@ -535,21 +541,15 @@ def optimize_proxy(
     space = space if space is not None else default_search_space(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
 
-    def evaluate(config):
+    def objective(flags):
         try:
-            flags = _flags_for_config(config, X, threshold)
-        except CycleScreenError:
-            return (LOSS_SENTINEL, 0)
-        try:
-            loss, count = regression_proxy_objectives(cycle_index, X, flags)
+            return regression_proxy_objectives(cycle_index, X, flags)
         except InsufficientInlierError as err:
             return (LOSS_SENTINEL, err.inlier_count)
-        return (loss, count)
 
-    trials = _run_trials(
-        model, space, n_trials, derive_seed(seed, "proxy"), evaluate,
-        ("min", "max"), "loss_inliers",
+    trials, front = _run_trials(
+        model, space, n_trials, derive_seed(seed, "proxy"), X, threshold,
+        objective, "loss_inliers",
     )
-    front = pareto_front(trials, ("min", "max"))
     compromise = compromise_solution(trials)
     return ProxyResult(trials=trials, front=front, compromise=compromise)

@@ -267,11 +267,17 @@ def test_parallel_jobs_match_serial(dataset, tmp_path):
     [
         ("features",),
         ("scoremap", "--feature", FEATURES, "--model", "all", "--resolution", "6"),
+        ("tune", "--feature", FEATURES, "--model", "knn", "--strategy", "proxy",
+         "--trials", "6"),
+        # "labels" stands for the fixture's label file
+        ("tune", "--feature", FEATURES, "--model", "knn", "--strategy", "transfer",
+         "--labels", "labels", "--trials", "6"),
     ],
 )
-def test_parallel_jobs_match_serial_for_features_and_scoremap(
+def test_parallel_jobs_match_serial_for_features_scoremap_and_tune(
     dataset, tmp_path, argv
 ):
+    argv = [dataset["labels"] if token == "labels" else token for token in argv]
     results = []
     for jobs, name in (("1", "serial"), ("2", "parallel")):
         out = tmp_path / name
@@ -437,8 +443,15 @@ def test_evaluate_report(dataset, tmp_path):
          "row 3: flagged value '0.5' is not an integer"),
         ("cycle_index,score", "7,1.5", "missing required column 'flagged'"),
         ("cycle_index,score,flagged", "", "no verdict rows"),
+        ("cycle_index,score,flagged", "7,1.5,7",
+         "row 3: flagged value '7' is not 0 or 1"),
+        ("cycle_index,score,flagged", "7,1.5,-1",
+         "row 3: flagged value '-1' is not 0 or 1"),
+        ("cycle_index,score,flagged", "7,1.5,1\n8,0.5,0\n7,0.5,0",
+         "row 5: cycle 7 repeats an earlier row"),
     ],
-    ids=["word-flag", "fractional-flag", "no-flagged-column", "no-rows"],
+    ids=["word-flag", "fractional-flag", "no-flagged-column", "no-rows",
+         "flag-seven", "negative-flag", "repeated-cycle"],
 )
 def test_evaluate_malformed_verdict_names_the_file_and_row(
     dataset, tmp_path, capsys, header, row, message
@@ -459,6 +472,18 @@ def test_evaluate_malformed_verdict_names_the_file_and_row(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}")
     assert "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_missing_input_directory_is_an_io_error(dataset, tmp_path, capsys):
+    missing = tmp_path / "no_run"
+    rc = run(
+        "evaluate", "--input", str(missing), "--out", str(tmp_path / "eval"),
+        "--labels", dataset["labels"],
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and repr(str(missing)) in err
     assert not (tmp_path / "eval").exists()
 
 

@@ -553,6 +553,24 @@ def test_threshold_outside_unit_interval_raises_before_any_trial(
         optimize_transfer({"CELL": labeled_cell}, "knn", threshold=threshold)
 
 
+def test_a_failed_trial_records_its_strategy_sentinel():
+    X = np.random.default_rng(0).normal(size=(12, 2))
+    t = np.arange(12.0)
+    labels = np.zeros(12, dtype=int)
+    labels[3] = 1
+    # knn needs fewer neighbours than rows: every trial fails to fit
+    space = SearchSpace("knn", {"n_neighbors": IntDomain(15, 20)})
+    transfer = optimize_transfer({"C": (X, labels)}, "knn", space=space)
+    assert [tr.objectives for tr in transfer.per_cell["C"].trials] == [(0.0, 0.0)] * 6
+    proxy = optimize_proxy(t, X, "knn", space=space)
+    assert [tr.objectives for tr in proxy.trials] == [(float("inf"), 0)] * 6
+    # a zero threshold flags every row scored above the lowest, which is one
+    # row in this draw for each n_neighbors: too few for a quadratic trend
+    space = SearchSpace("knn", {"n_neighbors": IntDomain(2, 4)})
+    proxy = optimize_proxy(t, X, "knn", space=space, threshold=0.0)
+    assert [tr.objectives for tr in proxy.trials] == [(float("inf"), 1)] * 3
+
+
 def test_perfect_recall_fraction_counts_trials():
     trials = [
         record(0, (1.0, 0.5)),
