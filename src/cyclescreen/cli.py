@@ -28,10 +28,8 @@ directory of its own inside --out, and tune a compromise_<cell>.json of its own.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import hashlib
-import io
 import json
 import math
 import os
@@ -45,6 +43,7 @@ from .dataset import (
     CycleStore,
     check_labels,
     export_cycles,
+    format_table,
     ingest_cycles,
     read_labels,
     read_manifest,
@@ -167,24 +166,8 @@ def _metric_spec(args, model: str) -> dist_detect.MetricSpec:
 
 
 def _write_table(path: str, header: str, *columns, comment=None) -> None:
-    """Write '# comment' when given, a CSV header and one row per entry of
-    the columns, atomically. Text columns are written as given, quoted as
-    csv quotes them; float columns with repr, all others as ints."""
-    texts = []
-    for col in columns:
-        values = np.asarray(col)
-        if values.dtype.kind == "U":
-            texts.append(col)  # as given: NumPy's str dtype drops trailing NULs
-        elif values.dtype.kind == "f":
-            texts.append([_fmt(x) for x in values.tolist()])
-        else:
-            texts.append([str(int(x)) for x in values.tolist()])
-    buf = io.StringIO()
-    if comment is not None:
-        buf.write(f"# {comment}\n")
-    buf.write(header + "\n")
-    csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
-    atomic_write_text(path, buf.getvalue())
+    """Write dataset.format_table's text of the columns atomically."""
+    atomic_write_text(path, format_table(header, *columns, comment=comment))
 
 
 def _fit_score(args, cell_id, model, X, params=None):
@@ -687,8 +670,8 @@ def build_parser() -> _Parser:
              f"{len(ALL_MODELS)}",
     )
     p.add_argument(
-        "--threshold", type=float, default=0.7,
-        help="outlier probability threshold for learned models (default 0.7)",
+        "--threshold", type=float, default=ml_detect.DEFAULT_PROBABILITY_THRESHOLD,
+        help="outlier probability threshold for learned models (default %(default)s)",
     )
     p.add_argument(
         "--mad-factor", type=float, default=GAUSSIAN_MAD_FACTOR,
@@ -721,9 +704,10 @@ def build_parser() -> _Parser:
         "--strategy", choices=("transfer", "proxy"), default="transfer",
         help="transfer (labeled cells) or proxy (label-free)",
     )
-    p.add_argument("--trials", type=int, default=20, help="trial budget per cell")
+    p.add_argument("--trials", type=int, default=tune.DEFAULT_TRIALS,
+                   help="trial budget per cell")
     p.add_argument(
-        "--threshold", type=float, default=0.7,
+        "--threshold", type=float, default=ml_detect.DEFAULT_PROBABILITY_THRESHOLD,
         help="probability threshold used inside trial evaluation",
     )
 

@@ -393,6 +393,28 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     return labels
 
 
+def format_table(header: str, *columns, comment=None) -> str:
+    """'# comment' when given, a CSV header and one row per entry of the
+    columns, as read_verdict_flags reads them. Text columns are written as
+    given, quoted as csv quotes them; float columns with repr, all others
+    as ints."""
+    texts = []
+    for col in columns:
+        values = np.asarray(col)
+        if values.dtype.kind == "U":
+            texts.append(col)  # as given: NumPy's str dtype drops trailing NULs
+        elif values.dtype.kind == "f":
+            texts.append([repr(x) for x in values.tolist()])
+        else:
+            texts.append([str(int(x)) for x in values.tolist()])
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+    return buf.getvalue()
+
+
 def read_verdict_flags(path: str) -> dict[int, int]:
     """{cycle_index: flagged} from a verdict file as detect writes it: '#'
     comment lines, a header, one row per cycle flagged 0 or 1; rows count
@@ -421,13 +443,9 @@ def read_verdict_flags(path: str) -> dict[int, int]:
 
 
 def export_labels(labels: dict[str, set[int]], path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cell_id", "cycle_index"])
-    for cell in sorted(labels):
-        for cyc in sorted(labels[cell]):
-            writer.writerow([cell, cyc])
-    atomic_write_text(path, buf.getvalue())
+    """Write a label map as the label file read_labels reads, atomically."""
+    rows = [(cell, cyc) for cell in sorted(labels) for cyc in sorted(labels[cell])]
+    atomic_write_text(path, format_table("cell_id,cycle_index", *zip(*rows)))
 
 
 def read_manifest(

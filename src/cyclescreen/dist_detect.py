@@ -7,8 +7,8 @@ where applicable, so they live on a common distance scale. Flags come from a
 one-sided MAD rule on the distance vector; scores are min-max normalized over
 the observed cycles so that contour grids and flags share a scale.
 
-knn and lof share the neighbor search: `pairwise`, then `drop_self_matches`
-and `k_nearest` on the distance matrix.
+knn and lof share `check_n_neighbors` and the neighbor search: `pairwise`,
+then `drop_self_matches` and `k_nearest` on the distance matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
-from .util import require_finite
+from .util import normalize_scores, require_finite
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
@@ -130,6 +130,12 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
             block = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
         out[start:stop] = block
     return out
+
+
+def check_n_neighbors(k: int, n: int) -> None:
+    """Refuse n_neighbors=k on n fitted rows: each row needs k others."""
+    if k >= n:
+        raise ConfigError(f"n_neighbors={k} needs at least {k + 1} rows, got {n}")
 
 
 def drop_self_matches(D: np.ndarray) -> np.ndarray:
@@ -248,12 +254,10 @@ def centroid_detect(
     med, mad = scaled_mad(dist, mad_factor)
     cutoff = med + mad_threshold * mad
     flags = dist > cutoff
-    span = float(dist.max() - dist.min())
-    normalized = (dist - dist.min()) / span
     return DistanceVerdict(
         centroid=centroid,
         distances=dist,
-        normalized=normalized,
+        normalized=normalize_scores(dist),
         flags=flags,
         mad_threshold=mad_threshold,
         cutoff=float(cutoff),

@@ -38,6 +38,7 @@ from .errors import (
     EmptyFeatureError,
     InputError,
 )
+from .util import normalize_scores
 
 #: guard for near-zero capacity differences and log arguments
 EPS = 1e-12
@@ -69,7 +70,7 @@ class ScaledSeries:
 
     @property
     def offset(self) -> float:
-        return self.median**2 / self.iqr
+        return _offset(self.median, self.iqr, self.origin)
 
 
 # no CLI path calls it: kept as the one-cycle oracle of the batched path
@@ -454,8 +455,4 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
     chol = _cholesky_or_raise(cov, "covariance of (cycle_index, capacity_max)")
     centered = X - mu
     white = np.linalg.solve(chol, centered.T).T
-    dist = np.sqrt(np.sum(white**2, axis=1))
-    span = float(dist.max() - dist.min())
-    if span == 0.0:
-        return np.zeros_like(dist)
-    return (dist - dist.min()) / span
+    return normalize_scores(np.sqrt(np.sum(white**2, axis=1)))

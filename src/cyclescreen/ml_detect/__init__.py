@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateDataError, InputError, ThresholdRangeError
-from ..util import require_finite
+from ..util import normalize_scores, require_finite
 from .autoencoder import (
     Mlp,
     fit_autoencoder,
@@ -102,27 +102,6 @@ def score(fitted: FittedDetector, X) -> np.ndarray:
             "the arithmetic overflows on these rows"
         )
     return raw
-
-
-def normalize_scores(values, reference=None) -> np.ndarray:
-    """Min-max squash raw scores into outlier probabilities.
-
-    By default the min/max come from the scored values themselves; passing a
-    frozen reference reuses another score set's envelope instead, with the
-    result clipped back into [0, 1]. A constant input maps to all zeros.
-    """
-    arr = np.asarray(values, dtype=float)
-    ref = arr if reference is None else np.asarray(reference, dtype=float)
-    if ref.size == 0:
-        raise InputError("no reference scores to normalize against")
-    rmin = float(ref.min())
-    rmax = float(ref.max())
-    if rmax == rmin:
-        return np.zeros_like(arr)
-    out = (arr - rmin) / (rmax - rmin)
-    if reference is not None:
-        out = np.clip(out, 0.0, 1.0)
-    return out
 
 
 def check_threshold(threshold: float) -> None:

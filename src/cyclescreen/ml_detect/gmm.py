@@ -179,14 +179,14 @@ def fit_gmm(params: dict, X: np.ndarray, rng) -> GmmState:
     )
     for it in range(1, MAX_ITER + 1):
         weighted = _log_gaussian(X, means, covs, cov_type) + np.log(weights)
-        ll = float(np.mean(_logsumexp(weighted, axis=1)))
+        log_norm = _logsumexp(weighted, axis=1, keepdims=True)
+        ll = float(np.mean(log_norm[:, 0]))
         state.ll_trace.append(ll)
         state.n_iter = it
         if it > 1 and abs(state.ll_trace[-1] - state.ll_trace[-2]) < TOL:
             state.converged = True
             break
-        log_resp = weighted - _logsumexp(weighted, axis=1, keepdims=True)
-        weights, means, covs = _m_step(X, np.exp(log_resp), cov_type, reg)
+        weights, means, covs = _m_step(X, np.exp(weighted - log_norm), cov_type, reg)
         state.weights, state.means, state.covariances = weights, means, covs
     return state
 

@@ -5,8 +5,8 @@ The raw score of a query is the distance to its k-th nearest fitted row
 exactly with a fitted row drop that one zero-distance match, so scoring the
 training set reproduces k-th-neighbor semantics instead of returning zeros.
 
-Distances come from `dist_detect.pairwise`; the self-match rule and the
-k-nearest selection are `dist_detect`'s, the ones lof uses.
+Distances come from `dist_detect.pairwise`; the n_neighbors guard, the
+self-match rule and the k-nearest selection are `dist_detect`'s, as lof's.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 
 from ..dist_detect import (
     MetricSpec,
+    check_n_neighbors,
     drop_self_matches,
     k_nearest,
     metric_from_params,
     pairwise,
 )
-from ..errors import ConfigError
 
 
 @dataclass
@@ -35,10 +35,7 @@ class KnnState:
 
 def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
     k = params["n_neighbors"]
-    if k >= X.shape[0]:
-        raise ConfigError(
-            f"n_neighbors={k} needs at least {k + 1} rows, got {X.shape[0]}"
-        )
+    check_n_neighbors(k, X.shape[0])
     return KnnState(
         X=X.copy(), k=k, method=params["method"],
         metric=metric_from_params(params, X),

@@ -22,12 +22,13 @@ import numpy as np
 
 from ..dist_detect import (
     MetricSpec,
+    check_n_neighbors,
     drop_self_matches,
     k_nearest,
     metric_from_params,
     pairwise,
 )
-from ..errors import ConfigError, DegenerateDataError
+from ..errors import DegenerateDataError
 
 
 @dataclass
@@ -50,11 +51,7 @@ def _density(k_distance, neigh, ndist, degenerate: str) -> np.ndarray:
 
 def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
     k = params["n_neighbors"]
-    n = X.shape[0]
-    if k >= n:
-        raise ConfigError(
-            f"n_neighbors={k} needs at least {k + 1} rows, got {n}"
-        )
+    check_n_neighbors(k, X.shape[0])
     metric = metric_from_params(params, X)
     D = drop_self_matches(pairwise(X, X, metric))
     neigh, ndist = k_nearest(D, k)

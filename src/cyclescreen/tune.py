@@ -450,11 +450,15 @@ def _run_trials(model, space, n_trials, base_seed, X, threshold, objective, kind
     """The trials, enumerated when the space is small, else proposed by TPE,
     and their Pareto front. A trial's objectives are objective(flags) on the
     rows it flags in X, or its kind's sentinel when its config fails to fit
-    or score."""
+    or score. Every trial shares one seed, so a config TPE proposes again
+    is not refitted: its trial repeats the first one's objectives."""
     directions, sentinel = _KINDS[kind]
     enumerated = space.enumerate(n_trials)
     model_seed = derive_seed(base_seed, "model", model)
     trials: list[TrialRecord] = []
+    # by repr, so configs equal only as numbers (0.0 and -0.0, 1 and 1.0)
+    # are fitted apart
+    seen: dict[str, tuple] = {}
     # an enumerated space has at most n_trials points
     points = [None] * n_trials if enumerated is None else enumerated
     for trial_id, preset in enumerate(points):
@@ -465,15 +469,17 @@ def _run_trials(model, space, n_trials, base_seed, X, threshold, objective, kind
         else:
             params = preset
         config = make_config(model, params, seed=model_seed)
-        try:
-            fitted = ml_detect.fit(config, X)
-            probs = ml_detect.normalize_scores(ml_detect.score(fitted, X))
-            flags = ml_detect.predict_outliers(probs, threshold)
-        except CycleScreenError:
-            objectives = sentinel
-        else:
-            objectives = objective(flags)
-        trials.append(TrialRecord(trial_id, config, objectives, kind))
+        key = repr(sorted(config.params.items()))
+        if key not in seen:
+            try:
+                fitted = ml_detect.fit(config, X)
+                probs = ml_detect.normalize_scores(ml_detect.score(fitted, X))
+                flags = ml_detect.predict_outliers(probs, threshold)
+            except CycleScreenError:
+                seen[key] = sentinel
+            else:
+                seen[key] = objective(flags)
+        trials.append(TrialRecord(trial_id, config, seen[key], kind))
     return trials, pareto_front(trials, directions)
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: seed fanout, rounding, atomic writes, finite checks."""
+"""Shared helpers: seed fanout, rounding, atomic writes, finite checks, min-max."""
 
 from __future__ import annotations
 
@@ -65,3 +65,24 @@ def require_finite(X: np.ndarray) -> None:
             f"feature row {row}, column {col} is {float(M[row, col])!r}; "
             "detectors need finite values"
         )
+
+
+def normalize_scores(values, reference=None) -> np.ndarray:
+    """Min-max squash raw scores into outlier probabilities.
+
+    By default the min/max come from the scored values themselves; passing a
+    frozen reference reuses another score set's envelope instead, with the
+    result clipped back into [0, 1]. A constant input maps to all zeros.
+    """
+    arr = np.asarray(values, dtype=float)
+    ref = arr if reference is None else np.asarray(reference, dtype=float)
+    if ref.size == 0:
+        raise InputError("no reference scores to normalize against")
+    rmin = float(ref.min())
+    rmax = float(ref.max())
+    if rmax == rmin:
+        return np.zeros_like(arr)
+    out = (arr - rmin) / (rmax - rmin)
+    if reference is not None:
+        out = np.clip(out, 0.0, 1.0)
+    return out

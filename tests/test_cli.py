@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclescreen import ml_detect
 from cyclescreen.cli import ALL_MODELS, build_parser, main
 from cyclescreen.synth import AnomalySpec, FadeModel, generate_cell, write_dataset
 
@@ -366,6 +367,35 @@ def test_tune_proxy_writes_per_cell_compromise(dataset, tmp_path):
     assert not (tdir / "compromise_cellA.json").exists()
     rows = (tdir / "trials.csv").read_text().splitlines()
     assert all(row.endswith("loss_inliers") for row in rows[1:])
+
+
+def test_tune_fits_each_distinct_config_once(dataset, tmp_path, monkeypatch):
+    fitted = []
+    fit = ml_detect.fit
+
+    def counting_fit(config, X):
+        fitted.append(config)
+        return fit(config, X)
+
+    monkeypatch.setattr(ml_detect, "fit", counting_fit)
+    out = tmp_path / "out"
+    rc = run(
+        "tune", "--input", dataset["meas"], "--out", str(out),
+        "--strategy", "proxy", "--recipe", "custom", "--feature", FEATURES,
+        "--model", "gmm", "--trials", "10",
+    )
+    assert rc == 0
+    trials = (out / "tuning" / "gmm" / "trials.csv").read_bytes()
+    rows = list(csv.reader(trials.decode().splitlines()))[1:]
+    # cell_id, then the params after trial_id; the objectives and kind last
+    configs = {(row[0], *row[2:-3]) for row in rows}
+    # TPE proposes some configs twice, and each is fitted once
+    assert len(rows) == 20 and len(configs) == 16
+    assert len(fitted) == len(configs)
+    # every trial keeps its row, and a repeat its first fit's objectives
+    assert hashlib.sha256(trials).hexdigest() == (
+        "35208866233a755739a6ad1e33ac224adf537ea2b696617d0f9926968c0b1fb6"
+    )
 
 
 def test_tune_manifest_cell_missing_from_input_is_an_error(

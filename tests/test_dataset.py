@@ -345,6 +345,18 @@ def test_labels_round_trip(tmp_path):
     assert read_labels(path) == {"A": {1, 3}}
 
 
+def test_export_labels_bytes(tmp_path):
+    # csv quoting of an id holding a comma and a double quote, cells and
+    # cycles sorted, a cell without labels left out; an empty map writes
+    # the header alone
+    path = tmp_path / "labels.csv"
+    export_labels({'a,"b': {3, 1}, "plain": {2}, "none": set()}, str(path))
+    assert path.read_bytes() == b'cell_id,cycle_index\n"a,""b",1\n"a,""b",3\nplain,2\n'
+    assert read_labels(str(path)) == {'a,"b': {1, 3}, "plain": {2}}
+    export_labels({}, str(path))
+    assert path.read_bytes() == b"cell_id,cycle_index\n"
+
+
 def test_export_import_round_trip_exact(tmp_path, simple_cycles):
     store = CycleStore(simple_cycles)
     path = str(tmp_path / "cycles.csv")

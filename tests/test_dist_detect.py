@@ -15,6 +15,7 @@ from cyclescreen.dist_detect import (
 )
 from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
 from cyclescreen.features import mahalanobis_feature
+from cyclescreen.util import normalize_scores
 
 VEC = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -236,6 +237,32 @@ def test_normalized_distances_unit_range(rng):
     order_raw = np.argsort(verdict.distances)
     order_norm = np.argsort(verdict.normalized)
     np.testing.assert_array_equal(order_raw, order_norm)
+
+
+def test_distance_scores_are_normalize_scores_of_the_distances(rng):
+    X = rng.normal(size=(25, 2))
+    verdict = centroid_detect(X, MetricSpec("mahalanobis"))
+    np.testing.assert_array_equal(
+        verdict.normalized, normalize_scores(verdict.distances)
+    )
+    # the trend feature's distances, whitened by the covariance's Cholesky
+    # factor, as mahalanobis_feature computes them
+    chol = np.linalg.cholesky(np.cov(X, rowvar=False, ddof=1))
+    white = np.linalg.solve(chol, (X - X.mean(axis=0)).T).T
+    dist = np.sqrt(np.sum(white**2, axis=1))
+    np.testing.assert_array_equal(
+        mahalanobis_feature(X[:, 0], X[:, 1]), normalize_scores(dist)
+    )
+    # and that is the span formula both used to spell out, bit for bit
+    np.testing.assert_array_equal(
+        normalize_scores(dist), (dist - dist.min()) / float(dist.max() - dist.min())
+    )
+
+
+def test_equal_trend_distances_give_zero_scores():
+    # the corners of a square lie at one whitened distance from its centre
+    feat = mahalanobis_feature([0, 0, 1, 1], [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(feat, np.zeros(4))
 
 
 def test_mad_threshold_monotone(rng):
