@@ -204,14 +204,16 @@ def _run_cell(body, args, cell_id, records):
     return result
 
 
-def _run_models(args, cell_id, run_model) -> None:
+def _run_models(args, cell_id, run_model) -> list:
     """run_model(model) for each of args.models in order; the first failure
-    ends the loop as 'cell <id>, model <model>: <reason>'."""
+    ends the loop as 'cell <id>, model <model>: <reason>', of its own class."""
+    results = []
     for model in args.models:
         try:
-            run_model(model)
+            results.append(run_model(model))
         except CycleScreenError as err:
-            raise CycleScreenError(f"cell {cell_id}, model {model}: {err}") from None
+            raise type(err)(f"cell {cell_id}, model {model}: {err}") from None
+    return results
 
 
 def _features_body(args, cell_id, matrix, notes, cell_dir) -> None:
@@ -347,13 +349,14 @@ def _tune_body(args, cell_id, matrix, notes, cell_dir):
     space = tune.default_search_space(args.model, n_features=X.shape[1])
     if args.strategy == "transfer":
         truth = np.isin(matrix.cycle_index, sorted(args.label_map[cell_id]))
-        return tune.transfer_cell(
-            cell_id, X, truth, args.model, space, args.trials, args.seed, args.threshold
-        )
-    result = tune.optimize_proxy(
-        matrix.cycle_index, X, args.model, space=space, n_trials=args.trials,
+        (result,) = _run_models(args, cell_id, lambda model: tune.transfer_cell(
+            cell_id, X, truth, model, space, args.trials, args.seed, args.threshold
+        ))
+        return result
+    (result,) = _run_models(args, cell_id, lambda model: tune.optimize_proxy(
+        matrix.cycle_index, X, model, space=space, n_trials=args.trials,
         seed=derive_seed(args.seed, cell_id), threshold=args.threshold,
-    )
+    ))
     atomic_write_text(
         f"{args.out}/tuning/{args.model}/compromise_{_cell_name(cell_id)}.json",
         _config_json(result.compromise),
@@ -518,6 +521,7 @@ def _cmd_tune(args) -> int:
             "no labeled train cells to tune on" if transfer else "no cells to tune on"
         )
     args.label_map = labels
+    args.models = (args.model,)
     per_cell = dict(zip(cells, _map_cells(_tune_body, args, store, cells)))
     tuning_dir = f"{args.out}/tuning/{args.model}"
 

@@ -14,10 +14,11 @@ three kinds, one for each thing a user can do about it:
   statistic degenerates on them (a zero spread, a singular covariance, an
   overflow); choose another feature or method.
 
-Three subclasses stay distinct because code tells them apart:
-EmptyFeatureError and InsufficientInlierError are caught by type, and
-InsufficientInlierError carries the inlier count; ThresholdRangeError is
-the documented refusal of a probability threshold or contamination fraction.
+Two subclasses stay distinct because code tells them apart:
+EmptyFeatureError is caught by type, and ThresholdRangeError is the
+documented refusal of a probability threshold or contamination fraction.
+Every class takes a single message, so a caller can re-raise a refusal
+with context added, of its own class.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ class DegenerateDataError(CycleScreenError):
 
 class EmptyFeatureError(DegenerateDataError):
     """A derived feature column has no usable entries at all."""
-
-
-class InsufficientInlierError(DegenerateDataError):
-    """Too few predicted inliers remain to fit the trend model."""
-
-    def __init__(self, message: str, inlier_count: int = 0):
-        super().__init__(message)
-        self.inlier_count = inlier_count
 
 
 class ThresholdRangeError(ConfigError):

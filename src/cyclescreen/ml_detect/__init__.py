@@ -56,7 +56,9 @@ class FittedDetector:
     n_features: int
 
 
-def _as_matrix(X) -> np.ndarray:
+def as_matrix(X) -> np.ndarray:
+    """X as the 2-D float feature matrix every detector takes: a 1-D input
+    is one column, and there must be a row and only finite values."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -75,7 +77,7 @@ def fit(config: DetectorConfig, X) -> FittedDetector:
     dropout) flows from config.seed, so a fit is reproducible bit for bit.
     """
     config = validate_config(config)
-    X = _as_matrix(X)
+    X = as_matrix(X)
     rng = np.random.default_rng(config.seed)
     fit_fn, _ = _REGISTRY[config.model]
     state = fit_fn(config.params, X, rng)
@@ -87,7 +89,7 @@ def score(fitted: FittedDetector, X) -> np.ndarray:
 
     Raises when the model's arithmetic overflows on finite rows and leaves
     a score that is not finite, which no threshold could rank."""
-    X = _as_matrix(X)
+    X = as_matrix(X)
     if X.shape[1] != fitted.n_features:
         raise InputError(
             f"scored rows have {X.shape[1]} features, detector was fitted "
@@ -146,6 +148,7 @@ __all__ = [
     "DEFAULT_PROBABILITY_THRESHOLD",
     "make_config",
     "validate_config",
+    "as_matrix",
     "fit",
     "score",
     "normalize_scores",

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ml_detect
-from .errors import (
-    ConfigError,
-    CycleScreenError,
-    InputError,
-    InsufficientInlierError,
-)
+from .errors import ConfigError, CycleScreenError, InputError
 from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config, validate_config
 from .ml_detect.params import PARAM_SPECS, CatDomain, IntDomain, RealDomain
@@ -124,11 +119,9 @@ def default_search_space(model: str, n_features: int = 2) -> SearchSpace:
     pca cannot keep more components than there are selected columns, so its
     n_components range follows n_features.
     """
-    if model not in PARAM_SPECS:
-        raise ConfigError(f"unknown model '{model}'")
     params = {
         name: p.search
-        for name, p in PARAM_SPECS[model].items()
+        for name, p in PARAM_SPECS.get(model, {}).items()
         if p.search is not None
     }
     if model == "pca":
@@ -380,20 +373,18 @@ def regression_proxy_objectives(
     Fits a quadratic trend of every feature column over cycle_index using
     only predicted inliers; the loss is the mean of the per-column mean
     squared residuals, and the count is how many inliers remain. Fewer than
-    3 inliers cannot pin down a quadratic, so that case raises (callers
-    record the trial with an infinite-loss sentinel).
+    3 inliers cannot pin down a quadratic, so their loss is LOSS_SENTINEL.
+    X is shaped by ml_detect.as_matrix, as the detectors shape it.
     """
     t = np.asarray(cycle_index, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = ml_detect.as_matrix(X)
     if X.shape[0] != t.shape[0]:
         raise ConfigError("cycle_index and features disagree in length")
     flags = np.asarray(flags, dtype=bool)
     inliers = ~flags
     count = int(inliers.sum())
     if count < 3:
-        raise InsufficientInlierError(
-            f"only {count} predicted inliers; need at least 3", inlier_count=count
-        )
+        return LOSS_SENTINEL, count
     ti = t[inliers]
     design = np.column_stack([np.ones_like(ti), ti, ti**2])
     losses = []
@@ -448,10 +439,14 @@ _KINDS = {
 
 def _run_trials(model, space, n_trials, base_seed, X, threshold, objective, kind):
     """The trials, enumerated when the space is small, else proposed by TPE,
-    and their Pareto front. A trial's objectives are objective(flags) on the
-    rows it flags in X, or its kind's sentinel when its config fails to fit
-    or score. Every trial shares one seed, so a config TPE proposes again
-    is not refitted: its trial repeats the first one's objectives."""
+    and their Pareto front. The threshold and X are checked once, before the
+    first trial, so an input no config can use raises. A trial's objectives
+    are objective(flags) on the rows it flags in X, or its kind's sentinel
+    when its config fails to fit or score. Every trial shares one seed, so a
+    config TPE proposes again is not refitted: its trial repeats the first
+    one's objectives."""
+    ml_detect.check_threshold(threshold)
+    X = ml_detect.as_matrix(X)
     directions, sentinel = _KINDS[kind]
     enumerated = space.enumerate(n_trials)
     model_seed = derive_seed(base_seed, "model", model)
@@ -517,8 +512,7 @@ def optimize_transfer(
     winners aggregate in cell_id order.
     """
     if not cells:
-        raise CycleScreenError("transfer tuning needs at least one labeled cell")
-    ml_detect.check_threshold(threshold)
+        raise InputError("transfer tuning needs at least one labeled cell")
     space = space if space is not None else default_search_space(model)
     per_cell = {
         c: transfer_cell(c, *cells[c], model, space, n_trials, seed, threshold)
@@ -543,19 +537,11 @@ def optimize_proxy(
     while maximizing how many inliers survive; the returned compromise
     config aggregates the most recurrent objective pair.
     """
-    ml_detect.check_threshold(threshold)
     space = space if space is not None else default_search_space(model)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-
-    def objective(flags):
-        try:
-            return regression_proxy_objectives(cycle_index, X, flags)
-        except InsufficientInlierError as err:
-            return (LOSS_SENTINEL, err.inlier_count)
-
     trials, front = _run_trials(
         model, space, n_trials, derive_seed(seed, "proxy"), X, threshold,
-        objective, "loss_inliers",
+        lambda flags: regression_proxy_objectives(cycle_index, X, flags),
+        "loss_inliers",
     )
     compromise = compromise_solution(trials)
     return ProxyResult(trials=trials, front=front, compromise=compromise)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclescreen import ml_detect
+from cyclescreen import cli, errors, ml_detect
 from cyclescreen.cli import ALL_MODELS, build_parser, main
 from cyclescreen.synth import AnomalySpec, FadeModel, generate_cell, write_dataset
 
@@ -963,6 +963,52 @@ def test_log_of_a_column_with_no_positive_entry_names_column_and_cell(
     assert capsys.readouterr().err == (
         f"error: {prefix}log(dv_max): no positive entries for cell M1\n"
     )
+
+
+# the overflow in the voltage differences is what makes the feature infinite
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv", [("detect",), ("tune", "--strategy", "proxy", "--trials", "5")],
+    ids=["detect", "tune"],
+)
+def test_infinite_feature_names_cell_model_row_and_column(tmp_path, capsys, argv):
+    # a voltage jump from -1.7e308 to 1.7e308 in cycle 5 makes dv_max inf
+    records, truth = generate_cell(12, samples_per_cycle=16, seed=0, cell_id="C0")
+    samples = records[5].samples
+    half = len(samples) // 2
+    samples[:half, 1], samples[half:, 1] = -1.7e308, 1.7e308
+    meas = str(tmp_path / "meas.csv")
+    write_dataset({"C0": (records, truth)}, meas)
+    out = tmp_path / "out"
+    rc = run(
+        *argv, "--model", "knn", "--input", meas, "--out", str(out),
+        "--recipe", "custom", "--feature", FEATURES,
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: cell C0, model knn: feature row 5, column 0 is inf; "
+        "detectors need finite values\n"
+    )
+    # the cell's notes are written; no verdict, compromise or trial table
+    assert [str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()] == [
+        os.path.join("C0", "feature_notes.txt")
+    ]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.CycleScreenError)],
+    ids=lambda c: c.__name__,
+)
+def test_a_model_failure_keeps_its_class_and_names_cell_and_model(error):
+    def refuse(model):
+        raise error("the reason")
+
+    with pytest.raises(error) as caught:
+        cli._run_models(argparse.Namespace(models=("knn",)), "C0", refuse)
+    assert type(caught.value) is error
+    assert str(caught.value) == "cell C0, model knn: the reason"
 
 
 def test_evaluate_refuses_a_label_for_a_cycle_a_verdict_lacks(

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclescreen import ml_detect
-from cyclescreen.errors import (
-    ConfigError,
-    CycleScreenError,
-    InputError,
-    InsufficientInlierError,
-    ThresholdRangeError,
-)
+from cyclescreen.errors import ConfigError, InputError, ThresholdRangeError
 from cyclescreen.ml_detect import DetectorConfig, make_config
 from cyclescreen.tune import (
     CatDomain,
@@ -28,6 +22,7 @@ from cyclescreen.tune import (
     recall_precision,
     regression_proxy_objectives,
     tpe_propose,
+    transfer_cell,
 )
 from cyclescreen.util import derive_seed
 
@@ -469,9 +464,7 @@ def test_regression_proxy_requires_three_inliers():
     X = np.ones((10, 2))
     flags = np.ones(10, dtype=bool)
     flags[:2] = False
-    with pytest.raises(InsufficientInlierError) as err:
-        regression_proxy_objectives(t, X, flags)
-    assert err.value.inlier_count == 2
+    assert regression_proxy_objectives(t, X, flags) == (float("inf"), 2)
 
 
 def test_regression_proxy_length_mismatch():
@@ -522,7 +515,7 @@ def test_transfer_rejects_unlabeled_and_empty():
     X = np.zeros((10, 2))
     with pytest.raises(InputError, match="cell C has no positive cycles"):
         optimize_transfer({"C": (X, np.zeros(10, dtype=int))}, "knn")
-    with pytest.raises(CycleScreenError):
+    with pytest.raises(InputError, match="needs at least one labeled cell"):
         optimize_transfer({}, "knn")
 
 
@@ -538,19 +531,54 @@ def test_transfer_deterministic(labeled_cell):
     assert runs[0].aggregated.params == runs[1].aggregated.params
 
 
-@pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan"), float("inf")])
-def test_threshold_outside_unit_interval_raises_before_any_trial(
-    monkeypatch, labeled_cell, threshold
-):
-    def no_fit(*args, **kwargs):
+@pytest.fixture
+def no_fit(monkeypatch):
+    """ml_detect.fit refuses to run: a test using this shows that no trial
+    ran."""
+    def refuse(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(ml_detect, "fit", no_fit)
-    X, _labels = labeled_cell
+    monkeypatch.setattr(ml_detect, "fit", refuse)
+
+
+@pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan"), float("inf")])
+def test_threshold_outside_unit_interval_raises_before_any_trial(
+    no_fit, labeled_cell, threshold
+):
+    X, labels = labeled_cell
+    space = default_search_space("knn")
     with pytest.raises(ThresholdRangeError, match="threshold must lie in"):
         optimize_proxy(np.arange(24.0), X, "knn", threshold=threshold)
     with pytest.raises(ThresholdRangeError, match="threshold must lie in"):
         optimize_transfer({"CELL": labeled_cell}, "knn", threshold=threshold)
+    with pytest.raises(ThresholdRangeError, match="threshold must lie in"):
+        transfer_cell("CELL", X, labels, "knn", space, 5, 0, threshold)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_feature_raises_before_any_trial(no_fit, labeled_cell, value):
+    X, labels = labeled_cell
+    X[7, 1] = value
+    space = default_search_space("knn")
+    message = f"feature row 7, column 1 is {value!r}; detectors need finite values"
+    with pytest.raises(InputError) as err:
+        optimize_proxy(np.arange(24.0), X, "knn")
+    assert str(err.value) == message
+    with pytest.raises(InputError) as err:
+        transfer_cell("CELL", X, labels, "knn", space, 5, 0, 0.7)
+    assert str(err.value) == message
+
+
+def test_proxy_on_a_1d_column_matches_that_column_as_a_matrix(rng):
+    t = np.arange(30, dtype=float)
+    x = 1.0 + 0.01 * t + rng.normal(0, 0.01, 30)
+    x[9] += 0.5
+    column = optimize_proxy(t, x, "knn", n_trials=8, seed=2)
+    matrix = optimize_proxy(t, x[:, None], "knn", n_trials=8, seed=2)
+    assert [(tr.config, tr.objectives) for tr in column.trials] == [
+        (tr.config, tr.objectives) for tr in matrix.trials
+    ]
+    assert all(np.isfinite(tr.objectives[0]) for tr in column.trials)
 
 
 def test_a_failed_trial_records_its_strategy_sentinel():
