@@ -36,6 +36,11 @@ import os
 import re
 import sys
 
+# OpenBLAS starts a worker thread as NumPy loads, unless told otherwise before
+# the load. The CLI's matrices are a few columns wide and --jobs is its
+# parallelism, so that thread is start-up cost alone; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import dist_detect, ml_detect, tune

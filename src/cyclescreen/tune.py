@@ -378,8 +378,7 @@ def regression_proxy_objectives(
     """
     t = np.asarray(cycle_index, dtype=float)
     X = ml_detect.as_matrix(X)
-    if X.shape[0] != t.shape[0]:
-        raise ConfigError("cycle_index and features disagree in length")
+    _check_rows("cycle_index", t, X)
     flags = np.asarray(flags, dtype=bool)
     inliers = ~flags
     count = int(inliers.sum())
@@ -437,16 +436,30 @@ _KINDS = {
 }
 
 
-def _run_trials(model, space, n_trials, base_seed, X, threshold, objective, kind):
+def _check_rows(name, values, X):
+    """values must hold one entry per row of X."""
+    if np.shape(values)[:1] != X.shape[:1]:
+        raise InputError(
+            f"{name} has shape {np.shape(values)}, but features have "
+            f"{X.shape[0]} rows"
+        )
+
+
+def _run_trials(
+    model, space, n_trials, base_seed, X, threshold, objective, kind, per_row
+):
     """The trials, enumerated when the space is small, else proposed by TPE,
-    and their Pareto front. The threshold and X are checked once, before the
-    first trial, so an input no config can use raises. A trial's objectives
-    are objective(flags) on the rows it flags in X, or its kind's sentinel
-    when its config fails to fit or score. Every trial shares one seed, so a
-    config TPE proposes again is not refitted: its trial repeats the first
-    one's objectives."""
+    and their Pareto front. The threshold, X and the per_row vectors the
+    objective reads (name -> one entry per row of X) are checked once, before
+    the first trial, so an input no config can use raises. A trial's
+    objectives are objective(flags) on the rows it flags in X, or its kind's
+    sentinel when its config fails to fit or score. Every trial shares one
+    seed, so a config TPE proposes again is not refitted: its trial repeats
+    the first one's objectives."""
     ml_detect.check_threshold(threshold)
     X = ml_detect.as_matrix(X)
+    for name, values in per_row.items():
+        _check_rows(name, values, X)
     directions, sentinel = _KINDS[kind]
     enumerated = space.enumerate(n_trials)
     model_seed = derive_seed(base_seed, "model", model)
@@ -493,6 +506,7 @@ def transfer_cell(
     trials, front = _run_trials(
         model, space, n_trials, derive_seed(seed, "cell", cell_id), X, threshold,
         lambda flags: recall_precision(flags, labels), "recall_precision",
+        {"labels": labels},
     )
     best = min(front, key=lambda t: (-t.objectives[0], -t.objectives[1], t.trial_id))
     return CellTuning(cell_id=cell_id, trials=trials, front=front, best=best)
@@ -541,7 +555,7 @@ def optimize_proxy(
     trials, front = _run_trials(
         model, space, n_trials, derive_seed(seed, "proxy"), X, threshold,
         lambda flags: regression_proxy_objectives(cycle_index, X, flags),
-        "loss_inliers",
+        "loss_inliers", {"cycle_index": cycle_index},
     )
     compromise = compromise_solution(trials)
     return ProxyResult(trials=trials, front=front, compromise=compromise)

@@ -698,6 +698,37 @@ def test_cli_import_loads_no_process_pool(child_env):
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_import_runs_blas_on_one_thread_unless_told_otherwise(child_env, preset):
+    # the CLI's parallelism is --jobs: an OpenBLAS worker thread started as
+    # NumPy loads would only cost start-up time
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, sys, cyclescreen.cli; "
+        "print(os.environ['OPENBLAS_NUM_THREADS']); "
+        "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else '')"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.splitlines()
+    assert value == (preset or "1")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # NumPy before 1.26 takes no mode
+        blas = ""
+    if preset is None and sys.platform == "linux" and "openblas" in blas:
+        assert threads == "1"
+
+
 INPUT ={"--input", "--out", "--delimiter", "--col", "--jobs"}
 COLUMNS = {"--recipe", "--feature", "--log", "--seed"}
 SURFACE = {

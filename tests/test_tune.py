@@ -468,7 +468,8 @@ def test_regression_proxy_requires_three_inliers():
 
 
 def test_regression_proxy_length_mismatch():
-    with pytest.raises(ConfigError):
+    message = r"cycle_index has shape \(5,\), but features have 4 rows"
+    with pytest.raises(InputError, match=message):
         regression_proxy_objectives(np.arange(5.0), np.ones((4, 2)), np.zeros(4, bool))
 
 
@@ -567,6 +568,17 @@ def test_non_finite_feature_raises_before_any_trial(no_fit, labeled_cell, value)
     with pytest.raises(InputError) as err:
         transfer_cell("CELL", X, labels, "knn", space, 5, 0, 0.7)
     assert str(err.value) == message
+
+
+def test_per_row_vector_of_another_length_raises_before_any_trial(no_fit, labeled_cell):
+    X, labels = labeled_cell
+    space = default_search_space("knn")
+    message = r"cycle_index has shape \(25,\), but features have 24 rows"
+    with pytest.raises(InputError, match=message):
+        optimize_proxy(np.arange(25.0), X, "knn")
+    message = r"labels has shape \(23,\), but features have 24 rows"
+    with pytest.raises(InputError, match=message):
+        transfer_cell("CELL", X, labels[:23], "knn", space, 5, 0, 0.7)
 
 
 def test_proxy_on_a_1d_column_matches_that_column_as_a_matrix(rng):
