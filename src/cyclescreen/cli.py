@@ -160,12 +160,6 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
     return names, cols
 
 
-def _metric_spec(args, model: str) -> dist_detect.MetricSpec:
-    return dist_detect.MetricSpec(
-        kind=model, p=args.p if model == "minkowski" else None
-    )
-
-
 # ---------------------------------------------------------------------------
 # table rendering
 
@@ -245,7 +239,7 @@ def _stat_verdict(args, cell_id, model, names, cols):
 
 def _distance_verdict(args, cell_id, model, names, cols):
     verdict = dist_detect.centroid_detect(
-        np.column_stack(cols), _metric_spec(args, model),
+        np.column_stack(cols), dist_detect.MetricSpec(model, args.p),
         mad_threshold=args.mad_threshold, mad_factor=args.mad_factor,
     )
     centroid = "|".join(_fmt(c) for c in verdict.centroid)
@@ -313,7 +307,8 @@ def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
 
     def score_map(model):
         if model in DIST_MODELS:
-            grid = dist_detect.score_grid(X, _metric_spec(args, model), resolution=res)
+            metric = dist_detect.MetricSpec(model, args.p)
+            grid = dist_detect.score_grid(X, metric, resolution=res)
             bounds, axes, values = grid.bounds, grid.axes, grid.values
             data_min, data_max = grid.data_min, grid.data_max
         else:

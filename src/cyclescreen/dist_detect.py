@@ -9,6 +9,10 @@ the observed cycles so that contour grids and flags share a scale.
 
 knn and lof share `check_n_neighbors` and the neighbor search: `pairwise`,
 then `drop_self_matches` and `k_nearest` on the distance matrix.
+
+`pairwise`, `resolve_metric`, `centroid_detect`, `grid_nodes` and
+`score_grid` read their data through `util.as_matrix`: a 1-D array is one
+feature column, and an empty or non-finite input raises InputError.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
-from .util import normalize_scores, require_finite
+from .util import as_matrix, normalize_scores
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
@@ -57,9 +61,9 @@ class MetricSpec:
 
 def metric_from_params(params: dict, X: np.ndarray) -> MetricSpec:
     """The metric a knn or lof config names, resolved on its fitting rows."""
-    kind = params["metric"]
-    p = params.get("minkowski_p") if kind == "minkowski" else None
-    return resolve_metric(MetricSpec(kind=kind, p=p), X)
+    return resolve_metric(
+        MetricSpec(kind=params["metric"], p=params.get("minkowski_p")), X
+    )
 
 
 def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
@@ -94,8 +98,7 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
     an unblocked computation. Mahalanobis whitens all rows once, up front,
     and is Euclidean from there.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X, Y = as_matrix(X), as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise InputError(
             f"operands differ in dimension: {X.shape[1]} vs {Y.shape[1]}"
@@ -181,6 +184,7 @@ def distance(a, b, metric: MetricSpec) -> float:
 
 def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
     """Fill in a data-estimated covariance for the whitened metric."""
+    X = as_matrix(X)
     if metric.kind != "mahalanobis" or metric.covariance is not None:
         return metric
     if X.shape[0] < X.shape[1] + 1:
@@ -193,10 +197,15 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
     return MetricSpec(kind="mahalanobis", covariance=cov)
 
 
-def _centroid_distances(X: np.ndarray, metric: MetricSpec):
+def _centroid_distances(X, metric: MetricSpec):
     """The metric resolved on X, the centroid and each row's distance to it;
-    raises when X or a distance is not finite, or all distances are equal."""
-    require_finite(X)
+    raises when X has fewer than 3 rows, a distance is not finite, or all
+    distances are equal."""
+    X = as_matrix(X)
+    if X.shape[0] < 3:
+        raise InputError(
+            f"need at least 3 rows for centroid distances, got {X.shape[0]}"
+        )
     metric = resolve_metric(metric, X)
     centroid = X.mean(axis=0)
     dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
@@ -245,11 +254,6 @@ def centroid_detect(
     """
     if not np.isfinite(mad_threshold):
         raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 3:
-        raise InputError(
-            f"need at least 3 rows for a centroid verdict, got {X.shape[0]}"
-        )
     _, centroid, dist = _centroid_distances(X, metric)
     med, mad = scaled_mad(dist, mad_factor)
     cutoff = med + mad_threshold * mad
@@ -292,7 +296,7 @@ def grid_nodes(
     finite. nodes holds one grid point per row in row-major order, so the
     last axis varies fastest.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_matrix(X)
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2 per axis")
     lo, hi = X.min(axis=0), X.max(axis=0)
@@ -311,13 +315,10 @@ def grid_nodes(
 def score_grid(X, metric: MetricSpec, resolution: int = 50) -> GridScores:
     """Evaluate the normalized centroid distance on the resolution x
     resolution grid `grid_nodes` lays over the two columns of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
-    if n < 3:
-        raise InputError("need at least 3 rows to build a score grid")
-    if d != 2:
+    X = as_matrix(X)
+    if X.shape[1] != 2:
         raise InputError(
-            f"score grids are 2-D maps; got {d} feature columns"
+            f"score grids are 2-D maps; got {X.shape[1]} feature columns"
         )
     metric, centroid, data_dist = _centroid_distances(X, metric)
     bounds, axes, nodes = grid_nodes(X, resolution)

@@ -74,6 +74,10 @@ class ScaledSeries:
 
 
 # no CLI path calls it: kept as the one-cycle oracle of the batched path
+# finite samples can overflow in the spread and difference arithmetic here,
+# in extract_cycle_features and in _cell_features; _feature_table refuses
+# the feature that results by name, so NumPy's warnings stay inside
+@np.errstate(over="ignore", invalid="ignore")
 def median_iqr_transform(values, origin: str = "series") -> ScaledSeries:
     """Shift a series by median(X)^2 / IQR(X).
 
@@ -215,12 +219,23 @@ def _difference_features(v: np.ndarray, q: np.ndarray):
 
 
 def _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped):
-    """The difference-feature matrix and guard notes of a cell's cycles."""
+    """The difference-feature matrix and guard notes of a cell's cycles.
+    The first feature that is not finite, by cycle and then column, raises
+    DegenerateDataError: finite samples whose differences overflow."""
+    columns = {"dv_max": dv_max, "dq_max": dq_max, "dvdq_max": dvdq_max}
+    table = np.column_stack(list(columns.values()))
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        rec = cycles[row]
+        raise DegenerateDataError(
+            f"{list(columns)[col]} {rec.cell_id}/{rec.cycle_index}: "
+            f"difference feature overflows to {float(table[row, col])!r}"
+        )
     notes = FeatureNotes(cell_id=",".join(sorted({c.cell_id for c in cycles})))
     notes.dvdq_clamped = [int(cycles[i].cycle_index) for i in np.flatnonzero(clamped)]
     matrix = FeatureMatrix(
         cycle_index=np.asarray([c.cycle_index for c in cycles], dtype=int),
-        columns={"dv_max": dv_max, "dq_max": dq_max, "dvdq_max": dvdq_max},
+        columns=columns,
     )
     return matrix, notes
 
@@ -233,6 +248,7 @@ def _short_cycle(rec: CycleRecord) -> InputError:
 
 
 # no CLI path calls it: kept as the one-cycle oracle of the batched path
+@np.errstate(over="ignore", invalid="ignore")
 def extract_cycle_features(
     cycles: Sequence[CycleRecord],
     scaled: Sequence[tuple[ScaledSeries, ScaledSeries]],
@@ -344,6 +360,7 @@ def _add_logs(matrix: FeatureMatrix, notes: FeatureNotes, required: bool) -> Non
         notes.record_log(f"log_{name}", matrix.cycle_index, col, clamped)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cell_features(
     cycles: Sequence[CycleRecord],
 ) -> tuple[FeatureMatrix, FeatureNotes, np.ndarray]:

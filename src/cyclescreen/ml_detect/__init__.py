@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateDataError, InputError, ThresholdRangeError
-from ..util import normalize_scores, require_finite
+from ..util import as_matrix, normalize_scores
 from .autoencoder import (
     Mlp,
     fit_autoencoder,
@@ -54,20 +54,6 @@ class FittedDetector:
     config: DetectorConfig
     state: object
     n_features: int
-
-
-def as_matrix(X) -> np.ndarray:
-    """X as the 2-D float feature matrix every detector takes: a 1-D input
-    is one column, and there must be a row and only finite values."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2:
-        raise InputError(f"expected a 2-D feature matrix, got {X.ndim}-D")
-    if X.shape[0] == 0:
-        raise InputError("feature matrix has no rows")
-    require_finite(X)
-    return X
 
 
 def fit(config: DetectorConfig, X) -> FittedDetector:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
-from .util import require_finite
+from .util import as_matrix
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
 #: median absolute deviation a consistent sigma estimate on Gaussian data
@@ -129,7 +129,8 @@ def detect_stat(
     Parameters
     ----------
     values : array-like of float
-        The feature column, at least 2 entries.
+        The feature column: a 1-D array or an (n, 1) matrix, read by
+        util.as_matrix, with at least 2 entries.
     method : StatMethod or str
         Which rule to apply.
     mad_factor : float
@@ -142,12 +143,12 @@ def detect_stat(
     with the Gaussian factor it matches the classic 0.6745*(x - M)/MAD form.
     """
     method = StatMethod(method)
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise InputError("detect_stat expects a 1-D column")
+    x = as_matrix(values)
+    if x.shape[1] != 1:
+        raise InputError(f"detect_stat reads one feature column, got {x.shape[1]}")
+    x = x[:, 0]
     if x.size < 2:
         raise InputError(f"need at least 2 values, got {x.size}")
-    require_finite(x)
 
     center, spread, lower, upper = _estimate(x, method, mad_factor)
     limit = _SCORE_LIMITS.get(method)

@@ -32,7 +32,7 @@ from .errors import ConfigError, CycleScreenError, InputError
 from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config, validate_config
 from .ml_detect.params import PARAM_SPECS, CatDomain, IntDomain, RealDomain
-from .util import derive_seed, round_half_up, round_sig
+from .util import as_matrix, derive_seed, round_half_up, round_sig
 
 GAMMA = 0.25
 N_CANDIDATES = 24
@@ -374,10 +374,10 @@ def regression_proxy_objectives(
     only predicted inliers; the loss is the mean of the per-column mean
     squared residuals, and the count is how many inliers remain. Fewer than
     3 inliers cannot pin down a quadratic, so their loss is LOSS_SENTINEL.
-    X is shaped by ml_detect.as_matrix, as the detectors shape it.
+    X is shaped by util.as_matrix, as the detectors shape it.
     """
     t = np.asarray(cycle_index, dtype=float)
-    X = ml_detect.as_matrix(X)
+    X = as_matrix(X)
     _check_rows("cycle_index", t, X)
     flags = np.asarray(flags, dtype=bool)
     inliers = ~flags
@@ -449,15 +449,19 @@ def _run_trials(
     model, space, n_trials, base_seed, X, threshold, objective, kind, per_row
 ):
     """The trials, enumerated when the space is small, else proposed by TPE,
-    and their Pareto front. The threshold, X and the per_row vectors the
-    objective reads (name -> one entry per row of X) are checked once, before
-    the first trial, so an input no config can use raises. A trial's
-    objectives are objective(flags) on the rows it flags in X, or its kind's
-    sentinel when its config fails to fit or score. Every trial shares one
-    seed, so a config TPE proposes again is not refitted: its trial repeats
-    the first one's objectives."""
+    and their Pareto front. The trial budget, the threshold, X and the
+    per_row vectors the objective reads (name -> one entry per row of X) are
+    checked once, before the first trial, so an input no config can use
+    raises. A trial's objectives are objective(flags) on the rows it flags
+    in X, or its kind's sentinel when its config fails to fit or score.
+    Every trial shares one seed, so a config TPE proposes again is not
+    refitted: its trial repeats the first one's objectives."""
+    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
+        raise ConfigError(
+            f"n_trials must be an integer of at least 1, got {n_trials!r}"
+        )
     ml_detect.check_threshold(threshold)
-    X = ml_detect.as_matrix(X)
+    X = as_matrix(X)
     for name, values in per_row.items():
         _check_rows(name, values, X)
     directions, sentinel = _KINDS[kind]

@@ -1,4 +1,5 @@
-"""Shared helpers: seed fanout, rounding, atomic writes, finite checks, min-max."""
+"""Shared helpers: seed fanout, rounding, atomic writes, the feature-matrix
+rule every detector reads its input by, min-max."""
 
 from __future__ import annotations
 
@@ -54,17 +55,25 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
-def require_finite(X: np.ndarray) -> None:
-    """Raise on the first NaN or infinity of a feature column or matrix,
-    naming its 0-based row, column and value: detectors would miss it."""
-    M = X.reshape(len(X), -1)
-    bad = np.argwhere(~np.isfinite(M))
-    if len(bad):
-        row, col = bad[0]
+def as_matrix(X) -> np.ndarray:
+    """X as the 2-D float feature matrix every detector reads: a 1-D input
+    is one feature column, there is at least one row, and the first NaN or
+    infinity raises, named by its 0-based row, column and value, since a
+    detector would miss it."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    if X.ndim != 2:
+        raise InputError(f"expected a 2-D feature matrix, got {X.ndim}-D")
+    if X.shape[0] == 0:
+        raise InputError("feature matrix has no rows")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
         raise InputError(
-            f"feature row {row}, column {col} is {float(M[row, col])!r}; "
+            f"feature row {row}, column {col} is {float(X[row, col])!r}; "
             "detectors need finite values"
         )
+    return X
 
 
 def normalize_scores(values, reference=None) -> np.ndarray:

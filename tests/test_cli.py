@@ -996,14 +996,15 @@ def test_log_of_a_column_with_no_positive_entry_names_column_and_cell(
     )
 
 
-# the overflow in the voltage differences is what makes the feature infinite
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "argv", [("detect",), ("tune", "--strategy", "proxy", "--trials", "5")],
     ids=["detect", "tune"],
 )
 def test_infinite_feature_names_cell_model_row_and_column(tmp_path, capsys, argv):
-    # a voltage jump from -1.7e308 to 1.7e308 in cycle 5 makes dv_max inf
+    # a voltage jump from -1.7e308 to 1.7e308 in cycle 5 makes dv_max inf;
+    # feature building refuses it, naming the column, cell and cycle, before
+    # any model runs (the library tests hand an infinite feature to the
+    # detectors themselves)
     records, truth = generate_cell(12, samples_per_cycle=16, seed=0, cell_id="C0")
     samples = records[5].samples
     half = len(samples) // 2
@@ -1017,13 +1018,10 @@ def test_infinite_feature_names_cell_model_row_and_column(tmp_path, capsys, argv
     )
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: cell C0, model knn: feature row 5, column 0 is inf; "
-        "detectors need finite values\n"
+        "error: dv_max C0/5: difference feature overflows to inf\n"
     )
-    # the cell's notes are written; no verdict, compromise or trial table
-    assert [str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()] == [
-        os.path.join("C0", "feature_notes.txt")
-    ]
+    # no feature notes, verdict, compromise or trial table
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 @pytest.mark.parametrize(

@@ -303,8 +303,54 @@ def test_degenerate_distances_raise():
 
 
 def test_centroid_needs_three_rows():
-    with pytest.raises(Exception):
-        centroid_detect(np.zeros((2, 2)), MetricSpec("euclidean"))
+    for entry in (centroid_detect, score_grid):
+        with pytest.raises(InputError) as err:
+            entry(np.zeros((2, 2)), MetricSpec("euclidean"))
+        assert str(err.value) == "need at least 3 rows for centroid distances, got 2"
+
+
+def _outcome(entry, X):
+    """The bytes entry(X) returns, or the class and message it raises."""
+    try:
+        return entry(X)
+    except InputError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize(
+    "entry, refusal",
+    [
+        (lambda X: pairwise(X, X[:3], MetricSpec("minkowski", p=3.0)).tobytes(),
+         None),
+        (lambda X: resolve_metric(MetricSpec("mahalanobis"), X).covariance.tobytes(),
+         None),
+        (lambda X: centroid_detect(X, MetricSpec("euclidean")).distances.tobytes(),
+         None),
+        (lambda X: dist_detect.grid_nodes(X, 5)[2].tobytes(), None),
+        (lambda X: score_grid(X, MetricSpec("euclidean"), 5).values.tobytes(),
+         "score grids are 2-D maps; got 1 feature columns"),
+    ],
+    ids=["pairwise", "resolve_metric", "centroid_detect", "grid_nodes", "score_grid"],
+)
+def test_data_is_read_by_the_one_feature_matrix_rule(entry, refusal):
+    # a 1-D array is one feature column: the result, or the refusal, of
+    # its (n, 1) matrix to the bit
+    x = np.random.default_rng(4).normal(size=6)
+    column = _outcome(entry, x)
+    assert column == _outcome(entry, x[:, None])
+    if refusal is None:
+        assert isinstance(column, bytes)
+    else:
+        assert column == (InputError, refusal)
+    with pytest.raises(InputError) as err:
+        entry(np.empty((0, 2)))
+    assert str(err.value) == "feature matrix has no rows"
+    x[5] = np.nan
+    with pytest.raises(InputError) as err:
+        entry(x)
+    assert str(err.value) == (
+        "feature row 5, column 0 is nan; detectors need finite values"
+    )
 
 
 # --- score grids ----------------------------------------------------------

@@ -294,6 +294,24 @@ def test_overflowing_offset_is_named_alike_on_both_paths():
         assert str(batched.value) == str(per_cycle.value)
 
 
+def test_overflowing_difference_is_named_alike_on_both_paths():
+    ok = make_cycle("H", 0, [0, 1, 2, 3], [3.0, 3.5, 4.0, 4.5], [0.0, 0.5, 1.0, 1.5])
+    # finite voltages whose IQR and middle step from -1.7e308 to 1.7e308
+    # overflow: dv_max, then dvdq_max, are inf on cycle 1
+    huge = make_cycle(
+        "H", 1, [0, 1, 2, 3], [-1.7e308, -1.7e308, 1.7e308, 1.7e308],
+        [0.0, 0.5, 1.0, 1.5],
+    )
+    message = "dv_max H/1: difference feature overflows to inf"
+    with pytest.raises(DegenerateDataError) as per_cycle:
+        extract_cycle_features([ok, huge], transform_cell([ok, huge]))
+    assert str(per_cycle.value) == message
+    for recipe in RECIPES:
+        with pytest.raises(DegenerateDataError) as batched:
+            build_feature_matrix([ok, huge], recipe)
+        assert str(batched.value) == message
+
+
 def test_zero_iqr_error_takes_precedence_over_short_cycle():
     ok = make_cycle("P", 0, [0, 1, 2], [3.0, 3.5, 4.0], [0.0, 0.5, 1.0])
     # one sample, but a NaN rather than zero IQR: only the length check

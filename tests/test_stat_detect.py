@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cyclescreen.errors import ConfigError, DegenerateDataError
+from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
 from cyclescreen.stat_detect import (
     GAUSSIAN_MAD_FACTOR,
     StatMethod,
@@ -174,3 +174,25 @@ def test_mad_factor_must_be_finite_and_positive(factor):
     for method in (StatMethod.MAD, StatMethod.MOD_ZSCORE):
         with pytest.raises(ConfigError):
             detect_stat(DATA, method, mad_factor=factor)
+
+
+def test_a_column_is_read_by_the_one_feature_matrix_rule():
+    # a 1-D array and its (n, 1) matrix give the same verdict to the bit
+    x = DATA.copy()
+    for method in StatMethod:
+        column, matrix = detect_stat(x, method), detect_stat(x[:, None], method)
+        assert column.scores.tobytes() == matrix.scores.tobytes()
+        assert column.flags.tobytes() == matrix.flags.tobytes()
+        assert column.limits == matrix.limits
+    with pytest.raises(InputError) as err:
+        detect_stat(np.column_stack([x, x]), "sd")
+    assert str(err.value) == "detect_stat reads one feature column, got 2"
+    with pytest.raises(InputError) as err:
+        detect_stat([], "sd")
+    assert str(err.value) == "feature matrix has no rows"
+    x[2] = np.inf
+    with pytest.raises(InputError) as err:
+        detect_stat(x, "sd")
+    assert str(err.value) == (
+        "feature row 2, column 0 is inf; detectors need finite values"
+    )

@@ -581,6 +581,26 @@ def test_per_row_vector_of_another_length_raises_before_any_trial(no_fit, labele
         transfer_cell("CELL", X, labels[:23], "knn", space, 5, 0, 0.7)
 
 
+@pytest.mark.parametrize("n_trials", [0, -1, 2.5, True])
+def test_trial_budget_not_an_integer_of_at_least_1_raises_before_any_trial(
+    no_fit, labeled_cell, n_trials
+):
+    X, labels = labeled_cell
+    message = f"n_trials must be an integer of at least 1, got {n_trials!r}"
+    # pca's space is enumerated, knn's is proposed by TPE
+    for model in ("knn", "pca"):
+        space = default_search_space(model)
+        with pytest.raises(ConfigError) as err:
+            transfer_cell("CELL", X, labels, model, space, n_trials, 0, 0.7)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            optimize_transfer({"CELL": labeled_cell}, model, n_trials=n_trials)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            optimize_proxy(np.arange(24.0), X, model, n_trials=n_trials)
+        assert str(err.value) == message
+
+
 def test_proxy_on_a_1d_column_matches_that_column_as_a_matrix(rng):
     t = np.arange(30, dtype=float)
     x = 1.0 + 0.01 * t + rng.normal(0, 0.01, 30)
