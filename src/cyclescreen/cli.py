@@ -205,13 +205,15 @@ def _run_cell(body, args, cell_id, records):
 
 def _run_models(args, cell_id, run_model) -> list:
     """run_model(model) for each of args.models in order; the first failure
-    ends the loop as 'cell <id>, model <model>: <reason>', of its own class."""
+    ends the loop as 'cell <id>, model <model>: <reason>', of its own class,
+    with a leading '<model>: ' of the library's reason dropped."""
     results = []
     for model in args.models:
         try:
             results.append(run_model(model))
         except CycleScreenError as err:
-            raise type(err)(f"cell {cell_id}, model {model}: {err}") from None
+            reason = str(err).removeprefix(f"{model}: ")
+            raise type(err)(f"cell {cell_id}, model {model}: {reason}") from None
     return results
 
 

@@ -12,7 +12,10 @@ then `drop_self_matches` and `k_nearest` on the distance matrix.
 
 `pairwise`, `resolve_metric`, `centroid_detect`, `grid_nodes` and
 `score_grid` read their data through `util.as_matrix`: a 1-D array is one
-feature column, and an empty or non-finite input raises InputError.
+feature column, and an empty or non-finite input raises InputError. Each
+runs under `util.float_policy`, named by its metric (`grid_nodes` by
+"grid"), so arithmetic that overflows on finite data raises
+DegenerateDataError.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
-from .util import as_matrix, normalize_scores
+from .util import as_matrix, float_policy, normalize_scores
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
@@ -54,6 +57,8 @@ class MetricSpec:
             cov = np.asarray(self.covariance, dtype=float)
             if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
                 raise InputError("covariance must be square")
+            if not np.isfinite(cov).all():
+                raise InputError("covariance must be finite")
             if not np.allclose(cov, cov.T, atol=1e-10):
                 raise ConfigError("covariance must be symmetric")
             object.__setattr__(self, "covariance", cov)
@@ -67,11 +72,8 @@ def metric_from_params(params: dict, X: np.ndarray) -> MetricSpec:
 
 
 def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """The Cholesky factor of cov; a DegenerateDataError calls cov name."""
-    # refused first: an overflowed covariance such as [[inf, -inf], [-inf,
-    # inf]] fails the checks below too, which would call it singular
-    if not np.isfinite(cov).all():
-        raise DegenerateDataError(f"{name} is not finite; the values overflow")
+    """The Cholesky factor of the finite cov; a DegenerateDataError calls
+    cov name."""
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -104,34 +106,35 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
             f"operands differ in dimension: {X.shape[1]} vs {Y.shape[1]}"
         )
     kind = metric.kind
-    if kind == "mahalanobis":
-        if metric.covariance is None:
-            raise DegenerateDataError(
-                "mahalanobis metric needs a covariance; none was resolved"
-            )
-        chol = _cholesky_or_raise(metric.covariance)
-        X = np.linalg.solve(chol, X.T).T
-        Y = np.linalg.solve(chol, Y.T).T
-        kind = "euclidean"
-    n = X.shape[0]
-    out = np.empty((n, Y.shape[0]))
-    # no one-row block out of several rows: for a one-row slice of a
-    # column-major X (whitened rows are), NumPy lays the difference tensor
-    # out differently and sums the d terms in another order
-    step = max(2, BLOCK_ELEMENTS // max(1, Y.size))
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [n]):
-        diff = X[start:stop, None, :] - Y[None, :, :]
-        if kind == "euclidean":
-            block = np.sqrt(np.sum(np.square(diff, out=diff), axis=-1))
-        elif kind == "manhattan":
-            block = np.sum(np.abs(diff, out=diff), axis=-1)
-        else:
-            p = float(metric.p)
-            block = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
-        out[start:stop] = block
+    with float_policy(kind):
+        if kind == "mahalanobis":
+            if metric.covariance is None:
+                raise DegenerateDataError(
+                    "mahalanobis metric needs a covariance; none was resolved"
+                )
+            chol = _cholesky_or_raise(metric.covariance)
+            X = np.linalg.solve(chol, X.T).T
+            Y = np.linalg.solve(chol, Y.T).T
+            kind = "euclidean"
+        n = X.shape[0]
+        out = np.empty((n, Y.shape[0]))
+        # no one-row block out of several rows: for a one-row slice of a
+        # column-major X (whitened rows are), NumPy lays the difference
+        # tensor out differently and sums the d terms in another order
+        step = max(2, BLOCK_ELEMENTS // max(1, Y.size))
+        starts = list(range(0, n, step))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        for start, stop in zip(starts, starts[1:] + [n]):
+            diff = X[start:stop, None, :] - Y[None, :, :]
+            if kind == "euclidean":
+                block = np.sqrt(np.sum(np.square(diff, out=diff), axis=-1))
+            elif kind == "manhattan":
+                block = np.sum(np.abs(diff, out=diff), axis=-1)
+            else:
+                p = float(metric.p)
+                block = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
+            out[start:stop] = block
     return out
 
 
@@ -191,16 +194,16 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
         raise DegenerateDataError(
             f"{X.shape[0]} rows cannot support a {X.shape[1]}-D covariance"
         )
-    cov = np.cov(X, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    _cholesky_or_raise(cov)
+    with float_policy(metric.kind):
+        cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
+        _cholesky_or_raise(cov)
     return MetricSpec(kind="mahalanobis", covariance=cov)
 
 
 def _centroid_distances(X, metric: MetricSpec):
     """The metric resolved on X, the centroid and each row's distance to it;
-    raises when X has fewer than 3 rows, a distance is not finite, or all
-    distances are equal."""
+    raises when X has fewer than 3 rows or all distances are equal. The
+    caller holds the floating-point policy."""
     X = as_matrix(X)
     if X.shape[0] < 3:
         raise InputError(
@@ -209,11 +212,6 @@ def _centroid_distances(X, metric: MetricSpec):
     metric = resolve_metric(metric, X)
     centroid = X.mean(axis=0)
     dist = pairwise(X, centroid.reshape(1, -1), metric)[:, 0]
-    if not np.isfinite(dist).all():
-        raise DegenerateDataError(
-            f"{metric.kind}: centroid distances are not finite; "
-            "the values overflow"
-        )
     if np.all(dist == dist[0]):
         raise DegenerateDataError(
             "all centroid distances are equal; nothing to rank"
@@ -254,10 +252,11 @@ def centroid_detect(
     """
     if not np.isfinite(mad_threshold):
         raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
-    _, centroid, dist = _centroid_distances(X, metric)
-    med, mad = scaled_mad(dist, mad_factor)
-    cutoff = med + mad_threshold * mad
-    flags = dist > cutoff
+    with float_policy(metric.kind):
+        _, centroid, dist = _centroid_distances(X, metric)
+        med, mad = scaled_mad(dist, mad_factor)
+        cutoff = med + mad_threshold * mad
+        flags = dist > cutoff
     return DistanceVerdict(
         centroid=centroid,
         distances=dist,
@@ -292,23 +291,28 @@ def grid_nodes(
     the columns of X.
 
     The bounds are the data bounding box expanded 10% per side (constant
-    axes are padded by 0.5 to keep the box non-empty), and must come out
-    finite. nodes holds one grid point per row in row-major order, so the
-    last axis varies fastest.
+    axes are padded by 0.5 to keep the box non-empty). A box beyond the
+    float range, or a constant column too large for the pad to widen it,
+    raises DegenerateDataError. nodes holds one grid point per row in
+    row-major order, so the last axis varies fastest.
     """
     X = as_matrix(X)
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2 per axis")
-    lo, hi = X.min(axis=0), X.max(axis=0)
-    pad = 0.1 * (hi - lo)
-    pad = np.where(pad == 0.0, 0.5, pad)
-    bounds = tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
-    for low, high in bounds:
-        if not (np.isfinite(low) and np.isfinite(high)) or low >= high:
-            raise ConfigError(f"bad axis bounds ({low!r}, {high!r})")
-    axes = tuple(np.linspace(low, high, resolution) for low, high in bounds)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
+    with float_policy("grid"):
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        pad = 0.1 * (hi - lo)
+        pad = np.where(pad == 0.0, 0.5, pad)
+        bounds = tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
+        for col, (low, high) in enumerate(bounds):
+            if low >= high:
+                raise DegenerateDataError(
+                    f"grid column {col} is constant at {low!r}, where a pad "
+                    "of 0.5 is below the value's resolution"
+                )
+        axes = tuple(np.linspace(low, high, resolution) for low, high in bounds)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        nodes = np.column_stack([m.ravel() for m in mesh])
     return bounds, axes, nodes
 
 
@@ -320,11 +324,12 @@ def score_grid(X, metric: MetricSpec, resolution: int = 50) -> GridScores:
         raise InputError(
             f"score grids are 2-D maps; got {X.shape[1]} feature columns"
         )
-    metric, centroid, data_dist = _centroid_distances(X, metric)
-    bounds, axes, nodes = grid_nodes(X, resolution)
-    dmin, dmax = float(data_dist.min()), float(data_dist.max())
-    node_dist = pairwise(nodes, centroid.reshape(1, -1), metric)[:, 0]
-    values = ((node_dist - dmin) / (dmax - dmin)).reshape(resolution, resolution)
+    with float_policy(metric.kind):
+        metric, centroid, data_dist = _centroid_distances(X, metric)
+        bounds, axes, nodes = grid_nodes(X, resolution)
+        dmin, dmax = float(data_dist.min()), float(data_dist.max())
+        node_dist = pairwise(nodes, centroid.reshape(1, -1), metric)[:, 0]
+        values = ((node_dist - dmin) / (dmax - dmin)).reshape(resolution, resolution)
     return GridScores(
         axes=axes,
         values=values,

@@ -11,8 +11,10 @@ three kinds, one for each thing a user can do about it:
 - ConfigError: a parameter is unknown or out of range; change the option
   or the config.
 - DegenerateDataError: the data are finite and valid, but the method's
-  statistic degenerates on them (a zero spread, a singular covariance, an
-  overflow); choose another feature or method.
+  statistic degenerates on them (a zero spread, a singular covariance, or
+  arithmetic that overflows, turns invalid or divides by zero, which
+  util.float_policy raises at each library entry point); choose another
+  feature or method.
 
 Two subclasses stay distinct because code tells them apart:
 EmptyFeatureError is caught by type, and ThresholdRangeError is the

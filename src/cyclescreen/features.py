@@ -38,7 +38,7 @@ from .errors import (
     EmptyFeatureError,
     InputError,
 )
-from .util import normalize_scores
+from .util import float_policy, normalize_scores
 
 #: guard for near-zero capacity differences and log arguments
 EPS = 1e-12
@@ -459,6 +459,8 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
 
     Distances use the sample covariance of the two columns and are min-max
     normalized to [0, 1]; an all-equal distance vector maps to zeros.
+    Arithmetic that overflows raises DegenerateDataError named
+    mahalanobis_norm, by util.float_policy.
     """
     t = np.asarray(cycle_index, dtype=float)
     q = np.asarray(capacity_max, dtype=float)
@@ -467,9 +469,10 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
     if t.size < 3:
         raise InputError("need at least 3 cycles for the distance feature")
     X = np.column_stack([t, q])
-    mu = X.mean(axis=0)
-    cov = np.cov(X, rowvar=False, ddof=1)
-    chol = _cholesky_or_raise(cov, "covariance of (cycle_index, capacity_max)")
-    centered = X - mu
-    white = np.linalg.solve(chol, centered.T).T
-    return normalize_scores(np.sqrt(np.sum(white**2, axis=1)))
+    with float_policy("mahalanobis_norm"):
+        mu = X.mean(axis=0)
+        cov = np.cov(X, rowvar=False, ddof=1)
+        chol = _cholesky_or_raise(cov, "covariance of (cycle_index, capacity_max)")
+        centered = X - mu
+        white = np.linalg.solve(chol, centered.T).T
+        return normalize_scores(np.sqrt(np.sum(white**2, axis=1)))

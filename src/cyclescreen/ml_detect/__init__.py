@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateDataError, InputError, ThresholdRangeError
-from ..util import as_matrix, normalize_scores
+from ..errors import InputError, ThresholdRangeError
+from ..util import as_matrix, float_policy, normalize_scores
 from .autoencoder import (
     Mlp,
     fit_autoencoder,
@@ -61,20 +61,23 @@ def fit(config: DetectorConfig, X) -> FittedDetector:
 
     Every source of randomness (subsampling, initialization, batching,
     dropout) flows from config.seed, so a fit is reproducible bit for bit.
+    Arithmetic that overflows on X raises DegenerateDataError named by the
+    model, by util.float_policy.
     """
     config = validate_config(config)
     X = as_matrix(X)
     rng = np.random.default_rng(config.seed)
     fit_fn, _ = _REGISTRY[config.model]
-    state = fit_fn(config.params, X, rng)
+    with float_policy(config.model):
+        state = fit_fn(config.params, X, rng)
     return FittedDetector(config=config, state=state, n_features=X.shape[1])
 
 
 def score(fitted: FittedDetector, X) -> np.ndarray:
     """Raw anomaly scores for rows of X; higher means more anomalous.
 
-    Raises when the model's arithmetic overflows on finite rows and leaves
-    a score that is not finite, which no threshold could rank."""
+    Arithmetic that overflows on X raises DegenerateDataError named by the
+    model, by util.float_policy."""
     X = as_matrix(X)
     if X.shape[1] != fitted.n_features:
         raise InputError(
@@ -82,14 +85,8 @@ def score(fitted: FittedDetector, X) -> np.ndarray:
             f"on {fitted.n_features}"
         )
     _, score_fn = _REGISTRY[fitted.config.model]
-    raw = score_fn(fitted.state, X)
-    bad = np.count_nonzero(~np.isfinite(raw))
-    if bad:
-        raise DegenerateDataError(
-            f"{fitted.config.model}: {bad} of {raw.size} scores are not finite; "
-            "the arithmetic overflows on these rows"
-        )
-    return raw
+    with float_policy(fitted.config.model):
+        return score_fn(fitted.state, X)
 
 
 def check_threshold(threshold: float) -> None:

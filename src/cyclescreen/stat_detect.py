@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
-from .util import as_matrix
+from .util import as_matrix, float_policy
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
 #: median absolute deviation a consistent sigma estimate on Gaussian data
@@ -94,7 +94,8 @@ def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
     """(center, spread, lower, upper) of a column for a rule's family: the
     mean and sample sd, the median and scaled MAD, or the median, the IQR
     and the Tukey fences on the type-7 quartiles. A zero spread, or a
-    spread or band that overflows, raises."""
+    spread or band that overflows, raises: the band is Python-float
+    arithmetic, whose overflow no NumPy policy sees."""
     if method in _MAD_METHODS:
         center, spread = scaled_mad(x, mad_factor)
         low = high = center
@@ -150,15 +151,16 @@ def detect_stat(
     if x.size < 2:
         raise InputError(f"need at least 2 values, got {x.size}")
 
-    center, spread, lower, upper = _estimate(x, method, mad_factor)
-    limit = _SCORE_LIMITS.get(method)
-    if limit is None:
-        scores = x.copy()
-        flags = (x < lower) | (x > upper)
-    else:
-        scores = (x - center) / spread
-        flags = np.abs(scores) > limit
-        lower, upper, center, spread = -limit, limit, 0.0, 1.0
+    with float_policy(method.value):
+        center, spread, lower, upper = _estimate(x, method, mad_factor)
+        limit = _SCORE_LIMITS.get(method)
+        if limit is None:
+            scores = x.copy()
+            flags = (x < lower) | (x > upper)
+        else:
+            scores = (x - center) / spread
+            flags = np.abs(scores) > limit
+            lower, upper, center, spread = -limit, limit, 0.0, 1.0
     factor = mad_factor if method in _MAD_METHODS else None
     limits = StatLimits(method, lower, upper, center, spread, mad_factor=factor)
     return StatVerdict(flags=flags, scores=scores, limits=limits)

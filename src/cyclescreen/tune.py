@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ml_detect
-from .errors import ConfigError, CycleScreenError, InputError
+from .errors import ConfigError, CycleScreenError, DegenerateDataError, InputError
 from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config, validate_config
 from .ml_detect.params import PARAM_SPECS, CatDomain, IntDomain, RealDomain
-from .util import as_matrix, derive_seed, round_half_up, round_sig
+from .util import as_matrix, derive_seed, float_policy, round_half_up, round_sig
 
 GAMMA = 0.25
 N_CANDIDATES = 24
@@ -453,9 +453,11 @@ def _run_trials(
     per_row vectors the objective reads (name -> one entry per row of X) are
     checked once, before the first trial, so an input no config can use
     raises. A trial's objectives are objective(flags) on the rows it flags
-    in X, or its kind's sentinel when its config fails to fit or score.
-    Every trial shares one seed, so a config TPE proposes again is not
-    refitted: its trial repeats the first one's objectives."""
+    in X, or its kind's sentinel when its fit, score or objective raises,
+    under util.float_policy. When no trial is usable, none raising and its
+    objectives finite, DegenerateDataError names the model and the trial
+    count. Every trial shares one seed, so a config TPE proposes again is
+    not refitted: its trial repeats the first one's objectives."""
     if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
         raise ConfigError(
             f"n_trials must be an integer of at least 1, got {n_trials!r}"
@@ -471,6 +473,7 @@ def _run_trials(
     # by repr, so configs equal only as numbers (0.0 and -0.0, 1 and 1.0)
     # are fitted apart
     seen: dict[str, tuple] = {}
+    usable = False
     # an enumerated space has at most n_trials points
     points = [None] * n_trials if enumerated is None else enumerated
     for trial_id, preset in enumerate(points):
@@ -484,14 +487,20 @@ def _run_trials(
         key = repr(sorted(config.params.items()))
         if key not in seen:
             try:
-                fitted = ml_detect.fit(config, X)
-                probs = ml_detect.normalize_scores(ml_detect.score(fitted, X))
-                flags = ml_detect.predict_outliers(probs, threshold)
+                with float_policy(model):
+                    fitted = ml_detect.fit(config, X)
+                    probs = ml_detect.normalize_scores(ml_detect.score(fitted, X))
+                    flags = ml_detect.predict_outliers(probs, threshold)
+                    seen[key] = objective(flags)
             except CycleScreenError:
                 seen[key] = sentinel
             else:
-                seen[key] = objective(flags)
+                usable = usable or bool(np.isfinite(seen[key]).all())
         trials.append(TrialRecord(trial_id, config, seen[key], kind))
+    if not usable:
+        raise DegenerateDataError(
+            f"{model}: none of {len(trials)} trials gave a usable objective"
+        )
     return trials, pareto_front(trials, directions)
 
 

@@ -1,5 +1,6 @@
 """Shared helpers: seed fanout, rounding, atomic writes, the feature-matrix
-rule every detector reads its input by, min-max."""
+rule every detector reads its input by, the floating-point policy every
+entry point runs under, min-max."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import hashlib
 import math
 import os
 from collections.abc import Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegenerateDataError, InputError
 
 
 def derive_seed(*parts) -> int:
@@ -74,6 +77,33 @@ def as_matrix(X) -> np.ndarray:
             "detectors need finite values"
         )
     return X
+
+
+#: whether a float_policy is already held, so nested entry points (fit
+#: calling pairwise, say) leave the error to the outermost one's label
+_policy_held: ContextVar[bool] = ContextVar("float_policy_held", default=False)
+
+
+@contextmanager
+def float_policy(label: str):
+    """Run the body with NumPy's overflow, invalid and divide-by-zero
+    raising, and underflow silent; a FloatingPointError leaves as
+    DegenerateDataError named by label, the model or metric the caller
+    asked for. Inside another float_policy the body just runs: the
+    outermost entry point names the error."""
+    if _policy_held.get():
+        yield
+        return
+    token = _policy_held.set(True)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except FloatingPointError as err:
+        raise DegenerateDataError(
+            f"{label}: the arithmetic overflows on finite input ({err})"
+        ) from None
+    finally:
+        _policy_held.reset(token)
 
 
 def normalize_scores(values, reference=None) -> np.ndarray:

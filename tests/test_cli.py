@@ -1040,6 +1040,66 @@ def test_a_model_failure_keeps_its_class_and_names_cell_and_model(error):
     assert str(caught.value) == "cell C0, model knn: the reason"
 
 
+@pytest.mark.parametrize(
+    "reason, shown",
+    [
+        ("knn: the reason", "the reason"),
+        # a metric the model was asked to use is not the model's name
+        ("mahalanobis: the reason", "mahalanobis: the reason"),
+        ("knnx: the reason", "knnx: the reason"),
+    ],
+)
+def test_a_model_failure_names_its_model_once(reason, shown):
+    def refuse(model):
+        raise errors.DegenerateDataError(reason)
+
+    with pytest.raises(errors.DegenerateDataError) as caught:
+        cli._run_models(argparse.Namespace(models=("knn",)), "C0", refuse)
+    assert str(caught.value) == f"cell C0, model knn: {shown}"
+
+
+def test_detect_on_a_constant_capacity_names_the_model_once(tmp_path, capsys):
+    # every cycle's capacity rises from 0 to exactly 1.0: capacity_max is
+    # constant, so its standard deviation is zero
+    records, truth = generate_cell(12, samples_per_cycle=16, seed=0, cell_id="H")
+    for rec in records:
+        rec.samples[:, 2] = [i / 15 for i in range(16)]
+    meas = str(tmp_path / "meas.csv")
+    write_dataset({"H": (records, truth)}, meas)
+    rc = run(
+        "detect", "--input", meas, "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", "capacity_max", "--model", "sd",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: cell H, model sd: standard deviation is zero\n"
+    )
+
+
+@pytest.mark.parametrize("model", ["knn", "gmm"])
+def test_tune_with_no_usable_trial_exits_1_without_a_compromise(
+    tmp_path, capsys, model
+):
+    # 2 cycles leave fewer than the 3 inliers a quadratic trend needs, or
+    # fail to fit, whatever the config: no proxy trial has a finite loss
+    records, truth = generate_cell(2, samples_per_cycle=8, seed=0, cell_id="T2")
+    meas = str(tmp_path / "meas.csv")
+    write_dataset({"T2": (records, truth)}, meas)
+    out = tmp_path / "out"
+    rc = run(
+        "tune", "--input", meas, "--out", str(out), "--model", model,
+        "--strategy", "proxy", "--trials", "5",
+        "--recipe", "custom", "--feature", "dq_max,capacity_max",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cell T2, model {model}: none of 5 trials gave a usable objective\n"
+    )
+    assert [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()] == [
+        "T2/feature_notes.txt"
+    ]
+
+
 def test_evaluate_refuses_a_label_for_a_cycle_a_verdict_lacks(
     dataset, tmp_path, capsys
 ):

@@ -175,27 +175,43 @@ def test_resolve_metric_estimates_covariance(rng):
         resolve_metric(MetricSpec("mahalanobis"), X[:2])
 
 
-# the overflow in np.cov, and the inf - inf after it, are what the test is about
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "entry, name",
     [
-        (lambda X: centroid_detect(X, MetricSpec("mahalanobis")), "covariance"),
-        (lambda X: resolve_metric(MetricSpec("mahalanobis"), X), "covariance"),
-        (lambda X: mahalanobis_feature(X[:, 0], X[:, 1]),
-         "covariance of (cycle_index, capacity_max)"),
+        (lambda X: centroid_detect(X, MetricSpec("mahalanobis")), "mahalanobis"),
+        (lambda X: resolve_metric(MetricSpec("mahalanobis"), X), "mahalanobis"),
+        (lambda X: mahalanobis_feature(X[:, 0], X[:, 1]), "mahalanobis_norm"),
     ],
     ids=["centroid_detect", "resolve_metric", "mahalanobis_feature"],
 )
 def test_overflowed_covariance_is_named_an_overflow_not_singular(entry, name):
-    # finite rows near 1e155: np.cov is [[inf, -inf], [-inf, inf]], which
-    # used to be reported as a singular covariance
+    # finite rows near 1e155: np.cov overflows, which used to be reported as
+    # a singular covariance
     X = np.random.default_rng(0).normal(size=(40, 2)) * 1e155
     X[5] *= 8
     with pytest.raises(DegenerateDataError) as caught:
         entry(X)
-    assert str(caught.value) == f"{name} is not finite; the values overflow"
+    assert str(caught.value) == (
+        f"{name}: the arithmetic overflows on finite input "
+        "(overflow encountered in dot)"
+    )
+
+
+@pytest.mark.parametrize(
+    "covariance", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]]
+)
+def test_metric_spec_refuses_a_non_finite_covariance(covariance):
+    with pytest.raises(InputError, match="^covariance must be finite$"):
+        MetricSpec("mahalanobis", covariance=covariance)
+
+
+def test_grid_nodes_names_a_constant_column_too_large_to_pad():
+    # a pad of 0.5 is below the resolution of 1e20, so the box stays empty
+    with pytest.raises(DegenerateDataError, match=(
+        r"^grid column 0 is constant at 1e\+20, where a pad of 0.5 is below "
+        "the value's resolution$"
+    )):
+        dist_detect.grid_nodes([[1e20, 0.0], [1e20, 1.0], [1e20, 2.0]])
 
 
 # --- centroid detector ----------------------------------------------------

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclescreen import ml_detect
-from cyclescreen.errors import ConfigError, InputError, ThresholdRangeError
+from cyclescreen.errors import (
+    ConfigError,
+    DegenerateDataError,
+    InputError,
+    ThresholdRangeError,
+)
 from cyclescreen.ml_detect import DetectorConfig, make_config
 from cyclescreen.tune import (
     CatDomain,
@@ -613,22 +618,53 @@ def test_proxy_on_a_1d_column_matches_that_column_as_a_matrix(rng):
     assert all(np.isfinite(tr.objectives[0]) for tr in column.trials)
 
 
-def test_a_failed_trial_records_its_strategy_sentinel():
+def _twelve_rows():
     X = np.random.default_rng(0).normal(size=(12, 2))
-    t = np.arange(12.0)
     labels = np.zeros(12, dtype=int)
     labels[3] = 1
-    # knn needs fewer neighbours than rows: every trial fails to fit
-    space = SearchSpace("knn", {"n_neighbors": IntDomain(15, 20)})
+    return np.arange(12.0), X, labels
+
+
+def test_a_failed_trial_records_its_strategy_sentinel():
+    t, X, labels = _twelve_rows()
+    # knn needs fewer neighbours than rows: n_neighbors 12 and 13 fail to fit
+    space = SearchSpace("knn", {"n_neighbors": IntDomain(10, 13)})
     transfer = optimize_transfer({"C": (X, labels)}, "knn", space=space)
-    assert [tr.objectives for tr in transfer.per_cell["C"].trials] == [(0.0, 0.0)] * 6
+    assert [tr.objectives for tr in transfer.per_cell["C"].trials][2:] == [(0.0, 0.0)] * 2
     proxy = optimize_proxy(t, X, "knn", space=space)
-    assert [tr.objectives for tr in proxy.trials] == [(float("inf"), 0)] * 6
-    # a zero threshold flags every row scored above the lowest, which is one
-    # row in this draw for each n_neighbors: too few for a quadratic trend
+    assert [tr.objectives for tr in proxy.trials][2:] == [(float("inf"), 0)] * 2
+
+
+@pytest.mark.parametrize(
+    "strategy, low, high, threshold, trials",
+    [
+        # every n_neighbors exceeds the rows: each trial fails to fit
+        ("transfer", 15, 20, 0.7, 6),
+        ("proxy", 15, 20, 0.7, 6),
+        # a zero threshold flags every row scored above the lowest, which is
+        # one row in this draw for each n_neighbors: too few for a trend
+        ("proxy", 2, 4, 0.0, 3),
+    ],
+)
+def test_tuning_with_no_usable_trial_raises(strategy, low, high, threshold, trials):
+    t, X, labels = _twelve_rows()
+    space = SearchSpace("knn", {"n_neighbors": IntDomain(low, high)})
+    message = f"^knn: none of {trials} trials gave a usable objective$"
+    with pytest.raises(DegenerateDataError, match=message):
+        if strategy == "transfer":
+            optimize_transfer({"C": (X, labels)}, "knn", space=space,
+                              threshold=threshold)
+        else:
+            optimize_proxy(t, X, "knn", space=space, threshold=threshold)
+
+
+def test_transfer_trials_that_flag_nothing_are_usable():
+    # a threshold of 1 flags no row, so every trial scores (0, 0) without
+    # failing: a real outcome, not the failure sentinel it equals
+    t, X, labels = _twelve_rows()
     space = SearchSpace("knn", {"n_neighbors": IntDomain(2, 4)})
-    proxy = optimize_proxy(t, X, "knn", space=space, threshold=0.0)
-    assert [tr.objectives for tr in proxy.trials] == [(float("inf"), 1)] * 3
+    result = optimize_transfer({"C": (X, labels)}, "knn", space=space, threshold=1.0)
+    assert [tr.objectives for tr in result.per_cell["C"].trials] == [(0.0, 0.0)] * 3
 
 
 def test_perfect_recall_fraction_counts_trials():
