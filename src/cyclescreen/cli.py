@@ -31,7 +31,6 @@ import argparse
 import errno
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -46,6 +45,7 @@ import numpy as np
 from . import dist_detect, ml_detect, tune
 from .dataset import (
     CycleStore,
+    check_delimiter,
     check_labels,
     export_cycles,
     format_table,
@@ -55,14 +55,18 @@ from .dataset import (
     read_verdict_flags,
 )
 from .errors import ConfigError, CycleScreenError, EmptyFeatureError, InputError
-from .evaluation import METRIC_NAMES, benchmark_report, confusion
+from .evaluation import (
+    DEFAULT_KPI, METRIC_NAMES, benchmark_report, check_kpi, confusion,
+)
 from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
 # the traced benchmark run (perfbench/spans.py) wraps the three names below
 # where cli looks them up, so mahalanobis_feature stays imported here though
 # cli never calls it
 from .features import build_feature_matrix, log_feature, mahalanobis_feature  # noqa: F401
 from .ml_detect import make_config
-from .stat_detect import GAUSSIAN_MAD_FACTOR, StatMethod, detect_stat
+from .stat_detect import (
+    GAUSSIAN_MAD_FACTOR, StatMethod, check_mad_factor, detect_stat,
+)
 from .util import atomic_write_text, derive_seed
 
 STAT_MODELS = tuple(m.value for m in StatMethod)
@@ -661,6 +665,7 @@ def _add_input(sub, recipe=False, columns=False):
 def build_parser() -> _Parser:
     parser = _Parser(prog="cyclescreen", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    minkowski_p = 0.5  # detect's and scoremap's --p
 
     p = subs.add_parser("ingest", help="validate and normalize a measurement file")
     _add_input(p)
@@ -684,12 +689,12 @@ def build_parser() -> _Parser:
         help="consistency factor for MAD-based rules",
     )
     p.add_argument(
-        "--mad-threshold", type=float, default=3.0,
-        help="MAD multiplier for distance-detector flags (default 3)",
+        "--mad-threshold", type=float, default=dist_detect.DEFAULT_MAD_THRESHOLD,
+        help="MAD multiplier for distance-detector flags (default %(default)g)",
     )
     p.add_argument(
-        "--p", type=float, default=0.5,
-        help="minkowski exponent (default 0.5)",
+        "--p", type=float, default=minkowski_p,
+        help="minkowski exponent (default %(default)g)",
     )
     p.add_argument(
         "--contamination-threshold", action="store_true",
@@ -721,8 +726,8 @@ def build_parser() -> _Parser:
     _add_files(p, input_help="run directory holding detect's verdicts")
     p.add_argument("--labels", default=None, help="label file (anomalous cycles)")
     p.add_argument(
-        "--kpi", type=float, default=0.95,
-        help="macro metric pass threshold (default 0.95)",
+        "--kpi", type=float, default=DEFAULT_KPI,
+        help="macro metric pass threshold (default %(default)g)",
     )
 
     p = subs.add_parser("scoremap", help="export score surfaces for plots")
@@ -732,10 +737,10 @@ def build_parser() -> _Parser:
         help="distance or learned model, or 'all'",
     )
     p.add_argument(
-        "--resolution", type=int, default=50,
-        help="grid resolution per axis (default 50)",
+        "--resolution", type=int, default=dist_detect.DEFAULT_RESOLUTION,
+        help="grid resolution per axis (default %(default)s)",
     )
-    p.add_argument("--p", type=float, default=0.5, help="minkowski exponent")
+    p.add_argument("--p", type=float, default=minkowski_p, help="minkowski exponent")
 
     return parser
 
@@ -750,33 +755,28 @@ _COMMANDS = {
 }
 
 
-#: (option, accepts, what it must be) for the values _check_options checks
-_OPTION_RULES = (
-    ("delimiter", lambda v: len(v) == 1, " must be one character"),
-    ("jobs", lambda v: v >= 1, " must be at least 1"),
-    ("trials", lambda v: v >= 1, " must be at least 1"),
-    ("mad_factor", lambda v: math.isfinite(v) and v > 0,
-     " must be finite and positive"),
-    ("mad_threshold", math.isfinite, " must be finite"),
-    ("kpi", lambda v: 0 <= v <= 1, " must lie in [0, 1]"),
-    ("resolution", lambda v: v >= 2, ": grid resolution must be at least 2"),
-)
-
-
 def _check_options(args) -> None:
-    """Refuse a bad option value before any file is read or written."""
-    for name, accepts, rule in _OPTION_RULES:
-        value = getattr(args, name, None)
-        if value is not None and not accepts(value):
-            option = name.replace("_", "-")
-            raise UsageError(f"--{option}{rule}, got {value!r}")
-    for name, check in (("threshold", ml_detect.check_threshold),
-                        ("p", lambda p: dist_detect.MetricSpec("minkowski", p=p))):
+    """Refuse a bad option value before any file is read or written: by the
+    check of the library function that reads the option, as
+    '--<option>: <its reason>', and --jobs, which only the CLI reads."""
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs!r}")
+    for name, check in (
+        ("delimiter", check_delimiter),
+        ("trials", tune.check_trials),
+        ("mad_factor", check_mad_factor),
+        ("mad_threshold", dist_detect.check_mad_threshold),
+        ("kpi", check_kpi),
+        ("resolution", dist_detect.check_resolution),
+        ("threshold", ml_detect.check_threshold),
+        ("p", lambda p: dist_detect.MetricSpec("minkowski", p=p)),
+    ):
         if hasattr(args, name):
             try:
                 check(getattr(args, name))
             except CycleScreenError as err:  # the library's own refusal
-                raise UsageError(f"--{name}: {err}") from None
+                option = name.replace("_", "-")
+                raise UsageError(f"--{option}: {err}") from None
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .util import atomic_write_text
 
 #: canonical column names, keyed by role
@@ -322,6 +322,12 @@ def _build_colmap(columns: dict[str, str] | None) -> dict[str, str]:
     return colmap
 
 
+def check_delimiter(delimiter: str) -> None:
+    """Refuse a field delimiter that is not one character."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
+
+
 def ingest_cycles(
     path: str,
     columns: dict[str, str] | None = None,
@@ -332,7 +338,9 @@ def ingest_cycles(
     Rows are grouped by (cell_id, cycle_index); within each cycle samples are
     sorted by time with a stable sort, so rows carrying equal stamps keep
     their file order. Row numbers in error messages count the header as row 1.
+    check_delimiter refuses a bad delimiter before the file is opened.
     """
+    check_delimiter(delimiter)
     colmap = _build_colmap(columns)
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -379,6 +387,7 @@ def export_cycles(store: CycleStore, path: str) -> None:
 
 def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     """Read a label file (anomalous cycles only) into {cell: {cycle, ...}}."""
+    check_delimiter(delimiter)
     labels: dict[str, set[int]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -454,6 +463,7 @@ def read_manifest(
     """Read a cell role manifest into its (train, test) cell sets. Roles are
     'train' or 'test'; anything else, or a cell listed twice (in one role or
     both), is a manifest error."""
+    check_delimiter(delimiter)
     train: set[str] = set()
     test: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as handle:

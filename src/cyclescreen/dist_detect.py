@@ -30,6 +30,10 @@ from .util import as_matrix, float_policy, normalize_scores
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
+#: centroid_detect's MAD multiplier and the grid's points per axis
+DEFAULT_MAD_THRESHOLD = 3.0
+DEFAULT_RESOLUTION = 50
+
 
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
@@ -219,6 +223,12 @@ def _centroid_distances(X, metric: MetricSpec):
     return metric, centroid, dist
 
 
+def check_mad_threshold(mad_threshold: float) -> None:
+    """Refuse a MAD multiplier that is not finite."""
+    if not np.isfinite(mad_threshold):
+        raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
+
+
 @dataclass(frozen=True)
 class DistanceVerdict:
     """Distances to the centroid plus the MAD-rule flags.
@@ -241,7 +251,7 @@ class DistanceVerdict:
 def centroid_detect(
     X,
     metric: MetricSpec,
-    mad_threshold: float = 3.0,
+    mad_threshold: float = DEFAULT_MAD_THRESHOLD,
     mad_factor: float = GAUSSIAN_MAD_FACTOR,
 ) -> DistanceVerdict:
     """Flag rows whose centroid distance exceeds median + threshold * MAD.
@@ -250,8 +260,7 @@ def centroid_detect(
     being close to the centroid never is. Lowering the threshold widens the
     flag set monotonically.
     """
-    if not np.isfinite(mad_threshold):
-        raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
+    check_mad_threshold(mad_threshold)
     with float_policy(metric.kind):
         _, centroid, dist = _centroid_distances(X, metric)
         med, mad = scaled_mad(dist, mad_factor)
@@ -284,8 +293,16 @@ class GridScores:
     data_max: float
 
 
+def check_resolution(resolution: int) -> None:
+    """Refuse a grid of fewer than 2 points per axis."""
+    if resolution < 2:
+        raise ConfigError(
+            f"grid resolution must be at least 2 per axis, got {resolution!r}"
+        )
+
+
 def grid_nodes(
-    X, resolution: int = 50
+    X, resolution: int = DEFAULT_RESOLUTION
 ) -> tuple[tuple[tuple[float, float], ...], tuple[np.ndarray, ...], np.ndarray]:
     """Bounds, axes and nodes of a grid with resolution points per axis over
     the columns of X.
@@ -297,8 +314,7 @@ def grid_nodes(
     row-major order, so the last axis varies fastest.
     """
     X = as_matrix(X)
-    if resolution < 2:
-        raise ConfigError("grid resolution must be at least 2 per axis")
+    check_resolution(resolution)
     with float_policy("grid"):
         lo, hi = X.min(axis=0), X.max(axis=0)
         pad = 0.1 * (hi - lo)
@@ -316,7 +332,9 @@ def grid_nodes(
     return bounds, axes, nodes
 
 
-def score_grid(X, metric: MetricSpec, resolution: int = 50) -> GridScores:
+def score_grid(
+    X, metric: MetricSpec, resolution: int = DEFAULT_RESOLUTION
+) -> GridScores:
     """Evaluate the normalized centroid distance on the resolution x
     resolution grid `grid_nodes` lays over the two columns of X."""
     X = as_matrix(X)

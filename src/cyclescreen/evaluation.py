@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc")
+
+#: the macro value a metric must reach to pass
+DEFAULT_KPI = 0.95
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,22 @@ class EvalReport:
     passes: dict[str, bool]
 
 
+def check_kpi(kpi: float) -> None:
+    """Refuse a KPI outside [0, 1], NaN included: every metric lies there,
+    so a KPI below passes them all and one above fails them all."""
+    if not 0.0 <= kpi <= 1.0:
+        raise ConfigError(f"kpi must lie in [0, 1], got {kpi!r}")
+
+
 def benchmark_report(
-    per_cell_counts: dict[str, ConfusionCounts], kpi: float = 0.95
+    per_cell_counts: dict[str, ConfusionCounts], kpi: float = DEFAULT_KPI
 ) -> EvalReport:
     """Macro-average per-cell metrics and compare each against the KPI.
 
     A metric passes when its unweighted mean over cells is at least the KPI
-    value (boundary inclusive).
+    value (boundary inclusive). check_kpi refuses a KPI outside [0, 1].
     """
+    check_kpi(kpi)
     if not per_cell_counts:
         raise InputError("no cells to report on")
     per_cell = {

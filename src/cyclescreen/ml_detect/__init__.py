@@ -26,6 +26,7 @@ from .iforest import fit_iforest, score_iforest
 from .knn import fit_knn, score_knn
 from .lof import fit_lof, score_lof
 from .params import (
+    MAX_CONTAMINATION,
     ML_MODELS,
     PARAM_SPECS,
     DetectorConfig,
@@ -110,9 +111,10 @@ def predict_top_fraction(scores, fraction: float) -> np.ndarray:
 
     Ties resolve to the earlier row so the flag count is exact.
     """
-    if not np.isfinite(fraction) or fraction < 0.0 or fraction > 0.5:
+    if not np.isfinite(fraction) or fraction < 0.0 or fraction > MAX_CONTAMINATION:
         raise ThresholdRangeError(
-            f"contamination fraction must lie in [0, 0.5], got {fraction!r}"
+            "contamination fraction must lie in "
+            f"[0, {MAX_CONTAMINATION}], got {fraction!r}"
         )
     arr = np.asarray(scores, dtype=float)
     flags = np.zeros(arr.shape[0], dtype=bool)

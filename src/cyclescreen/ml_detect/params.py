@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dist_detect import METRIC_KINDS
 from ..errors import ConfigError
 
 
@@ -128,13 +129,16 @@ def _choice(default: str, *choices: str) -> Param:
     return Param(default, domain, domain)
 
 
+#: the largest contamination fraction a config or predict_top_fraction takes
+MAX_CONTAMINATION = 0.5
+
 # trials flag by probability threshold, so a contamination fraction cannot
 # move a tuning objective and is not searched
-CONTAMINATION = Param(0.1, RealDomain(0.0, 0.5))
+CONTAMINATION = Param(0.1, RealDomain(0.0, MAX_CONTAMINATION))
 POSITIVE_FRACTION = RealDomain(0.0, 1.0, exclusive_low=True)
 METRIC = Param(
     "euclidean",
-    CatDomain(("euclidean", "manhattan", "minkowski", "mahalanobis")),
+    CatDomain(METRIC_KINDS),
     CatDomain(("euclidean", "manhattan", "minkowski")),
 )
 MINKOWSKI_P = Param(

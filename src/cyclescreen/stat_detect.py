@@ -71,18 +71,26 @@ class StatVerdict:
         return {int(i) for i in np.nonzero(self.flags)[0]}
 
 
-def scaled_mad(values: np.ndarray, mad_factor: float) -> tuple[float, float]:
-    """Median and scaled median absolute deviation of a column.
-
-    Returns (median, mad_factor * median(|x - median|)). Raises when the
-    factor is not finite and positive, or the raw deviation is exactly zero.
-    """
+def check_mad_factor(mad_factor: float) -> None:
+    """Refuse a MAD consistency factor that is not finite and positive."""
     if not (np.isfinite(mad_factor) and mad_factor > 0):
         raise ConfigError(
             f"mad_factor must be finite and positive, got {mad_factor!r}"
         )
-    med = float(np.median(values))
-    raw = float(np.median(np.abs(values - med)))
+
+
+def scaled_mad(
+    values: np.ndarray, mad_factor: float
+) -> tuple[np.float64, np.float64]:
+    """Median and scaled median absolute deviation of a column.
+
+    Returns (median, mad_factor * median(|x - median|)) as NumPy float64,
+    whose overflow a float_policy sees. Raises when check_mad_factor
+    refuses the factor, or the raw deviation is exactly zero.
+    """
+    check_mad_factor(mad_factor)
+    med = np.median(values)
+    raw = np.median(np.abs(values - med))
     if raw == 0.0:
         raise DegenerateDataError(
             "median absolute deviation is zero; spread is degenerate"
@@ -91,33 +99,26 @@ def scaled_mad(values: np.ndarray, mad_factor: float) -> tuple[float, float]:
 
 
 def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
-    """(center, spread, lower, upper) of a column for a rule's family: the
-    mean and sample sd, the median and scaled MAD, or the median, the IQR
-    and the Tukey fences on the type-7 quartiles. A zero spread, or a
-    spread or band that overflows, raises: the band is Python-float
-    arithmetic, whose overflow no NumPy policy sees."""
+    """(center, spread, lower, upper) of a column for a rule's family, as
+    NumPy float64: the mean and sample sd, the median and scaled MAD, or
+    the median, the IQR and the Tukey fences on the type-7 quartiles. A
+    zero spread raises; a column of equal values has one, whatever its
+    rounded mean gives."""
     if method in _MAD_METHODS:
         center, spread = scaled_mad(x, mad_factor)
         low = high = center
         multiplier, what = MAD_MULTIPLIER, "scaled median absolute deviation"
     elif method is StatMethod.IQR:
-        q1, q3 = np.quantile(x, [0.25, 0.75])  # type-7 interpolation
-        center, spread = float(np.median(x)), float(q3 - q1)
-        low, high = float(q1), float(q3)
+        low, high = np.quantile(x, [0.25, 0.75])  # type-7 interpolation
+        center, spread = np.median(x), high - low
         multiplier, what = IQR_MULTIPLIER, "interquartile range"
     else:
-        center, spread = float(np.mean(x)), float(np.std(x, ddof=1))
-        low = high = center
+        center = low = high = np.mean(x)
+        spread = 0.0 if (x == x[0]).all() else np.std(x, ddof=1)
         multiplier, what = SD_MULTIPLIER, "standard deviation"
     if spread == 0.0:
         raise DegenerateDataError(f"{method.value}: {what} is zero")
-    lower, upper = low - multiplier * spread, high + multiplier * spread
-    if not np.isfinite([spread, lower, upper]).all():
-        raise DegenerateDataError(
-            f"{method.value}: {what} or its band is not finite; "
-            "the values overflow"
-        )
-    return center, spread, lower, upper
+    return center, spread, low - multiplier * spread, high + multiplier * spread
 
 
 def detect_stat(
@@ -162,5 +163,8 @@ def detect_stat(
             flags = np.abs(scores) > limit
             lower, upper, center, spread = -limit, limit, 0.0, 1.0
     factor = mad_factor if method in _MAD_METHODS else None
-    limits = StatLimits(method, lower, upper, center, spread, mad_factor=factor)
+    limits = StatLimits(
+        method, float(lower), float(upper), float(center), float(spread),
+        mad_factor=factor,
+    )
     return StatVerdict(flags=flags, scores=scores, limits=limits)

@@ -445,6 +445,14 @@ def _check_rows(name, values, X):
         )
 
 
+def check_trials(n_trials: int) -> None:
+    """Refuse a trial budget that is not an integer of at least 1."""
+    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
+        raise ConfigError(
+            f"n_trials must be an integer of at least 1, got {n_trials!r}"
+        )
+
+
 def _run_trials(
     model, space, n_trials, base_seed, X, threshold, objective, kind, per_row
 ):
@@ -458,10 +466,7 @@ def _run_trials(
     objectives finite, DegenerateDataError names the model and the trial
     count. Every trial shares one seed, so a config TPE proposes again is
     not refitted: its trial repeats the first one's objectives."""
-    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
-        raise ConfigError(
-            f"n_trials must be an integer of at least 1, got {n_trials!r}"
-        )
+    check_trials(n_trials)
     ml_detect.check_threshold(threshold)
     X = as_matrix(X)
     for name, values in per_row.items():

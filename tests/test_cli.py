@@ -618,7 +618,12 @@ def test_counts_below_one_are_usage_errors(dataset, tmp_path, capsys, argv):
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"{argv[-2]} must be at least 1, got {argv[-1]}" in err
+    # --jobs is the CLI's own rule; --trials is refused by tune.check_trials
+    reason = {
+        "--jobs": "--jobs must be at least 1",
+        "--trials": "--trials: n_trials must be an integer of at least 1",
+    }[argv[-2]]
+    assert f"{reason}, got {argv[-1]}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1076,6 +1081,26 @@ def test_detect_on_a_constant_capacity_names_the_model_once(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("model", ["sd", "zscore"])
+def test_detect_on_a_constant_capacity_off_one_is_refused(tmp_path, capsys, model):
+    # every cycle's capacity peaks at the same value, whose mean over the 12
+    # cycles misses it by an ulp: a column of equal values all the same
+    peak = 1.1001383032432028
+    records, truth = generate_cell(12, samples_per_cycle=16, seed=0, cell_id="H")
+    for rec in records:
+        rec.samples[:, 2] = [peak * i / 15 for i in range(16)]
+    meas = str(tmp_path / "meas.csv")
+    write_dataset({"H": (records, truth)}, meas)
+    rc = run(
+        "detect", "--input", meas, "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", "capacity_max", "--model", model,
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cell H, model {model}: standard deviation is zero\n"
+    )
+
+
 @pytest.mark.parametrize("model", ["knn", "gmm"])
 def test_tune_with_no_usable_trial_exits_1_without_a_compromise(
     tmp_path, capsys, model
@@ -1179,6 +1204,7 @@ LEAST_ARGV = {
         (*LEAST_ARGV["detect"], "--model", "all", "--p", "0"),
         (*LEAST_ARGV["scoremap"], "--p", "nan"),
         (*LEAST_ARGV["scoremap"], "--resolution", "1"),
+        (*LEAST_ARGV["tune"], "--trials", "0"),
     ],
     ids=" ".join,
 )

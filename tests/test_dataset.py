@@ -18,7 +18,7 @@ from cyclescreen.dataset import (
     read_labels,
     read_manifest,
 )
-from cyclescreen.errors import InputError
+from cyclescreen.errors import ConfigError, InputError
 
 from conftest import make_cycle
 
@@ -179,6 +179,18 @@ def test_short_row_cites_file_and_row(tmp_path, reader, text):
     with pytest.raises(InputError, match=r": row 3: ") as exc:
         reader(path)
     assert str(exc.value).startswith(f"{path}: row 3: expected at least")
+
+
+@pytest.mark.parametrize("reader", [ingest_cycles, read_labels, read_manifest])
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_a_delimiter_of_other_than_one_character_is_refused(
+    tmp_path, reader, delimiter
+):
+    # csv itself would raise a bare TypeError
+    path = write(tmp_path, "m.csv", HEADER + "\nA,0,0.0,4.0,0.0\n")
+    with pytest.raises(ConfigError) as err:
+        reader(path, delimiter=delimiter)
+    assert str(err.value) == f"delimiter must be one character, got {delimiter!r}"
 
 
 HUGE = "9" * (csv.field_size_limit() + 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclescreen.errors import InputError
+from cyclescreen.errors import ConfigError, InputError
 from cyclescreen.evaluation import (
     ConfusionCounts,
     MetricSet,
@@ -128,6 +128,15 @@ def test_kpi_boundary_is_inclusive():
     report = benchmark_report(counts, kpi=0.95)
     assert report.macro.precision == pytest.approx(0.95)
     assert report.passes["precision"] is True
+
+
+@pytest.mark.parametrize("kpi", [-0.1, 1.5, math.nan])
+def test_kpi_outside_the_unit_interval_is_refused(kpi):
+    # every metric lies in [0, 1]: -0.1 would pass them all, 1.5 fail them all
+    counts = {"c": ConfusionCounts(tp=19, tn=0, fp=1, fn=0)}
+    with pytest.raises(ConfigError) as err:
+        benchmark_report(counts, kpi=kpi)
+    assert str(err.value) == f"kpi must lie in [0, 1], got {kpi!r}"
 
 
 def test_report_requires_cells():

@@ -132,7 +132,8 @@ def test_all_methods_match_brute_force(rng):
 )
 def test_sd_equals_zscore_flags(xs):
     x = np.asarray(xs)
-    if np.std(x, ddof=1) == 0:
+    # both rules refuse a zero spread: equal values, or squares that underflow
+    if (x == x[0]).all() or np.std(x, ddof=1) == 0:
         return
     sd_flags = detect_stat(x, StatMethod.SD).flagged_indices()
     z_flags = detect_stat(x, StatMethod.ZSCORE).flagged_indices()
@@ -157,6 +158,32 @@ def test_degenerate_spread_raises_not_empty():
     mostly_same = np.asarray([1.0, 1.0, 1.0, 1.0, 1.0, 9.0])
     with pytest.raises(DegenerateDataError, match="median absolute deviation is zero"):
         detect_stat(mostly_same, StatMethod.MAD)
+
+
+@pytest.mark.parametrize("method", ["sd", "zscore"])
+def test_a_column_of_equal_values_has_zero_standard_deviation(method):
+    # NumPy's mean of these misses the value by an ulp, so np.std is 2.3e-16
+    x = [1.1001383032432028] * 12
+    with pytest.raises(DegenerateDataError) as err:
+        detect_stat(x, method)
+    assert str(err.value) == f"{method}: standard deviation is zero"
+
+
+def test_a_band_beyond_the_float_range_names_the_rule():
+    # the median and the scaled MAD are finite; three of them are not
+    with pytest.raises(DegenerateDataError) as err:
+        detect_stat([-1e308, 0, 1e308, 5], "mad")
+    assert str(err.value) == (
+        "mad: the arithmetic overflows on finite input "
+        "(overflow encountered in scalar multiply)"
+    )
+
+
+def test_limits_are_python_floats():
+    for method in StatMethod:
+        limits = detect_stat(DATA, method).limits
+        fields = (limits.lower, limits.upper, limits.center, limits.spread)
+        assert all(type(value) is float for value in fields)
 
 
 def test_custom_mad_factor_threaded_through():
