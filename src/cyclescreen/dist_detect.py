@@ -7,8 +7,11 @@ where applicable, so they live on a common distance scale. Flags come from a
 one-sided MAD rule on the distance vector; scores are min-max normalized over
 the observed cycles so that contour grids and flags share a scale.
 
-knn and lof share `check_n_neighbors` and the neighbor search: `pairwise`,
-then `drop_self_matches` and `k_nearest` on the distance matrix.
+knn and lof share `check_n_neighbors` and the neighbor search, which never
+holds the (queries x fitted rows) distance matrix: `query_blocks` cuts the
+queries into the row blocks `pairwise` fills, each caller computes one
+block's distances with `pairwise`, and `nearest` drops that block's
+self-matches and keeps its k nearest before the next block is computed.
 
 `pairwise`, `resolve_metric`, `centroid_detect`, `grid_nodes` and
 `score_grid` read their data through `util.as_matrix`: a 1-D array is one
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
-from .util import as_matrix, float_policy, normalize_scores
+from .util import as_matrix, float_policy, is_integer, normalize_scores
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
@@ -89,20 +92,43 @@ def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
 
 
 #: elements one block of the neighbour search holds (512 KB of float64,
-#: cache-sized): the difference tensor in `pairwise` and the rows
-#: `k_nearest` partitions at once. A block takes as many rows as fit, at
-#: least two in `pairwise` and one in `k_nearest`.
+#: cache-sized): the difference tensor `pairwise` builds for a block of
+#: query rows. A block takes as many rows as fit, at least two.
 BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(n: int, row_elements: int) -> list[slice]:
+    """Consecutive slices over n rows, each of about BLOCK_ELEMENTS //
+    row_elements rows and at least two. A lone last row joins the block
+    before it: for a one-row slice of a column-major matrix (whitened rows
+    are), NumPy lays the difference tensor out differently and sums the d
+    terms in another order."""
+    step = max(2, BLOCK_ELEMENTS // max(1, row_elements))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _whiten(metric: MetricSpec, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays' rows in the coordinates where the Mahalanobis metric is
+    Euclidean. The caller holds the floating-point policy."""
+    if metric.covariance is None:
+        raise DegenerateDataError(
+            "mahalanobis metric needs a covariance; none was resolved"
+        )
+    chol = _cholesky_or_raise(metric.covariance)
+    return [np.linalg.solve(chol, A.T).T for A in arrays]
 
 
 def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
     """Distance matrix between rows of X (n, d) and rows of Y (m, d).
 
-    The (n, m) result is filled a block of X rows at a time, so the
-    difference tensor holds about BLOCK_ELEMENTS values at once; each
-    entry is the same elementwise formula over the same d differences as
-    an unblocked computation. Mahalanobis whitens all rows once, up front,
-    and is Euclidean from there.
+    The (n, m) result is filled one `_row_blocks` block of X rows at a
+    time, so the difference tensor holds about BLOCK_ELEMENTS values at
+    once; each entry is the same elementwise formula over the same d
+    differences as an unblocked computation. Mahalanobis whitens all rows
+    once, up front, and is Euclidean from there.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
@@ -112,34 +138,41 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
     kind = metric.kind
     with float_policy(kind):
         if kind == "mahalanobis":
-            if metric.covariance is None:
-                raise DegenerateDataError(
-                    "mahalanobis metric needs a covariance; none was resolved"
-                )
-            chol = _cholesky_or_raise(metric.covariance)
-            X = np.linalg.solve(chol, X.T).T
-            Y = np.linalg.solve(chol, Y.T).T
+            X, Y = _whiten(metric, X, Y)
             kind = "euclidean"
-        n = X.shape[0]
-        out = np.empty((n, Y.shape[0]))
-        # no one-row block out of several rows: for a one-row slice of a
-        # column-major X (whitened rows are), NumPy lays the difference
-        # tensor out differently and sums the d terms in another order
-        step = max(2, BLOCK_ELEMENTS // max(1, Y.size))
-        starts = list(range(0, n, step))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        for start, stop in zip(starts, starts[1:] + [n]):
-            diff = X[start:stop, None, :] - Y[None, :, :]
+        blocks = _row_blocks(X.shape[0], Y.size)
+        # a one-block call returns its block: no second (n, m) array
+        out = np.empty((X.shape[0], Y.shape[0])) if len(blocks) > 1 else None
+        for rows in blocks:
+            diff = X[rows, None, :] - Y[None, :, :]
             if kind == "euclidean":
-                block = np.sqrt(np.sum(np.square(diff, out=diff), axis=-1))
+                block = np.sum(np.square(diff, out=diff), axis=-1)
+                np.sqrt(block, out=block)
             elif kind == "manhattan":
                 block = np.sum(np.abs(diff, out=diff), axis=-1)
             else:
                 p = float(metric.p)
                 block = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
-            out[start:stop] = block
+            if out is None:
+                return np.ascontiguousarray(block)
+            out[rows] = block
     return out
+
+
+def query_blocks(
+    Q, X, metric: MetricSpec
+) -> tuple[list[np.ndarray], np.ndarray, MetricSpec]:
+    """(blocks, X, metric): the query rows Q cut into the blocks `pairwise`
+    fills against the fitted rows X, and the X and metric to pass with each
+    block. Mahalanobis whitens Q and X once, here, and is Euclidean from
+    there, so `pairwise(B, X, metric)` over the blocks gives the rows of
+    `pairwise(Q, X, metric)` bit for bit, one block at a time."""
+    Q, X = as_matrix(Q), as_matrix(X)
+    if metric.kind == "mahalanobis":
+        with float_policy(metric.kind):
+            Q, X = _whiten(metric, Q, X)
+        metric = MetricSpec("euclidean")
+    return [Q[rows] for rows in _row_blocks(Q.shape[0], X.size)], X, metric
 
 
 def check_n_neighbors(k: int, n: int) -> None:
@@ -163,22 +196,26 @@ def k_nearest(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     first, and those entries; ties keep the lower index, as a stable sort
     would, since LOF borrows densities through the indices.
 
-    A block of rows at a time, partition finds each row's k-th smallest
-    entry; only the entries not above it are sorted, and the first k kept.
+    partition finds each row's k-th smallest entry; only the entries not
+    above it are sorted, and the first k kept.
     """
-    m, n = D.shape
-    order = np.empty((m, k), dtype=np.intp)
-    step = max(1, BLOCK_ELEMENTS // max(1, n))
-    for start in range(0, m, step):
-        block = D[start:start + step]
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
-        # NaN sorts last: a NaN k-th value keeps the whole row
-        rows, cols = np.nonzero(~(block > kth))
-        by_row = np.lexsort((block[rows, cols], rows))
-        count = np.bincount(rows, minlength=block.shape[0])
-        first = np.cumsum(count) - count
-        order[start:start + step] = cols[by_row][first[:, None] + np.arange(k)]
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1:k]
+    # NaN sorts last: a NaN k-th value keeps the whole row
+    rows, cols = np.nonzero(~(D > kth))
+    by_row = np.lexsort((D[rows, cols], rows))
+    count = np.bincount(rows, minlength=D.shape[0])
+    first = np.cumsum(count) - count
+    order = cols[by_row][first[:, None] + np.arange(k)]
     return order, np.take_along_axis(D, order, axis=1)
+
+
+def nearest(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`k_nearest` over the queries' distance rows, given as consecutive
+    blocks, after `drop_self_matches`: one block is held at a time, and
+    only the (m, k) indices and distances are kept."""
+    picked = [k_nearest(drop_self_matches(D), k) for D in blocks]
+    order, dists = (np.concatenate(part) for part in zip(*picked))
+    return order, dists
 
 
 # no CLI path calls it: kept as the one-pair reference metric tests use
@@ -294,7 +331,10 @@ class GridScores:
 
 
 def check_resolution(resolution: int) -> None:
-    """Refuse a grid of fewer than 2 points per axis."""
+    """Refuse a grid resolution that is not an integer of at least 2 points
+    per axis; a NumPy integer counts, a bool does not."""
+    if not is_integer(resolution):
+        raise ConfigError(f"grid resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ConfigError(
             f"grid resolution must be at least 2 per axis, got {resolution!r}"

@@ -5,8 +5,11 @@ The raw score of a query is the distance to its k-th nearest fitted row
 exactly with a fitted row drop that one zero-distance match, so scoring the
 training set reproduces k-th-neighbor semantics instead of returning zeros.
 
-Distances come from `dist_detect.pairwise`; the n_neighbors guard, the
-self-match rule and the k-nearest selection are `dist_detect`'s, as lof's.
+Distances come from `dist_detect.pairwise`, one block of queries at a
+time: `query_blocks` cuts the queries, and `nearest` keeps each block's k
+nearest before the next is computed, so no (queries x fitted rows) matrix
+is held. The n_neighbors guard, the self-match rule and the k-nearest
+selection are `dist_detect`'s, as lof's.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 from ..dist_detect import (
     MetricSpec,
     check_n_neighbors,
-    drop_self_matches,
-    k_nearest,
     metric_from_params,
+    nearest,
     pairwise,
+    query_blocks,
 )
 
 
@@ -45,8 +48,8 @@ def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
 def neighbor_distances(state: KnnState, Q: np.ndarray) -> np.ndarray:
     """(m, k) sorted distances to the k nearest fitted rows, self-matches
     dropped one per query."""
-    D = drop_self_matches(pairwise(Q, state.X, state.metric))
-    return k_nearest(D, state.k)[1]
+    blocks, X, metric = query_blocks(Q, state.X, state.metric)
+    return nearest((pairwise(B, X, metric) for B in blocks), state.k)[1]
 
 
 def score_knn(state: KnnState, Q: np.ndarray) -> np.ndarray:

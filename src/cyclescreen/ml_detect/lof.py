@@ -6,8 +6,10 @@ neighbors, and the factor is the mean neighbor density over the point's own.
 Scores near 1 mean "as dense as the neighbors"; larger means more isolated.
 
 Fitting and scoring read `dist_detect.pairwise` distances through the
-neighbor search knn uses: `drop_self_matches`, then `k_nearest`, whose ties
-go to the lower index.
+neighbor search knn uses, one block of query rows at a time: `query_blocks`
+cuts the rows, and `nearest` drops each block's self-matches and keeps its
+k nearest, ties to the lower index, so no (queries x fitted rows) matrix is
+held.
 
 Distinct points always have positive reachability distance, so densities
 stay finite unless more than n_neighbors rows coincide exactly; that case is
@@ -23,10 +25,10 @@ import numpy as np
 from ..dist_detect import (
     MetricSpec,
     check_n_neighbors,
-    drop_self_matches,
-    k_nearest,
     metric_from_params,
+    nearest,
     pairwise,
+    query_blocks,
 )
 from ..errors import DegenerateDataError
 
@@ -38,6 +40,14 @@ class LofState:
     metric: MetricSpec
     k_distance: np.ndarray
     lrd: np.ndarray
+
+
+def _neighbors(
+    Q, X, metric: MetricSpec, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances (m, k) of each query's k nearest rows of X."""
+    blocks, X, metric = query_blocks(Q, X, metric)
+    return nearest((pairwise(B, X, metric) for B in blocks), k)
 
 
 def _density(k_distance, neigh, ndist, degenerate: str) -> np.ndarray:
@@ -53,8 +63,7 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
     k = params["n_neighbors"]
     check_n_neighbors(k, X.shape[0])
     metric = metric_from_params(params, X)
-    D = drop_self_matches(pairwise(X, X, metric))
-    neigh, ndist = k_nearest(D, k)
+    neigh, ndist = _neighbors(X, X, metric, k)
     k_distance = ndist[:, -1]
     lrd = _density(
         k_distance, neigh, ndist,
@@ -65,8 +74,7 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
 
 
 def score_lof(state: LofState, Q: np.ndarray) -> np.ndarray:
-    D = drop_self_matches(pairwise(Q, state.X, state.metric))
-    neigh, ndist = k_nearest(D, state.k)
+    neigh, ndist = _neighbors(Q, state.X, state.metric, state.k)
     lrd_q = _density(
         state.k_distance, neigh, ndist,
         "query coincides with a saturated duplicate cluster",

@@ -103,7 +103,9 @@ def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
     NumPy float64: the mean and sample sd, the median and scaled MAD, or
     the median, the IQR and the Tukey fences on the type-7 quartiles. A
     zero spread raises; a column of equal values has one, whatever its
-    rounded mean gives."""
+    rounded mean gives. The score rules' band is ±limit on the scores'
+    scale: the raw-scale band, which may overflow where the scores do
+    not, is computed only for the band rules."""
     if method in _MAD_METHODS:
         center, spread = scaled_mad(x, mad_factor)
         low = high = center
@@ -118,6 +120,9 @@ def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
         multiplier, what = SD_MULTIPLIER, "standard deviation"
     if spread == 0.0:
         raise DegenerateDataError(f"{method.value}: {what} is zero")
+    limit = _SCORE_LIMITS.get(method)
+    if limit is not None:
+        return center, spread, -limit, limit
     return center, spread, low - multiplier * spread, high + multiplier * spread
 
 
@@ -154,14 +159,13 @@ def detect_stat(
 
     with float_policy(method.value):
         center, spread, lower, upper = _estimate(x, method, mad_factor)
-        limit = _SCORE_LIMITS.get(method)
-        if limit is None:
+        if method in _SCORE_LIMITS:
+            scores = (x - center) / spread
+            flags = np.abs(scores) > upper
+            center, spread = 0.0, 1.0
+        else:
             scores = x.copy()
             flags = (x < lower) | (x > upper)
-        else:
-            scores = (x - center) / spread
-            flags = np.abs(scores) > limit
-            lower, upper, center, spread = -limit, limit, 0.0, 1.0
     factor = mad_factor if method in _MAD_METHODS else None
     limits = StatLimits(
         method, float(lower), float(upper), float(center), float(spread),

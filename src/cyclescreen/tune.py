@@ -32,7 +32,14 @@ from .errors import ConfigError, CycleScreenError, DegenerateDataError, InputErr
 from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config, validate_config
 from .ml_detect.params import PARAM_SPECS, CatDomain, IntDomain, RealDomain
-from .util import as_matrix, derive_seed, float_policy, round_half_up, round_sig
+from .util import (
+    as_matrix,
+    derive_seed,
+    float_policy,
+    is_integer,
+    round_half_up,
+    round_sig,
+)
 
 GAMMA = 0.25
 N_CANDIDATES = 24
@@ -446,8 +453,9 @@ def _check_rows(name, values, X):
 
 
 def check_trials(n_trials: int) -> None:
-    """Refuse a trial budget that is not an integer of at least 1."""
-    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
+    """Refuse a trial budget that is not an integer of at least 1; a NumPy
+    integer counts, a bool does not."""
+    if not is_integer(n_trials) or n_trials < 1:
         raise ConfigError(
             f"n_trials must be an integer of at least 1, got {n_trials!r}"
         )

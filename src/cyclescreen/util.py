@@ -79,6 +79,12 @@ def as_matrix(X) -> np.ndarray:
     return X
 
 
+def is_integer(value) -> bool:
+    """An integer that is not a bool; NumPy integers, as read from an
+    array, count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 #: whether a float_policy is already held, so nested entry points (fit
 #: calling pairwise, say) leave the error to the outermost one's label
 _policy_held: ContextVar[bool] = ContextVar("float_policy_held", default=False)

@@ -9,6 +9,7 @@ from cyclescreen.dist_detect import (
     MetricSpec,
     centroid_detect,
     distance,
+    grid_nodes,
     pairwise,
     resolve_metric,
     score_grid,
@@ -413,6 +414,26 @@ def test_grid_bad_resolution(rng):
     X = rng.normal(size=(8, 2))
     with pytest.raises(ConfigError, match="grid resolution must be at least 2"):
         score_grid(X, MetricSpec("euclidean"), resolution=1)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3", None])
+def test_grid_resolution_must_be_an_integer(rng, resolution):
+    X = rng.normal(size=(8, 2))
+    message = f"grid resolution must be an integer, got {resolution!r}"
+    for call in (
+        lambda: grid_nodes(X, resolution),
+        lambda: score_grid(X, MetricSpec("euclidean"), resolution=resolution),
+    ):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_grid_resolution_may_be_a_numpy_integer(rng):
+    X = rng.normal(size=(8, 2))
+    grid = score_grid(X, MetricSpec("euclidean"), resolution=np.int64(4))
+    expect = score_grid(X, MetricSpec("euclidean"), resolution=4)
+    assert grid.values.tobytes() == expect.values.tobytes()
 
 
 def test_grid_requires_two_columns(rng):

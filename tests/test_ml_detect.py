@@ -542,17 +542,23 @@ def reference_lof(X, Q, k, metric):
     return lrd[neigh].mean(axis=1) / lrd_q
 
 
-@pytest.mark.parametrize(
-    "metric", ["euclidean", "manhattan", "minkowski", "mahalanobis"]
-)
-def test_knn_and_lof_match_full_sort_references_on_ties(metric):
-    # points on a small integer lattice: many equal distances, 20 exact
-    # duplicate pairs among the fitted rows, and queries that hit fitted rows
+def _lattice_rows():
+    """(X, Q): 80 fitted points on a small integer lattice, with many equal
+    distances and 20 exact duplicate pairs, and 120 queries, 80 of which
+    hit fitted rows."""
     local = np.random.default_rng(9)
     lattice = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1).reshape(-1, 2)
     picked = lattice[local.permutation(64)[:60]]
     X = local.permutation(np.vstack([picked, picked[:20]]))
     Q = np.vstack([X, local.integers(-1, 9, size=(40, 2)).astype(float)])
+    return X, Q
+
+
+@pytest.mark.parametrize(
+    "metric", ["euclidean", "manhattan", "minkowski", "mahalanobis"]
+)
+def test_knn_and_lof_match_full_sort_references_on_ties(metric):
+    X, Q = _lattice_rows()
     spec = metric_from_params({"metric": metric, "minkowski_p": 3.0}, X)
     for k in (2, 5, 9):
         params = {"n_neighbors": k, "metric": metric, "minkowski_p": 3.0}
@@ -572,11 +578,65 @@ def test_knn_and_lof_match_full_sort_references_on_ties(metric):
         assert got.tobytes() == reference_lof(X, Q, k, spec).tobytes()
 
 
+def _cloud_rows():
+    """(X, Q): 80 fitted rows of 9 features, and 120 column-major queries,
+    80 of which hit fitted rows. Over 9 terms, NumPy sums a column-major
+    one-row block in another order than a block of several."""
+    local = np.random.default_rng(10)
+    X = local.normal(size=(80, 9)) * local.uniform(0.1, 50.0, size=9)
+    return X, np.asfortranarray(np.vstack([X, local.normal(size=(40, 9))]))
+
+
+@pytest.mark.parametrize(
+    "metric", ["euclidean", "manhattan", "minkowski", "mahalanobis"]
+)
+@pytest.mark.parametrize("rows_per_block", [1, 7, 79])
+@pytest.mark.parametrize("rows", [_lattice_rows, _cloud_rows], ids=["lattice", "cloud"])
+def test_blocked_neighbor_search_matches_full_matrix_references(
+    monkeypatch, rows, rows_per_block, metric
+):
+    # 2-row blocks (the floor); 7-row blocks leave one lone query row of
+    # 120; 79-row blocks leave one lone fitted row of 80 in the LOF fit.
+    # A lone row joins the block before it, as in pairwise.
+    X, Q = rows()
+    spec = metric_from_params({"metric": metric, "minkowski_p": 3.0}, X)
+    params = {"n_neighbors": 5, "metric": metric, "minkowski_p": 3.0}
+    # the references read the whole matrix, one pairwise block at the default
+    expect = reference_knn_distances(pairwise(Q, X, spec), 5)
+    expect_lof = reference_lof(X, Q, 5, spec)
+
+    monkeypatch.setattr(dist_detect, "BLOCK_ELEMENTS", rows_per_block * X.size)
+    shapes = []
+
+    def recorded(A, B, metric):
+        shapes.append(A.shape)
+        return pairwise(A, B, metric)
+
+    monkeypatch.setattr(ml_detect.knn, "pairwise", recorded)
+    monkeypatch.setattr(ml_detect.lof, "pairwise", recorded)
+    fitted = fit(make_config("knn", params), X)
+    got = ml_detect.knn.neighbor_distances(fitted.state, Q)
+    assert got.tobytes() == expect.tobytes()
+    # one 2-D pairwise call per block of the 120 queries
+    assert shapes == [(size, X.shape[1]) for size in {
+        1: [2] * 60, 7: [7] * 16 + [8], 79: [79, 41],
+    }[rows_per_block]]
+    for method, reduce in (
+        ("largest", lambda a: a[:, -1].copy()),
+        ("mean", lambda a: a.mean(axis=1)),
+        ("median", lambda a: np.median(a, axis=1)),
+    ):
+        got = score(fit(make_config("knn", params | {"method": method}), X), Q)
+        assert got.tobytes() == reduce(expect).tobytes()
+    got = score(fit(make_config("lof", params), X), Q)
+    assert got.tobytes() == expect_lof.tobytes()
+
+
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-def test_lof_neighbor_selection_matches_stable_argsort(monkeypatch, block):
+def test_lof_neighbor_selection_matches_stable_argsort(block):
     # distances from a 3-value lattice, so most rows tie across the k-th
-    # place; an inf diagonal, inf runs, and one row with NaNs
-    monkeypatch.setattr(dist_detect, "BLOCK_ELEMENTS", block)
+    # place; an inf diagonal, inf runs, and one row with NaNs. nearest
+    # reads the rows in blocks of `block` and drops each row's first zero.
     local = np.random.default_rng(11)
     for m, n in ((40, 40), (25, 60), (60, 9)):
         D = local.integers(0, 3, size=(m, n)).astype(float)
@@ -584,11 +644,20 @@ def test_lof_neighbor_selection_matches_stable_argsort(monkeypatch, block):
         if m == n:
             np.fill_diagonal(D, np.inf)
         D[3, ::2] = np.nan
+        dropped = D.copy()
+        for row in dropped:
+            zeros = np.nonzero(row == 0.0)[0]
+            row[zeros[:1]] = np.inf
         for k in sorted({1, 2, 5, n - 1, n}):
             order, dists = dist_detect.k_nearest(D, k)
             expect = np.argsort(D, axis=1, kind="stable")[:, :k]
             assert np.array_equal(order, expect)
             assert dists.tobytes() == np.take_along_axis(D, expect, axis=1).tobytes()
+            blocks = (D[i:i + block].copy() for i in range(0, m, block))
+            order, dists = dist_detect.nearest(blocks, k)
+            expect = np.argsort(dropped, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(order, expect)
+            assert dists.tobytes() == np.take_along_axis(dropped, expect, axis=1).tobytes()
 
 
 def test_neighbor_scoring_memory_is_not_an_n_m_d_tensor():
@@ -607,6 +676,32 @@ def test_neighbor_scoring_memory_is_not_an_n_m_d_tensor():
         # the (n, m) distances plus blocks; building the (n, m, d)
         # difference tensor at once peaked at 2.5 * n * m * d * 8 bytes
         assert peak < 0.7 * n * m * d * 8, (model, peak)
+
+
+def test_neighbor_search_holds_no_queries_by_fitted_rows_matrix():
+    # fit on n rows, and score n queries against m fitted rows: neither
+    # holds a quarter of the (n, n) or (n, m) float64 distance matrix
+    n, m, d = 3000, 500, 2
+    local = np.random.default_rng(5)
+    big = local.normal(size=(n, d))
+    small = local.normal(size=(m, d))
+    Q = local.normal(size=(n, d))
+    for model in ("knn", "lof"):
+        tracemalloc.start()
+        try:
+            fit(make_config(model), big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, (model, "fit", peak)
+        fitted = fit(make_config(model), small)
+        tracemalloc.start()
+        try:
+            score(fitted, Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 4, (model, "score", peak)
 
 
 # --- principal components -------------------------------------------------

@@ -7,6 +7,7 @@ from scipy import stats
 from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
 from cyclescreen.stat_detect import (
     GAUSSIAN_MAD_FACTOR,
+    StatLimits,
     StatMethod,
     detect_stat,
     scaled_mad,
@@ -178,6 +179,36 @@ def test_a_band_beyond_the_float_range_names_the_rule():
         "(overflow encountered in scalar multiply)"
     )
 
+
+
+def test_a_score_rule_reads_no_raw_scale_band():
+    # the scores (x - median) / scaled MAD are finite; the raw-scale band
+    # median + 3 scaled MADs is not, and mod_zscore never reads it
+    x = np.asarray([1e308, 1.7e308, 1.79e308])
+    verdict = detect_stat(x, "mod_zscore")
+    med, mad = scaled_mad(x, GAUSSIAN_MAD_FACTOR)
+    assert verdict.scores.tobytes() == ((x - med) / mad).tobytes()
+    assert verdict.limits == StatLimits(
+        StatMethod.MOD_ZSCORE, -3.5, 3.5, 0.0, 1.0, GAUSSIAN_MAD_FACTOR
+    )
+
+
+@pytest.mark.parametrize(
+    "method, lower, upper, center, spread",
+    [
+        ("sd", -99.70931913366222, 138.04265246699555, 19.166666666666668,
+         39.62532860010963),
+        ("mad", -3.171709983275208, 10.171709983275207, 3.5, 2.2239033277584026),
+        ("iqr", -1.5, 8.5, 3.5, 2.5),
+        ("zscore", -3.0, 3.0, 0.0, 1.0),
+        ("mod_zscore", -3.5, 3.5, 0.0, 1.0),
+    ],
+)
+def test_each_rule_reports_its_band(method, lower, upper, center, spread):
+    limits = detect_stat(DATA, method).limits
+    assert (limits.lower, limits.upper, limits.center, limits.spread) == (
+        lower, upper, center, spread
+    )
 
 def test_limits_are_python_floats():
     for method in StatMethod:

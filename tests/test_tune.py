@@ -606,6 +606,26 @@ def test_trial_budget_not_an_integer_of_at_least_1_raises_before_any_trial(
         assert str(err.value) == message
 
 
+def test_trial_budget_may_be_a_numpy_integer(labeled_cell):
+    X, _ = labeled_cell
+    # pca's space is enumerated, knn's is proposed by TPE
+    for model in ("knn", "pca"):
+        numpy_budget = optimize_proxy(np.arange(24.0), X, model, n_trials=np.int64(5))
+        int_budget = optimize_proxy(np.arange(24.0), X, model, n_trials=5)
+        assert [(tr.config, tr.objectives) for tr in numpy_budget.trials] == [
+            (tr.config, tr.objectives) for tr in int_budget.trials
+        ]
+
+
+@pytest.mark.parametrize("n_trials", [np.bool_(True), np.float64(5.0), np.int64(0)])
+def test_trial_budget_refuses_numpy_bools_floats_and_zero(no_fit, labeled_cell, n_trials):
+    X, _ = labeled_cell
+    message = f"n_trials must be an integer of at least 1, got {n_trials!r}"
+    with pytest.raises(ConfigError) as err:
+        optimize_proxy(np.arange(24.0), X, "knn", n_trials=n_trials)
+    assert str(err.value) == message
+
+
 def test_proxy_on_a_1d_column_matches_that_column_as_a_matrix(rng):
     t = np.arange(30, dtype=float)
     x = 1.0 + 0.01 * t + rng.normal(0, 0.01, 30)
