@@ -42,7 +42,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import dist_detect, ml_detect, tune
+from . import dist_detect, ml_detect
 from .dataset import (
     CycleStore,
     check_delimiter,
@@ -64,6 +64,7 @@ from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
 # cli never calls it
 from .features import build_feature_matrix, log_feature, mahalanobis_feature  # noqa: F401
 from .ml_detect import make_config
+from .ml_detect.params import DEFAULT_TRIALS, check_trials
 from .stat_detect import (
     GAUSSIAN_MAD_FACTOR, StatMethod, check_mad_factor, detect_stat,
 )
@@ -350,6 +351,9 @@ def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
 def _tune_body(args, cell_id, matrix, notes, cell_dir):
     """The cell's tuning on its selected columns: transfer's CellTuning, or
     proxy's ProxyResult after its compromise config is written."""
+    # imported by tune's functions alone, so no other subcommand loads it
+    from . import tune
+
     _names, cols = _selected_features(args, matrix, notes, multivariate=True)
     X = np.column_stack(cols)
     space = tune.default_search_space(args.model, n_features=X.shape[1])
@@ -477,6 +481,8 @@ def _trial_row(cell_id, trial, param_names) -> list[str]:
 
 def _write_trials(tuning_dir, model, per_cell) -> None:
     """trials.csv and pareto.csv from {cell_id: result with trials and front}."""
+    from . import tune
+
     param_names = sorted(tune.default_search_space(model).params)
     header = ",".join(
         ["cell_id", "trial_id", *param_names, "objective_1", "objective_2", "kind"]
@@ -497,6 +503,8 @@ def _config_json(config) -> str:
 
 
 def _cmd_tune(args) -> int:
+    from . import tune
+
     if args.model not in ml_detect.ML_MODELS:
         raise UsageError(
             f"tuning applies to learned models {list(ml_detect.ML_MODELS)}"
@@ -715,7 +723,7 @@ def build_parser() -> _Parser:
         "--strategy", choices=("transfer", "proxy"), default="transfer",
         help="transfer (labeled cells) or proxy (label-free)",
     )
-    p.add_argument("--trials", type=int, default=tune.DEFAULT_TRIALS,
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                    help="trial budget per cell")
     p.add_argument(
         "--threshold", type=float, default=ml_detect.DEFAULT_PROBABILITY_THRESHOLD,
@@ -763,7 +771,7 @@ def _check_options(args) -> None:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs!r}")
     for name, check in (
         ("delimiter", check_delimiter),
-        ("trials", tune.check_trials),
+        ("trials", check_trials),
         ("mad_factor", check_mad_factor),
         ("mad_threshold", dist_detect.check_mad_threshold),
         ("kpi", check_kpi),

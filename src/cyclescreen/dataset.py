@@ -406,12 +406,15 @@ def format_table(header: str, *columns, comment=None) -> str:
     """'# comment' when given, a CSV header and one row per entry of the
     columns, as read_verdict_flags reads them. Text columns are written as
     given, quoted as csv quotes them; float columns with repr, all others
-    as ints."""
+    as ints. A table with no text column is joined with ",": no number's
+    text needs quoting, and csv.writer costs several times the join."""
     texts = []
+    has_text = False
     for col in columns:
         values = np.asarray(col)
         if values.dtype.kind == "U":
             texts.append(col)  # as given: NumPy's str dtype drops trailing NULs
+            has_text = True
         elif values.dtype.kind == "f":
             texts.append([repr(x) for x in values.tolist()])
         else:
@@ -420,7 +423,11 @@ def format_table(header: str, *columns, comment=None) -> str:
     if comment is not None:
         buf.write(f"# {comment}\n")
     buf.write(header + "\n")
-    csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+    rows = zip(*texts)
+    if has_text:
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+    else:
+        buf.writelines(",".join(row) + "\n" for row in rows)
     return buf.getvalue()
 
 

@@ -38,7 +38,7 @@ from .errors import (
     EmptyFeatureError,
     InputError,
 )
-from .util import float_policy, normalize_scores
+from .util import float_policy, median, normalize_scores, quartiles
 
 #: guard for near-zero capacity differences and log arguments
 EPS = 1e-12
@@ -386,8 +386,8 @@ def _cell_features(
     for members, samples in zip(groups.values(), stacks):
         for col, channel in ((0, VOLTAGE), (2, CAPACITY)):
             x = samples[:, :, channel]
-            q1, q3 = np.quantile(x, [0.25, 0.75], axis=1)  # type 7
-            stats[members, col] = np.median(x, axis=1)
+            q1, q3 = quartiles(x)
+            stats[members, col] = median(x)
             stats[members, col + 1] = q3 - q1
     offsets = []
     for rec, (med_v, iqr_v, med_q, iqr_q) in zip(cycles, stats.tolist()):

@@ -4,27 +4,21 @@ All six models share the convention that a higher raw score is more
 anomalous. Raw scores become outlier probabilities through min-max
 normalization, and flags come from a probability threshold (default 0.7) or,
 for contamination-style workflows, by taking the top scoring fraction.
+
+A model's module loads on that model's first fit or score, so a process
+loads only the models it runs. Mlp, mirror_dims and gradient_check are
+importable from here, and load the autoencoder's module on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, ThresholdRangeError
 from ..util import as_matrix, float_policy, normalize_scores
-from .autoencoder import (
-    Mlp,
-    fit_autoencoder,
-    gradient_check,
-    mirror_dims,
-    score_autoencoder,
-)
-from .gmm import fit_gmm, score_gmm
-from .iforest import fit_iforest, score_iforest
-from .knn import fit_knn, score_knn
-from .lof import fit_lof, score_lof
 from .params import (
     MAX_CONTAMINATION,
     ML_MODELS,
@@ -33,18 +27,19 @@ from .params import (
     make_config,
     validate_config,
 )
-from .pca import fit_pca, score_pca
 
 DEFAULT_PROBABILITY_THRESHOLD = 0.7
 
-_REGISTRY = {
-    "iforest": (fit_iforest, score_iforest),
-    "knn": (fit_knn, score_knn),
-    "gmm": (fit_gmm, score_gmm),
-    "lof": (fit_lof, score_lof),
-    "pca": (fit_pca, score_pca),
-    "autoencoder": (fit_autoencoder, score_autoencoder),
-}
+def __getattr__(name):
+    if name in ("Mlp", "mirror_dims", "gradient_check"):
+        return getattr(_model_module("autoencoder"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _model_module(model: str):
+    """The module of a model, named as the model and holding its fit_<model>
+    and score_<model>; imported on the model's first fit or score."""
+    return importlib.import_module(f"{__name__}.{model}")
 
 
 @dataclass
@@ -68,7 +63,7 @@ def fit(config: DetectorConfig, X) -> FittedDetector:
     config = validate_config(config)
     X = as_matrix(X)
     rng = np.random.default_rng(config.seed)
-    fit_fn, _ = _REGISTRY[config.model]
+    fit_fn = getattr(_model_module(config.model), f"fit_{config.model}")
     with float_policy(config.model):
         state = fit_fn(config.params, X, rng)
     return FittedDetector(config=config, state=state, n_features=X.shape[1])
@@ -85,8 +80,9 @@ def score(fitted: FittedDetector, X) -> np.ndarray:
             f"scored rows have {X.shape[1]} features, detector was fitted "
             f"on {fitted.n_features}"
         )
-    _, score_fn = _REGISTRY[fitted.config.model]
-    with float_policy(fitted.config.model):
+    model = fitted.config.model
+    score_fn = getattr(_model_module(model), f"score_{model}")
+    with float_policy(model):
         return score_fn(fitted.state, X)
 
 

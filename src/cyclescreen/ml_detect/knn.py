@@ -26,6 +26,7 @@ from ..dist_detect import (
     pairwise,
     query_blocks,
 )
+from ..util import median
 
 
 @dataclass
@@ -58,4 +59,4 @@ def score_knn(state: KnnState, Q: np.ndarray) -> np.ndarray:
         return dists[:, -1].copy()
     if state.method == "mean":
         return dists.mean(axis=1)
-    return np.median(dists, axis=1)
+    return median(dists)

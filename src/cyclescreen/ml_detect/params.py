@@ -4,7 +4,9 @@ Each model declares its tunable params as Param(default, hard, search): the
 default fills configs, the hard range rejects out-of-range values,
 and the search range, when set, is what tuning explores. The hard range's type
 drives config aggregation (numeric params average, categorical params take the
-mode); the search range's type drives how TPE models a dimension.
+mode); the search range's type drives how TPE models a dimension. Tuning
+runs DEFAULT_TRIALS trials per cell unless given a budget, which
+check_trials checks.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from ..dist_detect import METRIC_KINDS
 from ..errors import ConfigError
+from ..util import is_integer
 
 
 def _is_number(value) -> bool:
@@ -188,6 +191,18 @@ PARAM_SPECS: dict[str, dict[str, Param]] = {
 }
 
 ML_MODELS = tuple(PARAM_SPECS)
+
+#: tuning's trial budget per cell when none is given
+DEFAULT_TRIALS = 20
+
+
+def check_trials(n_trials: int) -> None:
+    """Refuse a trial budget that is not an integer of at least 1; a NumPy
+    integer counts, a bool does not."""
+    if not is_integer(n_trials) or n_trials < 1:
+        raise ConfigError(
+            f"n_trials must be an integer of at least 1, got {n_trials!r}"
+        )
 
 
 @dataclass

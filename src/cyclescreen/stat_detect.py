@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
-from .util import as_matrix, float_policy
+from .util import as_matrix, float_policy, median, quartiles
 
 #: reciprocal of the 0.75 standard normal quantile, the factor that makes the
 #: median absolute deviation a consistent sigma estimate on Gaussian data
@@ -89,8 +89,8 @@ def scaled_mad(
     refuses the factor, or the raw deviation is exactly zero.
     """
     check_mad_factor(mad_factor)
-    med = np.median(values)
-    raw = np.median(np.abs(values - med))
+    med = median(values)
+    raw = median(np.abs(values - med))
     if raw == 0.0:
         raise DegenerateDataError(
             "median absolute deviation is zero; spread is degenerate"
@@ -111,8 +111,8 @@ def _estimate(x: np.ndarray, method: StatMethod, mad_factor: float):
         low = high = center
         multiplier, what = MAD_MULTIPLIER, "scaled median absolute deviation"
     elif method is StatMethod.IQR:
-        low, high = np.quantile(x, [0.25, 0.75])  # type-7 interpolation
-        center, spread = np.median(x), high - low
+        low, high = quartiles(x)
+        center, spread = median(x), high - low
         multiplier, what = IQR_MULTIPLIER, "interquartile range"
     else:
         center = low = high = np.mean(x)

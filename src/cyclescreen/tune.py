@@ -31,12 +31,18 @@ from . import ml_detect
 from .errors import ConfigError, CycleScreenError, DegenerateDataError, InputError
 from .evaluation import confusion, metrics
 from .ml_detect import DetectorConfig, make_config, validate_config
-from .ml_detect.params import PARAM_SPECS, CatDomain, IntDomain, RealDomain
+from .ml_detect.params import (
+    DEFAULT_TRIALS,
+    PARAM_SPECS,
+    CatDomain,
+    IntDomain,
+    RealDomain,
+    check_trials,
+)
 from .util import (
     as_matrix,
     derive_seed,
     float_policy,
-    is_integer,
     round_half_up,
     round_sig,
 )
@@ -44,7 +50,6 @@ from .util import (
 GAMMA = 0.25
 N_CANDIDATES = 24
 N_STARTUP = 5
-DEFAULT_TRIALS = 20
 LOSS_SENTINEL = float("inf")
 
 
@@ -449,15 +454,6 @@ def _check_rows(name, values, X):
         raise InputError(
             f"{name} has shape {np.shape(values)}, but features have "
             f"{X.shape[0]} rows"
-        )
-
-
-def check_trials(n_trials: int) -> None:
-    """Refuse a trial budget that is not an integer of at least 1; a NumPy
-    integer counts, a bool does not."""
-    if not is_integer(n_trials) or n_trials < 1:
-        raise ConfigError(
-            f"n_trials must be an integer of at least 1, got {n_trials!r}"
         )
 
 

@@ -669,38 +669,62 @@ def test_scoremap_resolution_checked_for_every_model(
     assert "grid resolution must be at least 2" in messages[0]
 
 
-def test_cli_import_loads_no_scipy(child_env):
+#: the learned models' modules each subcommand's run below loads
+LOADED_MODELS = {
+    "ingest": set(),
+    "features": set(),
+    "detect": set(ml_detect.ML_MODELS),
+    "tune": {"knn"},
+    "evaluate": set(),
+    "scoremap": set(ml_detect.ML_MODELS),
+}
+
+
+@pytest.mark.parametrize("command", list(LOADED_MODELS))
+def test_each_subcommand_loads_only_what_it_runs(dataset, tmp_path, child_env, command):
+    # a fresh interpreter per subcommand at --jobs 1: no scipy, no process
+    # pool, no numpy.ma (np.median and np.quantile import it), tune's module
+    # only under tune, and a learned model's module only when it runs
     import subprocess
     import sys
 
+    out = str(tmp_path / "out")
+    columns = ("--recipe", "custom", "--feature", FEATURES)
+    argv = {
+        "ingest": (),
+        "features": ("--recipe", "custom"),
+        "detect": columns,
+        "tune": (*columns, "--model", "knn", "--strategy", "proxy", "--trials", "3"),
+        "evaluate": ("--labels", dataset["labels"]),
+        "scoremap": (*columns, "--resolution", "4"),
+    }[command]
+    source = dataset["meas"]
+    if command == "evaluate":
+        assert run("detect", "--input", source, "--out", out, *columns, "--model", "iqr") == 0
+        source = out
     probe = (
-        "import sys, cyclescreen.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys; from cyclescreen.cli import main; "
+        "rc = main(sys.argv[1:]); print(json.dumps([rc, sorted(sys.modules)]))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        env=child_env,
+        [sys.executable, "-c", probe, command, "--input", source, "--out", out, *argv],
+        capture_output=True, text=True, env=child_env,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_process_pool(child_env):
-    # only a run over several cells with --jobs above 1 needs the pool
-    import subprocess
-    import sys
-
-    probe = (
-        "import sys, cyclescreen.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        env=child_env,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    rc, modules = json.loads(result.stdout.splitlines()[-1])
+    assert rc == 0, result.stderr
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert [
+        m for m in modules
+        if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures"
+    ] == []
+    assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+    assert ("cyclescreen.tune" in modules) == (command == "tune")
+    models = {
+        m.removeprefix("cyclescreen.ml_detect.") for m in modules
+        if m.startswith("cyclescreen.ml_detect.")
+    } - {"params"}
+    assert models == LOADED_MODELS[command]
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
@@ -734,36 +758,50 @@ def test_cli_import_runs_blas_on_one_thread_unless_told_otherwise(child_env, pre
         assert threads == "1"
 
 
-INPUT ={"--input", "--out", "--delimiter", "--col", "--jobs"}
-COLUMNS = {"--recipe", "--feature", "--log", "--seed"}
+#: each subcommand's options and their defaults
+INPUT = {
+    "--input": None, "--out": "out", "--delimiter": ",", "--col": None, "--jobs": 1,
+}
+COLUMNS = {"--recipe": "severson", "--feature": None, "--log": False, "--seed": 0}
 SURFACE = {
     "ingest": INPUT,
-    "features": INPUT | {"--recipe"},
-    "detect": INPUT | COLUMNS | {
-        "--model", "--threshold", "--mad-factor", "--mad-threshold", "--p",
-        "--contamination-threshold", "--config",
+    "features": {**INPUT, "--recipe": "severson"},
+    "detect": {
+        **INPUT, **COLUMNS, "--model": "all", "--threshold": 0.7,
+        "--mad-factor": 1.4826022185056018, "--mad-threshold": 3.0, "--p": 0.5,
+        "--contamination-threshold": False, "--config": None,
     },
-    "tune": INPUT | COLUMNS | {
-        "--labels", "--manifest", "--model", "--strategy", "--trials",
-        "--threshold",
+    "tune": {
+        **INPUT, **COLUMNS, "--labels": None, "--manifest": None, "--model": None,
+        "--strategy": "transfer", "--trials": 20, "--threshold": 0.7,
     },
-    "evaluate": {"--input", "--out", "--labels", "--delimiter", "--kpi"},
-    "scoremap": INPUT | COLUMNS | {"--model", "--resolution", "--p"},
+    "evaluate": {
+        "--input": None, "--out": "out", "--labels": None, "--delimiter": ",",
+        "--kpi": 0.95,
+    },
+    "scoremap": {**INPUT, **COLUMNS, "--model": "all", "--resolution": 50, "--p": 0.5},
 }
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():
+    # the defaults are pinned by value and type, so none changes when the
+    # constant behind it moves
     subs = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
     surface = {
         name: {
-            option for action in sub._actions for option in action.option_strings
-        } - {"-h", "--help"}
+            option: (type(action.default), action.default)
+            for action in sub._actions for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
         for name, sub in subs.choices.items()
     }
-    assert surface == SURFACE
+    assert surface == {
+        name: {option: (type(v), v) for option, v in options.items()}
+        for name, options in SURFACE.items()
+    }
     assert sum(map(len, surface.values())) == 59
 
 

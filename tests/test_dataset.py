@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import tempfile
 
@@ -14,6 +15,7 @@ from cyclescreen.dataset import (
     check_labels,
     export_cycles,
     export_labels,
+    format_table,
     ingest_cycles,
     read_labels,
     read_manifest,
@@ -367,6 +369,25 @@ def test_export_labels_bytes(tmp_path):
     assert read_labels(str(path)) == {'a,"b': {1, 3}, "plain": {2}}
     export_labels({}, str(path))
     assert path.read_bytes() == b"cell_id,cycle_index\n"
+
+
+@pytest.mark.parametrize("cell", [None, "plain", 'a,"b'])
+def test_format_table_gives_csv_writers_bytes(cell):
+    # a numeric table is joined with ",", a table holding text goes through
+    # csv.writer; either way the bytes are csv.writer's
+    floats = np.array([0.1, -0.0, 5e-324, -1.7976931348623157e308, np.inf])
+    float_texts = ["0.1", "-0.0", "5e-324", "-1.7976931348623157e+308", "inf"]
+    ints = np.array([0, -3, 2**40, 1, 5])
+    int_texts = ["0", "-3", "1099511627776", "1", "5"]
+    if cell is None:
+        columns, texts = (ints, floats, floats > 0), (int_texts, float_texts, "10101")
+    else:
+        columns = ([cell] * 5, ints, floats)
+        texts = ([cell] * 5, int_texts, float_texts)
+    buf = io.StringIO()
+    buf.write("# note\nh\n")
+    csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+    assert format_table("h", *columns, comment="note") == buf.getvalue()
 
 
 def test_export_import_round_trip_exact(tmp_path, simple_cycles):

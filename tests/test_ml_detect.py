@@ -54,6 +54,18 @@ def test_registry_covers_six_models():
     }
 
 
+def test_autoencoder_names_are_importable_from_ml_detect():
+    # the autoencoder's module loads on first use, by these names too
+    from cyclescreen.ml_detect import Mlp, gradient_check, mirror_dims
+    from cyclescreen.ml_detect import autoencoder
+
+    assert (Mlp, gradient_check, mirror_dims) == (
+        autoencoder.Mlp, autoencoder.gradient_check, autoencoder.mirror_dims,
+    )
+    with pytest.raises(AttributeError, match="has no attribute 'fit_knn'"):
+        ml_detect.fit_knn
+
+
 def test_make_config_defaults_and_overrides():
     config = make_config("knn")
     assert config.params["n_neighbors"] == 5

@@ -1,10 +1,20 @@
 import math
 import os
 
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cyclescreen.util import atomic_write_text, derive_seed, round_half_up, round_sig
+from cyclescreen.errors import DegenerateDataError
+from cyclescreen.util import (
+    atomic_write_text,
+    derive_seed,
+    float_policy,
+    median,
+    quartiles,
+    round_half_up,
+    round_sig,
+)
 
 
 def test_derive_seed_deterministic():
@@ -62,3 +72,68 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path):
     target = tmp_path / "atomic.txt"
     atomic_write_text(str(target), "payload")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+#: values whose order statistics need care: signed zeros, subnormals, the
+#: ends of the float range, where the mean and the lerp overflow, and NaN,
+#: which NumPy's partition puts last
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.nan,
+]
+
+
+@st.composite
+def order_statistic_inputs(draw):
+    """A 1-D series or a (rows, n) matrix of n from 1 to 40, odd and even,
+    drawn from few values so duplicates are common."""
+    values = draw(st.lists(
+        st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False),
+        min_size=1, max_size=6,
+    ))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    shape = (n,) if rows is None else (rows, n)
+    picks = draw(st.lists(
+        st.integers(0, len(values) - 1),
+        min_size=math.prod(shape), max_size=math.prod(shape),
+    ))
+    return np.array([values[i] for i in picks]).reshape(shape)
+
+
+def _under_policy(statistic, x):
+    """statistic(x) under float_policy, or the text of its refusal."""
+    try:
+        with float_policy("q"):
+            return statistic(x)
+    except DegenerateDataError as err:
+        return str(err)
+
+
+def _same_bits(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return (
+        type(got) is type(want)
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+@given(order_statistic_inputs())
+@example(np.array([-0.0]))
+@example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(np.array([1.7976931348623157e308, 1e308]))
+@example(np.array([-1.7976931348623157e308, 1e308, 1.7976931348623157e308]))
+def test_order_statistics_match_numpy_bit_for_bit(x):
+    got = _under_policy(median, x)
+    want = _under_policy(lambda a: np.median(a, axis=-1), x)
+    assert _same_bits(got, want), (got, want)
+    got = _under_policy(quartiles, x)
+    want = _under_policy(
+        lambda a: tuple(np.quantile(a, [0.25, 0.75], axis=-1, method="linear")), x,
+    )
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(map(_same_bits, got, want)), (got, want)
