@@ -7,11 +7,11 @@ where applicable, so they live on a common distance scale. Flags come from a
 one-sided MAD rule on the distance vector; scores are min-max normalized over
 the observed cycles so that contour grids and flags share a scale.
 
-knn and lof share `check_n_neighbors` and the neighbor search, which never
-holds the (queries x fitted rows) distance matrix: `query_blocks` cuts the
-queries into the row blocks `pairwise` fills, each caller computes one
-block's distances with `pairwise`, and `nearest` drops that block's
-self-matches and keeps its k nearest before the next block is computed.
+knn and lof share `check_n_neighbors` and the neighbor search, the only
+computation here that blocks: `query_blocks` cuts the queries into row
+blocks, each caller computes one block's distances with `pairwise`, and
+`nearest` drops that block's self-matches and keeps its k nearest before
+the next block is computed, so no (queries x fitted rows) matrix is held.
 
 `pairwise`, `resolve_metric`, `centroid_detect`, `grid_nodes` and
 `score_grid` read their data through `util.as_matrix`: a 1-D array is one
@@ -122,13 +122,12 @@ def _whiten(metric: MetricSpec, *arrays: np.ndarray) -> list[np.ndarray]:
 
 
 def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
-    """Distance matrix between rows of X (n, d) and rows of Y (m, d).
+    """C-contiguous distance matrix between rows of X (n, d) and rows of
+    Y (m, d); Mahalanobis whitens all rows first, then is Euclidean.
 
-    The (n, m) result is filled one `_row_blocks` block of X rows at a
-    time, so the difference tensor holds about BLOCK_ELEMENTS values at
-    once; each entry is the same elementwise formula over the same d
-    differences as an unblocked computation. Mahalanobis whitens all rows
-    once, up front, and is Euclidean from there.
+    The (n, m, d) difference tensor and its temporaries are held whole:
+    only the neighbor search blocks, one call per `query_blocks` block.
+    The CLI's largest direct call (scoremap, --resolution 1000) holds 16 MB.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
@@ -140,33 +139,26 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
         if kind == "mahalanobis":
             X, Y = _whiten(metric, X, Y)
             kind = "euclidean"
-        blocks = _row_blocks(X.shape[0], Y.size)
-        # a one-block call returns its block: no second (n, m) array
-        out = np.empty((X.shape[0], Y.shape[0])) if len(blocks) > 1 else None
-        for rows in blocks:
-            diff = X[rows, None, :] - Y[None, :, :]
-            if kind == "euclidean":
-                block = np.sum(np.square(diff, out=diff), axis=-1)
-                np.sqrt(block, out=block)
-            elif kind == "manhattan":
-                block = np.sum(np.abs(diff, out=diff), axis=-1)
-            else:
-                p = float(metric.p)
-                block = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
-            if out is None:
-                return np.ascontiguousarray(block)
-            out[rows] = block
-    return out
+        diff = X[:, None, :] - Y[None, :, :]
+        if kind == "euclidean":
+            out = np.sum(np.square(diff, out=diff), axis=-1)
+            np.sqrt(out, out=out)
+        elif kind == "manhattan":
+            out = np.sum(np.abs(diff, out=diff), axis=-1)
+        else:
+            p = float(metric.p)
+            out = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
+    return np.ascontiguousarray(out)
 
 
 def query_blocks(
     Q, X, metric: MetricSpec
 ) -> tuple[list[np.ndarray], np.ndarray, MetricSpec]:
-    """(blocks, X, metric): the query rows Q cut into the blocks `pairwise`
-    fills against the fitted rows X, and the X and metric to pass with each
-    block. Mahalanobis whitens Q and X once, here, and is Euclidean from
-    there, so `pairwise(B, X, metric)` over the blocks gives the rows of
-    `pairwise(Q, X, metric)` bit for bit, one block at a time."""
+    """(blocks, X, metric): the query rows Q cut into `_row_blocks` blocks,
+    the only blocking of rows, and the fitted rows X and metric to pass with
+    each block. Mahalanobis whitens Q and X once, here, and is Euclidean
+    from there, so `pairwise(B, X, metric)` over the blocks gives the rows
+    of `pairwise(Q, X, metric)` bit for bit, one block at a time."""
     Q, X = as_matrix(Q), as_matrix(X)
     if metric.kind == "mahalanobis":
         with float_policy(metric.kind):

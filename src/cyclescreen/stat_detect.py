@@ -149,7 +149,13 @@ def detect_stat(
     inequality as |z| > k. The modified score divides by the scaled MAD, so
     with the Gaussian factor it matches the classic 0.6745*(x - M)/MAD form.
     """
-    method = StatMethod(method)
+    try:
+        method = StatMethod(method)
+    except ValueError:
+        names = [m.value for m in StatMethod]
+        raise ConfigError(
+            f"unknown method '{method}'; expected one of {names}"
+        ) from None
     x = as_matrix(values)
     if x.shape[1] != 1:
         raise InputError(f"detect_stat reads one feature column, got {x.shape[1]}")

@@ -1285,6 +1285,54 @@ def test_usage_errors_come_before_the_input_is_read(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+#: argv refused with exit 1 and one stderr line, each message in full; the
+#: braced names are the dataset's files and ones the test writes
+REFUSALS = {
+    ("detect", "--recipe", "custom", "--feature", ","):
+        "--feature was given but names no columns",
+    ("scoremap", "--recipe", "custom", "--feature", "dv_max,dq_max,dvdq_max"):
+        "scoremap needs exactly 2 features, got 3",
+    ("tune", "--model", "mad"):
+        "tuning applies to learned models "
+        "['iforest', 'knn', 'gmm', 'lof', 'pca', 'autoencoder']",
+    # the manifest trains on cellA, and only cellB is labeled
+    ("tune", "--model", "knn", "--strategy", "transfer", "--labels", "{cellB_labels}",
+     "--manifest", "{manifest}", "--recipe", "custom", "--feature", FEATURES):
+        "no labeled train cells to tune on",
+    ("evaluate", "--labels", "{labels}", "--input", "{no_verdicts}"):
+        "no verdicts for labeled cells found under '{no_verdicts}'",
+    ("ingest", "--col", "bogus=x"): "unknown column roles: ['bogus']",
+    ("tune", "--model", "knn", "--strategy", "proxy", "--manifest", "{dev_role}",
+     "--recipe", "custom", "--feature", FEATURES):
+        "{dev_role}: row 3: unknown role 'dev' (expected train or test)",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", REFUSALS.items(), ids=map(" ".join, REFUSALS)
+)
+def test_refusal_exits_1_with_its_message_and_writes_nothing(
+    dataset, tmp_path, capsys, argv, message
+):
+    paths = {
+        "labels": dataset["labels"],
+        "manifest": dataset["manifest"],
+        "cellB_labels": str(tmp_path / "cellB_labels.csv"),
+        "no_verdicts": str(tmp_path / "no_verdicts"),
+        "dev_role": str(tmp_path / "dev_role.csv"),
+    }
+    Path(paths["cellB_labels"]).write_text("cell_id,cycle_index\ncellB,20\n")
+    Path(paths["no_verdicts"]).mkdir()
+    Path(paths["dev_role"]).write_text("cell_id,role\ncellA,train\ncellB,dev\n")
+    argv = [a.format(**paths) for a in argv]
+    if "--input" not in argv:
+        argv += ["--input", dataset["meas"]]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
 def test_scoremap_error_names_the_cell_and_the_model(tmp_path, capsys):
     # five identical cycles: every centroid distance is the same
     rows = "".join(

@@ -11,6 +11,7 @@ from cyclescreen.dist_detect import (
     distance,
     grid_nodes,
     pairwise,
+    query_blocks,
     resolve_metric,
     score_grid,
 )
@@ -73,7 +74,7 @@ def test_mahalanobis_whitening_oracle(rng):
 
 
 def unblocked_pairwise(X, Y, metric):
-    """The whole (n, m, d) difference tensor at once, as before blocking."""
+    """The whole (n, m, d) difference tensor at once, in the plain formulas."""
     if metric.kind == "mahalanobis":
         chol = np.linalg.cholesky(metric.covariance)
         X = np.linalg.solve(chol, X.T).T
@@ -97,6 +98,8 @@ def unblocked_pairwise(X, Y, metric):
     ],
 )
 def test_pairwise_blocks_match_unblocked_bytes(n, m, d, block_elements, monkeypatch):
+    # pairwise over the whole rows, and over the query blocks the neighbor
+    # search cuts, each give the plain formulas' bytes
     if block_elements is not None:
         monkeypatch.setattr(dist_detect, "BLOCK_ELEMENTS", block_elements)
     local = np.random.default_rng(n + d)
@@ -113,9 +116,13 @@ def test_pairwise_blocks_match_unblocked_bytes(n, m, d, block_elements, monkeypa
     # a column-major X changes the order in which NumPy sums the d terms
     for X in (X, np.asfortranarray(X)):
         for spec in specs:
+            expect = unblocked_pairwise(X, Y, spec).tobytes()
             got = pairwise(X, Y, spec)
-            assert got.shape == (n, m)
-            assert got.tobytes() == unblocked_pairwise(X, Y, spec).tobytes(), spec.kind
+            assert got.shape == (n, m) and got.flags.c_contiguous
+            assert got.tobytes() == expect, spec.kind
+            blocks, fitted, metric = query_blocks(X, Y, spec)
+            blocked = np.concatenate([pairwise(B, fitted, metric) for B in blocks])
+            assert blocked.tobytes() == expect, spec.kind
 
 
 @settings(max_examples=80, deadline=None)

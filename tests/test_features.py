@@ -247,6 +247,10 @@ SAMPLE_VALUES = st.one_of(
 # the kept dv/dq ratios peak at both -0.0 and 0.0, beside skipped pairs
 @example([list(zip([1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0, 1.0],
                    [3.0, 3.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 3.0, 1.0, 3.0]))])
+# the second cycle's 1e-13 capacity steps scale to differences under the
+# guard, so its dvdq denominators are clamped and its cycle is noted
+@example([[(3.0, 0.0), (3.5, 0.5), (4.0, 1.0)],
+          [(3.0 + 0.5 * k, 1.0 + 1e-13 * k) for k in range(4)]])
 def test_batched_features_match_per_cycle_oracle(cycle_samples):
     # ragged sample counts put a cell's cycles in several stacked groups
     cycles = [

@@ -21,6 +21,17 @@ CLI_BINDINGS = (
     "detect_stat", "confusion", "benchmark_report", "atomic_write_text",
 )
 
+#: the traced run's counts, 6 tuning trials per cell among them. knn and
+#: lof call pairwise once per query block, so scoremap's 2,500 grid nodes
+#: take 3 calls per cell
+EXACT_COUNTS = {
+    "ml_detect.fit_calls": 26,
+    "dist_detect.pairwise_calls": 26,
+    "stat_detect.calls": 10,
+    "util.atomic_write_text_calls": 50,
+    "tune.trials": 12,
+}
+
 
 def test_traced_run_records_spans_and_restores_cli(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
@@ -69,5 +80,7 @@ def test_traced_run_records_spans_and_restores_cli(tmp_path, monkeypatch):
     ):
         assert name in recorded, name
     metrics = spans.layer_metrics(tracer.spans, 0, 1.0, 1.0)
-    assert metrics["tune.trials"][0] == 6 * len(cells)  # 6 trials per cell
+    counts = {name: metrics[name][0] for name in EXACT_COUNTS}
+    assert counts == EXACT_COUNTS
+    # a float's repr can change length with the NumPy build
     assert metrics["util.atomic_write_text_bytes"][0] > 0

@@ -106,6 +106,15 @@ def test_method_accepts_strings():
         assert verdict.limits.method == StatMethod(name)
 
 
+def test_unknown_method_is_a_config_error_naming_the_rules():
+    with pytest.raises(ConfigError) as err:
+        detect_stat([1.0, 2.0, 3.0], "bogus")
+    assert str(err.value) == (
+        "unknown method 'bogus'; expected one of "
+        "['sd', 'mad', 'iqr', 'zscore', 'mod_zscore']"
+    )
+
+
 def test_all_methods_match_brute_force(rng):
     for _ in range(500):
         n = int(rng.integers(4, 30))

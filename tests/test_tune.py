@@ -284,6 +284,15 @@ def test_aggregate_mode_with_lexicographic_tie():
     assert aggregate_configs(configs).params["method"] == "mean"
 
 
+def test_aggregate_keeps_pca_components_unset_when_any_config_leaves_it():
+    unset = make_config("pca", {})
+    two = make_config("pca", {"n_components": 2})
+    assert unset.params["n_components"] is None
+    assert aggregate_configs([unset, unset]).params["n_components"] is None
+    assert aggregate_configs([two, unset, two]).params["n_components"] is None
+    assert aggregate_configs([two, two]).params["n_components"] == 2
+
+
 def test_aggregate_real_params_average():
     configs = [
         make_config("iforest", {"contamination": c}) for c in (0.1, 0.3)
