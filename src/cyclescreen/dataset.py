@@ -115,8 +115,9 @@ class CycleStore:
             sorted(self.records, key=lambda r: (r.cell_id, r.cycle_index))
         )
         keys = [(r.cell_id, r.cycle_index) for r in ordered]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
+        # sorted keys: each repeat follows its first occurrence
+        dupes = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
+        if dupes:
             raise InputError(f"duplicate (cell, cycle) pairs: {dupes[:5]}")
         self.records = ordered
         self._cells = {}

@@ -93,21 +93,8 @@ def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
 
 #: elements one block of the neighbour search holds (512 KB of float64,
 #: cache-sized): the difference tensor `pairwise` builds for a block of
-#: query rows. A block takes as many rows as fit, at least two.
+#: query rows
 BLOCK_ELEMENTS = 1 << 16
-
-
-def _row_blocks(n: int, row_elements: int) -> list[slice]:
-    """Consecutive slices over n rows, each of about BLOCK_ELEMENTS //
-    row_elements rows and at least two. A lone last row joins the block
-    before it: for a one-row slice of a column-major matrix (whitened rows
-    are), NumPy lays the difference tensor out differently and sums the d
-    terms in another order."""
-    step = max(2, BLOCK_ELEMENTS // max(1, row_elements))
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _whiten(metric: MetricSpec, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -154,17 +141,23 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
 def query_blocks(
     Q, X, metric: MetricSpec
 ) -> tuple[list[np.ndarray], np.ndarray, MetricSpec]:
-    """(blocks, X, metric): the query rows Q cut into `_row_blocks` blocks,
+    """(blocks, X, metric): the query rows Q cut into consecutive blocks,
     the only blocking of rows, and the fitted rows X and metric to pass with
-    each block. Mahalanobis whitens Q and X once, here, and is Euclidean
-    from there, so `pairwise(B, X, metric)` over the blocks gives the rows
-    of `pairwise(Q, X, metric)` bit for bit, one block at a time."""
+    each block. A block takes as many rows as keep its difference tensor
+    within BLOCK_ELEMENTS, and at least two. A lone last row joins the block
+    before it: for a one-row slice of a column-major matrix (whitened rows
+    are), NumPy lays the difference tensor out differently and sums the d
+    terms in another order. Mahalanobis whitens Q and X once, here, and is
+    Euclidean from there, so `pairwise(B, X, metric)` over the blocks gives
+    the rows of `pairwise(Q, X, metric)` bit for bit, one block at a time."""
     Q, X = as_matrix(Q), as_matrix(X)
     if metric.kind == "mahalanobis":
         with float_policy(metric.kind):
             Q, X = _whiten(metric, Q, X)
         metric = MetricSpec("euclidean")
-    return [Q[rows] for rows in _row_blocks(Q.shape[0], X.size)], X, metric
+    step = max(2, BLOCK_ELEMENTS // X.size)
+    cuts = [0, *range(step, len(Q) - 1, step), len(Q)]
+    return [Q[a:b] for a, b in zip(cuts, cuts[1:])], X, metric
 
 
 def check_n_neighbors(k: int, n: int) -> None:

@@ -8,7 +8,7 @@ central finite differences.
 
 The parameters are one flat vector with per-layer views, and backprop fills
 a gradient vector of the same layout, so a training step updates the vector
-in place, with no per-step copies. Each epoch gathers its permuted rows once
+in place, with no per-layer copies. Each epoch gathers its permuted rows once
 and trains on contiguous slices of them.
 """
 
@@ -157,42 +157,32 @@ def mirror_dims(d_in: int, hidden: tuple[int, ...]) -> list[int]:
 
 def _optimizer_step(name: str, lr: float, theta: np.ndarray, grad: np.ndarray):
     """A no-argument step that applies an sgd, momentum(0.9) or
-    adaptive-moment update from grad to theta in place, operation for
-    operation as the formula in each comment."""
-    tmp = np.empty_like(theta)
+    adaptive-moment update (Kingma & Ba, 2015) from grad to theta; `-=` and
+    `+=` update theta in place, the array the network's layers view."""
     if name == "sgd":
         def step():
-            # theta - lr * grad
-            np.subtract(theta, np.multiply(grad, lr, out=tmp), out=theta)
+            nonlocal theta
+            theta -= lr * grad
         return step
     if name == "momentum":
         velocity = np.zeros_like(theta)
 
         def step():
-            # velocity = 0.9 * velocity - lr * grad; theta + velocity
-            np.multiply(velocity, 0.9, out=velocity)
-            np.subtract(velocity, np.multiply(grad, lr, out=tmp), out=velocity)
-            np.add(theta, velocity, out=theta)
+            nonlocal theta, velocity
+            velocity = 0.9 * velocity - lr * grad
+            theta += velocity
         return step
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m, v, denom = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
-    t = 0
+    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
 
     def step():
-        nonlocal t
+        nonlocal theta, m, v, t
         t += 1
-        # m = beta1 * m + (1 - beta1) * grad
-        np.multiply(m, beta1, out=m)
-        np.add(m, np.multiply(grad, 1.0 - beta1, out=tmp), out=m)
-        # v = beta2 * v + (1 - beta2) * grad**2
-        np.multiply(v, beta2, out=v)
-        np.multiply(np.square(grad, out=tmp), 1.0 - beta2, out=tmp)
-        np.add(v, tmp, out=v)
-        # theta - lr * m_hat / (sqrt(v_hat) + eps), hats bias-corrected
-        np.divide(v, 1.0 - beta2**t, out=denom)
-        np.add(np.sqrt(denom, out=denom), eps, out=denom)
-        np.multiply(np.divide(m, 1.0 - beta1**t, out=tmp), lr, out=tmp)
-        np.subtract(theta, np.divide(tmp, denom, out=tmp), out=theta)
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return step
 
 

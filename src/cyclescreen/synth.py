@@ -86,26 +86,15 @@ def _clean_cycle(s: np.ndarray, cap_n: float, fade: FadeModel, rng):
 
 def _apply(spec: AnomalySpec, voltage: np.ndarray, capacity: np.ndarray):
     n = voltage.shape[0]
-    hit_v = spec.channel in ("voltage", "both")
-    hit_q = spec.channel in ("capacity", "both")
     if spec.kind == "point":
-        idx = n // 2
-        if hit_v:
-            voltage[idx] += spec.magnitude
-        if hit_q:
-            capacity[idx] += spec.magnitude
+        rows = slice(n // 2, n // 2 + 1)
     elif spec.kind == "collective":
-        start = n // 3
-        stop = start + max(2, n // 4)
-        if hit_v:
-            voltage[start:stop] += spec.magnitude
-        if hit_q:
-            capacity[start:stop] += spec.magnitude
+        rows = slice(n // 3, n // 3 + max(2, n // 4))
     else:  # local / global: a whole-cycle level shift
-        if hit_v:
-            voltage += spec.magnitude
-        if hit_q:
-            capacity += spec.magnitude
+        rows = slice(None)
+    for channel, values in (("voltage", voltage), ("capacity", capacity)):
+        if spec.channel in (channel, "both"):
+            values[rows] += spec.magnitude
 
 
 def generate_cell(

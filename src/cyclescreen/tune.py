@@ -23,6 +23,7 @@ instead of sampled.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +116,8 @@ class SearchSpace:
                 grids.append([(name, v) for v in range(dom.low, dom.high + 1)])
             else:
                 grids.append([(name, c) for c in dom.choices])
-        total = 1
-        for g in grids:
-            total *= len(g)
-            if total > limit:
-                return None
-        if not grids:
-            return [{}]
+        if math.prod(map(len, grids)) > limit:
+            return None
         return [dict(combo) for combo in itertools.product(*grids)]
 
 

@@ -67,9 +67,9 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 
 def as_matrix(X) -> np.ndarray:
     """X as the 2-D float feature matrix every detector reads: a 1-D input
-    is one feature column, there is at least one row, and the first NaN or
-    infinity raises, named by its 0-based row, column and value, since a
-    detector would miss it."""
+    is one feature column, there is at least one row and one column, and
+    the first NaN or infinity raises, named by its 0-based row, column and
+    value, since a detector would miss it."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -77,6 +77,8 @@ def as_matrix(X) -> np.ndarray:
         raise InputError(f"expected a 2-D feature matrix, got {X.ndim}-D")
     if X.shape[0] == 0:
         raise InputError("feature matrix has no rows")
+    if X.shape[1] == 0:
+        raise InputError("feature matrix has no columns")
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise InputError(

@@ -369,6 +369,30 @@ def test_tune_proxy_writes_per_cell_compromise(dataset, tmp_path):
     assert all(row.endswith("loss_inliers") for row in rows[1:])
 
 
+
+def test_tune_writes_a_layer_list_as_AxB_in_tables_and_a_list_in_json(
+    dataset, tmp_path
+):
+    out = tmp_path / "out"
+    rc = run(
+        "tune", "--input", dataset["meas"], "--out", str(out),
+        "--strategy", "proxy", "--recipe", "custom", "--feature", FEATURES,
+        "--model", "autoencoder", "--trials", "3",
+    )
+    assert rc == 0
+    tdir = out / "tuning" / "autoencoder"
+    search = ml_detect.PARAM_SPECS["autoencoder"]["hidden_neuron_list"].search
+    layer_lists = {"x".join(map(str, layers)) for layers in search.choices}
+    for name in ("trials.csv", "pareto.csv"):
+        rows = list(csv.DictReader((tdir / name).read_text().splitlines()))
+        assert rows
+        assert {row["hidden_neuron_list"] for row in rows} <= layer_lists
+    for cell in ("cellA", "cellB"):
+        config = json.loads((tdir / f"compromise_{cell}.json").read_text())
+        layers = config["params"]["hidden_neuron_list"]
+        assert isinstance(layers, list)
+        assert "x".join(map(str, layers)) in layer_lists
+
 def test_tune_fits_each_distinct_config_once(dataset, tmp_path, monkeypatch):
     fitted = []
     fit = ml_detect.fit

@@ -131,10 +131,20 @@ def test_ingest_integral_float_cycle_index(tmp_path):
 
 
 def test_store_rejects_duplicate_cycle_key():
-    a = make_cycle("A", 0, [0], [4.0], [0.0])
-    b = make_cycle("A", 0, [0], [4.1], [0.0])
-    with pytest.raises(InputError, match=r"duplicate \(cell, cycle\) pairs"):
-        CycleStore([a, b])
+    # seven distinct keys repeated, one of them three times, out of order;
+    # the message names the first five, sorted
+    keys = [("B", 2), ("A", 9), ("B", 0), ("A", 1), ("C", 4), ("A", 3), ("B", 1)]
+    unique = [("A", 0), ("A", 2), ("B", 5)]
+    records = [
+        make_cycle(cell, cycle, [0], [4.0], [0.0])
+        for cell, cycle in [*keys, *unique, *reversed(keys), ("A", 9)]
+    ]
+    with pytest.raises(InputError) as err:
+        CycleStore(records)
+    assert str(err.value) == (
+        "duplicate (cell, cycle) pairs: "
+        "[('A', 1), ('A', 3), ('A', 9), ('B', 0), ('B', 1)]"
+    )
 
 
 def test_store_orders_by_cell_then_cycle():

@@ -609,11 +609,11 @@ def test_blocked_neighbor_search_matches_full_matrix_references(
 ):
     # 2-row blocks (the floor); 7-row blocks leave one lone query row of
     # 120; 79-row blocks leave one lone fitted row of 80 in the LOF fit.
-    # A lone row joins the block before it, as in pairwise.
+    # A lone row joins the block before it, by query_blocks' lone-row rule.
     X, Q = rows()
     spec = metric_from_params({"metric": metric, "minkowski_p": 3.0}, X)
     params = {"n_neighbors": 5, "metric": metric, "minkowski_p": 3.0}
-    # the references read the whole matrix, one pairwise block at the default
+    # the references read the whole matrix, from one pairwise call
     expect = reference_knn_distances(pairwise(Q, X, spec), 5)
     expect_lof = reference_lof(X, Q, 5, spec)
 

@@ -1,11 +1,18 @@
 import math
 import os
+import warnings
+from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cyclescreen.errors import DegenerateDataError
+from cyclescreen import ml_detect
+from cyclescreen.dist_detect import METRIC_KINDS, MetricSpec, centroid_detect, pairwise
+from cyclescreen.errors import DegenerateDataError, InputError
+from cyclescreen.stat_detect import StatMethod, detect_stat
+from cyclescreen.tune import optimize_proxy
 from cyclescreen.util import (
     atomic_write_text,
     derive_seed,
@@ -72,6 +79,36 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path):
     target = tmp_path / "atomic.txt"
     atomic_write_text(str(target), "payload")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+NO_COLUMNS = np.empty((6, 0))
+
+#: the 15 detectors' library entry points, pairwise and proxy tuning, each
+#: called on a feature matrix with rows and no columns
+NO_COLUMN_CALLS = {
+    **{m.value: partial(detect_stat, NO_COLUMNS, m) for m in StatMethod},
+    **{
+        kind: partial(centroid_detect, NO_COLUMNS, MetricSpec(kind, p=3.0))
+        for kind in METRIC_KINDS
+    },
+    **{
+        model: partial(ml_detect.fit, ml_detect.make_config(model), NO_COLUMNS)
+        for model in ml_detect.ML_MODELS
+    },
+    "pairwise": partial(pairwise, NO_COLUMNS, NO_COLUMNS, MetricSpec("euclidean")),
+    "optimize_proxy": partial(
+        optimize_proxy, np.arange(40.0), np.empty((40, 0)), "knn"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", NO_COLUMN_CALLS)
+def test_a_feature_matrix_with_no_columns_is_refused(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as err:
+            NO_COLUMN_CALLS[entry]()
+    assert str(err.value) == "feature matrix has no columns"
 
 
 #: values whose order statistics need care: signed zeros, subnormals, the
