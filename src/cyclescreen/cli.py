@@ -129,18 +129,12 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
 
     Returns (column names, column arrays) after any log transform, whose
     clamps go into notes. Stat detectors take the first column;
-    distance/ML detectors take all.
+    distance/ML detectors take all. _check_options has refused a --feature
+    that names no column, and --recipe custom without --feature.
     """
-    requested = None
     if args.feature:
         requested = [f.strip() for f in args.feature.split(",") if f.strip()]
-        if not requested:
-            raise UsageError("--feature was given but names no columns")
-    if requested is None:
-        if args.recipe == "custom":
-            raise UsageError(
-                "--recipe custom needs an explicit --feature list"
-            )
+    else:
         stat_col, multi_cols = RECIPE_DEFAULTS[args.recipe]
         requested = list(multi_cols) if multivariate else [stat_col]
     names = []
@@ -766,9 +760,15 @@ _COMMANDS = {
 def _check_options(args) -> None:
     """Refuse a bad option value before any file is read or written: by the
     check of the library function that reads the option, as
-    '--<option>: <its reason>', and --jobs, which only the CLI reads."""
+    '--<option>: <its reason>', and --jobs, --feature and --recipe custom,
+    which only the CLI reads."""
     if getattr(args, "jobs", 1) < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs!r}")
+    if hasattr(args, "feature"):  # the commands that select feature columns
+        if args.feature and not any(f.strip() for f in args.feature.split(",")):
+            raise UsageError("--feature was given but names no columns")
+        if not args.feature and args.recipe == "custom":
+            raise UsageError("--recipe custom needs an explicit --feature list")
     for name, check in (
         ("delimiter", check_delimiter),
         ("trials", check_trials),

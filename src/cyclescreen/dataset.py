@@ -23,11 +23,13 @@ samples by (cell, cycle) and orders each cycle by time.
 from __future__ import annotations
 
 import csv
-import io
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +53,9 @@ _NUMERIC_ROLES = ("cycle_index", "time", "voltage", "capacity")
 #: data rows read and converted at a time: bounds the raw rows held as
 #: Python lists, whatever the file's length
 CHUNK_ROWS = 1024
+
+#: rows format_table formats at a time, bounding the per-value texts held
+TABLE_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -323,6 +328,21 @@ def _build_colmap(columns: dict[str, str] | None) -> dict[str, str]:
     return colmap
 
 
+@contextmanager
+def _open_text(path: str):
+    """The file at path as UTF-8 text for csv, a leading BOM skipped; a
+    byte that is not UTF-8 raises InputError naming the file and the
+    decoder's reason."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as err:
+            byte = err.object[err.start]
+            raise InputError(
+                f"{path}: not UTF-8 text: byte 0x{byte:02x}: {err.reason}"
+            ) from None
+
+
 def check_delimiter(delimiter: str) -> None:
     """Refuse a field delimiter that is not one character."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
@@ -343,7 +363,7 @@ def ingest_cycles(
     """
     check_delimiter(delimiter)
     colmap = _build_colmap(columns)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         return _parse_rows(reader, colmap, path)
 
@@ -361,22 +381,13 @@ def check_labels(path: str, cell: str, truth, cycles, where: str = "") -> None:
 
 def _format_records(store: CycleStore):
     """Yield the canonical comma-delimited text of a store: the header,
-    then one string per record.
-
-    csv writes the header and each record's cell and cycle fields, so they
-    are quoted as csv quotes them; the floats' reprs, which never hold a
-    comma, are joined in.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DEFAULT_COLUMNS.values())
-    yield buf.getvalue()
+    then one string per record: its cell id as csv.writer writes the field,
+    its cycle index, and the floats' reprs, which never hold a comma."""
+    field = _csv_field()
+    yield ",".join(DEFAULT_COLUMNS.values()) + "\n"
     for rec in store.records:
+        head = f"{field(rec.cell_id)},{rec.cycle_index},"
         rows = rec.samples.tolist()
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((rec.cell_id, rec.cycle_index, ""))
-        head = buf.getvalue()[:-1]
         yield "".join([f"{head}{t!r},{v!r},{q!r}\n" for t, v, q in rows])
 
 
@@ -390,7 +401,7 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     """Read a label file (anomalous cycles only) into {cell: {cycle, ...}}."""
     check_delimiter(delimiter)
     labels: dict[str, set[int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         roles = {"cell_id": "cell_id", "cycle_index": "cycle_index"}
         idx, width = _header(reader, roles, path)
@@ -403,40 +414,40 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     return labels
 
 
+def _csv_field():
+    """A cached function: csv.writer's text of one field in a row of two or
+    more. writerow returns what write returns, here the row's text."""
+    writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    return functools.cache(lambda value: writerow((value, ""))[:-2])
+
+
 def format_table(header: str, *columns, comment=None) -> str:
     """'# comment' when given, a CSV header and one row per entry of the
-    columns, as read_verdict_flags reads them. Text columns are written as
-    given, quoted as csv quotes them; float columns with repr, all others
-    as ints. A table with no text column is joined with ",": no number's
-    text needs quoting, and csv.writer costs several times the join."""
-    texts = []
-    has_text = False
+    columns, as read_verdict_flags reads them, formatted TABLE_ROWS at a
+    time. Text columns are written as given, each value as csv.writer
+    writes the field; float columns with repr, all others as ints. A row
+    is its fields joined with ",", or '""' if that is empty, as in csv."""
+    field = _csv_field()
+    formats = []
     for col in columns:
-        values = np.asarray(col)
-        if values.dtype.kind == "U":
-            texts.append(col)  # as given: NumPy's str dtype drops trailing NULs
-            has_text = True
-        elif values.dtype.kind == "f":
-            texts.append([repr(x) for x in values.tolist()])
-        else:
-            texts.append([str(int(x)) for x in values.tolist()])
-    buf = io.StringIO()
-    if comment is not None:
-        buf.write(f"# {comment}\n")
-    buf.write(header + "\n")
-    rows = zip(*texts)
-    if has_text:
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-    else:
-        buf.writelines(",".join(row) + "\n" for row in rows)
-    return buf.getvalue()
+        kind = np.asarray(col).dtype.kind
+        # text as given: NumPy's str dtype drops trailing NULs
+        values = np.asarray(col, dtype=object if kind == "U" else None)
+        formats.append((values, {"U": field, "f": repr}.get(kind, "%d".__mod__)))
+    parts = [] if comment is None else [f"# {comment}\n"]
+    parts.append(header + "\n")
+    for a in range(0, min(map(len, columns), default=0), TABLE_ROWS):
+        texts = [map(fmt, v[a:a + TABLE_ROWS].tolist()) for v, fmt in formats]
+        rows = [",".join(row) or '""' for row in zip(*texts)]
+        parts.append("\n".join(rows) + "\n")
+    return "".join(parts)
 
 
 def read_verdict_flags(path: str) -> dict[int, int]:
     """{cycle_index: flagged} from a verdict file as detect writes it: '#'
     comment lines, a header, one row per cycle flagged 0 or 1; rows count
     from line 1."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         lines = handle.readlines()
     skip = 0
     while skip < len(lines) and lines[skip].startswith("#"):
@@ -474,7 +485,7 @@ def read_manifest(
     check_delimiter(delimiter)
     train: set[str] = set()
     test: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         idx, width = _header(reader, {"cell_id": "cell_id", "role": "role"}, path)
         for row_no, row in _data_rows(reader, 2, width, path):

@@ -194,12 +194,18 @@ def k_nearest(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take_along_axis(D, order, axis=1)
 
 
+def nearest_each(blocks, k: int):
+    """`k_nearest` of each block of the queries' distance rows after
+    `drop_self_matches`, yielded a block at a time, so a caller that
+    reduces each block before the next holds one block's results."""
+    return (k_nearest(drop_self_matches(D), k) for D in blocks)
+
+
 def nearest(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`k_nearest` over the queries' distance rows, given as consecutive
-    blocks, after `drop_self_matches`: one block is held at a time, and
-    only the (m, k) indices and distances are kept."""
-    picked = [k_nearest(drop_self_matches(D), k) for D in blocks]
-    order, dists = (np.concatenate(part) for part in zip(*picked))
+    """`nearest_each` over the queries' distance rows, given as consecutive
+    blocks: one block is held at a time, and only the (m, k) indices and
+    distances are kept."""
+    order, dists = (np.concatenate(part) for part in zip(*nearest_each(blocks, k)))
     return order, dists
 
 

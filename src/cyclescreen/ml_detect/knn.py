@@ -6,10 +6,11 @@ exactly with a fitted row drop that one zero-distance match, so scoring the
 training set reproduces k-th-neighbor semantics instead of returning zeros.
 
 Distances come from `dist_detect.pairwise`, one block of queries at a
-time: `query_blocks` cuts the queries, and `nearest` keeps each block's k
-nearest before the next is computed, so no (queries x fitted rows) matrix
-is held. The n_neighbors guard, the self-match rule and the k-nearest
-selection are `dist_detect`'s, as lof's.
+time: `query_blocks` cuts the queries, and each block's k nearest are kept
+before the next is computed, so no (queries x fitted rows) matrix is held.
+Scoring reduces each block to its scores first, so no (queries x k) array
+is held either. The n_neighbors guard, the self-match rule and the
+k-nearest selection are `dist_detect`'s, as lof's.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ..dist_detect import (
     check_n_neighbors,
     metric_from_params,
     nearest,
+    nearest_each,
     pairwise,
     query_blocks,
 )
@@ -46,6 +48,8 @@ def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
     )
 
 
+# no CLI path calls it, since scoring reduces each block: tests read the
+# whole (m, k) result through it
 def neighbor_distances(state: KnnState, Q: np.ndarray) -> np.ndarray:
     """(m, k) sorted distances to the k nearest fitted rows, self-matches
     dropped one per query."""
@@ -54,9 +58,12 @@ def neighbor_distances(state: KnnState, Q: np.ndarray) -> np.ndarray:
 
 
 def score_knn(state: KnnState, Q: np.ndarray) -> np.ndarray:
-    dists = neighbor_distances(state, Q)
+    blocks, X, metric = query_blocks(Q, state.X, state.metric)
+    picked = nearest_each((pairwise(B, X, metric) for B in blocks), state.k)
     if state.method == "largest":
-        return dists[:, -1].copy()
-    if state.method == "mean":
-        return dists.mean(axis=1)
-    return median(dists)
+        scores = [dists[:, -1].copy() for _, dists in picked]
+    elif state.method == "mean":
+        scores = [dists.mean(axis=1) for _, dists in picked]
+    else:
+        scores = [median(dists) for _, dists in picked]
+    return np.concatenate(scores)

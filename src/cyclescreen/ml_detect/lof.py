@@ -9,7 +9,8 @@ Fitting and scoring read `dist_detect.pairwise` distances through the
 neighbor search knn uses, one block of query rows at a time: `query_blocks`
 cuts the rows, and `nearest` drops each block's self-matches and keeps its
 k nearest, ties to the lower index, so no (queries x fitted rows) matrix is
-held.
+held. Scoring reduces each block to its factors before the next block, so
+no (queries x k) array spans all queries either.
 
 Distinct points always have positive reachability distance, so densities
 stay finite unless more than n_neighbors rows coincide exactly; that case is
@@ -27,6 +28,7 @@ from ..dist_detect import (
     check_n_neighbors,
     metric_from_params,
     nearest,
+    nearest_each,
     pairwise,
     query_blocks,
 )
@@ -74,9 +76,13 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
 
 
 def score_lof(state: LofState, Q: np.ndarray) -> np.ndarray:
-    neigh, ndist = _neighbors(Q, state.X, state.metric, state.k)
-    lrd_q = _density(
-        state.k_distance, neigh, ndist,
-        "query coincides with a saturated duplicate cluster",
-    )
-    return state.lrd[neigh].mean(axis=1) / lrd_q
+    blocks, X, metric = query_blocks(Q, state.X, state.metric)
+    picked = nearest_each((pairwise(B, X, metric) for B in blocks), state.k)
+    scores = []
+    for neigh, ndist in picked:
+        lrd_q = _density(
+            state.k_distance, neigh, ndist,
+            "query coincides with a saturated duplicate cluster",
+        )
+        scores.append(state.lrd[neigh].mean(axis=1) / lrd_q)
+    return np.concatenate(scores)

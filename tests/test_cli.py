@@ -1293,6 +1293,9 @@ USAGE_ERRORS = {
         "scoremap needs a distance or learned model, not 'sd'",
     ("tune", "--model", "knn", "--strategy", "transfer"):
         "--strategy transfer requires --labels",
+    ("detect", "--recipe", "custom"):
+        "--recipe custom needs an explicit --feature list",
+    ("scoremap", "--feature", " , "): "--feature was given but names no columns",
 }
 
 
@@ -1354,6 +1357,20 @@ def test_refusal_exits_1_with_its_message_and_writes_nothing(
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
+def test_input_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    meas = tmp_path / "latin1.csv"
+    meas.write_bytes(
+        "cell_id,cycle_index,time_s,voltage_v,capacity_ah\n"
+        "A\u00e9,0,0.0,4.0,0.0\n".encode("latin-1")
+    )
+    out = tmp_path / "out"
+    assert run("ingest", "--input", str(meas), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {meas}: not UTF-8 text: byte 0xe9: invalid continuation byte\n"
+    )
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cyclescreen.dataset import (
     CHUNK_ROWS,
+    TABLE_ROWS,
     CycleRecord,
     CycleStore,
     check_labels,
@@ -19,6 +21,7 @@ from cyclescreen.dataset import (
     ingest_cycles,
     read_labels,
     read_manifest,
+    read_verdict_flags,
 )
 from cyclescreen.errors import ConfigError, InputError
 
@@ -383,8 +386,8 @@ def test_export_labels_bytes(tmp_path):
 
 @pytest.mark.parametrize("cell", [None, "plain", 'a,"b'])
 def test_format_table_gives_csv_writers_bytes(cell):
-    # a numeric table is joined with ",", a table holding text goes through
-    # csv.writer; either way the bytes are csv.writer's
+    # every row is its fields joined with ",", a text value as csv.writer
+    # writes the field; the bytes are csv.writer's
     floats = np.array([0.1, -0.0, 5e-324, -1.7976931348623157e308, np.inf])
     float_texts = ["0.1", "-0.0", "5e-324", "-1.7976931348623157e+308", "inf"]
     ints = np.array([0, -3, 2**40, 1, 5])
@@ -398,6 +401,99 @@ def test_format_table_gives_csv_writers_bytes(cell):
     buf.write("# note\nh\n")
     csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
     assert format_table("h", *columns, comment="note") == buf.getvalue()
+
+
+#: text that csv.writer quotes or keeps as given: delimiters, quotes, line
+#: breaks, NULs, spaces, unicode and the empty string
+CSV_TEXT = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "\0", " ", "a", "\u00e9", "\U0001f50b"])
+    | st.characters(),
+    max_size=6,
+)
+TABLE_COLUMN = st.one_of(
+    st.tuples(st.just("text"), st.lists(CSV_TEXT, min_size=1, max_size=5)),
+    st.tuples(st.just("float"), st.lists(st.floats(), min_size=1, max_size=5)),
+    st.tuples(
+        st.just("int"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=5)
+    ),
+    st.tuples(st.just("bool"), st.lists(st.booleans(), min_size=1, max_size=5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(TABLE_COLUMN, min_size=2, max_size=4),
+    st.sampled_from([3, TABLE_ROWS + 3]),
+)
+def test_format_table_bytes_equal_csv_writers_property(drawn, rows):
+    # each column's drawn values repeated over the rows; TABLE_ROWS + 3 rows
+    # make a second block
+    columns, texts = [], []
+    for kind, values in drawn:
+        cycle = [values[i % len(values)] for i in range(rows)]
+        if kind == "text":
+            columns.append(cycle)
+            texts.append(cycle)
+        elif kind == "float":
+            columns.append(np.array(cycle, dtype=float))
+            texts.append([repr(x) for x in cycle])
+        else:
+            columns.append(np.array(cycle, dtype=bool if kind == "bool" else np.int64))
+            texts.append([str(int(x)) for x in cycle])
+    buf = io.StringIO()
+    buf.write("h\n")
+    csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+    # compared as lines, so pytest reports the first that differs: a diff
+    # of two long strings kept a failing run shrinking for minutes
+    assert format_table("h", *columns).split("\n") == buf.getvalue().split("\n")
+
+
+def test_format_table_writes_a_one_column_empty_entry_as_csv_does():
+    # csv.writer quotes a row's lone empty field, the one case it quotes by
+    # row and not by field
+    assert format_table("name", ["a", "", 'b"c']) == 'name\na\n""\n"b""c"\n'
+
+
+def test_format_table_peak_memory_is_bounded_by_its_text():
+    # rows are formatted TABLE_ROWS at a time, so the peak is the table's
+    # text and its blocks, not every value's text at once
+    columns = np.random.default_rng(7).normal(size=(3, 250_000))
+    tracemalloc.start()
+    try:
+        text = format_table("a,b,c", *columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), peak / len(text)
+
+
+READERS = {
+    "measurements": (ingest_cycles, HEADER + "\nA,0,0.0,4.0,0.0\nA,1,0.0,4.1,0.0\n"),
+    "labels": (read_labels, "cell_id,cycle_index\nA,1\n"),
+    "manifest": (read_manifest, "cell_id,role\nA,train\n"),
+    "verdicts": (read_verdict_flags, "# model=sd\ncycle_index,flagged\n0,0\n1,1\n"),
+}
+
+
+@pytest.mark.parametrize("reader, text", READERS.values(), ids=list(READERS))
+def test_readers_skip_a_utf8_bom(tmp_path, reader, text):
+    # Excel's "CSV UTF-8" starts the file with a BOM
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert reader(str(bom)) == reader(str(plain))
+
+
+@pytest.mark.parametrize("reader, text", READERS.values(), ids=list(READERS))
+def test_readers_name_a_byte_that_is_not_utf8(tmp_path, reader, text):
+    path = tmp_path / "latin1.csv"
+    # a last row of one Latin-1 e-acute: the text is decoded before it is read
+    path.write_bytes((text + "\u00e9\n").encode("latin-1"))
+    with pytest.raises(InputError) as err:
+        reader(str(path))
+    assert str(err.value) == (
+        f"{path}: not UTF-8 text: byte 0xe9: invalid continuation byte"
+    )
 
 
 def test_export_import_round_trip_exact(tmp_path, simple_cycles):

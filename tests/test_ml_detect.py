@@ -716,6 +716,29 @@ def test_neighbor_search_holds_no_queries_by_fitted_rows_matrix():
         assert peak < n * m * 8 / 4, (model, "score", peak)
 
 
+@pytest.mark.parametrize("model, params", [
+    ("knn", {"method": "largest"}),
+    ("knn", {"method": "mean"}),
+    ("knn", {"method": "median"}),
+    ("lof", {}),
+], ids=["knn-largest", "knn-mean", "knn-median", "lof"])
+def test_neighbor_scoring_holds_no_queries_by_k_array(model, params):
+    # each query block is reduced to its scores before the next block's
+    # distances: scoring m queries holds less than one (m, k) float64
+    # array, where keeping every block's k nearest held four
+    m, n, d, k = 20_000, 200, 2, 20
+    local = np.random.default_rng(6)
+    X, Q = local.normal(size=(n, d)), local.normal(size=(m, d))
+    fitted = fit(make_config(model, params | {"n_neighbors": k}), X)
+    tracemalloc.start()
+    try:
+        score(fitted, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * k * 8, peak
+
+
 # --- principal components -------------------------------------------------
 
 
