@@ -50,6 +50,7 @@ from .dataset import (
     export_cycles,
     format_table,
     ingest_cycles,
+    open_text,
     read_labels,
     read_manifest,
     read_verdict_flags,
@@ -417,11 +418,12 @@ def _resolve_models(token: str) -> tuple[str, ...]:
 def _read_config(path: str, model: str) -> tuple[dict, int | None]:
     """(params, seed) from a config file as written by tune, as make_config
     resolves them; seed is None when the file gives none."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as err:
-            raise UsageError(f"{path}: not valid JSON: {err}") from None
+    with open_text(path) as handle:
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except ValueError as err:
+        raise UsageError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(payload, dict):
         raise UsageError(
             f"{path}: expected a JSON object, got {type(payload).__name__}"

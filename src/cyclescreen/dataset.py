@@ -11,12 +11,12 @@ cell is implicitly normal. Manifest files assign whole cells to the train or
 test role (``cell_id,role``) and are read into two cell sets. Verdict files,
 as detect writes them, are read back for evaluation.
 
-Ingest reads the file with csv, CHUNK_ROWS rows at a time, and converts a
-chunk a column at a time with Python's float, so the accepted syntax and
-the bits are those of a row-by-row parse. One array test per chunk checks
-that the numbers are finite and the cycle indices integral; a chunk that
-fails any check is parsed again row by row, where the per-row parsers name
-the first bad row and its number. One stable lexsort then groups the
+Ingest reads the header with csv and the rest with NumPy's C reader, every
+float of which Python's float reads to the same bits. Any doubt (a row NumPy
+refuses, a non-finite value, a fractional cycle index, an empty id, a quoted
+field spanning lines, a line csv may refuse) reads the file again row by
+row, where the per-row parsers name the first bad row and its number; so
+does a pipe, which cannot seek back. One stable lexsort then groups the
 samples by (cell, cycle) and orders each cycle by time.
 """
 
@@ -25,9 +25,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import warnings
+from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from itertools import count, groupby
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -47,12 +50,8 @@ DEFAULT_COLUMNS = {
 
 TIME, VOLTAGE, CAPACITY = 0, 1, 2
 
-#: the roles parsed as numbers, in the order of the parsed value rows
+#: the roles parsed as numbers, in the order of the parsed value columns
 _NUMERIC_ROLES = ("cycle_index", "time", "voltage", "capacity")
-
-#: data rows read and converted at a time: bounds the raw rows held as
-#: Python lists, whatever the file's length
-CHUNK_ROWS = 1024
 
 #: rows format_table formats at a time, bounding the per-value texts held
 TABLE_ROWS = 4096
@@ -150,6 +149,11 @@ def _resolve_columns(header: list[str], columns: dict[str, str], path: str):
                 f"{path}: missing required column '{name}' (role {role}); "
                 f"found {header}"
             )
+        if header.count(name) > 1:
+            raise InputError(
+                f"{path}: column '{name}' (role {role}) appears "
+                f"{header.count(name)} times in the header"
+            )
         index[role] = header.index(name)
     return index
 
@@ -210,16 +214,15 @@ def _data_rows(rows, first_row_no: int, width: int, source: str):
         raise _unreadable(source, row_no + 1, err) from None
 
 
-# kept beside the column-wise parse: it is the only path that names a bad row
-def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str):
-    """Parse a chunk row by row, checking each row in full before the next.
-
-    Raises on the chunk's first bad row, with its row number; otherwise
-    returns the cell ids and a (4, n) array of cycle index, time, voltage
-    and capacity, blank rows left out.
+def _parse_rows_one_by_one(reader, idx, width: int, source: str):
+    """Parse the data rows after the header row by row, checking each row
+    in full before the next: the one path that names a bad row. Raises on
+    the first bad row, with its number; otherwise returns the cell ids, in
+    order of first appearance, and an (n, 5) array of cell (the id's
+    index), cycle index, time, voltage and capacity, blank rows left out.
     """
-    cells, values = [], []
-    for row_no, row in _data_rows(rows, first_row_no, width, source):
+    codes, values = {}, array("d")  # flat: no Python object per value
+    for row_no, row in _data_rows(reader, 2, width, source):
         cell = row[idx["cell_id"]].strip()
         if not cell:
             raise InputError(f"{source}: row {row_no}: empty cell_id")
@@ -236,82 +239,83 @@ def _parse_rows_one_by_one(rows, first_row_no: int, idx, width: int, source: str
                     f"{source}: row {row_no}: {what} value "
                     f"'{row[idx[what]].strip()}' is not finite"
                 )
-        cells.append(cell)
-        values.append((cyc, *measured))
-    return cells, np.array(values, dtype=float).reshape(-1, 4).T
+        values.extend((codes.setdefault(cell, len(codes)), cyc, *measured))
+    return list(codes), np.frombuffer(values).reshape(-1, 5)
 
 
-def _parse_chunk(rows, first_row_no: int, idx, width: int, source: str):
-    """Parse a chunk of raw rows a column at a time.
-
-    Each numeric column goes through Python's float, so the accepted syntax
-    and the bits are those of the row-by-row parse. Any doubt (a short or
-    blank row, an empty cell id, a token float rejects, a non-finite value
-    or a fractional cycle index) hands the chunk to _parse_rows_one_by_one,
-    which names the first bad row or, finding none, parses the chunk.
+def _read_columns(handle, delimiter: str, idx):
+    """The data rows left in handle, read by NumPy's C reader, as
+    _parse_rows_one_by_one returns them; None at any doubt, which that
+    parse settles. Rows of blank fields are dropped before NumPy sees them.
+    Every token NumPy reads as a float, Python's float reads to the same
+    bits.
     """
-    n = len(rows)
-    if min(map(len, rows)) >= width:
-        cell_at = idx["cell_id"]
-        cells = [row[cell_at].strip() for row in rows]
-        columns = (
-            [row[at] for row in rows]
-            for at in [idx[role] for role in _NUMERIC_ROLES]
-        )
-        try:
-            values = np.fromiter(
-                map(float, chain.from_iterable(columns)), float, 4 * n
-            ).reshape(4, n)
-        except ValueError:
-            values = None
-        if (values is not None and all(cells)
-                and np.isfinite(values).all()
-                and np.array_equal(values[0], np.trunc(values[0]))):
-            return cells, values
-    return _parse_rows_one_by_one(rows, first_row_no, idx, width, source)
+    limit = csv.field_size_limit()
+    blank = " \t\n\r\f\v" + delimiter
+    fed = 0
+
+    def lines():
+        nonlocal fed
+        for line in handle:
+            if len(line) > limit:
+                raise ValueError("csv may refuse a field of this line")
+            if line.strip(blank):
+                fed += 1
+                yield line
+
+    codes = defaultdict(count().__next__)  # raw id -> code, as first seen
+    usecols = [idx[role] for role in ("cell_id", *_NUMERIC_ROLES)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a file of no data rows warns
+            values = np.loadtxt(
+                lines(), delimiter=delimiter, quotechar='"', comments=None,
+                usecols=usecols, converters={usecols[0]: codes.__getitem__},
+                ndmin=2,
+            )
+    except (TypeError, ValueError, Warning):  # TypeError: a '"' delimiter
+        return None
+    cells = [cell.strip() for cell in codes]
+    cycle = values[:, 1]
+    # fewer rows than lines fed: a quoted field spans lines, and a blank
+    # line dropped from inside it would have changed it
+    if not (len(values) == fed and all(cells)
+            and np.isfinite(values[:, 1:]).all()
+            and np.array_equal(cycle, np.trunc(cycle))):
+        return None
+    names: dict[str, int] = {}  # stripped id -> code, as first seen
+    recode = [names.setdefault(cell, len(names)) for cell in cells]
+    if len(names) < len(cells):  # ids that differ only in padding
+        values[:, 0] = np.array(recode, float)[values[:, 0].astype(np.intp)]
+    return list(names), values
 
 
-def _parse_rows(reader, colmap, source: str) -> CycleStore:
+def _parse_rows(handle, delimiter: str, colmap, source: str) -> CycleStore:
+    reader = csv.reader(handle, delimiter=delimiter)
     idx, width = _header(reader, colmap, source)
-    codes: dict[str, int] = {}  # cell id -> code, in order of first appearance
-    code_chunks, value_chunks = [], []
-    first_row_no = 2
-    while True:
-        rows = []
-        try:
-            rows.extend(islice(reader, CHUNK_ROWS))
-        except csv.Error as err:
-            # the rows read before the unreadable one are checked first, as
-            # a row-by-row reader would have
-            _parse_rows_one_by_one(rows, first_row_no, idx, width, source)
-            raise _unreadable(source, first_row_no + len(rows), err) from None
-        if not rows:
-            break
-        cells, values = _parse_chunk(rows, first_row_no, idx, width, source)
-        first_row_no += len(rows)
-        for cell in dict.fromkeys(cells):
-            codes.setdefault(cell, len(codes))
-        code_chunks.append(
-            np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
-        )
-        value_chunks.append(values)
-
-    if not any(map(len, code_chunks)):
+    # a doubt reads the file again row by row; a pipe, which cannot be
+    # read twice, is read row by row from the start
+    parsed = handle.seekable() and _read_columns(handle, delimiter, idx)
+    if not parsed:
+        if handle.seekable():
+            handle.seek(0)
+            next(reader)  # the header, read again
+        parsed = _parse_rows_one_by_one(reader, idx, width, source)
+    names, values = parsed
+    if not len(values):
         raise InputError(f"{source}: no data rows")
-    code = np.concatenate(code_chunks)
-    values = np.concatenate(value_chunks, axis=1)
     # stable: samples of a cycle keep file order among equal time stamps
-    order = np.lexsort((values[1], values[0], code))
-    code, cycle = code[order], values[0, order]
-    samples = values[1:].T[order]
+    order = np.lexsort((values[:, 2], values[:, 1], values[:, 0]))
+    code, cycle = values[order, 0], values[order, 1]
+    samples = values[order, 2:]
+    del parsed, values, order
     edges = np.flatnonzero(
         (code[1:] != code[:-1]) | (cycle[1:] != cycle[:-1])
     ) + 1
     starts = [0, *edges.tolist()]
     stops = [*edges.tolist(), code.size]
-    names = list(codes)
     return CycleStore(records=tuple(
-        CycleRecord(names[c], int(k), samples[a:b])
+        CycleRecord(names[int(c)], int(k), samples[a:b])
         for a, b, c, k in zip(
             starts, stops, code[starts].tolist(), cycle[starts].tolist()
         )
@@ -325,13 +329,20 @@ def _build_colmap(columns: dict[str, str] | None) -> dict[str, str]:
         if unknown:
             raise InputError(f"unknown column roles: {sorted(unknown)}")
         colmap.update(columns)
+    roles: dict[str, str] = {}  # column name -> the first role reading it
+    for role, name in colmap.items():
+        first = roles.setdefault(name, role)
+        if first != role:
+            raise ConfigError(
+                f"roles {first} and {role} both read column '{name}'"
+            )
     return colmap
 
 
 @contextmanager
-def _open_text(path: str):
-    """The file at path as UTF-8 text for csv, a leading BOM skipped; a
-    byte that is not UTF-8 raises InputError naming the file and the
+def open_text(path: str):
+    """The file at path as UTF-8 text for csv or json, a leading BOM
+    skipped; a byte that is not UTF-8 raises InputError naming the file and the
     decoder's reason."""
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         try:
@@ -363,9 +374,8 @@ def ingest_cycles(
     """
     check_delimiter(delimiter)
     colmap = _build_colmap(columns)
-    with _open_text(path) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        return _parse_rows(reader, colmap, path)
+    with open_text(path) as handle:
+        return _parse_rows(handle, delimiter, colmap, path)
 
 
 def check_labels(path: str, cell: str, truth, cycles, where: str = "") -> None:
@@ -401,7 +411,7 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
     """Read a label file (anomalous cycles only) into {cell: {cycle, ...}}."""
     check_delimiter(delimiter)
     labels: dict[str, set[int]] = {}
-    with _open_text(path) as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         roles = {"cell_id": "cell_id", "cycle_index": "cycle_index"}
         idx, width = _header(reader, roles, path)
@@ -447,7 +457,7 @@ def read_verdict_flags(path: str) -> dict[int, int]:
     """{cycle_index: flagged} from a verdict file as detect writes it: '#'
     comment lines, a header, one row per cycle flagged 0 or 1; rows count
     from line 1."""
-    with _open_text(path) as handle:
+    with open_text(path) as handle:
         lines = handle.readlines()
     skip = 0
     while skip < len(lines) and lines[skip].startswith("#"):
@@ -485,7 +495,7 @@ def read_manifest(
     check_delimiter(delimiter)
     train: set[str] = set()
     test: set[str] = set()
-    with _open_text(path) as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         idx, width = _header(reader, {"cell_id": "cell_id", "role": "role"}, path)
         for row_no, row in _data_rows(reader, 2, width, path):

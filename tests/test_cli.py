@@ -626,6 +626,52 @@ def test_detect_bad_config_is_a_usage_error(dataset, tmp_path, capsys, text, rea
     assert "Traceback" not in err
 
 
+def test_a_config_saved_with_a_bom_gives_the_same_verdicts(dataset, tmp_path):
+    text = json.dumps({"model": "knn", "params": {"n_neighbors": 3}, "seed": 0})
+    verdicts = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        config = tmp_path / f"{name}.json"
+        config.write_bytes(prefix + text.encode())
+        out = tmp_path / name
+        assert run(
+            "detect", "--input", dataset["meas"], "--out", str(out),
+            "--recipe", "custom", "--feature", FEATURES,
+            "--model", "knn", "--config", str(config),
+        ) == 0
+        verdicts.append({
+            path: data for path, data in tree_bytes(out).items()
+            if path.endswith("verdict.csv")
+        })
+    assert len(verdicts[0]) == 2
+    assert verdicts[0] == verdicts[1]
+
+
+def test_a_config_that_is_not_utf8_names_the_byte(dataset, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes('{"model": "knn", "note": "\u00e9"}'.encode("latin-1"))
+    rc = run(
+        "detect", "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+        "--recipe", "custom", "--feature", FEATURES,
+        "--model", "knn", "--config", str(config),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: not UTF-8 text: byte 0xe9: invalid continuation byte\n"
+    )
+
+
+def test_two_roles_reading_one_column_exit_1_before_the_input_is_opened(
+    tmp_path, capsys
+):
+    missing = tmp_path / "absent.csv"
+    rc = run("ingest", "--input", str(missing), "--out", str(tmp_path / "out"),
+             "--col", "voltage=time_s")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: roles time and voltage both read column 'time_s'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

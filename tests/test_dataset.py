@@ -2,7 +2,9 @@ import csv
 import io
 import os
 import tempfile
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclescreen.dataset import (
-    CHUNK_ROWS,
+    DEFAULT_COLUMNS,
     TABLE_ROWS,
     CycleRecord,
     CycleStore,
@@ -28,6 +30,8 @@ from cyclescreen.errors import ConfigError, InputError
 from conftest import make_cycle
 
 HEADER = "cell_id,cycle_index,time_s,voltage_v,capacity_ah"
+#: data rows of long_file: well past the first thousand
+LONG_ROWS = 1500
 
 
 def write(tmp_path, name, text):
@@ -219,8 +223,12 @@ HUGE = "9" * (csv.field_size_limit() + 1)
         (ingest_cycles, f"{HEADER}\nA,0,0.0,4.0,0.0\nA,0,0.1,3.9,{HUGE}\n"),
         (ingest_cycles, f"{HEADER}\nA,0,0.0,{HUGE},0.0\n"),
         (ingest_cycles, f"{HEADER},{HUGE}\n"),
+        # fields NumPy's reader would take: zeros, and a column no role reads
+        (ingest_cycles, f"{HEADER}\nA,0,0.0,{HUGE.replace('9', '0')},0.0\n"),
+        (ingest_cycles, f"{HEADER},note\nA,0,0.0,4.0,0.0,{HUGE}\n"),
     ],
-    ids=["labels", "manifest", "measurements", "first-data-row", "header"],
+    ids=["labels", "manifest", "measurements", "first-data-row", "header",
+         "zeros", "unused-column"],
 )
 def test_field_over_the_csv_limit_cites_file_and_row(tmp_path, reader, text):
     path = write(tmp_path, "huge.csv", text)
@@ -233,8 +241,8 @@ def test_field_over_the_csv_limit_cites_file_and_row(tmp_path, reader, text):
     )
 
 
-def test_field_over_the_csv_limit_past_the_first_chunk(tmp_path):
-    row_no = CHUNK_ROWS + 50
+def test_field_over_the_csv_limit_deep_in_a_long_file(tmp_path):
+    row_no = LONG_ROWS + 50
     path = long_file(tmp_path, {row_no: f"A,3,0.5,3.9,{HUGE}"})
     with pytest.raises(InputError, match=rf": row {row_no}: "):
         ingest_cycles(path)
@@ -269,12 +277,12 @@ def test_non_finite_measurement_cites_row(tmp_path, column, token):
 
 
 def long_file(tmp_path, bad):
-    """CHUNK_ROWS + 100 valid data rows with a blank row at CHUNK_ROWS + 10,
+    """LONG_ROWS + 100 valid data rows with a blank row at LONG_ROWS + 10,
     then the {row number: line} replacements in bad."""
     lines = [HEADER] + [
-        f"A,{i // 64},{i % 64}.0,3.9,0.{i % 64 + 1}" for i in range(CHUNK_ROWS + 100)
+        f"A,{i // 64},{i % 64}.0,3.9,0.{i % 64 + 1}" for i in range(LONG_ROWS + 100)
     ]
-    lines[CHUNK_ROWS + 10 - 1] = ""
+    lines[LONG_ROWS + 10 - 1] = ""
     for row_no, line in bad.items():
         lines[row_no - 1] = line
     return write(tmp_path, "long.csv", "\n".join(lines) + "\n")
@@ -305,21 +313,21 @@ NOT_FINITE = [
         ("A,3,0.5", "expected at least 5 fields, got 3"),
     ],
 )
-def test_bad_row_past_the_first_chunk_keeps_its_message(tmp_path, line, message):
-    # a later bad row in the same chunk must not mask the first one
-    row_no = CHUNK_ROWS + 50
-    path = long_file(tmp_path, {row_no: line, CHUNK_ROWS + 80: "A,3,0.5,bad,0.1"})
+def test_bad_row_deep_in_a_long_file_keeps_its_message(tmp_path, line, message):
+    # a later bad row must not mask the first one
+    row_no = LONG_ROWS + 50
+    path = long_file(tmp_path, {row_no: line, LONG_ROWS + 80: "A,3,0.5,bad,0.1"})
     with pytest.raises(InputError, match=rf": row {row_no}: ") as exc:
         ingest_cycles(path)
     assert str(exc.value) == f"{path}: row {row_no}: {message}"
 
 
-def test_chunked_ingest_groups_rows_across_chunks(tmp_path):
-    # three cells' rows shuffled over more than two chunks, with time ties,
+def test_ingest_groups_shuffled_rows_of_a_long_file(tmp_path):
+    # three cells' rows shuffled over a long file, with time ties,
     # blank rows and padded tokens; the reference groups row by row
     local = np.random.default_rng(3)
     rows = []
-    for i in range(2 * CHUNK_ROWS + 500):
+    for i in range(2 * LONG_ROWS + 500):
         cell = ("A", "B", "C")[i % 3]
         rows.append((cell, int(local.integers(0, 40)), float(local.integers(0, 30)),
                      float(local.normal(3.7, 0.2)), float(local.random())))
@@ -540,3 +548,195 @@ def test_failed_export_leaves_the_target_as_it_was(tmp_path, simple_cycles):
         export_cycles(store, str(path))
     assert path.read_text() == "earlier export\n"
     assert os.listdir(tmp_path) == ["cycles.csv"]
+
+
+# NumPy's C reader against the row-by-row parse that names a bad row
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def measurement_files(draw):
+    """(file bytes, columns, delimiter) of a small measurement file: a clean
+    one holds only tokens both parsers read, a noisy one also tokens one or
+    both refuse."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", " "]))
+    clean = draw(st.booleans())
+    names = dict(DEFAULT_COLUMNS)
+    columns = None
+    if draw(st.booleans()):  # --col remaps
+        columns = {"cell_id": "id", "voltage": "U_volts", "time": "t"}
+        names.update(columns)
+    layout = [*names, *draw(st.sampled_from([[], ["extra"], ["x", "y"]]))]
+    layout = draw(st.permutations(layout))
+    pad = "\t" if delimiter == " " else " "
+
+    def pick(good, bad):
+        return draw(st.sampled_from(good if clean else good + bad))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = pick(["data"] * 6 + ["blank", "space", "delimiters", "long"], ["short"])
+        if kind == "blank":
+            rows.append("")
+        elif kind == "space":
+            rows.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        elif kind == "delimiters":
+            rows.append(delimiter * draw(st.integers(1, 6)))
+        else:
+            fields = {
+                "cell_id": pick(
+                    ["A", "B", "A", "B", f"{pad}A", "#A", "セル",
+                     _quoted(f"a{delimiter}b"), _quoted('a"b'), _quoted("#a"),
+                     _quoted("a\nb"), _quoted("a\n\nb")],
+                    ["", " ", _quoted("")],
+                ),
+                "cycle_index": pick(
+                    ["0", "1", "2", "0", "1", "2", "1.0", f"{pad}2", _quoted("1")],
+                    ["2.5", "nan", "", "1_0"],
+                ),
+            }
+            for role in ("time", "voltage", "capacity"):
+                value = repr(draw(st.floats(-1e6, 1e6, allow_nan=False)))
+                fields[role] = pick(
+                    [value] * 4 + [f"{pad}{value}{pad}", _quoted(value),
+                                   "5e-324", "2.2e-308"],
+                    ["1_0.5", "nan", "-inf", "", " ", "0x10", "1e400",
+                     _quoted(f"1\n{delimiter}\n")],
+                )
+            row = [fields.get(role, "7") for role in layout]
+            if kind == "short":
+                row = row[: draw(st.integers(1, len(row) - 1))]
+            elif kind == "long":
+                row.append("9")
+            rows.append(delimiter.join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = delimiter.join(names.get(role, role) for role in layout)
+    text = eol.join([header, *rows]) + draw(st.sampled_from([eol, ""]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode(), columns, delimiter
+
+
+def _ingested(path, columns, delimiter):
+    """ingest_cycles' store as (id, cycle, sample bytes) triples, or its
+    InputError's message."""
+    try:
+        store = ingest_cycles(path, columns=columns, delimiter=delimiter)
+    except InputError as err:
+        return str(err)
+    return [(r.cell_id, r.cycle_index, r.samples.tobytes()) for r in store.records]
+
+
+@settings(max_examples=150, deadline=None)
+@given(measurement_files())
+def test_c_reader_and_row_by_row_parse_agree_property(drawn):
+    data, columns, delimiter = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        fast = _ingested(path, columns, delimiter)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError("off")):
+            one_by_one = _ingested(path, columns, delimiter)
+    assert fast == one_by_one
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("token", ["4.1", "4_1"], ids=["plain", "underscore"])
+def test_ingest_reads_a_named_pipe_once(tmp_path, token):
+    # "4_1", which Python's float reads and NumPy's does not, is read too
+    text = HEADER + f"\nB,0,1.0,3.9,0.1\nA,0,0.0,4.0,0.0\nB,0,0.0,{token},0.0\n"
+    expect = ingest_cycles(write(tmp_path, "m.csv", text))
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(ingest_cycles(str(fifo))), daemon=True
+    )
+    reader.start()
+    with open(fifo, "w") as out:
+        out.write(text)
+    reader.join(20)
+    if reader.is_alive():
+        open(fifo, "w").close()  # lets a second open of the pipe end
+        reader.join()
+        pytest.fail("ingest opened the pipe a second time")
+    assert got == [expect]
+
+
+def test_blank_rows_and_padded_ids_stay_on_the_c_reader(tmp_path):
+    path = write(
+        tmp_path, "m.csv",
+        HEADER + "\nA,0,0.0,4.0,0.0\n,,,,\n  \t\n , ,\t,\n\nA,0,1.0,3.9,0.1\n"
+        " A ,0,2.0,3.8,0.2\nB,0,0.0,4.1,0.0\n",
+    )
+    with mock.patch(
+        "cyclescreen.dataset._parse_rows_one_by_one", side_effect=AssertionError
+    ):
+        store = ingest_cycles(path)
+    assert store.cells() == ["A", "B"]
+    assert store.by_cell("A")[0].samples.tolist() == [
+        [0.0, 4.0, 0.0], [1.0, 3.9, 0.1], [2.0, 3.8, 0.2]
+    ]
+
+
+@pytest.mark.parametrize("time_token", ["0.5", "0_5"], ids=["c-reader", "row-by-row"])
+def test_ingest_peak_memory_per_row_is_bounded(tmp_path, time_token):
+    # 16 cells x 100 cycles x 64 samples; reading them as Python rows, in
+    # blocks, peaked near 127 B a row. One "0_5", which only Python's float
+    # reads, sends the whole file row by row
+    n = 16 * 100 * 64
+    i = np.arange(n)
+    local = np.random.default_rng(5)
+    time, voltage, capacity = local.random((3, n))
+    lines = [HEADER] + [
+        f"cell-{c:02d},{k},{t!r},{v!r},{q!r}"
+        for c, k, t, v, q in zip(
+            (i // 6400).tolist(), (i // 64 % 100).tolist(),
+            time.tolist(), voltage.tolist(), capacity.tolist(),
+        )
+    ]
+    lines[n // 2] = f"cell-07,99,{time_token},3.9,0.5"
+    path = write(tmp_path, "big.csv", "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        store = ingest_cycles(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 1600
+    assert peak / n < 100, peak / n
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (ingest_cycles, HEADER + ",voltage_v\nA,0,0.0,4.0,0.0,3.0\n"),
+        (read_labels, "cell_id,cycle_index,cell_id\nA,1,B\n"),
+        (read_manifest, "cell_id,role,role\nA,train,test\n"),
+        (read_verdict_flags, "cycle_index,flagged,flagged\n0,0,1\n"),
+    ],
+    ids=["measurements", "labels", "manifest", "verdicts"],
+)
+def test_a_used_column_named_twice_in_the_header_is_refused(tmp_path, reader, text):
+    path = write(tmp_path, "dup.csv", text)
+    name = text.split("\n")[0].rsplit(",", 1)[1]
+    with pytest.raises(InputError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}: column '{name}' (role ")
+    assert str(err.value).endswith(" appears 2 times in the header")
+
+
+def test_an_unused_column_named_twice_is_read_as_before(tmp_path):
+    path = write(tmp_path, "m.csv", HEADER + ",note,note\nA,0,0.0,4.0,0.0,x,y\n")
+    assert ingest_cycles(path).cells() == ["A"]
+
+
+def test_two_roles_reading_one_column_are_refused_before_the_file_opens(tmp_path):
+    missing = str(tmp_path / "absent.csv")
+    with pytest.raises(ConfigError) as err:
+        ingest_cycles(missing, columns={"voltage": "time_s"})
+    assert str(err.value) == "roles time and voltage both read column 'time_s'"
