@@ -371,13 +371,15 @@ def _tune_body(args, cell_id, matrix, notes, cell_dir):
 
 def _map_cells(body, args, store: CycleStore, cells) -> list:
     """body's result on each of cells through _run_cell, in cell order, over
-    --jobs processes when there is more than one cell."""
+    --jobs processes, never more than there are cells, when there is more
+    than one cell: a forking pool starts all its workers at the first
+    submit."""
     if args.jobs <= 1 or len(cells) <= 1:
         return [_run_cell(body, args, cell, store.by_cell(cell)) for cell in cells]
     # imported here, so a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(args.jobs, len(cells))) as pool:
         n = len(cells)
         records = [store.by_cell(cell) for cell in cells]
         return list(pool.map(_run_cell, [body] * n, [args] * n, cells, records))

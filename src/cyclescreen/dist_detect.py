@@ -209,14 +209,6 @@ def nearest(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, dists
 
 
-# no CLI path calls it: kept as the one-pair reference metric tests use
-def distance(a, b, metric: MetricSpec) -> float:
-    """Distance between two points under the metric."""
-    a = np.asarray(a, dtype=float).reshape(1, -1)
-    b = np.asarray(b, dtype=float).reshape(1, -1)
-    return float(pairwise(a, b, metric)[0, 0])
-
-
 def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
     """Fill in a data-estimated covariance for the whitened metric."""
     X = as_matrix(X)

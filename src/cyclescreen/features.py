@@ -17,9 +17,8 @@ sample count into one (cycles, samples) array and takes medians, quartiles,
 differences and maxima along axis 1, then writes the rows back in cycle
 order. The offsets median**2 / IQR stay Python float arithmetic, one cycle
 at a time, because NumPy evaluates an array's **2 as x*x, which can differ
-from pow in the last bit. median_iqr_transform, transform_cell and
-extract_cycle_features keep the one-cycle-at-a-time form, which the batched
-path matches bit for bit.
+from pow in the last bit. The tests keep a one-cycle-at-a-time form of the
+scaling and difference features, which the batched path matches bit for bit.
 """
 
 from __future__ import annotations
@@ -57,57 +56,6 @@ def _offset(med: float, iqr: float, origin: str) -> float:
             f"{origin}: scaling offset median**2/IQR overflows "
             f"(median {med!r}, IQR {iqr!r})"
         ) from None
-
-
-@dataclass(frozen=True)
-class ScaledSeries:
-    """A robustly shifted series plus the statistics that produced it."""
-
-    values: np.ndarray
-    origin: str
-    median: float
-    iqr: float
-
-    @property
-    def offset(self) -> float:
-        return _offset(self.median, self.iqr, self.origin)
-
-
-# no CLI path calls it: kept as the one-cycle oracle of the batched path
-# finite samples can overflow in the spread and difference arithmetic here,
-# in extract_cycle_features and in _cell_features; _feature_table refuses
-# the feature that results by name, so NumPy's warnings stay inside
-@np.errstate(over="ignore", invalid="ignore")
-def median_iqr_transform(values, origin: str = "series") -> ScaledSeries:
-    """Shift a series by median(X)^2 / IQR(X).
-
-    Parameters
-    ----------
-    values : array-like of float
-        The raw series; at least two distinct values are required.
-    origin : str
-        Name used in error messages and kept on the result ("voltage",
-        "capacity", ...).
-
-    Returns
-    -------
-    ScaledSeries
-        Same length as the input; scaled[i] = values[i] - median^2/IQR.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InputError(f"{origin}: expected a 1-D series")
-    if arr.size == 0:
-        raise InputError(f"{origin}: empty series")
-    med = float(np.median(arr))
-    q1, q3 = np.quantile(arr, [0.25, 0.75])  # linear interpolation, type 7
-    iqr = float(q3 - q1)
-    if iqr == 0.0:
-        raise DegenerateDataError(
-            f"{origin}: interquartile range is zero, cannot scale"
-        )
-    shifted = arr - _offset(med, iqr, origin)
-    return ScaledSeries(values=shifted, origin=origin, median=med, iqr=iqr)
 
 
 @dataclass
@@ -180,25 +128,11 @@ class FeatureNotes:
         return "\n".join(lines) + "\n"
 
 
-def _dvdq_max(dv: np.ndarray, dq: np.ndarray) -> tuple[float, bool]:
-    """Max ratio of consecutive differences, guarding tiny denominators.
-
-    Pairs with |dq| below the guard are skipped; if that empties the set the
-    denominators are clamped to the guard (sign kept, exact zeros treated as
-    positive) and the caller is told so it can report the cycle.
-    """
-    keep = np.abs(dq) >= EPS
-    if np.any(keep):
-        return float(np.max(dv[keep] / dq[keep])), False
-    sign = np.where(dq < 0, -1.0, 1.0)
-    clamped = sign * np.maximum(np.abs(dq), EPS)
-    return float(np.max(dv / clamped)), True
-
-
 def _difference_features(v: np.ndarray, q: np.ndarray):
     """dv_max, dq_max, dvdq_max and the clamp flag of each row of the scaled
-    (cycles, samples) voltage and capacity arrays; each row as _dvdq_max and
-    the plain maxima give it for one cycle, to the bit."""
+    (cycles, samples) voltage and capacity arrays. Pairs with |dq| below EPS
+    are skipped in dvdq_max; a row left with none is clamped: its
+    denominators become EPS, sign kept, exact zeros taken as positive."""
     dv = np.diff(v, axis=1)
     dq = np.diff(q, axis=1)
     keep = np.abs(dq) >= EPS
@@ -245,71 +179,6 @@ def _short_cycle(rec: CycleRecord) -> InputError:
         f"cycle {rec.cell_id}/{rec.cycle_index} has {rec.samples.shape[0]} "
         f"sample(s); need at least 2 for difference features"
     )
-
-
-# no CLI path calls it: kept as the one-cycle oracle of the batched path
-@np.errstate(over="ignore", invalid="ignore")
-def extract_cycle_features(
-    cycles: Sequence[CycleRecord],
-    scaled: Sequence[tuple[ScaledSeries, ScaledSeries]],
-) -> tuple[FeatureMatrix, FeatureNotes]:
-    """Build the per-cycle difference features from scaled series.
-
-    Parameters
-    ----------
-    cycles : sequence of CycleRecord
-        Cycles of a single cell, in any order; output rows follow this order.
-    scaled : sequence of (ScaledSeries, ScaledSeries)
-        Per-cycle (voltage, capacity) transforms aligned with `cycles`.
-
-    Returns
-    -------
-    (FeatureMatrix, FeatureNotes)
-        Columns dv_max, dq_max, dvdq_max, one row per cycle, plus the guard
-        side channel.
-    """
-    if len(cycles) != len(scaled):
-        raise InputError(
-            f"{len(cycles)} cycles but {len(scaled)} scaled pairs"
-        )
-    if len(cycles) == 0:
-        raise InputError("no cycles to extract features from")
-    dv_max, dq_max, dvdq_max = (np.empty(len(cycles)) for _ in range(3))
-    clamped = np.empty(len(cycles), dtype=bool)
-    for i, (rec, (v_scaled, q_scaled)) in enumerate(zip(cycles, scaled)):
-        n = rec.samples.shape[0]
-        if n < 2:
-            raise _short_cycle(rec)
-        if v_scaled.values.shape[0] != n or q_scaled.values.shape[0] != n:
-            raise InputError(
-                f"cycle {rec.cell_id}/{rec.cycle_index}: scaled series length "
-                f"does not match sample count {n}"
-            )
-        dv = np.diff(v_scaled.values)
-        dq = np.diff(q_scaled.values)
-        dv_max[i] = float(np.max(dv))
-        dq_max[i] = float(np.max(dq))
-        dvdq_max[i], clamped[i] = _dvdq_max(dv, dq)
-    return _feature_table(cycles, dv_max, dq_max, dvdq_max, clamped)
-
-
-# no CLI path calls it: kept as the one-cycle oracle of the batched path
-def transform_cell(
-    cycles: Sequence[CycleRecord],
-) -> list[tuple[ScaledSeries, ScaledSeries]]:
-    """Fit the median/IQR shift independently on each cycle's voltage and
-    capacity series. Each cycle supplies its own statistics, so a level
-    drift late in life cannot leak into early cycles."""
-    out = []
-    for rec in cycles:
-        v = median_iqr_transform(
-            rec.voltage, origin=f"voltage {rec.cell_id}/{rec.cycle_index}"
-        )
-        q = median_iqr_transform(
-            rec.capacity, origin=f"capacity {rec.cell_id}/{rec.cycle_index}"
-        )
-        out.append((v, q))
-    return out
 
 
 def log_feature(values) -> tuple[np.ndarray, list[int]]:
@@ -360,13 +229,17 @@ def _add_logs(matrix: FeatureMatrix, notes: FeatureNotes, required: bool) -> Non
         notes.record_log(f"log_{name}", matrix.cycle_index, col, clamped)
 
 
+# finite samples can overflow in the spread and difference arithmetic;
+# _feature_table refuses the feature that results by name, so NumPy's
+# warnings stay inside
 @np.errstate(over="ignore", invalid="ignore")
 def _cell_features(
     cycles: Sequence[CycleRecord],
 ) -> tuple[FeatureMatrix, FeatureNotes, np.ndarray]:
-    """extract_cycle_features(cycles, transform_cell(cycles)) and each
-    cycle's capacity_max, with the cycles of each sample count stacked into
-    one (cycles, samples) array and worked along axis 1.
+    """The difference features of each cycle, scaled by its own voltage and
+    capacity median**2 / IQR, and each cycle's capacity_max, with the cycles
+    of each sample count stacked into one (cycles, samples) array and worked
+    along axis 1.
 
     Rows are written back in cycle order, and errors keep the per-cycle
     precedence: a zero IQR, checked in each cycle's voltage then its

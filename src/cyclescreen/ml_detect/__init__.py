@@ -6,8 +6,8 @@ normalization, and flags come from a probability threshold (default 0.7) or,
 for contamination-style workflows, by taking the top scoring fraction.
 
 A model's module loads on that model's first fit or score, so a process
-loads only the models it runs. Mlp, mirror_dims and gradient_check are
-importable from here, and load the autoencoder's module on first use.
+loads only the models it runs. Mlp and mirror_dims are importable from
+here, and load the autoencoder's module on first use.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .params import (
 DEFAULT_PROBABILITY_THRESHOLD = 0.7
 
 def __getattr__(name):
-    if name in ("Mlp", "mirror_dims", "gradient_check"):
+    if name in ("Mlp", "mirror_dims"):
         return getattr(_model_module("autoencoder"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -138,5 +138,4 @@ __all__ = [
     "predict_top_fraction",
     "Mlp",
     "mirror_dims",
-    "gradient_check",
 ]

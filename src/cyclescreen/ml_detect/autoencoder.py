@@ -233,26 +233,3 @@ def score_autoencoder(state: AutoencoderState, X: np.ndarray) -> np.ndarray:
     out, _ = state.mlp.forward(scaled)
     return np.mean((out - scaled) ** 2, axis=1)
 
-
-# no CLI path calls it: kept as the oracle the tests hold backprop to
-def gradient_check(mlp: Mlp, X, step: float = 1e-5) -> float:
-    """Max relative disagreement between backprop and central differences.
-
-    Relative error uses |a - n| / max(1e-8, |a| + |n|), so an identically
-    zero gradient pair scores 0 rather than 0/0.
-    """
-    X = np.asarray(X, dtype=float)
-    _, grad = mlp.loss_and_grads(X, X)
-    analytic = grad.copy()
-    theta = mlp.theta
-    numeric = np.empty_like(theta)
-    for i in range(theta.size):
-        kept = theta[i]
-        theta[i] = kept + step
-        hi, _ = mlp.loss_and_grads(X, X)
-        theta[i] = kept - step
-        lo, _ = mlp.loss_and_grads(X, X)
-        theta[i] = kept
-        numeric[i] = (hi - lo) / (2.0 * step)
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -23,7 +23,6 @@ from ..dist_detect import (
     MetricSpec,
     check_n_neighbors,
     metric_from_params,
-    nearest,
     nearest_each,
     pairwise,
     query_blocks,
@@ -46,15 +45,6 @@ def fit_knn(params: dict, X: np.ndarray, rng) -> KnnState:
         X=X.copy(), k=k, method=params["method"],
         metric=metric_from_params(params, X),
     )
-
-
-# no CLI path calls it, since scoring reduces each block: tests read the
-# whole (m, k) result through it
-def neighbor_distances(state: KnnState, Q: np.ndarray) -> np.ndarray:
-    """(m, k) sorted distances to the k nearest fitted rows, self-matches
-    dropped one per query."""
-    blocks, X, metric = query_blocks(Q, state.X, state.metric)
-    return nearest((pairwise(B, X, metric) for B in blocks), state.k)[1]
 
 
 def score_knn(state: KnnState, Q: np.ndarray) -> np.ndarray:

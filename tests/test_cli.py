@@ -263,6 +263,41 @@ def test_parallel_jobs_match_serial(dataset, tmp_path):
     assert results[0] == results[1]
 
 
+def test_jobs_starts_no_more_workers_than_cells(dataset, tmp_path, monkeypatch):
+    # a forking pool starts all max_workers processes at its first submit;
+    # the fake records the pool size and maps in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    results = []
+    for jobs, name in (("1", "serial"), ("16", "parallel")):
+        out = tmp_path / name
+        rc = run(
+            "detect", "--input", dataset["meas"], "--out", str(out),
+            "--recipe", "custom", "--feature", FEATURES,
+            "--model", "knn", "--jobs", jobs,
+        )
+        assert rc == 0
+        results.append(tree_bytes(out))
+    assert sizes == [2]
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,6 @@ from cyclescreen.dist_detect import (
     METRIC_KINDS,
     MetricSpec,
     centroid_detect,
-    distance,
     grid_nodes,
     pairwise,
     query_blocks,
@@ -18,6 +17,8 @@ from cyclescreen.dist_detect import (
 from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
 from cyclescreen.features import mahalanobis_feature
 from cyclescreen.util import normalize_scores
+
+from oracles import distance
 
 VEC = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False),

@@ -20,14 +20,12 @@ from cyclescreen.features import (
     RECIPES,
     FeatureMatrix,
     build_feature_matrix,
-    extract_cycle_features,
     log_feature,
     mahalanobis_feature,
-    median_iqr_transform,
-    transform_cell,
 )
 
 from conftest import make_cycle
+from oracles import extract_cycle_features, median_iqr_transform, transform_cell
 
 
 def quantile_linear(xs, q):

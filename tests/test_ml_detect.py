@@ -28,10 +28,13 @@ from cyclescreen.ml_detect import (
     predict_top_fraction,
     score,
 )
+from cyclescreen.ml_detect import knn, lof
 from cyclescreen.ml_detect.iforest import average_path_length
 from cyclescreen.ml_detect.params import CatDomain
 from cyclescreen.synth import generate_cell
 from cyclescreen.tune import optimize_proxy
+
+from oracles import neighbor_distances
 
 
 def fit_score(model, X, params=None, seed=0):
@@ -56,14 +59,15 @@ def test_registry_covers_six_models():
 
 def test_autoencoder_names_are_importable_from_ml_detect():
     # the autoencoder's module loads on first use, by these names too
-    from cyclescreen.ml_detect import Mlp, gradient_check, mirror_dims
+    from cyclescreen.ml_detect import Mlp, mirror_dims
     from cyclescreen.ml_detect import autoencoder
 
-    assert (Mlp, gradient_check, mirror_dims) == (
-        autoencoder.Mlp, autoencoder.gradient_check, autoencoder.mirror_dims,
-    )
+    assert (Mlp, mirror_dims) == (autoencoder.Mlp, autoencoder.mirror_dims)
     with pytest.raises(AttributeError, match="has no attribute 'fit_knn'"):
         ml_detect.fit_knn
+    # the finite-difference check is a test oracle, not a package name
+    with pytest.raises(AttributeError, match="has no attribute 'gradient_check'"):
+        ml_detect.gradient_check
 
 
 def test_make_config_defaults_and_overrides():
@@ -576,7 +580,7 @@ def test_knn_and_lof_match_full_sort_references_on_ties(metric):
         params = {"n_neighbors": k, "metric": metric, "minkowski_p": 3.0}
         fitted = fit(make_config("knn", params), X)
         expect = reference_knn_distances(pairwise(Q, X, spec), k)
-        got = ml_detect.knn.neighbor_distances(fitted.state, Q)
+        got = neighbor_distances(fitted.state, Q)
         assert got.tobytes() == expect.tobytes()
         for method, reduce in (
             ("largest", lambda a: a[:, -1].copy()),
@@ -624,10 +628,10 @@ def test_blocked_neighbor_search_matches_full_matrix_references(
         shapes.append(A.shape)
         return pairwise(A, B, metric)
 
-    monkeypatch.setattr(ml_detect.knn, "pairwise", recorded)
-    monkeypatch.setattr(ml_detect.lof, "pairwise", recorded)
+    monkeypatch.setattr(knn, "pairwise", recorded)
+    monkeypatch.setattr(lof, "pairwise", recorded)
     fitted = fit(make_config("knn", params), X)
-    got = ml_detect.knn.neighbor_distances(fitted.state, Q)
+    got = neighbor_distances(fitted.state, Q)
     assert got.tobytes() == expect.tobytes()
     # one 2-D pairwise call per block of the 120 queries
     assert shapes == [(size, X.shape[1]) for size in {

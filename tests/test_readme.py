@@ -1,4 +1,5 @@
-"""Every `cyclescreen` command in README.md's sh blocks runs as written.
+"""Every `cyclescreen` command in README.md's sh blocks, and its "Library
+use" python block, runs as written.
 
 The commands are read from the README itself, so an example that drifts
 from the CLI fails here. Each runs in a fresh directory that holds the
@@ -13,10 +14,12 @@ import re
 import shlex
 import shutil
 
+import numpy as np
 import pytest
 
 from cyclescreen.cli import main
-from cyclescreen.synth import AnomalySpec, generate_cell, write_dataset
+from cyclescreen.features import RECIPE_DEFAULTS, build_feature_matrix
+from cyclescreen.synth import AnomalySpec, FadeModel, generate_cell, write_dataset
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
@@ -103,3 +106,23 @@ def test_readme_command_exits_zero(inputs, tmp_path, monkeypatch, capsys, argv):
         ]) == 0
     rc = main(argv)
     assert rc == 0, capsys.readouterr().err
+
+
+def test_readme_library_block_runs():
+    # the block's entry points are the package's documented library use.
+    # At the default voltage noise, the severson recipe floors most log
+    # rows of a synthetic cell and mad finds a zero spread; at 2e-3, with
+    # 64 samples a cycle, no row is floored
+    with open(README, encoding="utf-8") as handle:
+        (block,) = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+    records, _ = generate_cell(
+        120, fade=FadeModel(voltage_noise=2e-3), seed=0,
+        anomalies=(AnomalySpec("point", (12, 40), 0.4),),
+    )
+    matrix, notes = build_feature_matrix(records)
+    assert notes.is_empty()
+    X = np.column_stack([matrix.column(c) for c in RECIPE_DEFAULTS["severson"][1]])
+    names = {"records": records, "X": X}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["flags"].shape == (120,)
+    assert names["matrix"].cycle_index.shape == (120,)
