@@ -91,9 +91,9 @@ def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     return chol
 
 
-#: elements one block of the neighbour search holds (512 KB of float64,
-#: cache-sized): the difference tensor `pairwise` builds for a block of
-#: query rows
+#: elements of one neighbour-search block's difference tensor (512 KB of
+#: float64, cache-sized), which `pairwise` holds whole from 8 columns on and
+#: one column at a time below
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -108,13 +108,39 @@ def _whiten(metric: MetricSpec, *arrays: np.ndarray) -> list[np.ndarray]:
     return [np.linalg.solve(chol, A.T).T for A in arrays]
 
 
+#: below this many columns, NumPy sums a contiguous axis term by term, in
+#: order; from here on it switches to 8-way pairwise summation
+_IN_ORDER_TERMS = 8
+
+
+def _sum_terms(X: np.ndarray, Y: np.ndarray, term) -> np.ndarray:
+    """(n, m) sums over the d columns of term(x - y), for rows x of X and
+    y of Y; term may overwrite the differences it is given.
+
+    For d < _IN_ORDER_TERMS the columns are added one at a time, in column
+    order, which is the arithmetic of reducing the (n, m, d) tensor over its
+    contiguous last axis, without that slow short reduction. From there on
+    the tensor is built and reduced as NumPy does it, so the bytes never
+    depend on the path.
+    """
+    d = X.shape[1]
+    if d < _IN_ORDER_TERMS:
+        out = term(X[:, 0, None] - Y[:, 0])
+        for j in range(1, d):
+            out += term(X[:, j, None] - Y[:, j])
+        return out
+    return np.sum(term(X[:, None, :] - Y[None, :, :]), axis=-1)
+
+
 def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
     """C-contiguous distance matrix between rows of X (n, d) and rows of
     Y (m, d); Mahalanobis whitens all rows first, then is Euclidean.
 
-    The (n, m, d) difference tensor and its temporaries are held whole:
-    only the neighbor search blocks, one call per `query_blocks` block.
-    The CLI's largest direct call (scoremap, --resolution 1000) holds 16 MB.
+    Each metric is a sum over the columns of one term of the difference
+    (`_sum_terms`): with fewer than 8 columns one (n, m) term at a time,
+    otherwise the whole (n, m, d) difference tensor at once. Only the
+    neighbor search blocks, one call per `query_blocks` block. The CLI's
+    largest direct call (scoremap, --resolution 1000, d = 2) holds 16 MB.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
@@ -126,15 +152,15 @@ def pairwise(X, Y, metric: MetricSpec) -> np.ndarray:
         if kind == "mahalanobis":
             X, Y = _whiten(metric, X, Y)
             kind = "euclidean"
-        diff = X[:, None, :] - Y[None, :, :]
         if kind == "euclidean":
-            out = np.sum(np.square(diff, out=diff), axis=-1)
+            out = _sum_terms(X, Y, lambda diff: np.square(diff, out=diff))
             np.sqrt(out, out=out)
         elif kind == "manhattan":
-            out = np.sum(np.abs(diff, out=diff), axis=-1)
+            out = _sum_terms(X, Y, lambda diff: np.abs(diff, out=diff))
         else:
             p = float(metric.p)
-            out = np.sum(np.abs(diff, out=diff) ** p, axis=-1) ** (1.0 / p)
+            out = _sum_terms(X, Y, lambda diff: np.abs(diff, out=diff) ** p)
+            out = out ** (1.0 / p)
     return np.ascontiguousarray(out)
 
 

@@ -477,6 +477,30 @@ def test_tune_manifest_cell_missing_from_input_is_an_error(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect",),
+        ("scoremap",),
+        ("tune", "--strategy", "proxy", "--trials", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_iforest_on_a_one_cycle_cell_names_cell_and_model(tmp_path, capsys, argv):
+    # the subsample draw used to raise NumPy's ValueError on one row
+    meas = tmp_path / "meas.csv"
+    cells = {"A": generate_cell(1, samples_per_cycle=16, seed=3, cell_id="A")}
+    write_dataset(cells, str(meas), str(tmp_path / "labels.csv"))
+    rc = run(
+        *argv, "--model", "iforest", "--input", str(meas),
+        "--out", str(tmp_path / "out"), "--recipe", "custom", "--feature", FEATURES,
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell A, model iforest: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "features, components",
     [("dv_max", {"1"}), ("dv_max,dq_max,dvdq_max", {"1", "2", "3"})],
 )

@@ -126,6 +126,42 @@ def test_pairwise_blocks_match_unblocked_bytes(n, m, d, block_elements, monkeypa
             assert blocked.tobytes() == expect, spec.kind
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pairwise_column_sums_match_the_tensor_reduction_bytes(d, monkeypatch):
+    # below 8 columns pairwise adds the columns' terms one column at a time;
+    # NumPy reduces the tensor's d axis term by term in the same order, so
+    # the bytes agree. From 8 columns NumPy sums pairwise, and so pairwise
+    # reduces the tensor itself; taking the column path there fails this
+    monkeypatch.setattr(dist_detect, "BLOCK_ELEMENTS", 1)
+    local = np.random.default_rng(100 + d)
+    X = local.normal(size=(41, d)) * local.uniform(0.1, 50.0, size=d)
+    Y = local.normal(size=(13, d)) * 10.0 ** local.integers(-3, 4, size=d)
+    A = local.normal(size=(d, d))
+    specs = [
+        MetricSpec("euclidean"),
+        MetricSpec("manhattan"),
+        MetricSpec("minkowski", p=3.5),
+        MetricSpec("mahalanobis", covariance=A @ A.T + d * np.eye(d)),
+    ]
+    for order in ("C", "F"):
+        Xo, Yo = np.asarray(X, order=order), np.asarray(Y, order=order)
+        for spec in specs:
+            expect = unblocked_pairwise(Xo, Yo, spec)
+            assert pairwise(Xo, Yo, spec).tobytes() == expect.tobytes()
+            # a lone row of a column-major matrix lays its tensor out apart
+            lone = pairwise(Xo[-1:], Yo, spec)
+            assert lone.tobytes() == unblocked_pairwise(Xo[-1:], Yo, spec).tobytes()
+            # two-row blocks of whitened, column-major rows; the odd last
+            # row joins the block before it
+            blocks, fitted, metric = query_blocks(Xo, Yo, spec)
+            assert [len(B) for B in blocks] == [2] * 19 + [3]
+            for B in blocks:
+                got = pairwise(B, fitted, metric)
+                assert got.tobytes() == unblocked_pairwise(B, fitted, metric).tobytes()
+            blocked = np.concatenate([pairwise(B, fitted, metric) for B in blocks])
+            assert blocked.tobytes() == expect.tobytes(), (order, spec.kind)
+
+
 @settings(max_examples=80, deadline=None)
 @given(VEC, VEC)
 def test_metric_axioms_symmetry_identity(a_list, b_list):

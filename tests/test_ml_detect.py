@@ -318,6 +318,36 @@ def test_iforest_matches_recursive_reference_bytes(data):
     assert got.tobytes() == np.asarray([2.0 ** e for e in exponent.tolist()]).tobytes()
 
 
+def test_iforest_matches_reference_on_array_nodes_and_score_blocks():
+    # 400 rows on a 0.1 lattice, so values tie: nodes below the root hold
+    # more than _SMALL_NODE rows and split on index arrays before they cross
+    # to lists; the queries fill two scoring blocks and a short third one
+    iforest = ml_detect.iforest
+    local = np.random.default_rng(5)
+    X = np.round(local.normal(size=(400, 3)), 1)
+    n_estimators = 50
+    block = iforest._SCORE_BLOCK // n_estimators
+    extra = np.round(local.normal(size=(2 * block + 7 - len(X), 3)) * 2.0, 1)
+    Q = np.vstack([X, extra])
+    assert len(np.unique(X[:, 0])) < len(X) // 4
+    assert 0.7 * len(X) / 4 > iforest._SMALL_NODE
+    assert len(Q) // block == 2 and len(Q) % block == 7
+    # all rows and features, then a subsample and two of the three features
+    for seed, max_samples, max_features in ((3, 1.0, 1.0), (4, 0.7, 2 / 3)):
+        params = {
+            "n_estimators": n_estimators,
+            "max_samples": max_samples,
+            "max_features": max_features,
+        }
+        expect, _, state = reference_iforest(params, X, Q, seed)
+        config = make_config("iforest", params, seed=seed)
+        got = score(fit(config, X), Q)
+        assert got.tobytes() == expect.tobytes(), params
+        rng = np.random.default_rng(seed)
+        iforest.fit_iforest(config.params, X, rng)
+        assert rng.bit_generator.state == state, params
+
+
 @pytest.mark.parametrize("target", [*ALL_MODELS, "score_grid"])
 def test_non_finite_features_raise_named_error(target):
     # one NaN or infinity used to give NaN scores and no flags, flag rows
