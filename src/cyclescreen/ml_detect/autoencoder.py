@@ -38,12 +38,10 @@ def _tanh_grad(z, a):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) below, one
+    # exp(-|z|) <= 1 serving both, so nothing overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sigmoid_grad(z, a):

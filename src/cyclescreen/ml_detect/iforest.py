@@ -10,12 +10,13 @@ shared by all trees, grown depth first from an explicit stack, left child
 first. A node holds its rows once per selected feature, sorted by that
 feature's value, so a feature's range over the node is its first and last
 row, and a split cuts the chosen feature's rows at a bisection; only the
-other features' rows are partitioned. Rows are index arrays, and Python
-lists once a node is small. A child with one row, or at the depth limit,
-draws nothing, so it gets its value when its parent splits. The random
-draws happen in the order of the recursive textbook growth, so a seed gives
-the same trees; a threshold is lo + (hi - lo) * rng.random(),
-Generator.uniform's own formula, which skips its per-call argument handling.
+other features' rows are partitioned. Rows and columns are Python lists:
+at a cell's node sizes NumPy's per-call cost outweighs its per-row speed.
+A child with one row, or at the depth limit, draws nothing, so it gets its
+value when its parent splits. The random draws happen in the order of the
+recursive textbook growth, so a seed gives the same trees; a threshold is
+lo + (hi - lo) * rng.random(), Generator.uniform's own formula, which skips
+its per-call argument handling.
 Scoring moves a block of rows down every tree at once, one level per step,
 and adds the trees' path lengths into each row's total in tree order, so
 the sums are the same floats a row-at-a-time walk would give.
@@ -65,30 +66,24 @@ class IsolationForestState:
     normalizer: float
 
 
-#: nodes of at most this many rows work on Python lists, where NumPy's
-#: per-call cost outweighs its per-row speed. Both paths stay: with 100
-#: trees, growth with this split measured 1.2x the speed of lists alone at
-#: 5,000 x 2 and 500 x 6 rows (1.03x at 500 x 2), and 1.3x-1.7x the speed
-#: of arrays alone at those sizes
-_SMALL_NODE = 64
-
 #: rows x trees one scoring step moves down a level: the node indices and
 #: each gather of them stay cache-sized (128 KB of intp)
 _SCORE_BLOCK = 1 << 14
 
 
-def _grow(nodes, features, columns, lists, parts, limit: int, path, rng) -> int:
+def _grow(nodes, features, columns, parts, limit: int, path, rng) -> int:
     """Grow one tree into nodes, the four node lists, and return its deepest
     leaf's depth.
 
     columns[k] is the column of the tree's k-th selected feature, features[k],
-    and lists[k] the same column as a Python list for the small nodes;
-    parts[k] holds the subsample's rows sorted by columns[k]. path[s] is
-    c(s) for every subsample size s. A node is a leaf when it holds one row,
-    sits at the depth limit, has no selected feature with spread, or draws a
-    threshold that sends every row one way. Otherwise it picks a feature
-    with spread uniformly and a threshold uniformly in that feature's range
-    over the node's rows. The columns are finite (ml_detect.fit sees to it).
+    as a Python list, and parts[k] lists the subsample's rows sorted by
+    columns[k]. path[s] is c(s) for every subsample size s. A node is a leaf
+    when it holds one row, sits at the depth limit, has no selected feature
+    with spread, or draws a threshold that sends every row one way.
+    Otherwise it picks a feature with spread uniformly and a threshold
+    uniformly in that feature's range over the node's rows; a split is a
+    bisection of that feature's rows, and the other features' rows are
+    partitioned in order. The columns are finite (ml_detect.fit sees to it).
     """
     feature, threshold, left, value = nodes
     # a node is a leaf from its creation: its own left child, with an
@@ -105,16 +100,9 @@ def _grow(nodes, features, columns, lists, parts, limit: int, path, rng) -> int:
     while stack:
         node, parts, depth = stack.pop()
         n = len(parts[0])
-        small = n <= _SMALL_NODE
-        if small:
-            if type(parts[0]) is not list:
-                parts = [rows.tolist() for rows in parts]
-            cols = lists
-        else:
-            cols = columns
         usable = []
         for k, rows in enumerate(parts):
-            col = cols[k]
+            col = columns[k]
             lo, hi = col[rows[0]], col[rows[-1]]
             if lo < hi:
                 usable.append((k, col, lo, hi))
@@ -123,12 +111,8 @@ def _grow(nodes, features, columns, lists, parts, limit: int, path, rng) -> int:
             # integers(1) draws nothing from the generator
             pick = rng.integers(len(usable)) if len(usable) > 1 else 0
             k, col, lo, hi = usable[pick]
-            if small:
-                thr = lo + (hi - lo) * rng.random()
-                cut = bisect_left(parts[k], thr, key=col.__getitem__)
-            else:
-                thr = float(lo) + float(hi - lo) * rng.random()
-                cut = int(col.take(parts[k]).searchsorted(thr))
+            thr = lo + (hi - lo) * rng.random()
+            cut = bisect_left(parts[k], thr, key=col.__getitem__)
         if not 0 < cut < n:
             continue
         below, above = [], []
@@ -136,17 +120,13 @@ def _grow(nodes, features, columns, lists, parts, limit: int, path, rng) -> int:
             if j == k:
                 below.append(rows[:cut])
                 above.append(rows[cut:])
-            elif small:
+            else:
                 # one loop beats two comprehensions on a few rows
                 b, a = [], []
                 for i in rows:
                     (b if col[i] < thr else a).append(i)
                 below.append(b)
                 above.append(a)
-            else:
-                mask = col.take(rows) < thr
-                below.append(rows[mask])
-                above.append(rows[~mask])
         # a child with one row or at the limit is never popped
         first = len(feature)
         feature[node], threshold[node] = features[k], thr
@@ -176,10 +156,9 @@ def fit_iforest(params: dict, X: np.ndarray, rng) -> IsolationForestState:
     m = min(m, d)
     limit = int(math.ceil(math.log2(psi)))
     path = [average_path_length(s) for s in range(psi + 1)]
-    columns = [np.ascontiguousarray(X[:, f]) for f in range(d)]
-    lists = [c.tolist() for c in columns]
+    columns = X.T.tolist()
     # each column's rows in value order; a tree keeps those it drew
-    orders = [np.argsort(c, kind="stable") for c in columns]
+    orders = [np.argsort(c, kind="stable") for c in X.T]
     nodes = [], [], [], []
     roots, depth = [], 0
     for _ in range(params["n_estimators"]):
@@ -187,13 +166,10 @@ def fit_iforest(params: dict, X: np.ndarray, rng) -> IsolationForestState:
         feats = np.sort(rng.choice(d, size=m, replace=False)).tolist()
         drawn = np.zeros(n, dtype=bool)
         drawn[rows] = True
-        parts = [orders[f][drawn[orders[f]]] for f in feats]
+        parts = [orders[f][drawn[orders[f]]].tolist() for f in feats]
         roots.append(len(nodes[0]))
         cols = [columns[f] for f in feats]
-        tree_lists = [lists[f] for f in feats]
-        depth = max(
-            depth, _grow(nodes, feats, cols, tree_lists, parts, limit, path, rng)
-        )
+        depth = max(depth, _grow(nodes, feats, cols, parts, limit, path, rng))
     feature, threshold, left, value = nodes
     return IsolationForestState(
         feature=np.asarray(feature, dtype=np.intp),

@@ -463,9 +463,10 @@ def _run_trials(
     raises. A trial's objectives are objective(flags) on the rows it flags
     in X, or its kind's sentinel when its fit, score or objective raises,
     under util.float_policy. When no trial is usable, none raising and its
-    objectives finite, DegenerateDataError names the model and the trial
-    count. Every trial shares one seed, so a config TPE proposes again is
-    not refitted: its trial repeats the first one's objectives."""
+    objectives finite, DegenerateDataError names the model, the trial count
+    and, if a trial raised, the first such trial and its error. Every trial
+    shares one seed, so a config TPE proposes again is not refitted: its
+    trial repeats the first one's objectives."""
     check_trials(n_trials)
     ml_detect.check_threshold(threshold)
     X = as_matrix(X)
@@ -479,6 +480,7 @@ def _run_trials(
     # are fitted apart
     seen: dict[str, tuple] = {}
     usable = False
+    failure = ""
     # an enumerated space has at most n_trials points
     points = [None] * n_trials if enumerated is None else enumerated
     for trial_id, preset in enumerate(points):
@@ -497,14 +499,15 @@ def _run_trials(
                     probs = ml_detect.normalize_scores(ml_detect.score(fitted, X))
                     flags = ml_detect.predict_outliers(probs, threshold)
                     seen[key] = objective(flags)
-            except CycleScreenError:
+            except CycleScreenError as err:
                 seen[key] = sentinel
+                failure = failure or f"; trial {trial_id}: {err}"
             else:
                 usable = usable or bool(np.isfinite(seen[key]).all())
         trials.append(TrialRecord(trial_id, config, seen[key], kind))
     if not usable:
         raise DegenerateDataError(
-            f"{model}: none of {len(trials)} trials gave a usable objective"
+            f"{model}: none of {len(trials)} trials gave a usable objective{failure}"
         )
     return trials, pareto_front(trials, directions)
 

@@ -11,7 +11,8 @@ the package's results against them, mostly bit for bit:
   one-cycle form of `features.build_feature_matrix`'s scaling and
   difference features; they share `_offset`, `_feature_table`,
   `_short_cycle` and `EPS` with it;
-- gradient_check holds the autoencoder's backprop to central differences;
+- gradient_check holds the autoencoder's backprop to central differences,
+  and masked_sigmoid is its sigmoid computed on each sign's entries apart;
 - neighbor_distances gives knn's whole (m, k) neighbour distances;
 - distance is the one-pair metric.
 """
@@ -188,6 +189,18 @@ def gradient_check(mlp: Mlp, X, step: float = 1e-5) -> float:
         numeric[i] = (hi - lo) / (2.0 * step)
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def masked_sigmoid(z):
+    """The logistic function, 1 / (1 + exp(-z)) on the entries z >= 0 and
+    exp(z) / (1 + exp(z)) on the others, each gathered and scattered by a
+    boolean mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def neighbor_distances(state: knn.KnnState, Q: np.ndarray) -> np.ndarray:

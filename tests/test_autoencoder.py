@@ -7,13 +7,15 @@ from cyclescreen.ml_detect import (
     score,
 )
 from cyclescreen.ml_detect.autoencoder import (
+    ACTIVATIONS,
     Mlp,
     fit_autoencoder,
     mirror_dims,
     score_autoencoder,
 )
+from cyclescreen.util import float_policy
 
-from oracles import gradient_check
+from oracles import gradient_check, masked_sigmoid
 
 
 def test_mirror_dims():
@@ -28,6 +30,22 @@ def test_forward_shapes(rng):
     out, caches = mlp.forward(X)
     assert out.shape == (7, 4)
     assert len(caches) == len(mlp.weights)
+
+
+def test_sigmoid_matches_the_masked_form_bytes():
+    # normal draws from the subnormal range to past exp's overflow point,
+    # the signed zeros, the smallest subnormal, both edges of exp's range
+    # and the largest magnitudes; odd sizes leave SIMD tails
+    draws = np.random.default_rng(8).normal(size=20_001)
+    special = [0.0, 5e-324, 709.8, 745.2, 1e308]
+    z = np.concatenate(
+        [np.array(special), -np.array(special)]
+        + [draws * scale for scale in (1e-300, 1e-8, 1.0, 10.0, 100.0, 800.0)]
+    )
+    sigmoid, _ = ACTIVATIONS["sigmoid"]
+    with float_policy("autoencoder"):
+        for batch in (z, z[:-4].reshape(-1, 4), z[:16 * 4].reshape(16, 4)):
+            assert sigmoid(batch).tobytes() == masked_sigmoid(batch).tobytes()
 
 
 def test_gradient_check_smooth_activations(rng):

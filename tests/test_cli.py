@@ -501,6 +501,31 @@ def test_iforest_on_a_one_cycle_cell_names_cell_and_model(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize(
+    "model, reason",
+    [
+        ("iforest", "need at least 2 rows to grow a tree"),
+        ("knn", "n_neighbors=14 needs at least 15 rows, got 1"),
+    ],
+)
+def test_tune_with_every_trial_failing_names_the_first_trials_error(
+    tmp_path, capsys, model, reason
+):
+    # no config fits one row; the message used to end at the trial count
+    meas = tmp_path / "meas.csv"
+    cells = {"A": generate_cell(1, samples_per_cycle=16, seed=3, cell_id="A")}
+    write_dataset(cells, str(meas))
+    rc = run(
+        "tune", "--strategy", "proxy", "--model", model, "--input", str(meas),
+        "--out", str(tmp_path / "out"), "--recipe", "custom", "--feature", FEATURES,
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cell A, model {model}: none of 20 trials gave a usable "
+        f"objective; trial 0: {reason}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "features, components",
     [("dv_max", {"1"}), ("dv_max,dq_max,dvdq_max", {"1", "2", "3"})],
 )
@@ -1273,7 +1298,12 @@ def test_tune_with_no_usable_trial_exits_1_without_a_compromise(
     tmp_path, capsys, model
 ):
     # 2 cycles leave fewer than the 3 inliers a quadratic trend needs, or
-    # fail to fit, whatever the config: no proxy trial has a finite loss
+    # fail to fit, whatever the config: no proxy trial has a finite loss,
+    # and the message names the first trial that failed to fit
+    reason = {
+        "knn": "trial 0: n_neighbors=5 needs at least 6 rows, got 2",
+        "gmm": "trial 1: 2 rows cannot support 4 mixture components",
+    }[model]
     records, truth = generate_cell(2, samples_per_cycle=8, seed=0, cell_id="T2")
     meas = str(tmp_path / "meas.csv")
     write_dataset({"T2": (records, truth)}, meas)
@@ -1285,7 +1315,8 @@ def test_tune_with_no_usable_trial_exits_1_without_a_compromise(
     )
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: cell T2, model {model}: none of 5 trials gave a usable objective\n"
+        f"error: cell T2, model {model}: none of 5 trials gave a usable objective; "
+        f"{reason}\n"
     )
     assert [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()] == [
         "T2/feature_notes.txt"

@@ -270,8 +270,13 @@ def _iforest_inputs(name):
     elif name == "one_dimensional":
         X = local.normal(size=60)
         X[3] = 9.0
-    else:  # one 40-cycle cell's default multivariate features
-        records, _ = generate_cell(40, samples_per_cycle=16, seed=5, cell_id="c40")
+    else:
+        # one cell's default multivariate features; fleet_screen's cells
+        # have 80 cycles of 64 samples
+        cycles, samples = {"cell_40": (40, 16), "cell_80": (80, 64)}[name]
+        records, _ = generate_cell(
+            cycles, samples_per_cycle=samples, seed=5, cell_id=f"c{cycles}"
+        )
         matrix, _ = build_feature_matrix(records, "custom")
         X = np.column_stack([matrix.column("dv_max"), matrix.column("dq_max")])
     X2 = X.reshape(len(X), -1)
@@ -287,30 +292,39 @@ def _iforest_inputs(name):
         "duplicate_rows",
         "one_dimensional",
         "cell_40",
+        "cell_80",
     ],
 )
 def test_iforest_matches_recursive_reference_bytes(data):
     X, Q = _iforest_inputs(data)
     X2, Q2 = X.reshape(len(X), -1), Q.reshape(len(Q), -1)
     d = X2.shape[1]
-    # max_features 1/d gives one feature per tree; 1.0 gives all d
-    for n_estimators in (1, 50, 150):
-        for max_samples in (0.2, 1.0):
-            for max_features in sorted({1.0 / d, 1.0}):
-                params = {
-                    "n_estimators": n_estimators,
-                    "max_samples": max_samples,
-                    "max_features": max_features,
-                }
-                seed = 11 * n_estimators + int(10 * max_samples)
-                expect, mean_paths, state = reference_iforest(params, X2, Q2, seed)
-                config = make_config("iforest", params, seed=seed)
-                fitted = fit(config, X)
-                got = score(fitted, Q)
-                assert got.tobytes() == expect.tobytes(), params
-                rng = np.random.default_rng(seed)
-                ml_detect.iforest.fit_iforest(config.params, X2, rng)
-                assert rng.bit_generator.state == state, params
+    if data == "cell_80":
+        # the default parameters: 100 trees on every row and feature
+        grid = [(100, 1.0, 1.0)]
+    else:
+        # max_features 1/d gives one feature per tree; 1.0 gives all d
+        grid = [
+            (n_estimators, max_samples, max_features)
+            for n_estimators in (1, 50, 150)
+            for max_samples in (0.2, 1.0)
+            for max_features in sorted({1.0 / d, 1.0})
+        ]
+    for n_estimators, max_samples, max_features in grid:
+        params = {
+            "n_estimators": n_estimators,
+            "max_samples": max_samples,
+            "max_features": max_features,
+        }
+        seed = 11 * n_estimators + int(10 * max_samples)
+        expect, mean_paths, state = reference_iforest(params, X2, Q2, seed)
+        config = make_config("iforest", params, seed=seed)
+        fitted = fit(config, X)
+        got = score(fitted, Q)
+        assert got.tobytes() == expect.tobytes(), params
+        rng = np.random.default_rng(seed)
+        ml_detect.iforest.fit_iforest(config.params, X2, rng)
+        assert rng.bit_generator.state == state, params
     # the final power stays a Python float power per row: NumPy's SIMD
     # np.power / 2.0 ** ndarray can differ from the C library's pow in the
     # last bit (10,459 of 200,000 exponents on one AVX-512 host)
@@ -318,10 +332,10 @@ def test_iforest_matches_recursive_reference_bytes(data):
     assert got.tobytes() == np.asarray([2.0 ** e for e in exponent.tolist()]).tobytes()
 
 
-def test_iforest_matches_reference_on_array_nodes_and_score_blocks():
-    # 400 rows on a 0.1 lattice, so values tie: nodes below the root hold
-    # more than _SMALL_NODE rows and split on index arrays before they cross
-    # to lists; the queries fill two scoring blocks and a short third one
+def test_iforest_matches_reference_on_tied_rows_and_score_blocks():
+    # 400 rows on a 0.1 lattice, so values tie, and nodes below the root
+    # still hold dozens of rows; the queries fill two scoring blocks and a
+    # short third one
     iforest = ml_detect.iforest
     local = np.random.default_rng(5)
     X = np.round(local.normal(size=(400, 3)), 1)
@@ -330,7 +344,6 @@ def test_iforest_matches_reference_on_array_nodes_and_score_blocks():
     extra = np.round(local.normal(size=(2 * block + 7 - len(X), 3)) * 2.0, 1)
     Q = np.vstack([X, extra])
     assert len(np.unique(X[:, 0])) < len(X) // 4
-    assert 0.7 * len(X) / 4 > iforest._SMALL_NODE
     assert len(Q) // block == 2 and len(Q) % block == 7
     # all rows and features, then a subsample and two of the three features
     for seed, max_samples, max_features in ((3, 1.0, 1.0), (4, 0.7, 2 / 3)):

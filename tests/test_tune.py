@@ -678,7 +678,9 @@ def test_a_failed_trial_records_its_strategy_sentinel():
 def test_tuning_with_no_usable_trial_raises(strategy, low, high, threshold, trials):
     t, X, labels = _twelve_rows()
     space = SearchSpace("knn", {"n_neighbors": IntDomain(low, high)})
-    message = f"^knn: none of {trials} trials gave a usable objective$"
+    # the message names the first trial that raised, if one did
+    reason = {15: "; trial 0: n_neighbors=15 needs at least 16 rows, got 12"}.get(low, "")
+    message = f"^knn: none of {trials} trials gave a usable objective{reason}$"
     with pytest.raises(DegenerateDataError, match=message):
         if strategy == "transfer":
             optimize_transfer({"C": (X, labels)}, "knn", space=space,
