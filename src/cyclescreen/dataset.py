@@ -214,6 +214,14 @@ def _data_rows(rows, first_row_no: int, width: int, source: str):
         raise _unreadable(source, row_no + 1, err) from None
 
 
+def _cell_id(row, idx, row_no: int, source: str) -> str:
+    """The row's cell id, stripped; an id that strips to nothing is refused."""
+    cell = row[idx["cell_id"]].strip()
+    if not cell:
+        raise InputError(f"{source}: row {row_no}: empty cell_id")
+    return cell
+
+
 def _parse_rows_one_by_one(reader, idx, width: int, source: str):
     """Parse the data rows after the header row by row, checking each row
     in full before the next: the one path that names a bad row. Raises on
@@ -223,9 +231,7 @@ def _parse_rows_one_by_one(reader, idx, width: int, source: str):
     """
     codes, values = {}, array("d")  # flat: no Python object per value
     for row_no, row in _data_rows(reader, 2, width, source):
-        cell = row[idx["cell_id"]].strip()
-        if not cell:
-            raise InputError(f"{source}: row {row_no}: empty cell_id")
+        cell = _cell_id(row, idx, row_no, source)
         cyc = _parse_int(
             row[idx["cycle_index"]].strip(), "cycle_index", row_no, source
         )
@@ -416,7 +422,7 @@ def read_labels(path: str, delimiter: str = ",") -> dict[str, set[int]]:
         roles = {"cell_id": "cell_id", "cycle_index": "cycle_index"}
         idx, width = _header(reader, roles, path)
         for row_no, row in _data_rows(reader, 2, width, path):
-            cell = row[idx["cell_id"]].strip()
+            cell = _cell_id(row, idx, row_no, path)
             cyc = _parse_int(
                 row[idx["cycle_index"]].strip(), "cycle_index", row_no, path
             )
@@ -499,7 +505,7 @@ def read_manifest(
         reader = csv.reader(handle, delimiter=delimiter)
         idx, width = _header(reader, {"cell_id": "cell_id", "role": "role"}, path)
         for row_no, row in _data_rows(reader, 2, width, path):
-            cell = row[idx["cell_id"]].strip()
+            cell = _cell_id(row, idx, row_no, path)
             role = row[idx["role"]].strip().lower()
             if role not in ("train", "test"):
                 raise InputError(

@@ -4,8 +4,12 @@ The score of a row is its negative log-density under the fitted mixture, so
 low-probability rows rank as anomalous. Four covariance parameterizations are
 supported: one matrix per component (full), one shared matrix (tied), one
 variance per dimension per component (diag), and one scalar per component
-(spherical). The per-iteration mean log-likelihood trace is kept on the state
-so convergence behavior is inspectable after the fit.
+(spherical). Full and tied share each component's responsibility-weighted
+scatter, which tied sums and divides by n and full divides by the
+component's weight; diag and spherical share each component's variance per
+dimension, which spherical averages. Fitting and scoring share one weighted
+log-density step. The per-iteration mean log-likelihood trace is kept on
+the state so convergence behavior is inspectable after the fit.
 """
 
 from __future__ import annotations
@@ -76,62 +80,36 @@ def _kmeans_labels(X: np.ndarray, k: int, rng) -> np.ndarray:
 def _m_step(X, resp, cov_type, reg):
     n, d = X.shape
     nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
-    weights = nk / n
     means = (resp.T @ X) / nk[:, None]
-    k = means.shape[0]
-    if cov_type == "full":
-        covs = np.empty((k, d, d))
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-            covs[j].flat[:: d + 1] += reg
-    elif cov_type == "tied":
-        covs = np.zeros((d, d))
-        for j in range(k):
-            diff = X - means[j]
-            covs += (resp[:, j][:, None] * diff).T @ diff
-        covs /= n
-        covs.flat[:: d + 1] += reg
-    elif cov_type == "diag":
-        covs = np.empty((k, d))
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = (resp[:, j] @ (diff**2)) / nk[j] + reg
-    else:  # spherical
-        covs = np.empty(k)
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = ((resp[:, j] @ (diff**2)) / nk[j]).mean() + reg
-    return weights, means, covs
+    diffs = [X - mean for mean in means]
+    if cov_type in ("full", "tied"):
+        scatters = [(r[:, None] * diff).T @ diff for r, diff in zip(resp.T, diffs)]
+        if cov_type == "tied":
+            covs = sum(scatters) / n
+        else:
+            covs = np.array(scatters) / nk[:, None, None]
+        covs.reshape(-1, d * d)[:, :: d + 1] += reg
+    else:
+        covs = np.array([r @ diff**2 for r, diff in zip(resp.T, diffs)]) / nk[:, None]
+        covs = (covs if cov_type == "diag" else covs.mean(axis=1)) + reg
+    return nk / n, means, covs
 
 
 def _log_gaussian(X, means, covs, cov_type):
     """(n, k) log-density of each row under each component."""
-    n, d = X.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    if cov_type == "full":
-        for j in range(k):
-            out[:, j] = _log_gaussian_full(X, means[j], covs[j])
-    elif cov_type == "tied":
-        for j in range(k):
-            out[:, j] = _log_gaussian_full(X, means[j], covs)
-    elif cov_type == "diag":
-        for j in range(k):
-            diff = X - means[j]
-            out[:, j] = -0.5 * (
-                d * _LOG_2PI
-                + np.log(covs[j]).sum()
-                + (diff**2 / covs[j]).sum(axis=1)
-            )
-    else:  # spherical
-        for j in range(k):
-            diff = X - means[j]
-            out[:, j] = -0.5 * (
-                d * _LOG_2PI
-                + d * np.log(covs[j])
-                + (diff**2).sum(axis=1) / covs[j]
-            )
+    d = X.shape[1]
+    out = np.empty((X.shape[0], len(means)))
+    for j, mean in enumerate(means):
+        if cov_type in ("full", "tied"):
+            cov = covs if cov_type == "tied" else covs[j]
+            out[:, j] = _log_gaussian_full(X, mean, cov)
+            continue
+        sq = (X - mean) ** 2
+        if cov_type == "diag":
+            log_det, maha = np.log(covs[j]).sum(), (sq / covs[j]).sum(axis=1)
+        else:  # spherical
+            log_det, maha = d * np.log(covs[j]), sq.sum(axis=1) / covs[j]
+        out[:, j] = -0.5 * (d * _LOG_2PI + log_det + maha)
     return out
 
 
@@ -170,29 +148,27 @@ def fit_gmm(params: dict, X: np.ndarray, rng) -> GmmState:
         resp = rng.uniform(size=(n, k))
         resp /= resp.sum(axis=1, keepdims=True)
 
-    weights, means, covs = _m_step(X, resp, cov_type, reg)
-    state = GmmState(
-        weights=weights,
-        means=means,
-        covariances=covs,
-        covariance_type=cov_type,
-    )
+    state = GmmState(*_m_step(X, resp, cov_type, reg), cov_type)
     for it in range(1, MAX_ITER + 1):
-        weighted = _log_gaussian(X, means, covs, cov_type) + np.log(weights)
+        weighted = _weighted_log_density(state, X)
         log_norm = _logsumexp(weighted, axis=1, keepdims=True)
-        ll = float(np.mean(log_norm[:, 0]))
-        state.ll_trace.append(ll)
+        state.ll_trace.append(float(np.mean(log_norm[:, 0])))
         state.n_iter = it
         if it > 1 and abs(state.ll_trace[-1] - state.ll_trace[-2]) < TOL:
             state.converged = True
             break
-        weights, means, covs = _m_step(X, np.exp(weighted - log_norm), cov_type, reg)
-        state.weights, state.means, state.covariances = weights, means, covs
+        state.weights, state.means, state.covariances = _m_step(
+            X, np.exp(weighted - log_norm), cov_type, reg
+        )
     return state
 
 
-def score_gmm(state: GmmState, X: np.ndarray) -> np.ndarray:
-    weighted = _log_gaussian(
+def _weighted_log_density(state: GmmState, X: np.ndarray) -> np.ndarray:
+    """(n, k) log of each component's weight times its density at each row."""
+    return _log_gaussian(
         X, state.means, state.covariances, state.covariance_type
     ) + np.log(state.weights)
-    return -_logsumexp(weighted, axis=1)
+
+
+def score_gmm(state: GmmState, X: np.ndarray) -> np.ndarray:
+    return -_logsumexp(_weighted_log_density(state, X), axis=1)

@@ -14,7 +14,11 @@ the package's results against them, mostly bit for bit:
 - gradient_check holds the autoencoder's backprop to central differences,
   and masked_sigmoid is its sigmoid computed on each sign's entries apart;
 - neighbor_distances gives knn's whole (m, k) neighbour distances;
-- distance is the one-pair metric.
+- distance is the one-pair metric;
+- gmm_m_step and gmm_log_gaussian are the Gaussian mixture's M-step and
+  log-density written out in one branch per covariance type, where the
+  package shares one scatter between full and tied, one variance between
+  diag and spherical, and one density step between fit and score.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from cyclescreen.features import (
 )
 from cyclescreen.ml_detect import knn
 from cyclescreen.ml_detect.autoencoder import Mlp
+from cyclescreen.ml_detect.gmm import _LOG_2PI, _log_gaussian_full
 
 
 @dataclass(frozen=True)
@@ -218,3 +223,68 @@ def distance(a, b, metric: MetricSpec) -> float:
     a = np.asarray(a, dtype=float).reshape(1, -1)
     b = np.asarray(b, dtype=float).reshape(1, -1)
     return float(dist_detect.pairwise(a, b, metric)[0, 0])
+
+
+def gmm_m_step(X, resp, cov_type, reg):
+    """Mixture weights, means and covariances from the responsibilities,
+    one branch per covariance type."""
+    n, d = X.shape
+    nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
+    weights = nk / n
+    means = (resp.T @ X) / nk[:, None]
+    k = means.shape[0]
+    if cov_type == "full":
+        covs = np.empty((k, d, d))
+        for j in range(k):
+            diff = X - means[j]
+            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
+            covs[j].flat[:: d + 1] += reg
+    elif cov_type == "tied":
+        covs = np.zeros((d, d))
+        for j in range(k):
+            diff = X - means[j]
+            covs += (resp[:, j][:, None] * diff).T @ diff
+        covs /= n
+        covs.flat[:: d + 1] += reg
+    elif cov_type == "diag":
+        covs = np.empty((k, d))
+        for j in range(k):
+            diff = X - means[j]
+            covs[j] = (resp[:, j] @ (diff**2)) / nk[j] + reg
+    else:  # spherical
+        covs = np.empty(k)
+        for j in range(k):
+            diff = X - means[j]
+            covs[j] = ((resp[:, j] @ (diff**2)) / nk[j]).mean() + reg
+    return weights, means, covs
+
+
+def gmm_log_gaussian(X, means, covs, cov_type):
+    """(n, k) log-density of each row under each component, one branch per
+    covariance type."""
+    n, d = X.shape
+    k = means.shape[0]
+    out = np.empty((n, k))
+    if cov_type == "full":
+        for j in range(k):
+            out[:, j] = _log_gaussian_full(X, means[j], covs[j])
+    elif cov_type == "tied":
+        for j in range(k):
+            out[:, j] = _log_gaussian_full(X, means[j], covs)
+    elif cov_type == "diag":
+        for j in range(k):
+            diff = X - means[j]
+            out[:, j] = -0.5 * (
+                d * _LOG_2PI
+                + np.log(covs[j]).sum()
+                + (diff**2 / covs[j]).sum(axis=1)
+            )
+    else:  # spherical
+        for j in range(k):
+            diff = X - means[j]
+            out[:, j] = -0.5 * (
+                d * _LOG_2PI
+                + d * np.log(covs[j])
+                + (diff**2).sum(axis=1) / covs[j]
+            )
+    return out

@@ -613,6 +613,26 @@ def test_evaluate_malformed_verdict_names_the_file_and_row(
     assert not (tmp_path / "eval").exists()
 
 
+def test_evaluate_refuses_an_empty_cell_id_in_the_labels(dataset, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run(
+        "detect", "--input", dataset["meas"], "--out", str(run_dir),
+        "--recipe", "custom", "--feature", FEATURES, "--model", "iqr",
+    ) == 0
+    labels = tmp_path / "labels.csv"
+    text = Path(dataset["labels"]).read_text()
+    labels.write_text(text + ",7\n")
+    row = len(text.splitlines()) + 1
+    capsys.readouterr()
+    rc = run(
+        "evaluate", "--input", str(run_dir), "--out", str(tmp_path / "eval"),
+        "--labels", str(labels),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {labels}: row {row}: empty cell_id\n"
+    assert not (tmp_path / "eval").exists()
+
+
 def test_evaluate_missing_input_directory_is_an_io_error(dataset, tmp_path, capsys):
     missing = tmp_path / "no_run"
     rc = run(

@@ -200,6 +200,23 @@ def test_short_row_cites_file_and_row(tmp_path, reader, text):
     assert str(exc.value).startswith(f"{path}: row 3: expected at least")
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_labels, "cell_id,cycle_index\nA,1\n,7\n"),
+        (read_labels, "cell_id,cycle_index\nA,1\n  ,7\n"),
+        (read_manifest, "cell_id,role\nA,train\n,test\n"),
+        (read_manifest, "cell_id,role\nA,train\n \t,test\n"),
+    ],
+)
+def test_empty_cell_id_cites_file_and_row(tmp_path, reader, text):
+    # as in the measurement file; an empty id would name no cell
+    path = write(tmp_path, "ids.csv", text)
+    with pytest.raises(InputError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}: row 3: empty cell_id"
+
+
 @pytest.mark.parametrize("reader", [ingest_cycles, read_labels, read_manifest])
 @pytest.mark.parametrize("delimiter", [";;", ""])
 def test_a_delimiter_of_other_than_one_character_is_refused(

@@ -4,8 +4,11 @@
 run of all six subcommands writes, and the NumPy version it was recorded
 under. The run covers the 15 detectors, every synthetic anomaly kind and
 channel, the autoencoder under each of its three optimizers and the knn
-neighbour search (through scoremap). Under another NumPy version the test
-skips, since floating-point results may then differ in the last bit.
+neighbour search (through scoremap). It fits gmm with its defaults only
+(full covariance, kmeans init, one component); the other covariance types,
+inits and component counts are held byte for byte by
+tests/test_gmm_reference.py. Under another NumPy version the test skips,
+since floating-point results may then differ in the last bit.
 
 After a change that is meant to move output bytes, rewrite the manifest
 with `PYTHONPATH=src python tests/test_output_digests.py`.
