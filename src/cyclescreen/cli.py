@@ -1,9 +1,9 @@
 """Command-line pipeline over the library.
 
 Subcommands: ingest, features, detect, tune, evaluate, scoremap. Exit codes:
-0 on success, 1 on validation/usage errors, 2 on I/O failures. All artifacts
-are written atomically (temp file + rename) and contain no timestamps, so a
-rerun with the same inputs and seed is byte-identical.
+0 on success, 1 on validation/usage errors and out of memory, 2 on I/O
+failures. Artifacts are written atomically (temp file + rename) and contain
+no timestamps, so a rerun with the same inputs and seed is byte-identical.
 
 Output layout under --out (default ./out):
 
@@ -131,7 +131,7 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
     Returns (column names, column arrays) after any log transform, whose
     clamps go into notes. Stat detectors take the first column;
     distance/ML detectors take all. _check_options has refused a --feature
-    that names no column, and --recipe custom without --feature.
+    that names no column or one twice, and --recipe custom without --feature.
     """
     if args.feature:
         requested = [f.strip() for f in args.feature.split(",") if f.strip()]
@@ -769,10 +769,14 @@ def _check_options(args) -> None:
     if getattr(args, "jobs", 1) < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs!r}")
     if hasattr(args, "feature"):  # the commands that select feature columns
-        if args.feature and not any(f.strip() for f in args.feature.split(",")):
+        names = [f.strip() for f in (args.feature or "").split(",") if f.strip()]
+        if args.feature and not names:
             raise UsageError("--feature was given but names no columns")
         if not args.feature and args.recipe == "custom":
             raise UsageError("--recipe custom needs an explicit --feature list")
+        twice = [name for i, name in enumerate(names) if name in names[:i]]
+        if twice:
+            raise UsageError(f"--feature names '{twice[0]}' twice")
     for name, check in (
         ("delimiter", check_delimiter),
         ("trials", check_trials),
@@ -799,6 +803,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (UsageError, CycleScreenError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return 1
+    except MemoryError as err:  # also one a --jobs worker raised
+        sys.stderr.write(f"error: out of memory{f': {err}' if str(err) else ''}\n")
         return 1
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")

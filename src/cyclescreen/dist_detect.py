@@ -7,10 +7,13 @@ where applicable, so they live on a common distance scale. Flags come from a
 one-sided MAD rule on the distance vector; scores are min-max normalized over
 the observed cycles so that contour grids and flags share a scale.
 
+`cholesky_factor` and `whiten` are the package's one whitening step; the
+`mahalanobis_norm` feature and GMM's full and tied densities use them too.
+
 knn and lof share `check_n_neighbors` and the neighbor search, the only
 computation here that blocks: `query_blocks` cuts the queries into row
 blocks, each caller computes one block's distances with `pairwise`, and
-`nearest` drops that block's self-matches and keeps its k nearest before
+`nearest_each` drops that block's self-matches and keeps its k nearest before
 the next block is computed, so no (queries x fitted rows) matrix is held.
 
 `pairwise`, `resolve_metric`, `centroid_detect`, `grid_nodes` and
@@ -78,17 +81,23 @@ def metric_from_params(params: dict, X: np.ndarray) -> MetricSpec:
     )
 
 
-def _cholesky_or_raise(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """The Cholesky factor of the finite cov; a DegenerateDataError calls
-    cov name."""
+def cholesky_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """The lower Cholesky factor of the finite cov; a DegenerateDataError
+    calls cov name."""
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise DegenerateDataError(f"{name} is not positive definite") from None
-    # a singular matrix can slip through with a rounding-level pivot
-    if np.any(np.diag(chol) ** 2 <= 1e-12 * np.max(np.diag(cov))):
+    # a singular matrix can slip through with a rounding-level pivot; the
+    # pivots of a finite cov's factor are positive and finite
+    if chol.diagonal().min() ** 2 <= 1e-12 * cov.diagonal().max():
         raise DegenerateDataError(f"{name} is singular to working precision")
     return chol
+
+
+def whiten(chol: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """A's rows whitened by chol, the Cholesky factor of their covariance."""
+    return np.linalg.solve(chol, A.T).T
 
 
 #: elements of one neighbour-search block's difference tensor (512 KB of
@@ -104,8 +113,8 @@ def _whiten(metric: MetricSpec, *arrays: np.ndarray) -> list[np.ndarray]:
         raise DegenerateDataError(
             "mahalanobis metric needs a covariance; none was resolved"
         )
-    chol = _cholesky_or_raise(metric.covariance)
-    return [np.linalg.solve(chol, A.T).T for A in arrays]
+    chol = cholesky_factor(metric.covariance)
+    return [whiten(chol, A) for A in arrays]
 
 
 #: below this many columns, NumPy sums a contiguous axis term by term, in
@@ -227,14 +236,6 @@ def nearest_each(blocks, k: int):
     return (k_nearest(drop_self_matches(D), k) for D in blocks)
 
 
-def nearest(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`nearest_each` over the queries' distance rows, given as consecutive
-    blocks: one block is held at a time, and only the (m, k) indices and
-    distances are kept."""
-    order, dists = (np.concatenate(part) for part in zip(*nearest_each(blocks, k)))
-    return order, dists
-
-
 def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
     """Fill in a data-estimated covariance for the whitened metric."""
     X = as_matrix(X)
@@ -246,7 +247,7 @@ def resolve_metric(metric: MetricSpec, X: np.ndarray) -> MetricSpec:
         )
     with float_policy(metric.kind):
         cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
-        _cholesky_or_raise(cov)
+        cholesky_factor(cov)
     return MetricSpec(kind="mahalanobis", covariance=cov)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import CAPACITY, VOLTAGE, CycleRecord
-from .dist_detect import _cholesky_or_raise
+from .dist_detect import cholesky_factor, whiten
 from .errors import (
     ConfigError,
     CycleScreenError,
@@ -343,9 +343,7 @@ def mahalanobis_feature(cycle_index, capacity_max) -> np.ndarray:
         raise InputError("need at least 3 cycles for the distance feature")
     X = np.column_stack([t, q])
     with float_policy("mahalanobis_norm"):
-        mu = X.mean(axis=0)
         cov = np.cov(X, rowvar=False, ddof=1)
-        chol = _cholesky_or_raise(cov, "covariance of (cycle_index, capacity_max)")
-        centered = X - mu
-        white = np.linalg.solve(chol, centered.T).T
+        chol = cholesky_factor(cov, "covariance of (cycle_index, capacity_max)")
+        white = whiten(chol, X - X.mean(axis=0))
         return normalize_scores(np.sqrt(np.sum(white**2, axis=1)))

@@ -8,8 +8,9 @@ variance per dimension per component (diag), and one scalar per component
 scatter, which tied sums and divides by n and full divides by the
 component's weight; diag and spherical share each component's variance per
 dimension, which spherical averages. Fitting and scoring share one weighted
-log-density step. The per-iteration mean log-likelihood trace is kept on
-the state so convergence behavior is inspectable after the fit.
+log-density step; full and tied whiten by `dist_detect`'s `cholesky_factor`,
+tied's one matrix once a step. The per-iteration mean log-likelihood trace
+is kept on the state so convergence behavior is inspectable after the fit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateDataError, InputError
+from ..dist_detect import cholesky_factor, whiten
+from ..errors import InputError
 
 MAX_ITER = 200
 TOL = 1e-6
@@ -99,32 +101,21 @@ def _log_gaussian(X, means, covs, cov_type):
     """(n, k) log-density of each row under each component."""
     d = X.shape[1]
     out = np.empty((X.shape[0], len(means)))
+    if cov_type == "tied":
+        chol = cholesky_factor(covs, "tied covariance")
     for j, mean in enumerate(means):
+        diff = X - mean
         if cov_type in ("full", "tied"):
-            cov = covs if cov_type == "tied" else covs[j]
-            out[:, j] = _log_gaussian_full(X, mean, cov)
-            continue
-        sq = (X - mean) ** 2
-        if cov_type == "diag":
-            log_det, maha = np.log(covs[j]).sum(), (sq / covs[j]).sum(axis=1)
+            if cov_type == "full":
+                chol = cholesky_factor(covs[j], f"component {j} covariance")
+            log_det = 2.0 * np.log(np.diag(chol)).sum()
+            maha = (whiten(chol, diff) ** 2).sum(axis=1)
+        elif cov_type == "diag":
+            log_det, maha = np.log(covs[j]).sum(), (diff**2 / covs[j]).sum(axis=1)
         else:  # spherical
-            log_det, maha = d * np.log(covs[j]), sq.sum(axis=1) / covs[j]
+            log_det, maha = d * np.log(covs[j]), (diff**2).sum(axis=1) / covs[j]
         out[:, j] = -0.5 * (d * _LOG_2PI + log_det + maha)
     return out
-
-
-def _log_gaussian_full(X, mean, cov):
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError(
-            "component covariance stayed singular after regularization"
-        ) from None
-    d = X.shape[1]
-    diff = X - mean
-    white = np.linalg.solve(chol, diff.T)
-    log_det = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (d * _LOG_2PI + log_det + (white**2).sum(axis=0))
 
 
 def fit_gmm(params: dict, X: np.ndarray, rng) -> GmmState:

@@ -7,10 +7,11 @@ Scores near 1 mean "as dense as the neighbors"; larger means more isolated.
 
 Fitting and scoring read `dist_detect.pairwise` distances through the
 neighbor search knn uses, one block of query rows at a time: `query_blocks`
-cuts the rows, and `nearest` drops each block's self-matches and keeps its
-k nearest, ties to the lower index, so no (queries x fitted rows) matrix is
-held. Scoring reduces each block to its factors before the next block, so
-no (queries x k) array spans all queries either.
+cuts the rows, and `nearest_each` drops each block's self-matches and keeps
+its k nearest, ties to the lower index, so no (queries x fitted rows) matrix
+is held. Fitting joins the blocks' neighbors; scoring reduces each block to
+its factors before the next block, so no (queries x k) array spans all
+queries.
 
 Distinct points always have positive reachability distance, so densities
 stay finite unless more than n_neighbors rows coincide exactly; that case is
@@ -27,7 +28,6 @@ from ..dist_detect import (
     MetricSpec,
     check_n_neighbors,
     metric_from_params,
-    nearest,
     nearest_each,
     pairwise,
     query_blocks,
@@ -44,12 +44,11 @@ class LofState:
     lrd: np.ndarray
 
 
-def _neighbors(
-    Q, X, metric: MetricSpec, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances (m, k) of each query's k nearest rows of X."""
+def _neighbors(Q, X, metric: MetricSpec, k: int):
+    """Indices and distances of each query's k nearest rows of X, yielded
+    one query block at a time."""
     blocks, X, metric = query_blocks(Q, X, metric)
-    return nearest((pairwise(B, X, metric) for B in blocks), k)
+    return nearest_each((pairwise(B, X, metric) for B in blocks), k)
 
 
 def _density(k_distance, neigh, ndist, degenerate: str) -> np.ndarray:
@@ -65,7 +64,7 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
     k = params["n_neighbors"]
     check_n_neighbors(k, X.shape[0])
     metric = metric_from_params(params, X)
-    neigh, ndist = _neighbors(X, X, metric, k)
+    neigh, ndist = (np.concatenate(part) for part in zip(*_neighbors(X, X, metric, k)))
     k_distance = ndist[:, -1]
     lrd = _density(
         k_distance, neigh, ndist,
@@ -76,10 +75,8 @@ def fit_lof(params: dict, X: np.ndarray, rng) -> LofState:
 
 
 def score_lof(state: LofState, Q: np.ndarray) -> np.ndarray:
-    blocks, X, metric = query_blocks(Q, state.X, state.metric)
-    picked = nearest_each((pairwise(B, X, metric) for B in blocks), state.k)
     scores = []
-    for neigh, ndist in picked:
+    for neigh, ndist in _neighbors(Q, state.X, state.metric, state.k):
         lrd_q = _density(
             state.k_distance, neigh, ndist,
             "query coincides with a saturated duplicate cluster",

@@ -18,7 +18,11 @@ the package's results against them, mostly bit for bit:
 - gmm_m_step and gmm_log_gaussian are the Gaussian mixture's M-step and
   log-density written out in one branch per covariance type, where the
   package shares one scatter between full and tied, one variance between
-  diag and spherical, and one density step between fit and score.
+  diag and spherical, and one density step between fit and score;
+  _log_gaussian_full, which gmm_log_gaussian calls for full and tied, takes
+  its own Cholesky factor of each component's matrix, where the package
+  whitens through `dist_detect.cholesky_factor` and `whiten` and factors
+  tied's one matrix once.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from cyclescreen.features import (
 )
 from cyclescreen.ml_detect import knn
 from cyclescreen.ml_detect.autoencoder import Mlp
-from cyclescreen.ml_detect.gmm import _LOG_2PI, _log_gaussian_full
+from cyclescreen.ml_detect.gmm import _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -213,9 +217,10 @@ def neighbor_distances(state: knn.KnnState, Q: np.ndarray) -> np.ndarray:
     dropped one per query. `pairwise` is looked up where knn binds it, so a
     test that patches knn's binding sees these calls too."""
     blocks, X, metric = dist_detect.query_blocks(Q, state.X, state.metric)
-    return dist_detect.nearest(
+    picked = dist_detect.nearest_each(
         (knn.pairwise(B, X, metric) for B in blocks), state.k
-    )[1]
+    )
+    return np.concatenate([dists for _, dists in picked])
 
 
 def distance(a, b, metric: MetricSpec) -> float:
@@ -257,6 +262,20 @@ def gmm_m_step(X, resp, cov_type, reg):
             diff = X - means[j]
             covs[j] = ((resp[:, j] @ (diff**2)) / nk[j]).mean() + reg
     return weights, means, covs
+
+
+def _log_gaussian_full(X, mean, cov):
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError(
+            "component covariance stayed singular after regularization"
+        ) from None
+    d = X.shape[1]
+    diff = X - mean
+    white = np.linalg.solve(chol, diff.T)
+    log_det = 2.0 * np.log(np.diag(chol)).sum()
+    return -0.5 * (d * _LOG_2PI + log_det + (white**2).sum(axis=0))
 
 
 def gmm_log_gaussian(X, means, covs, cov_type):

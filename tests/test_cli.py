@@ -1440,6 +1440,45 @@ def test_option_values_checked_before_any_file_is_touched(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("tune", "--model", "iforest", "--strategy", "proxy",
+          "--trials", "1000000000"), ""),
+        (("scoremap", "--model", "euclidean", "--resolution", "30000"),
+         ": Unable to allocate 6.71 GiB"),
+        (("scoremap", "--model", "euclidean", "--resolution", "30000",
+          "--jobs", "2"), ": Unable to allocate 6.71 GiB"),
+    ],
+    ids=["tune", "scoremap", "scoremap-jobs"],
+)
+def test_running_out_of_memory_is_an_error_not_a_traceback(
+    dataset, tmp_path, child_env, argv, reason
+):
+    # each command runs only in a child whose address space is capped at
+    # 1 GiB, so the allocation fails at once instead of swapping; a cap
+    # that cannot be set fails the child's start, never runs it uncapped
+    import subprocess
+    import sys
+
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "cyclescreen.cli", *argv,
+         "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+         "--recipe", "custom", "--feature", FEATURES],
+        capture_output=True, text=True, env=child_env, preexec_fn=capped,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: out of memory{reason}")
+    assert result.stderr.count("\n") == 1
+
+
 #: argv refused for its options alone, and the start of the message
 USAGE_ERRORS = {
     ("detect", "--model", "bogus"): "unknown model 'bogus'",
@@ -1452,6 +1491,12 @@ USAGE_ERRORS = {
     ("detect", "--recipe", "custom"):
         "--recipe custom needs an explicit --feature list",
     ("scoremap", "--feature", " , "): "--feature was given but names no columns",
+    ("detect", "--model", "knn", "--feature", "dv_max,dq_max, dv_max"):
+        "--feature names 'dv_max' twice",
+    ("detect", "--model", "all", "--feature", "dv_max,dv_max"):
+        "--feature names 'dv_max' twice",
+    ("tune", "--model", "knn", "--strategy", "proxy", "--feature", "dq_max,dq_max"):
+        "--feature names 'dq_max' twice",
 }
 
 

@@ -4,7 +4,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from cyclescreen.errors import InputError
-from cyclescreen.ml_detect import fit, make_config, score
+from cyclescreen.ml_detect import fit, gmm, make_config, score
 from cyclescreen.ml_detect.gmm import _logsumexp, fit_gmm, score_gmm
 
 COV_TYPES = ("full", "tied", "diag", "spherical")
@@ -123,6 +123,27 @@ def test_duplicate_rows_survive_via_regularization():
     assert np.all(np.isfinite(state.ll_trace))
     s = score_gmm(state, X)
     assert np.all(np.isfinite(s))
+
+
+@pytest.mark.parametrize("cov_type, per_step", [("tied", 1), ("full", 3)])
+def test_each_e_step_factors_each_matrix_once(cov_type, per_step, monkeypatch, rng):
+    # tied's one shared matrix is factored once per E-step, and each of
+    # full's 3 component matrices once
+    calls = []
+
+    def counting(cov, *args):
+        calls.append(cov.shape)
+        return original(cov, *args)
+
+    original = gmm.cholesky_factor
+    monkeypatch.setattr(gmm, "cholesky_factor", counting)
+    params = {"n_components": 3, "covariance_type": cov_type}
+    state = fit_gmm(make_config("gmm", params).params, two_blobs(rng), rng)
+    assert state.n_iter > 1
+    assert calls == [(2, 2)] * (per_step * state.n_iter)
+    calls.clear()
+    score_gmm(state, two_blobs(rng))
+    assert calls == [(2, 2)] * per_step
 
 
 def test_kmeans_init_deterministic(rng):

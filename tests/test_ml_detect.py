@@ -694,7 +694,7 @@ def test_blocked_neighbor_search_matches_full_matrix_references(
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 def test_lof_neighbor_selection_matches_stable_argsort(block):
     # distances from a 3-value lattice, so most rows tie across the k-th
-    # place; an inf diagonal, inf runs, and one row with NaNs. nearest
+    # place; an inf diagonal, inf runs, and one row with NaNs. nearest_each
     # reads the rows in blocks of `block` and drops each row's first zero.
     local = np.random.default_rng(11)
     for m, n in ((40, 40), (25, 60), (60, 9)):
@@ -713,7 +713,10 @@ def test_lof_neighbor_selection_matches_stable_argsort(block):
             assert np.array_equal(order, expect)
             assert dists.tobytes() == np.take_along_axis(D, expect, axis=1).tobytes()
             blocks = (D[i:i + block].copy() for i in range(0, m, block))
-            order, dists = dist_detect.nearest(blocks, k)
+            order, dists = (
+                np.concatenate(part)
+                for part in zip(*dist_detect.nearest_each(blocks, k))
+            )
             expect = np.argsort(dropped, axis=1, kind="stable")[:, :k]
             assert np.array_equal(order, expect)
             assert dists.tobytes() == np.take_along_axis(dropped, expect, axis=1).tobytes()
