@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
-import json
+import gc
 import os
 import re
 import sys
@@ -40,36 +39,49 @@ import sys
 # parallelism, so that thread is start-up cost alone; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
+# The collector stays off while NumPy and the package load, and what they
+# made is then frozen: otherwise every later full collection, the ones at exit
+# included, traverses those import-time objects again, and a --jobs fork
+# worker's collections would copy their pages. A failed import leaves the
+# collector as it found it.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import numpy as np
 
-from . import dist_detect, ml_detect
-from .dataset import (
-    CycleStore,
-    check_delimiter,
-    check_labels,
-    export_cycles,
-    format_table,
-    ingest_cycles,
-    open_text,
-    read_labels,
-    read_manifest,
-    read_verdict_flags,
-)
-from .errors import ConfigError, CycleScreenError, EmptyFeatureError, InputError
-from .evaluation import (
-    DEFAULT_KPI, METRIC_NAMES, benchmark_report, check_kpi, confusion,
-)
-from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
-# the traced benchmark run (perfbench/spans.py) wraps the three names below
-# where cli looks them up, so mahalanobis_feature stays imported here though
-# cli never calls it
-from .features import build_feature_matrix, log_feature, mahalanobis_feature  # noqa: F401
-from .ml_detect import make_config
-from .ml_detect.params import DEFAULT_TRIALS, check_trials
-from .stat_detect import (
-    GAUSSIAN_MAD_FACTOR, StatMethod, check_mad_factor, detect_stat,
-)
-from .util import atomic_write_text, derive_seed
+    from . import dist_detect, ml_detect
+    from .dataset import (
+        CycleStore,
+        check_delimiter,
+        check_labels,
+        export_cycles,
+        format_table,
+        ingest_cycles,
+        open_text,
+        read_labels,
+        read_manifest,
+        read_verdict_flags,
+    )
+    from .errors import ConfigError, CycleScreenError, EmptyFeatureError, InputError
+    from .evaluation import (
+        DEFAULT_KPI, METRIC_NAMES, benchmark_report, check_kpi, confusion,
+    )
+    from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
+    # the traced benchmark run (perfbench/spans.py) wraps the three names below
+    # where cli looks them up, so mahalanobis_feature stays imported here though
+    # cli never calls it
+    from .features import build_feature_matrix, log_feature, mahalanobis_feature  # noqa: F401
+    from .ml_detect import make_config
+    from .ml_detect.params import DEFAULT_TRIALS, check_trials
+    from .stat_detect import (
+        GAUSSIAN_MAD_FACTOR, StatMethod, check_mad_factor, detect_stat,
+    )
+    from .util import atomic_write_text, derive_seed
+
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 STAT_MODELS = tuple(m.value for m in StatMethod)
 DIST_MODELS = dist_detect.METRIC_KINDS
@@ -96,6 +108,8 @@ def _cell_name(cell_id: str) -> str:
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", cell_id)
     if safe == cell_id and cell_id not in ("", ".", "..", "tuning"):
         return cell_id
+    import hashlib  # loaded only for an id that needs its digest
+
     return f"{safe}-{hashlib.sha256(cell_id.encode('utf-8')).hexdigest()[:8]}"
 
 
@@ -301,6 +315,8 @@ def _detect_body(args, cell_id, matrix, notes, cell_dir) -> None:
 
 
 def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
+    import json
+
     names, cols = _selected_features(args, matrix, notes, multivariate=True)
     X = np.column_stack(cols)
     if X.shape[1] != 2:
@@ -420,6 +436,8 @@ def _resolve_models(token: str) -> tuple[str, ...]:
 def _read_config(path: str, model: str) -> tuple[dict, int | None]:
     """(params, seed) from a config file as written by tune, as make_config
     resolves them; seed is None when the file gives none."""
+    import json  # loaded only by the commands that read or write JSON
+
     with open_text(path) as handle:
         text = handle.read()
     try:
@@ -495,6 +513,8 @@ def _write_trials(tuning_dir, model, per_cell) -> None:
 
 
 def _config_json(config) -> str:
+    import json
+
     # json writes a tuple param (a layer list) as a list
     payload = {"model": config.model, "params": config.params, "seed": config.seed}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -561,6 +581,8 @@ def _cmd_evaluate(args) -> int:
     if not args.labels:
         raise UsageError("evaluate requires --labels")
     if not os.path.isdir(args.input):  # an i/o error, as a missing file is
+        if os.path.exists(args.input):
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory", args.input)
         raise FileNotFoundError(errno.ENOENT, "no such directory", args.input)
     label_map = read_labels(args.labels, args.delimiter)
     per_model: dict[str, dict[str, object]] = {}

@@ -27,6 +27,7 @@ DegenerateDataError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,8 +277,7 @@ def check_mad_threshold(mad_threshold: float) -> None:
         raise ConfigError(f"mad_threshold must be finite, got {mad_threshold!r}")
 
 
-@dataclass(frozen=True)
-class DistanceVerdict:
+class DistanceVerdict(NamedTuple):
     """Distances to the centroid plus the MAD-rule flags.
 
     normalized is the min-max rescaling of distances over the observed rows;
@@ -323,8 +323,7 @@ def centroid_detect(
     )
 
 
-@dataclass(frozen=True)
-class GridScores:
+class GridScores(NamedTuple):
     """Normalized-distance surface over a rectangular grid.
 
     values[i0, i1, ...] is the score at (axes[0][i0], axes[1][i1], ...); the

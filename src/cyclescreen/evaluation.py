@@ -10,7 +10,7 @@ equally regardless of cycle count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc")
 DEFAULT_KPI = 0.95
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     tn: int
     fp: int
@@ -54,8 +53,7 @@ def confusion(labels, flags) -> ConfusionCounts:
     )
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     accuracy: float
     precision: float
     recall: float
@@ -90,8 +88,7 @@ def metrics(counts: ConfusionCounts) -> MetricSet:
     )
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-cell metrics, their macro average, and KPI verdicts per metric."""
 
     per_cell: dict[str, MetricSet]

@@ -13,7 +13,7 @@ here, and load the autoencoder's module on first use.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def _model_module(model: str):
     return importlib.import_module(f"{__name__}.{model}")
 
 
-@dataclass
-class FittedDetector:
+class FittedDetector(NamedTuple):
     """A trained detector plus the number of feature columns it was fitted
     on, which every scored matrix must match."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def average_path_length(n: int) -> float:
     return 2.0 * h - 2.0 * (n - 1.0) / n
 
 
-@dataclass
-class IsolationForestState:
+class IsolationForestState(NamedTuple):
     """Every tree's nodes in flat arrays; tree t's root is roots[t].
 
     A row at split node i moves to left[i] when x[feature[i]] < threshold[i]

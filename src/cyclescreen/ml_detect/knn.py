@@ -15,7 +15,7 @@ k-nearest selection are `dist_detect`'s, as lof's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from ..dist_detect import (
 from ..util import median
 
 
-@dataclass
-class KnnState:
+class KnnState(NamedTuple):
     X: np.ndarray
     k: int
     method: str

@@ -20,7 +20,7 @@ rejected rather than scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from ..dist_detect import (
 from ..errors import DegenerateDataError
 
 
-@dataclass
-class LofState:
+class LofState(NamedTuple):
     X: np.ndarray
     k: int
     metric: MetricSpec

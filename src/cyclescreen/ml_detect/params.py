@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ class LayerList:
         )
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     default: object
     hard: RealDomain | IntDomain | CatDomain | LayerList
     search: RealDomain | IntDomain | CatDomain | None = None  # None: not tuned

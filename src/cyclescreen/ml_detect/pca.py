@@ -7,15 +7,14 @@ explain. Points inside the subspace score (numerically) zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError
 
 
-@dataclass
-class PcaState:
+class PcaState(NamedTuple):
     mean: np.ndarray
     components: np.ndarray  # (k, d), orthonormal rows
 

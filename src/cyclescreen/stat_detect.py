@@ -9,8 +9,8 @@ degenerate column would hide the degeneracy from the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ _SCORE_LIMITS = {StatMethod.ZSCORE: Z_LIMIT, StatMethod.MOD_ZSCORE: MOD_Z_LIMIT}
 _MAD_METHODS = (StatMethod.MAD, StatMethod.MOD_ZSCORE)
 
 
-@dataclass(frozen=True)
-class StatLimits:
+class StatLimits(NamedTuple):
     """Decision band of a rule: anything outside [lower, upper] is flagged.
 
     For SD/MAD/IQR the band lives on the raw value scale; for the score
@@ -61,8 +60,7 @@ class StatLimits:
     mad_factor: float | None = None
 
 
-@dataclass(frozen=True)
-class StatVerdict:
+class StatVerdict(NamedTuple):
     flags: np.ndarray
     scores: np.ndarray
     limits: StatLimits

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +142,7 @@ def default_search_space(model: str, n_features: int = 2) -> SearchSpace:
 # trial records and Pareto utilities
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One evaluated configuration and its objective pair."""
 
     trial_id: int
@@ -407,8 +407,7 @@ def regression_proxy_objectives(
 # strategies
 
 
-@dataclass
-class CellTuning:
+class CellTuning(NamedTuple):
     """Per-cell outcome of the transfer strategy."""
 
     cell_id: str
@@ -423,14 +422,12 @@ class CellTuning:
         )
 
 
-@dataclass
-class TransferResult:
+class TransferResult(NamedTuple):
     per_cell: dict
     aggregated: DetectorConfig
 
 
-@dataclass
-class ProxyResult:
+class ProxyResult(NamedTuple):
     trials: list
     front: list
     compromise: DetectorConfig

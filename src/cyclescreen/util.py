@@ -11,7 +11,6 @@ signed zeros included, and overflow with the same message."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from collections.abc import Iterable
@@ -29,6 +28,8 @@ def derive_seed(*parts) -> int:
     Uses a cryptographic digest rather than hash() so the fanout is identical
     across processes and platforms.
     """
+    import hashlib  # loaded on the first seed, not with the CLI
+
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import filecmp
 import hashlib
 import json
@@ -641,7 +642,19 @@ def test_evaluate_missing_input_directory_is_an_io_error(dataset, tmp_path, caps
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("i/o error: ") and repr(str(missing)) in err
+    assert err == f"i/o error: [Errno {errno.ENOENT}] no such directory: {str(missing)!r}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_input_that_is_a_file_is_not_a_directory(dataset, tmp_path, capsys):
+    # the path exists, so "no such directory" would mislead
+    rc = run(
+        "evaluate", "--input", dataset["meas"], "--out", str(tmp_path / "eval"),
+        "--labels", dataset["labels"],
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno {errno.ENOTDIR}] not a directory: {dataset['meas']!r}\n"
     assert not (tmp_path / "eval").exists()
 
 
@@ -877,8 +890,9 @@ def test_each_subcommand_loads_only_what_it_runs(dataset, tmp_path, child_env, c
         assert run("detect", "--input", source, "--out", out, *columns, "--model", "iqr") == 0
         source = out
     probe = (
-        "import json, sys; from cyclescreen.cli import main; "
-        "rc = main(sys.argv[1:]); print(json.dumps([rc, sorted(sys.modules)]))"
+        "import sys; from cyclescreen.cli import main; "
+        "rc = main(sys.argv[1:]); modules = sorted(sys.modules); "
+        "import json; print(json.dumps([rc, modules]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, command, "--input", source, "--out", out, *argv],
@@ -894,11 +908,47 @@ def test_each_subcommand_loads_only_what_it_runs(dataset, tmp_path, child_env, c
     ] == []
     assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
     assert ("cyclescreen.tune" in modules) == (command == "tune")
+    # json loads only to read or write a JSON file (no --config here), and
+    # hashlib only for a learned model's seed or a sanitised cell id
+    if command in ("ingest", "features", "evaluate", "detect"):
+        assert "json" not in modules
+    if command in ("ingest", "features", "evaluate"):
+        assert "hashlib" not in modules
     models = {
         m.removeprefix("cyclescreen.ml_detect.") for m in modules
         if m.startswith("cyclescreen.ml_detect.")
     } - {"params"}
     assert models == LOADED_MODELS[command]
+
+
+@pytest.mark.parametrize("prelude, enabled, frozen", [
+    ("", True, True),
+    ("gc.disable()", False, True),
+    # a failed import leaves the collector on, as it found it
+    ("sys.modules['cyclescreen.util'] = None", True, False),
+], ids=["enabled", "disabled", "failed-import"])
+def test_cli_import_freezes_what_it_loaded_and_keeps_the_collector_state(
+    child_env, prelude, enabled, frozen
+):
+    # frozen import-time objects are left out of every later full collection,
+    # the ones at exit included
+    import subprocess
+    import sys
+
+    probe = "\n".join([
+        "import gc, sys",
+        prelude,
+        "try:",
+        "    import cyclescreen.cli",
+        "except ImportError:",
+        "    pass",
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [str(enabled), str(frozen)]
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
