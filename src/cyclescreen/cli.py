@@ -62,14 +62,14 @@ try:
         read_manifest,
         read_verdict_flags,
     )
-    from .errors import ConfigError, CycleScreenError, EmptyFeatureError, InputError
+    from .errors import ConfigError, CycleScreenError, InputError
     from .evaluation import (
         DEFAULT_KPI, METRIC_NAMES, benchmark_report, check_kpi, confusion,
     )
-    from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix
+    from .features import RECIPE_DEFAULTS, RECIPES, FeatureMatrix, log_column
     # the traced benchmark run (perfbench/spans.py) wraps the three names below
-    # where cli looks them up, so mahalanobis_feature stays imported here though
-    # cli never calls it
+    # where cli looks them up, so log_feature and mahalanobis_feature stay
+    # imported here though cli never calls them
     from .features import build_feature_matrix, log_feature, mahalanobis_feature  # noqa: F401
     from .ml_detect import make_config
     from .ml_detect.params import DEFAULT_TRIALS, check_trials
@@ -113,26 +113,8 @@ def _cell_name(cell_id: str) -> str:
     return f"{safe}-{hashlib.sha256(cell_id.encode('utf-8')).hexdigest()[:8]}"
 
 
-def _parse_col_overrides(pairs) -> dict[str, str] | None:
-    if not pairs:
-        return None
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(
-                f"--col expects role=name, got '{pair}'"
-            )
-        role, name = pair.split("=", 1)
-        out[role.strip()] = name.strip()
-    return out
-
-
 def _load_store(args) -> CycleStore:
-    return ingest_cycles(
-        args.input,
-        columns=_parse_col_overrides(args.col),
-        delimiter=args.delimiter,
-    )
+    return ingest_cycles(args.input, columns=args.col, delimiter=args.delimiter)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +126,15 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
 
     Returns (column names, column arrays) after any log transform, whose
     clamps go into notes. Stat detectors take the first column;
-    distance/ML detectors take all. _check_options has refused a --feature
-    that names no column or one twice, and --recipe custom without --feature.
+    distance/ML detectors take all. _check_options has turned --feature into
+    a tuple of names, refusing one that names no column or one twice, and
+    --recipe custom without --feature.
     """
     if args.feature:
-        requested = [f.strip() for f in args.feature.split(",") if f.strip()]
+        requested = args.feature
     else:
         stat_col, multi_cols = RECIPE_DEFAULTS[args.recipe]
-        requested = list(multi_cols) if multivariate else [stat_col]
+        requested = multi_cols if multivariate else (stat_col,)
     names = []
     cols = []
     for name in requested:
@@ -160,15 +143,8 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
         except KeyError as err:
             raise UsageError(err.args[0]) from None
         if args.log:
-            raw = col
+            col = log_column(matrix, notes, name, f"log({name})")
             name = f"log({name})"
-            try:
-                col, clamped = log_feature(raw)
-            except EmptyFeatureError:
-                raise EmptyFeatureError(
-                    f"{name}: no positive entries for cell {notes.cell_id}"
-                ) from None
-            notes.record_log(name, matrix.cycle_index, raw, clamped)
         names.append(name)
         cols.append(col)
     return names, cols
@@ -295,17 +271,10 @@ _VERDICTS = {
 
 
 def _detect_body(args, cell_id, matrix, notes, cell_dir) -> None:
-    # each family's columns are resolved once, when its first model runs;
-    # distance and learned models share theirs
-    picks = {}
-
     def verdict(model):
-        multivariate = model not in STAT_MODELS
-        if multivariate not in picks:
-            picks[multivariate] = _selected_features(args, matrix, notes, multivariate)
-        header, columns, comment = _VERDICTS[model](
-            args, cell_id, model, *picks[multivariate]
-        )
+        # a column --log takes again replaces its clamps in notes
+        picked = _selected_features(args, matrix, notes, model not in STAT_MODELS)
+        header, columns, comment = _VERDICTS[model](args, cell_id, model, *picked)
         _write_table(
             f"{cell_dir}/{model}/verdict.csv", header,
             matrix.cycle_index, *columns, comment=comment,
@@ -609,11 +578,10 @@ def _cmd_evaluate(args) -> int:
         report = benchmark_report(per_model[model_name], kpi=args.kpi)
         txt_lines.append(f"model {model_name} (kpi {args.kpi:g})")
         for cell in sorted(report.per_cell):
-            scores = report.per_cell[cell].as_dict()
-            line = " ".join(f"{name}={scores[name]:.4f}" for name in METRIC_NAMES)
+            scores = zip(METRIC_NAMES, report.per_cell[cell])
+            line = " ".join(f"{name}={value:.4f}" for name, value in scores)
             txt_lines.append(f"  cell {cell}: {line}")
-        for name in METRIC_NAMES:
-            value = report.macro.as_dict()[name]
+        for name, value in zip(METRIC_NAMES, report.macro):
             passed = report.passes[name]
             rows.append((model_name, name, value, passed))
             txt_lines.append(
@@ -786,8 +754,9 @@ _COMMANDS = {
 def _check_options(args) -> None:
     """Refuse a bad option value before any file is read or written: by the
     check of the library function that reads the option, as
-    '--<option>: <its reason>', and --jobs, --feature and --recipe custom,
-    which only the CLI reads."""
+    '--<option>: <its reason>', and --jobs, --feature, --col and --recipe
+    custom, which only the CLI reads. --feature becomes a tuple of names and
+    --col a role -> column name dict."""
     if getattr(args, "jobs", 1) < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs!r}")
     if hasattr(args, "feature"):  # the commands that select feature columns
@@ -799,6 +768,17 @@ def _check_options(args) -> None:
         twice = [name for i, name in enumerate(names) if name in names[:i]]
         if twice:
             raise UsageError(f"--feature names '{twice[0]}' twice")
+        args.feature = tuple(names) or None
+    if getattr(args, "col", None):
+        columns = {}
+        for pair in args.col:
+            role, _, name = (part.strip() for part in pair.partition("="))
+            if not role or not name:
+                raise UsageError(f"--col expects role=name, got '{pair}'")
+            if role in columns:
+                raise UsageError(f"--col gives role '{role}' twice")
+            columns[role] = name
+        args.col = columns
     for name, check in (
         ("delimiter", check_delimiter),
         ("trials", check_trials),

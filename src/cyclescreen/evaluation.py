@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 
-METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc")
-
 #: the macro value a metric must reach to pass
 DEFAULT_KPI = 0.95
 
@@ -60,8 +58,8 @@ class MetricSet(NamedTuple):
     f1: float
     mcc: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+
+METRIC_NAMES = MetricSet._fields
 
 
 def metrics(counts: ConfusionCounts) -> MetricSet:
@@ -118,10 +116,6 @@ def benchmark_report(
     per_cell = {
         cell: metrics(counts) for cell, counts in sorted(per_cell_counts.items())
     }
-    macro_values = {
-        name: float(np.mean([m.as_dict()[name] for m in per_cell.values()]))
-        for name in METRIC_NAMES
-    }
-    macro = MetricSet(**macro_values)
-    passes = {name: macro_values[name] >= kpi for name in METRIC_NAMES}
+    macro = MetricSet(*(float(np.mean(v)) for v in zip(*per_cell.values())))
+    passes = {name: value >= kpi for name, value in zip(METRIC_NAMES, macro)}
     return EvalReport(per_cell=per_cell, macro=macro, kpi=kpi, passes=passes)

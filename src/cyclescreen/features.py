@@ -210,23 +210,37 @@ RECIPE_DEFAULTS = {
 }
 
 
+def log_column(
+    matrix: FeatureMatrix, notes: FeatureNotes, name: str, label: str
+) -> np.ndarray:
+    """log_feature of the column name, its clamps recorded in notes under
+    label; a column with no positive entry raises EmptyFeatureError naming
+    the column and the cell. The recipes label it log_<name>, cli's --log
+    log(<name>)."""
+    col = matrix.column(name)
+    try:
+        logged, clamped = log_feature(col)
+    except EmptyFeatureError:
+        raise EmptyFeatureError(
+            f"log({name}): no positive entries for cell {notes.cell_id}"
+        ) from None
+    notes.record_log(label, matrix.cycle_index, col, clamped)
+    return logged
+
+
 def _add_logs(matrix: FeatureMatrix, notes: FeatureNotes, required: bool) -> None:
     """Add log_<name> for each difference feature, recording its clamps.
 
     A column with no positive entry raises when required, else is skipped.
     """
     for name in ("dv_max", "dq_max", "dvdq_max"):
-        col = matrix.column(name)
         try:
-            logged, clamped = log_feature(col)
+            logged = log_column(matrix, notes, name, f"log_{name}")
         except EmptyFeatureError:
-            if not required:
-                continue
-            raise EmptyFeatureError(
-                f"log({name}): no positive entries for cell {notes.cell_id}"
-            ) from None
+            if required:
+                raise
+            continue
         matrix.add_column(f"log_{name}", logged)
-        notes.record_log(f"log_{name}", matrix.cycle_index, col, clamped)
 
 
 # finite samples can overflow in the spread and difference arithmetic;

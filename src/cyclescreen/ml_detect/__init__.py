@@ -25,7 +25,6 @@ from .params import (
     PARAM_SPECS,
     DetectorConfig,
     make_config,
-    validate_config,
 )
 
 DEFAULT_PROBABILITY_THRESHOLD = 0.7
@@ -59,7 +58,7 @@ def fit(config: DetectorConfig, X) -> FittedDetector:
     Arithmetic that overflows on X raises DegenerateDataError named by the
     model, by util.float_policy.
     """
-    config = validate_config(config)
+    config = make_config(config.model, config.params, config.seed)  # re-validated
     X = as_matrix(X)
     rng = np.random.default_rng(config.seed)
     fit_fn = getattr(_model_module(config.model), f"fit_{config.model}")
@@ -127,7 +126,6 @@ __all__ = [
     "FittedDetector",
     "DEFAULT_PROBABILITY_THRESHOLD",
     "make_config",
-    "validate_config",
     "as_matrix",
     "fit",
     "score",

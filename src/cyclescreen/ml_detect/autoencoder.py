@@ -117,19 +117,19 @@ class Mlp:
                 a = h
         return a, cache
 
-    def loss_and_grads(self, X, target, dropout_rate: float = 0.0, rng=None):
-        """Mean-squared loss and self.grad, overwritten with its exact
-        gradient.
+    def loss_and_grads(self, X, dropout_rate: float = 0.0, rng=None):
+        """Mean-squared reconstruction loss of X and self.grad, overwritten
+        with its exact gradient.
 
         delta bookkeeping: entering layer idx, delta holds dL/d(layer
         output); hidden layers peel off the dropout mask, then the
         activation derivative evaluated at the pre-dropout activation.
         """
         _, act_grad = ACTIVATIONS[self.activation]
+        X = np.asarray(X, dtype=float)
         out, cache = self.forward(X, dropout_rate=dropout_rate, rng=rng)
-        target = np.asarray(target, dtype=float)
         n, d_out = out.shape
-        resid = out - target
+        resid = out - X
         # np.mean's sum and division, without its per-call wrapper
         loss = float(np.add.reduce(resid**2, axis=None)) / resid.size
         delta = 2.0 * resid / (n * d_out)
@@ -219,7 +219,7 @@ def fit_autoencoder(params: dict, X: np.ndarray, rng) -> AutoencoderState:
         epoch_loss = 0.0
         for start in starts:
             rows = shuffled[start : start + batch]
-            loss, _ = mlp.loss_and_grads(rows, rows, dropout_rate=dropout, rng=rng)
+            loss, _ = mlp.loss_and_grads(rows, dropout_rate=dropout, rng=rng)
             step()
             epoch_loss += loss
         state.loss_trace.append(epoch_loss / len(starts))

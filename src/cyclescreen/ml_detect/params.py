@@ -239,8 +239,3 @@ def make_config(model: str, params: dict | None = None, seed: int = 0) -> Detect
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     return DetectorConfig(model=model, params=resolved, seed=seed)
-
-
-def validate_config(config: DetectorConfig) -> DetectorConfig:
-    """Re-validate an externally constructed config."""
-    return make_config(config.model, config.params, config.seed)

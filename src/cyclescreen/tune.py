@@ -32,7 +32,7 @@ import numpy as np
 from . import ml_detect
 from .errors import ConfigError, CycleScreenError, DegenerateDataError, InputError
 from .evaluation import confusion, metrics
-from .ml_detect import DetectorConfig, make_config, validate_config
+from .ml_detect import DetectorConfig, make_config
 from .ml_detect.params import (
     DEFAULT_TRIALS,
     PARAM_SPECS,
@@ -188,7 +188,7 @@ def aggregate_configs(configs) -> DetectorConfig:
         raise ConfigError(
             f"cannot aggregate across models: {sorted({c.model for c in configs})}"
         )
-    configs = [validate_config(c) for c in configs]
+    configs = [make_config(c.model, c.params, c.seed) for c in configs]
     merged = {}
     for name, p in PARAM_SPECS[model].items():
         values = [c.params[name] for c in configs]

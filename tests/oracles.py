@@ -184,16 +184,16 @@ def gradient_check(mlp: Mlp, X, step: float = 1e-5) -> float:
     zero gradient pair scores 0 rather than 0/0.
     """
     X = np.asarray(X, dtype=float)
-    _, grad = mlp.loss_and_grads(X, X)
+    _, grad = mlp.loss_and_grads(X)
     analytic = grad.copy()
     theta = mlp.theta
     numeric = np.empty_like(theta)
     for i in range(theta.size):
         kept = theta[i]
         theta[i] = kept + step
-        hi, _ = mlp.loss_and_grads(X, X)
+        hi, _ = mlp.loss_and_grads(X)
         theta[i] = kept - step
-        lo, _ = mlp.loss_and_grads(X, X)
+        lo, _ = mlp.loss_and_grads(X)
         theta[i] = kept
         numeric[i] = (hi - lo) / (2.0 * step)
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))

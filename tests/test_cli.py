@@ -1263,6 +1263,33 @@ def test_log_of_a_column_with_no_positive_entry_names_column_and_cell(
     )
 
 
+def test_a_relogged_columns_clamps_are_replaced_not_repeated(tmp_path):
+    # each of detect's models logs its columns again; the notes hold each
+    # column's clamps once, as after a single model
+    cells = {
+        cell: generate_cell(
+            40, samples_per_cycle=32, fade=FadeModel(voltage_noise=2e-3),
+            seed=seed, cell_id=cell,
+        )
+        for seed, cell in enumerate(("N0", "N1"))
+    }
+    meas = str(tmp_path / "meas.csv")
+    write_dataset(cells, meas)
+    notes = {}
+    for model in ("all", "knn"):
+        out = tmp_path / model
+        assert run("detect", "--input", meas, "--out", str(out), "--model", model,
+                   "--recipe", "custom", "--feature", FEATURES, "--log") == 0
+        notes[model] = {
+            cell: (out / cell / "feature_notes.txt").read_text() for cell in cells
+        }
+    assert notes["all"] == notes["knn"]
+    for text in notes["all"].values():
+        lines = text.splitlines()
+        assert any("log(dv_max) input" in line for line in lines)
+        assert len(set(lines)) == len(lines)
+
+
 @pytest.mark.parametrize(
     "argv", [("detect",), ("tune", "--strategy", "proxy", "--trials", "5")],
     ids=["detect", "tune"],
@@ -1547,6 +1574,13 @@ USAGE_ERRORS = {
         "--feature names 'dv_max' twice",
     ("tune", "--model", "knn", "--strategy", "proxy", "--feature", "dq_max,dq_max"):
         "--feature names 'dq_max' twice",
+    ("ingest", "--col", "voltage=voltage_v", "--col", "voltage=capacity_ah"):
+        "--col gives role 'voltage' twice",
+    ("detect", "--col", "voltage=A", "--col", "voltage=B"):
+        "--col gives role 'voltage' twice",
+    ("features", "--col", "voltage="): "--col expects role=name, got 'voltage='",
+    ("scoremap", "--col", "=capacity_ah"):
+        "--col expects role=name, got '=capacity_ah'",
 }
 
 

@@ -110,7 +110,7 @@ def test_perfect_and_inverted_predictions():
 
 def test_as_dict_order():
     m = metrics(ConfusionCounts(1, 1, 1, 1))
-    assert list(m.as_dict()) == ["accuracy", "precision", "recall", "f1", "mcc"]
+    assert list(m._asdict()) == ["accuracy", "precision", "recall", "f1", "mcc"]
 
 
 def test_macro_average_is_unweighted():

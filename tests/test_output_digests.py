@@ -3,8 +3,9 @@
 `output_digests.json` holds the sha256 of every file that one fixed-seed
 run of all six subcommands writes, and the NumPy version it was recorded
 under. The run covers the 15 detectors, every synthetic anomaly kind and
-channel, the autoencoder under each of its three optimizers and the knn
-neighbour search (through scoremap). It fits gmm with its defaults only
+channel, the autoencoder under each of its three optimizers, the knn
+neighbour search (through scoremap), the severson recipe's logs, --log on
+stat and learned models and a transfer tuning over two cells. It fits gmm with its defaults only
 (full covariance, kmeans init, one component); the other covariance types,
 inits and component counts are held byte for byte by
 tests/test_gmm_reference.py. Under another NumPy version the test skips,
@@ -74,6 +75,20 @@ def pipeline_digests(root) -> dict[str, str]:
             ["detect", "--input", meas, "--out", f"{out}/{optimizer}",
              "--model", "autoencoder", "--config", str(config), *FEATURES]
         )
+    # the severson recipe's logs, --log over each column family, and the
+    # aggregated config of a transfer tuning over both labeled cells
+    steps += [
+        ["features", "--input", meas, "--out", f"{out}/severson",
+         "--recipe", "severson"],
+        *(
+            ["detect", "--input", meas, "--out", f"{out}/log_{model}",
+             "--model", model, "--log", *FEATURES]
+            for model in ("sd", "knn")
+        ),
+        ["tune", "--input", meas, "--out", f"{out}/transfer", "--seed", "11",
+         "--model", "autoencoder", "--strategy", "transfer", "--labels", labels,
+         "--trials", "4", *FEATURES],
+    ]
     for argv in steps:
         assert main(argv) == 0, argv
     return {
