@@ -122,16 +122,18 @@ def _load_store(args) -> CycleStore:
 
 
 def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
-    """Resolve --feature/--log against the recipe defaults.
+    """(names, X): the columns a detector reads and their stacked matrix.
 
-    Returns (column names, column arrays) after any log transform, whose
-    clamps go into notes. Stat detectors take the first column;
-    distance/ML detectors take all. _check_options has turned --feature into
-    a tuple of names, refusing one that names no column or one twice, and
-    --recipe custom without --feature.
+    A statistical detector (multivariate false) reads one column, the
+    recipe's stat column or the first --feature name; the other families
+    read every requested column, the recipe's multivariate columns by
+    default. Under --log only those columns are logged, as log(<name>), so
+    only their clamps go into notes. _check_options has turned --feature
+    into a tuple of names, refusing one that names no column or one twice,
+    and --recipe custom without --feature.
     """
     if args.feature:
-        requested = args.feature
+        requested = args.feature if multivariate else args.feature[:1]
     else:
         stat_col, multi_cols = RECIPE_DEFAULTS[args.recipe]
         requested = multi_cols if multivariate else (stat_col,)
@@ -147,7 +149,7 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
             name = f"log({name})"
         names.append(name)
         cols.append(col)
-    return names, cols
+    return names, np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,8 @@ def _features_body(args, cell_id, matrix, notes, cell_dir) -> None:
     )
 
 
-def _stat_verdict(args, cell_id, model, names, cols):
-    verdict = detect_stat(cols[0], model, mad_factor=args.mad_factor)
+def _stat_verdict(args, cell_id, model, names, X):
+    verdict = detect_stat(X, model, mad_factor=args.mad_factor)
     lim = verdict.limits
     extra = (
         f" mad_factor={_fmt(lim.mad_factor)}" if lim.mad_factor is not None else ""
@@ -229,9 +231,9 @@ def _stat_verdict(args, cell_id, model, names, cols):
     )
 
 
-def _distance_verdict(args, cell_id, model, names, cols):
+def _distance_verdict(args, cell_id, model, names, X):
     verdict = dist_detect.centroid_detect(
-        np.column_stack(cols), dist_detect.MetricSpec(model, args.p),
+        X, dist_detect.MetricSpec(model, args.p),
         mad_threshold=args.mad_threshold, mad_factor=args.mad_factor,
     )
     centroid = "|".join(_fmt(c) for c in verdict.centroid)
@@ -244,10 +246,8 @@ def _distance_verdict(args, cell_id, model, names, cols):
     )
 
 
-def _learned_verdict(args, cell_id, model, names, cols):
-    config, _fitted, raw = _fit_score(
-        args, cell_id, model, np.column_stack(cols), args.params
-    )
+def _learned_verdict(args, cell_id, model, names, X):
+    config, _fitted, raw = _fit_score(args, cell_id, model, X, args.params)
     probs = ml_detect.normalize_scores(raw)
     if args.contamination_threshold and "contamination" in config.params:
         flags = ml_detect.predict_top_fraction(raw, config.params["contamination"])
@@ -286,8 +286,7 @@ def _detect_body(args, cell_id, matrix, notes, cell_dir) -> None:
 def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
     import json
 
-    names, cols = _selected_features(args, matrix, notes, multivariate=True)
-    X = np.column_stack(cols)
+    names, X = _selected_features(args, matrix, notes, multivariate=True)
     if X.shape[1] != 2:
         raise UsageError(f"scoremap needs exactly 2 features, got {X.shape[1]}")
     res = args.resolution
@@ -334,8 +333,7 @@ def _tune_body(args, cell_id, matrix, notes, cell_dir):
     # imported by tune's functions alone, so no other subcommand loads it
     from . import tune
 
-    _names, cols = _selected_features(args, matrix, notes, multivariate=True)
-    X = np.column_stack(cols)
+    _names, X = _selected_features(args, matrix, notes, multivariate=True)
     space = tune.default_search_space(args.model, n_features=X.shape[1])
     if args.strategy == "transfer":
         truth = np.isin(matrix.cycle_index, sorted(args.label_map[cell_id]))

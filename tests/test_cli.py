@@ -112,7 +112,7 @@ def test_detect_records_log_clamps_when_a_detector_fails(
     assert notes[0] == "cell cellA"
     logged = [line.split()[1] for line in notes if " log(dv_max) " in line]
     assert len(logged) > 25
-    assert len(logged) == len(set(logged))  # stat and multivariate share one entry
+    assert len(logged) == len(set(logged))  # the stat models share one entry
 
 
 def test_detect_writes_the_same_feature_notes_as_features(dataset, tmp_path):
@@ -1263,9 +1263,9 @@ def test_log_of_a_column_with_no_positive_entry_names_column_and_cell(
     )
 
 
-def test_a_relogged_columns_clamps_are_replaced_not_repeated(tmp_path):
-    # each of detect's models logs its columns again; the notes hold each
-    # column's clamps once, as after a single model
+@pytest.fixture(scope="module")
+def noisy_meas(tmp_path_factory):
+    """Two noisy cells, N0 and N1, on which every detector runs."""
     cells = {
         cell: generate_cell(
             40, samples_per_cycle=32, fade=FadeModel(voltage_noise=2e-3),
@@ -1273,21 +1273,78 @@ def test_a_relogged_columns_clamps_are_replaced_not_repeated(tmp_path):
         )
         for seed, cell in enumerate(("N0", "N1"))
     }
-    meas = str(tmp_path / "meas.csv")
+    meas = str(tmp_path_factory.mktemp("noisy") / "meas.csv")
     write_dataset(cells, meas)
+    return meas
+
+
+def test_a_relogged_columns_clamps_are_replaced_not_repeated(tmp_path, noisy_meas):
+    # each of detect's models logs its columns again; the notes hold each
+    # column's clamps once, as after a single model
     notes = {}
     for model in ("all", "knn"):
         out = tmp_path / model
-        assert run("detect", "--input", meas, "--out", str(out), "--model", model,
+        assert run("detect", "--input", noisy_meas, "--out", str(out), "--model", model,
                    "--recipe", "custom", "--feature", FEATURES, "--log") == 0
         notes[model] = {
-            cell: (out / cell / "feature_notes.txt").read_text() for cell in cells
+            cell: (out / cell / "feature_notes.txt").read_text()
+            for cell in ("N0", "N1")
         }
     assert notes["all"] == notes["knn"]
     for text in notes["all"].values():
         lines = text.splitlines()
         assert any("log(dv_max) input" in line for line in lines)
         assert len(set(lines)) == len(lines)
+
+
+@pytest.mark.parametrize("model", ["iqr", "mad", "mod_zscore", "sd", "zscore"])
+def test_a_statistical_detector_reads_the_first_selected_column(
+    tmp_path, noisy_meas, model
+):
+    verdicts = []
+    for features in ("dv_max,dq_max", "dv_max"):
+        out = tmp_path / features
+        assert run("detect", "--input", noisy_meas, "--out", str(out),
+                   "--model", model, "--recipe", "custom",
+                   "--feature", features) == 0
+        verdicts.append({
+            cell: (out / cell / model / "verdict.csv").read_bytes()
+            for cell in ("N0", "N1")
+        })
+    assert verdicts[0] == verdicts[1]
+
+
+def test_a_statistical_detector_logs_only_the_column_it_reads(tmp_path, capsys):
+    # dv_max has no positive entry on a noiseless cell; sd reads dq_max alone,
+    # so it neither logs dv_max nor fails on it, while euclidean reads both
+    cell = generate_cell(
+        12, samples_per_cycle=16, fade=FadeModel(voltage_noise=0.0), cell_id="M1"
+    )
+    meas = str(tmp_path / "meas.csv")
+    write_dataset({"M1": cell}, meas)
+
+    def detect(model, features):
+        out = tmp_path / f"{model}-{features}"
+        rc = run("detect", "--input", meas, "--out", str(out), "--model", model,
+                 "--recipe", "custom", "--feature", features, "--log")
+        return rc, out / "M1"
+
+    rc_one, one = detect("sd", "dq_max")
+    rc_two, two = detect("sd", "dq_max,dv_max")
+    assert rc_one == rc_two == 0
+    for name in ("sd/verdict.csv", "feature_notes.txt"):
+        assert (two / name).read_bytes() == (one / name).read_bytes()
+    assert "log(dv_max)" not in (two / "feature_notes.txt").read_text()
+
+    rc, cell_dir = detect("all", "dq_max,dv_max")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: cell M1, model euclidean: "
+        "log(dv_max): no positive entries for cell M1\n"
+    )
+    assert sorted(p.parent.name for p in cell_dir.glob("*/verdict.csv")) == [
+        "iqr", "mad", "mod_zscore", "sd", "zscore",
+    ]
 
 
 @pytest.mark.parametrize(
