@@ -153,12 +153,21 @@ def _selected_features(args, matrix: FeatureMatrix, notes, multivariate: bool):
 
 
 # ---------------------------------------------------------------------------
-# table rendering
+# artifact rendering
 
 
 def _write_table(path: str, header: str, *columns, comment=None) -> None:
     """Write dataset.format_table's text of the columns atomically."""
     atomic_write_text(path, format_table(header, *columns, comment=comment))
+
+
+def _json_text(payload) -> str:
+    """A JSON artifact's text: sorted keys, a two-space indent and a final
+    newline. A config is passed as vars(config). json writes a tuple, such
+    as a layer list param or a grid's bounds, as a list."""
+    import json  # loaded only by the commands that read or write JSON
+
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _fit_score(args, cell_id, model, X, params=None):
@@ -284,8 +293,6 @@ def _detect_body(args, cell_id, matrix, notes, cell_dir) -> None:
 
 
 def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
-    import json
-
     names, X = _selected_features(args, matrix, notes, multivariate=True)
     if X.shape[1] != 2:
         raise UsageError(f"scoremap needs exactly 2 features, got {X.shape[1]}")
@@ -295,34 +302,30 @@ def _scoremap_body(args, cell_id, matrix, notes, cell_dir) -> None:
         if model in DIST_MODELS:
             metric = dist_detect.MetricSpec(model, args.p)
             grid = dist_detect.score_grid(X, metric, resolution=res)
-            bounds, axes, values = grid.bounds, grid.axes, grid.values
-            data_min, data_max = grid.data_min, grid.data_max
         else:
             bounds, axes, nodes = dist_detect.grid_nodes(X, res)
             _config, fitted, data_raw = _fit_score(args, cell_id, model, X)
-            node_raw = ml_detect.score(fitted, nodes)
-            values = ml_detect.normalize_scores(node_raw, reference=data_raw)
-            values = values.reshape(res, res)
-            data_min, data_max = float(data_raw.min()), float(data_raw.max())
-
-        model_dir = f"{cell_dir}/{model}"
+            values = ml_detect.normalize_scores(
+                ml_detect.score(fitted, nodes), reference=data_raw
+            )
+            grid = dist_detect.GridScores(
+                axes, values.reshape(res, res), bounds,
+                float(data_raw.min()), float(data_raw.max()),
+            )
         _write_table(
-            f"{model_dir}/grid.csv", f"{names[0]},{names[1]},score",
-            np.repeat(axes[0], res), np.tile(axes[1], res), values.ravel(),
+            f"{cell_dir}/{model}/grid.csv", f"{names[0]},{names[1]},score",
+            np.repeat(grid.axes[0], res), np.tile(grid.axes[1], res),
+            grid.values.ravel(),
             comment=f"model={model} features={'|'.join(names)} resolution={res}",
         )
-        sidecar = {
+        atomic_write_text(f"{cell_dir}/{model}/grid.json", _json_text({
             "model": model,
-            "features": list(names),
-            "bounds": [list(b) for b in bounds],
+            "features": names,
+            "bounds": grid.bounds,
             "resolution": [res, res],
-            "data_min": data_min,
-            "data_max": data_max,
-        }
-        atomic_write_text(
-            f"{model_dir}/grid.json",
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
-        )
+            "data_min": grid.data_min,
+            "data_max": grid.data_max,
+        }))
 
     _run_models(args, cell_id, score_map)
 
@@ -347,7 +350,7 @@ def _tune_body(args, cell_id, matrix, notes, cell_dir):
     ))
     atomic_write_text(
         f"{args.out}/tuning/{args.model}/compromise_{_cell_name(cell_id)}.json",
-        _config_json(result.compromise),
+        _json_text(vars(result.compromise)),
     )
     return result
 
@@ -479,14 +482,6 @@ def _write_trials(tuning_dir, model, per_cell) -> None:
         _write_table(f"{tuning_dir}/{name}.csv", header, *zip(*rows))
 
 
-def _config_json(config) -> str:
-    import json
-
-    # json writes a tuple param (a layer list) as a list
-    payload = {"model": config.model, "params": config.params, "seed": config.seed}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _cmd_tune(args) -> int:
     from . import tune
 
@@ -528,7 +523,7 @@ def _cmd_tune(args) -> int:
         aggregated = tune.aggregate_configs(
             [per_cell[cell].best.config for cell in sorted(per_cell)]
         )
-        atomic_write_text(f"{tuning_dir}/config.json", _config_json(aggregated))
+        atomic_write_text(f"{tuning_dir}/config.json", _json_text(vars(aggregated)))
         fractions = ", ".join(
             f"{cell}={per_cell[cell].perfect_recall_fraction:.2f}"
             for cell in sorted(per_cell)

@@ -13,10 +13,10 @@ as detect writes them, are read back for evaluation.
 
 Ingest reads the header with csv and the rest with NumPy's C reader, every
 float of which Python's float reads to the same bits. Any doubt (a row NumPy
-refuses, a non-finite value, a fractional cycle index, an empty id, a quoted
-field spanning lines, a line csv may refuse) reads the file again row by
-row, where the per-row parsers name the first bad row and its number; so
-does a pipe, which cannot seek back. One stable lexsort then groups the
+refuses, a non-finite value, a fractional cycle index or one of magnitude
+2**53 or more, an empty id, a quoted field spanning lines, a line csv may
+refuse) reads the file again row by row, where the per-row parsers name the
+first bad row and its number; so does a pipe, which cannot seek back. One stable lexsort then groups the
 samples by (cell, cycle) and orders each cycle by time.
 """
 
@@ -52,6 +52,10 @@ TIME, VOLTAGE, CAPACITY = 0, 1, 2
 
 #: the roles parsed as numbers, in the order of the parsed value columns
 _NUMERIC_ROLES = ("cycle_index", "time", "voltage", "capacity")
+
+#: integers are read through float64, which holds every integer below this
+#: magnitude exactly; from it on, two integers can read as one
+_INT_LIMIT = 2**53
 
 #: rows format_table formats at a time, bounding the per-value texts held
 TABLE_ROWS = 4096
@@ -168,10 +172,16 @@ def _parse_float(token: str, what: str, row: int, path: str) -> float:
 
 
 def _parse_int(token: str, what: str, row: int, path: str) -> int:
+    """The token read as float64, which must be an integer of magnitude
+    below _INT_LIMIT."""
     value = _parse_float(token, what, row, path)
     if not value.is_integer():
         raise InputError(
             f"{path}: row {row}: {what} value '{token}' is not an integer"
+        )
+    if abs(value) >= _INT_LIMIT:
+        raise InputError(
+            f"{path}: row {row}: {what} value '{token}' is out of range"
         )
     return int(value)
 
@@ -287,7 +297,8 @@ def _read_columns(handle, delimiter: str, idx):
     # line dropped from inside it would have changed it
     if not (len(values) == fed and all(cells)
             and np.isfinite(values[:, 1:]).all()
-            and np.array_equal(cycle, np.trunc(cycle))):
+            and np.array_equal(cycle, np.trunc(cycle))
+            and (np.abs(cycle) < _INT_LIMIT).all()):
         return None
     names: dict[str, int] = {}  # stripped id -> code, as first seen
     recode = [names.setdefault(cell, len(names)) for cell in cells]

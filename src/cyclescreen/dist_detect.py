@@ -33,7 +33,9 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, InputError
 from .stat_detect import GAUSSIAN_MAD_FACTOR, scaled_mad
-from .util import as_matrix, float_policy, is_integer, normalize_scores
+from .util import (
+    as_matrix, check_addressable, float_policy, is_integer, normalize_scores,
+)
 
 METRIC_KINDS = ("euclidean", "manhattan", "minkowski", "mahalanobis")
 
@@ -324,12 +326,15 @@ def centroid_detect(
 
 
 class GridScores(NamedTuple):
-    """Normalized-distance surface over a rectangular grid.
+    """Min-max scaled score surface over a rectangular grid.
 
     values[i0, i1, ...] is the score at (axes[0][i0], axes[1][i1], ...); the
-    row-major flattening therefore iterates the last axis fastest. Scores are
-    normalized by the min/max of the fitted data's own distances, so grid
-    values above 1 mean "farther than any observed cycle".
+    row-major flattening therefore iterates the last axis fastest. The
+    values are scaled by the range [data_min, data_max] of the cycles' own
+    scores. `score_grid` scales a distance model's centroid distances
+    unclipped, so a value above 1 is farther out than any cycle; the CLI's
+    scoremap scales a learned model's raw scores against the cycles' raw
+    scores and clips them to [0, 1].
     """
 
     axes: tuple[np.ndarray, ...]
@@ -339,15 +344,19 @@ class GridScores(NamedTuple):
     data_max: float
 
 
-def check_resolution(resolution: int) -> None:
+def check_resolution(resolution: int, n_axes: int = 2) -> None:
     """Refuse a grid resolution that is not an integer of at least 2 points
-    per axis; a NumPy integer counts, a bool does not."""
+    per axis, or one whose grid nodes over n_axes axes, 8 bytes a
+    coordinate, could not be addressed; a NumPy integer counts, a bool
+    does not."""
     if not is_integer(resolution):
         raise ConfigError(f"grid resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ConfigError(
             f"grid resolution must be at least 2 per axis, got {resolution!r}"
         )
+    nbytes = int(resolution) ** n_axes * n_axes * 8
+    check_addressable("grid resolution", resolution, nbytes)
 
 
 def grid_nodes(
@@ -363,7 +372,7 @@ def grid_nodes(
     row-major order, so the last axis varies fastest.
     """
     X = as_matrix(X)
-    check_resolution(resolution)
+    check_resolution(resolution, X.shape[1])
     with float_policy("grid"):
         lo, hi = X.min(axis=0), X.max(axis=0)
         pad = 0.1 * (hi - lo)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..dist_detect import METRIC_KINDS
 from ..errors import ConfigError
-from ..util import is_integer
+from ..util import check_addressable, is_integer
 
 
 def _is_number(value) -> bool:
@@ -197,12 +197,14 @@ DEFAULT_TRIALS = 20
 
 
 def check_trials(n_trials: int) -> None:
-    """Refuse a trial budget that is not an integer of at least 1; a NumPy
+    """Refuse a trial budget that is not an integer of at least 1, or one
+    whose trial list, 8 bytes a trial, could not be addressed; a NumPy
     integer counts, a bool does not."""
     if not is_integer(n_trials) or n_trials < 1:
         raise ConfigError(
             f"n_trials must be an integer of at least 1, got {n_trials!r}"
         )
+    check_addressable("n_trials", n_trials, int(n_trials) * 8)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared helpers: seed fanout, rounding, atomic writes, the feature-matrix
-rule every detector reads its input by, the floating-point policy every
-entry point runs under, min-max, and the median and type-7 quartiles.
+rule every detector reads its input by, the check that a size's arrays can
+be addressed, the floating-point policy every entry point runs under,
+min-max, and the median and type-7 quartiles.
 
 The order statistics avoid np.median and np.quantile: both import
 numpy.ma on their first call in a process (np.median through its NaN
@@ -19,7 +20,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError
+from .errors import ConfigError, DegenerateDataError, InputError
 
 
 def derive_seed(*parts) -> int:
@@ -93,6 +94,19 @@ def is_integer(value) -> bool:
     """An integer that is not a bool; NumPy integers, as read from an
     array, count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_addressable(what: str, value: int, nbytes: int) -> None:
+    """Refuse a size whose arrays would need nbytes, more bytes than NumPy
+    can address (np.iinfo(np.intp).max), naming what, its value and the
+    bytes: NumPy would stop at such an array with an OverflowError or a
+    ValueError of its own."""
+    limit = int(np.iinfo(np.intp).max)
+    if nbytes > limit:
+        raise ConfigError(
+            f"{what} {value!r} needs arrays of {nbytes} bytes, more than "
+            f"the {limit} NumPy can address"
+        )
 
 
 #: whether a float_policy is already held, so nested entry points (fit

@@ -165,6 +165,34 @@ def test_tune_writes_the_same_feature_notes_as_detect(dataset, tmp_path, strateg
         assert notes == (tmp_path / "detect" / cell / "feature_notes.txt").read_text()
 
 
+@pytest.mark.parametrize("token", ["9007199254740992", "9007199254740993", "1e20"])
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_a_cycle_index_float64_cannot_hold_is_refused(
+    tmp_path, child_env, token, source
+):
+    # float64 reads 2**53 and 2**53 + 1 as one number, so two such cycles
+    # would merge into one, and 1e20 would overflow a C long in features
+    import subprocess
+    import sys
+
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "cell_id,cycle_index,time_s,voltage_v,capacity_ah\n"
+        + "".join(f"A,{c},{t}.0,4.0,0.{t}\n" for c in ("0", token) for t in range(3))
+    )
+    name = str(path) if source == "file" else "/dev/stdin"
+    result = subprocess.run(
+        [sys.executable, "-m", "cyclescreen.cli", "ingest", "--input", name,
+         "--out", str(tmp_path / "out")],
+        input=path.read_text(), capture_output=True, text=True, env=child_env,
+    )
+    assert result.returncode == 1, result.stdout
+    assert result.stderr == (
+        f"error: {name}: row 5: cycle_index value '{token}' is out of range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_measurement_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text(
@@ -1611,6 +1639,44 @@ def test_running_out_of_memory_is_an_error_not_a_traceback(
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: out of memory{reason}")
     assert result.stderr.count("\n") == 1
+
+
+#: a size no machine's arrays can hold: NumPy cannot index it
+TOO_BIG = 10**20
+
+
+@pytest.mark.parametrize(
+    "argv, what, nbytes",
+    [
+        (("tune", "--model", "iforest", "--strategy", "proxy",
+          "--trials", str(TOO_BIG)), "n_trials", 8 * TOO_BIG),
+        (("scoremap", "--model", "euclidean", "--resolution", str(TOO_BIG)),
+         "grid resolution", 16 * TOO_BIG**2),
+    ],
+    ids=["tune", "scoremap"],
+)
+def test_a_size_numpy_cannot_address_is_an_error_not_a_traceback(
+    dataset, tmp_path, child_env, argv, what, nbytes
+):
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    result = subprocess.run(
+        [sys.executable, "-m", "cyclescreen.cli", *argv,
+         "--input", dataset["meas"], "--out", str(tmp_path / "out"),
+         "--recipe", "custom", "--feature", FEATURES],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    option = argv[-2]
+    assert result.stderr == (
+        f"error: {option}: {what} {TOO_BIG} needs arrays of {nbytes} bytes, "
+        f"more than the {np.iinfo(np.intp).max} NumPy can address\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 #: argv refused for its options alone, and the start of the message

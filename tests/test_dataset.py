@@ -281,6 +281,39 @@ def test_non_integer_cycle_index_cites_row(tmp_path, token):
         read_labels(path)
 
 
+@pytest.mark.parametrize(
+    "token", ["9007199254740992", "9007199254740993", "-9007199254740993", "1e20"]
+)
+def test_a_cycle_index_of_magnitude_2_53_or_more_is_refused(tmp_path, token):
+    # from 2**53 on float64 holds not every integer: a label of 2**53 + 1
+    # would mark cycle 2**53
+    message = f"row 3: cycle_index value '{token}' is out of range"
+    path = write(tmp_path, "m.csv", f"{HEADER}\nA,0,0.0,4.0,0.0\nA,{token},0.0,4.0,0.0\n")
+    with pytest.raises(InputError) as exc:
+        ingest_cycles(path)
+    assert str(exc.value) == f"{path}: {message}"
+    path = write(tmp_path, "labels.csv", f"cell_id,cycle_index\nA,1\nA,{token}\n")
+    with pytest.raises(InputError) as exc:
+        read_labels(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_the_largest_exact_cycle_indices_are_read(tmp_path):
+    top = 2**53 - 1
+    path = write(
+        tmp_path, "m.csv",
+        f"{HEADER}\nA,{top},0.0,4.0,0.0\nA,{-top},0.0,4.0,0.0\n"
+        f"A,{top - 1},0.0,4.0,0.0\n",
+    )
+    with mock.patch(
+        "cyclescreen.dataset._parse_rows_one_by_one", side_effect=AssertionError
+    ):
+        store = ingest_cycles(path)
+    assert [r.cycle_index for r in store.by_cell("A")] == [-top, top - 1, top]
+    labels = write(tmp_path, "labels.csv", f"cell_id,cycle_index\nA,{top}\n")
+    assert read_labels(labels) == {"A": {top}}
+
+
 @pytest.mark.parametrize("column", ["time", "voltage", "capacity"])
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_non_finite_measurement_cites_row(tmp_path, column, token):

@@ -4,8 +4,9 @@
 run of all six subcommands writes, and the NumPy version it was recorded
 under. The run covers the 15 detectors, every synthetic anomaly kind and
 channel, the autoencoder under each of its three optimizers, the knn
-neighbour search (through scoremap), the severson recipe's logs, --log on
-stat and learned models and a transfer tuning over two cells. It fits gmm with its defaults only
+neighbour search and a euclidean distance grid (through scoremap), the
+severson recipe's logs, --log on stat and learned models and a transfer
+tuning over two cells. It fits gmm with its defaults only
 (full covariance, kmeans init, one component); the other covariance types,
 inits and component counts are held byte for byte by
 tests/test_gmm_reference.py. Under another NumPy version the test skips,
@@ -61,8 +62,11 @@ def pipeline_digests(root) -> dict[str, str]:
          "--model", "autoencoder", "--strategy", "proxy", "--trials", "6",
          *FEATURES],
         ["evaluate", "--input", out, "--labels", labels, "--out", out],
-        ["scoremap", "--input", meas, "--out", out, "--model", "knn",
-         "--resolution", "12", *FEATURES],
+        *(
+            ["scoremap", "--input", meas, "--out", out, "--model", model,
+             "--resolution", "12", *FEATURES]
+            for model in ("knn", "euclidean")
+        ),
     ]
     # detect's default autoencoder runs adam; the other two optimizers write
     # their own directories, after evaluate has read the verdicts above

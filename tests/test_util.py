@@ -9,12 +9,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cyclescreen import ml_detect
-from cyclescreen.dist_detect import METRIC_KINDS, MetricSpec, centroid_detect, pairwise
-from cyclescreen.errors import DegenerateDataError, InputError
+from cyclescreen.dist_detect import (
+    METRIC_KINDS, MetricSpec, centroid_detect, check_resolution, pairwise,
+)
+from cyclescreen.errors import ConfigError, DegenerateDataError, InputError
+from cyclescreen.ml_detect.params import check_trials
 from cyclescreen.stat_detect import StatMethod, detect_stat
 from cyclescreen.tune import optimize_proxy
 from cyclescreen.util import (
     atomic_write_text,
+    check_addressable,
     derive_seed,
     float_policy,
     median,
@@ -79,6 +83,25 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path):
     target = tmp_path / "atomic.txt"
     atomic_write_text(str(target), "payload")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_sizes_are_refused_only_past_what_numpy_can_address():
+    limit = int(np.iinfo(np.intp).max)
+    check_addressable("size", 1, limit)
+    with pytest.raises(ConfigError) as exc:
+        check_addressable("size", 2, limit + 1)
+    assert str(exc.value) == (
+        f"size 2 needs arrays of {limit + 1} bytes, more than the {limit} "
+        "NumPy can address"
+    )
+    # a trial takes 8 bytes, a 2-D grid node 16; a NumPy integer is widened
+    # before the product, which would overflow int64
+    top_trials, top_resolution = limit // 8, math.isqrt(limit // 16)
+    check_trials(top_trials)
+    check_resolution(np.int64(top_resolution))
+    for check, size in ((check_trials, top_trials), (check_resolution, top_resolution)):
+        with pytest.raises(ConfigError, match="more than the"):
+            check(np.int64(size + 1))
 
 
 NO_COLUMNS = np.empty((6, 0))
